@@ -6,7 +6,7 @@
 use cobra_bench::report::{banner, verdict};
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::{CobraWalk, SimpleWalk};
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
     let cfg = ExpConfig::from_env();
@@ -27,8 +27,8 @@ fn main() {
         let g = family.build(scale, cfg.seed);
         let start = family.adversarial_start(&g);
         let plan = TrialPlan::new(trials, budget, cfg.seed);
-        let cobra = run_cover_trials(&g, &CobraWalk::standard(), start, &plan);
-        let simple = run_cover_trials(&g, &SimpleWalk::new(), start, &plan);
+        let cobra = run_cover_trials_typed(&g, &CobraWalk::standard(), start, &plan);
+        let simple = run_cover_trials_typed(&g, &SimpleWalk::new(), start, &plan);
         let ok = cobra.censored == 0
             && cobra.summary.count() == trials
             && cobra.summary.mean() <= simple.summary.mean();

@@ -17,7 +17,7 @@ use cobra_bench::report::{banner, emit_table, verdict};
 use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::{CobraWalk, PushGossip};
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 use cobra_sim::sweep::{SweepRow, SweepTable};
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
         let g = fam.build(n, 0);
         let nf = n as f64;
         let budget = (20.0 * nf * nf.ln()) as usize + 50_000;
-        let out_c = run_cover_trials(
+        let out_c = run_cover_trials_typed(
             &g,
             &cobra,
             0,
@@ -57,7 +57,7 @@ fn main() {
             SweepRow::from_summary(nf, &out_c.summary, out_c.censored)
                 .with_context("n_ln_n", nf * nf.ln()),
         );
-        let out_p = run_cover_trials(
+        let out_p = run_cover_trials_typed(
             &g,
             &push,
             0,

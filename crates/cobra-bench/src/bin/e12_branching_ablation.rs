@@ -15,7 +15,7 @@ use cobra_bench::report::{banner, verdict};
 use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::CobraWalk;
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
     let cfg = ExpConfig::from_env();
@@ -48,7 +48,7 @@ fn main() {
             } else {
                 3000 * (nf.ln() as usize + 1) * 40 + 40 * n + 100_000
             };
-            let out = run_cover_trials(
+            let out = run_cover_trials_typed(
                 &g,
                 &process,
                 start,

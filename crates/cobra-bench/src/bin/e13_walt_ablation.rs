@@ -13,7 +13,7 @@ use cobra_bench::report::{banner, verdict};
 use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::WaltProcess;
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
     let cfg = ExpConfig::from_env();
@@ -40,7 +40,7 @@ fn main() {
         println!("### {} (n = {n})\n", fam.name());
 
         let measure = |proc_: &WaltProcess, tag: u64| -> f64 {
-            let out = run_cover_trials(
+            let out = run_cover_trials_typed(
                 &g,
                 proc_,
                 0,

@@ -13,7 +13,7 @@ use cobra_bench::report::{banner, verdict};
 use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::{BranchingSchedule, Process, ScheduledCobraWalk};
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
     let cfg = ExpConfig::from_env();
@@ -58,7 +58,7 @@ fn main() {
         for (i, sched) in schedules.iter().enumerate() {
             let process = ScheduledCobraWalk::new(*sched);
             let budget = 3000 * n + 500_000;
-            let out = run_cover_trials(
+            let out = run_cover_trials_typed(
                 &g,
                 &process,
                 start,
@@ -117,7 +117,7 @@ fn main() {
     });
     let fixed = ScheduledCobraWalk::new(BranchingSchedule::Fixed(2));
     let budget = 3000 * g.num_vertices() + 500_000;
-    let out_h = run_cover_trials(
+    let out_h = run_cover_trials_typed(
         &g,
         &heavy,
         start,
@@ -127,7 +127,7 @@ fn main() {
             stage_seed(cfg.seed, "e14", "star-branching", 0),
         ),
     );
-    let out_f = run_cover_trials(
+    let out_f = run_cover_trials_typed(
         &g,
         &fixed,
         start,

@@ -12,7 +12,7 @@ use cobra_bench::report::{banner, verdict};
 use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::{CobraWalk, WaltProcess};
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 /// Maximum CDF crossing allowed by sampling noise: a two-sample DKW-style
 /// band at roughly 99% confidence for `trials` samples per side.
@@ -63,8 +63,8 @@ fn main() {
             stage_seed(cfg.seed, "e5", "cobra", k as u64),
         );
         let plan_w = TrialPlan::new(trials, budget, stage_seed(cfg.seed, "e5", "walt", k as u64));
-        let out_c = run_cover_trials(&g, &cobra, start, &plan_c);
-        let out_w = run_cover_trials(&g, &walt, start, &plan_w);
+        let out_c = run_cover_trials_typed(&g, &cobra, start, &plan_c);
+        let out_w = run_cover_trials_typed(&g, &walt, start, &plan_w);
         assert_eq!(out_c.censored, 0, "cobra runs censored; raise budget");
         assert_eq!(out_w.censored, 0, "walt runs censored; raise budget");
 

@@ -19,10 +19,9 @@ use cobra_bench::report::{banner, emit_table, verdict};
 use cobra_bench::stages::{stage_seed, stage_sequence};
 use cobra_bench::{ExpConfig, ExperimentSpec, Family, Orchestrator};
 use cobra_core::biased::{return_time_bound, MetropolisWalk};
-use cobra_core::process::Process;
-use cobra_core::{BiasedWalk, CobraWalk, SimpleWalk};
+use cobra_core::{BiasedWalk, CobraWalk, SimpleWalk, StateView, TypedProcess, TypedState};
 use cobra_graph::metrics::farthest_vertex;
-use cobra_sim::runner::{run_hitting_trials, TrialPlan};
+use cobra_sim::runner::{run_hitting_trials_typed, TrialPlan};
 use cobra_sim::sweep::{SweepRow, SweepTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,9 +41,8 @@ fn main() {
     );
     let mut orch = Orchestrator::for_run(spec, &cfg);
 
-    // The dyn-route biased-walk reference keeps a fixed plan (its
-    // controller state is not `TypedProcess`); size it to the adaptive
-    // envelope's cap so its stderr stays comparable.
+    // The biased-walk reference keeps a fixed plan; size it to the
+    // adaptive envelope's cap so its stderr stays comparable.
     let trials = cfg.scale(60, 200);
     let cobra = CobraWalk::standard();
 
@@ -65,9 +63,8 @@ fn main() {
         let start = 0u32;
         let (target, _) = farthest_vertex(&g, start);
         let budget = 400 * n * n + 100_000;
-        // Cobra side adaptively on the typed scratch engine; the biased
-        // walk keeps the dyn route (its controller state is not
-        // `TypedProcess`).
+        // Cobra side adaptively on the scratch engine; the biased walk on
+        // a fixed plan.
         let out_c = orch.hitting_cell(
             "lemma14 cobra hitting",
             n as f64,
@@ -79,7 +76,7 @@ fn main() {
             stage_seed(cfg.seed, "e7", "cobra-hitting", k as u64),
         );
         let biased = BiasedWalk::inverse_degree_toward(&g, target);
-        let out_b = run_hitting_trials(
+        let out_b = run_hitting_trials_typed(
             &g,
             &biased,
             start,
@@ -196,7 +193,7 @@ fn main() {
         let mut total = 0u64;
         for t in 0..ret_trials {
             let mut rng = StdRng::seed_from_u64(child.seed_at(t as u64));
-            let mut st = mw.spawn(&g, target);
+            let mut st = mw.spawn_typed(&g, target);
             let mut steps = 0u64;
             loop {
                 st.step(&g, &mut rng);

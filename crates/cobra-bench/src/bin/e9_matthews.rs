@@ -13,7 +13,7 @@ use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
 use cobra_core::measure::{estimate_hmax, matthews_ratio};
 use cobra_core::{CobraWalk, SimpleWalk};
-use cobra_sim::runner::{run_cover_trials, TrialPlan};
+use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 use cobra_spectral::exact::exact_hmax;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,7 +71,7 @@ fn main() {
         let budget = 2000 * n + 500_000;
         let mut rng = StdRng::seed_from_u64(stage_seed(cfg.seed, "e9", "hmax", k as u64));
         let hmax = estimate_hmax(&g, &cobra, pairs, htrials, budget, &mut rng);
-        let out = run_cover_trials(
+        let out = run_cover_trials_typed(
             &g,
             &cobra,
             fam.adversarial_start(&g),

@@ -130,8 +130,8 @@ impl Family {
     /// paper's bound for the family plus slack, so trials complete (and
     /// censoring stays an anomaly signal, not an expected outcome).
     /// Sweep binaries with calibrated per-cell budgets keep their own;
-    /// this is the shared default for harness code (bench_adaptive,
-    /// smoke cells) that sweeps across families.
+    /// this is the shared default for harness code (smoke cells) that
+    /// sweeps across families.
     pub fn cobra_cover_budget(&self, scale: usize, n: usize) -> usize {
         let nf = n as f64;
         let logn = nf.max(2.0).ln();

@@ -416,12 +416,13 @@ impl Orchestrator {
         )
     }
 
-    /// Run a whole cover sweep adaptively (cells carry per-cell step
-    /// budgets; per-cell seeds derive from `master_seed` via
-    /// [`cell_seed`], exactly as in the fixed-trial sweep) and record
-    /// every cell in the manifest. Quarantined cells are recorded
-    /// `failed` and lose their table row; a halt exits with code 3 (use
-    /// [`Orchestrator::try_cover_sweep`] to handle it yourself).
+    /// Run a whole cover sweep adaptively (every cell must carry its own
+    /// step budget — see [`Orchestrator::try_cover_sweep`]; per-cell
+    /// seeds derive from `master_seed` via [`cell_seed`], exactly as in
+    /// the fixed-trial sweep) and record every cell in the manifest.
+    /// Quarantined cells are recorded `failed` and lose their table row;
+    /// a halt exits with code 3 (use [`Orchestrator::try_cover_sweep`] to
+    /// handle it yourself).
     pub fn cover_sweep(
         &mut self,
         label: impl Into<String>,
@@ -442,6 +443,11 @@ impl Orchestrator {
     /// to the non-robust adaptive sweep, so pre-existing manifests keep
     /// their numbers. Quarantined cells stay in the manifest as `failed`
     /// but produce no table row.
+    ///
+    /// Panics, naming the cell's key, on a cell without a step budget
+    /// ([`SweepCell::with_budget`]): the orchestrator has no plan-wide
+    /// budget to fall back on, and a guessed one would censor every trial
+    /// and surface as a misleading [`EmptySummary`].
     pub fn try_cover_sweep(
         &mut self,
         label: impl Into<String>,
@@ -453,9 +459,13 @@ impl Orchestrator {
         let label = label.into();
         let mut table = SweepTable::new(label.clone(), scale_name);
         for (cell_idx, cell) in cells.into_iter().enumerate() {
-            // Budget fallback of 1 mirrors the fixed-sweep convention:
-            // it is never reached unless a cell omits its budget.
-            let max_steps = cell.max_steps.unwrap_or(1);
+            let max_steps = cell.max_steps.unwrap_or_else(|| {
+                panic!(
+                    "sweep cell \"{label}@{}\" has no step budget; orchestrated sweeps \
+                     need SweepCell::with_budget",
+                    cell.scale
+                )
+            });
             let seed = cell_seed(master_seed, cell_idx);
             match self.try_cover_cell(
                 &label,
@@ -486,7 +496,7 @@ impl Orchestrator {
     /// bit-sliced 64-lane engine, everything else the scratch engine.
     /// A quarantined cell or a halt exits the process (codes 1 and 3);
     /// use [`Orchestrator::try_cover_cell`] to handle those yourself.
-    #[allow(clippy::too_many_arguments)] // mirrors run_cover_trials' shape
+    #[allow(clippy::too_many_arguments)] // mirrors the runners' cell shape
     pub fn cover_cell(
         &mut self,
         sweep: &str,
@@ -509,7 +519,7 @@ impl Orchestrator {
     /// Fault-aware cover cell: checkpointed at batch boundaries,
     /// panic-quarantined, watchdog-retried, and resumed from a prior
     /// record when `--resume` loaded one.
-    #[allow(clippy::too_many_arguments)] // mirrors run_cover_trials' shape
+    #[allow(clippy::too_many_arguments)] // mirrors the runners' cell shape
     pub fn try_cover_cell(
         &mut self,
         sweep: &str,
@@ -528,7 +538,7 @@ impl Orchestrator {
 
     /// Measure one hitting cell adaptively and record it. Same exit
     /// behavior as [`Orchestrator::cover_cell`].
-    #[allow(clippy::too_many_arguments)] // mirrors run_hitting_trials' shape
+    #[allow(clippy::too_many_arguments)] // mirrors the runners' cell shape
     pub fn hitting_cell(
         &mut self,
         sweep: &str,
@@ -559,7 +569,7 @@ impl Orchestrator {
     }
 
     /// Fault-aware hitting cell; see [`Orchestrator::try_cover_cell`].
-    #[allow(clippy::too_many_arguments)] // mirrors run_hitting_trials' shape
+    #[allow(clippy::too_many_arguments)] // mirrors the runners' cell shape
     pub fn try_hitting_cell(
         &mut self,
         sweep: &str,
@@ -1086,6 +1096,18 @@ mod tests {
             assert!(c.report.trials_used >= orch.spec.rule.min_trials);
             assert!(c.report.trials_used <= orch.spec.rule.max_trials);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep cell \"cobra on cycle@12\" has no step budget")]
+    fn budgetless_sweep_cell_panics_with_its_key() {
+        let spec = ExperimentSpec::from_config("eB", "budget", &ci_cfg());
+        let mut orch = Orchestrator::new(spec);
+        let cells = [
+            SweepCell::new(8.0, classic::cycle(8).unwrap(), 0u32).with_budget(50_000),
+            SweepCell::new(12.0, classic::cycle(12).unwrap(), 0u32),
+        ];
+        let _ = orch.try_cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3);
     }
 
     #[test]

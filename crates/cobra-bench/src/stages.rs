@@ -124,8 +124,6 @@ pub const STAGE_BLOCKS: &[StageBlock] = &[
     block("e16", "loss-sweep", slot(16, 0)), // arm = loss-level index
     block("e16", "regimes", slot(16, 1)),    // arm = regime index
     block("e16", "graphs", slot(16, 2)),
-    // bench_implicit: implicit-graph allocation benchmark.
-    block("bench-implicit", "giant", slot(30, 0)),
 ];
 
 const fn block(binary: &'static str, stage: &'static str, base: u64) -> StageBlock {

@@ -19,7 +19,9 @@
 //!   ([`sigma_hat`]). Its return time to `v` realizes Corollary 17's
 //!   `(d(v) + Σ_{x≠v} σ̂(x,v)·d(x)) / d(v)` bound.
 
-use crate::process::{bernoulli, random_neighbor, sample_index, Process, ProcessState};
+use crate::process::{
+    bernoulli, random_neighbor, sample_index, Process, StateView, TypedProcess, TypedState,
+};
 use cobra_graph::{metrics, Graph, Vertex};
 use rand::Rng;
 use std::sync::Arc;
@@ -143,25 +145,31 @@ impl Process for BiasedWalk {
             }
         }
     }
+}
 
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
+impl TypedProcess for BiasedWalk {
+    type State = BiasedState;
+
+    fn spawn_typed(&self, g: &Graph, start: Vertex) -> BiasedState {
         assert!((start as usize) < g.num_vertices(), "start vertex in range");
-        Box::new(BiasedState {
+        BiasedState {
             schedule: self.schedule,
             controller: Arc::clone(&self.controller),
             pos: [start],
-        })
+        }
     }
 }
 
-struct BiasedState {
+/// Mutable state of a running biased walk: one pebble position plus a
+/// handle on the shared controller.
+pub struct BiasedState {
     schedule: BiasSchedule,
     controller: Arc<dyn Controller>,
     pos: [Vertex; 1],
 }
 
-impl ProcessState for BiasedState {
-    fn step(&mut self, g: &Graph, rng: &mut dyn Rng) {
+impl TypedState for BiasedState {
+    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
         let v = self.pos[0];
         let bias = match self.schedule {
             BiasSchedule::Constant(e) => e,
@@ -174,14 +182,18 @@ impl ProcessState for BiasedState {
             }
         };
         self.pos[0] = if bias > 0.0 && bernoulli(bias, rng) {
-            let u = self.controller.choose(g, v, rng);
+            // The controller is object-safe, so it draws through a
+            // `&mut R` reborrow — the same stream, one indirection.
+            let u = self.controller.choose(g, v, &mut &mut *rng);
             debug_assert!(g.has_edge(v, u), "controller must pick a neighbor");
             u
         } else {
             random_neighbor(g, v, rng)
         };
     }
+}
 
+impl StateView for BiasedState {
     fn occupied(&self) -> &[Vertex] {
         &self.pos
     }
@@ -350,35 +362,43 @@ impl Process for MetropolisWalk {
     fn name(&self) -> String {
         format!("metropolis(target={})", self.target)
     }
+}
 
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
+impl TypedProcess for MetropolisWalk {
+    type State = MetropolisState;
+
+    fn spawn_typed(&self, g: &Graph, start: Vertex) -> MetropolisState {
         assert!((start as usize) < g.num_vertices(), "start vertex in range");
         assert_eq!(
             g.num_vertices(),
             self.cdf.len(),
             "MetropolisWalk was built for a different graph"
         );
-        Box::new(MetropolisState {
+        MetropolisState {
             cdf: self.cdf.clone(),
             pos: [start],
-        })
+        }
     }
 }
 
-struct MetropolisState {
+/// Mutable state of a running Metropolis walk: one pebble position plus
+/// its own copy of the per-vertex transition CDFs.
+pub struct MetropolisState {
     cdf: Vec<Vec<f64>>,
     pos: [Vertex; 1],
 }
 
-impl ProcessState for MetropolisState {
-    fn step(&mut self, g: &Graph, rng: &mut dyn Rng) {
+impl TypedState for MetropolisState {
+    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
         let v = self.pos[0];
         let c = &self.cdf[v as usize];
         let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let idx = c.partition_point(|&acc| acc < u).min(c.len() - 1);
         self.pos[0] = g.neighbors(v)[idx];
     }
+}
 
+impl StateView for MetropolisState {
     fn occupied(&self) -> &[Vertex] {
         &self.pos
     }
@@ -412,7 +432,7 @@ mod tests {
         let g = classic::path(10).unwrap();
         let ctl = Arc::new(TowardTarget::new(&g, 0));
         let spec = BiasedWalk::constant(1.0, ctl);
-        let mut st = spec.spawn(&g, 9);
+        let mut st = spec.spawn_typed(&g, 9);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..9 {
             st.step(&g, &mut rng);
@@ -425,7 +445,7 @@ mod tests {
         let g = classic::cycle(7).unwrap();
         let ctl = Arc::new(TowardTarget::new(&g, 0));
         let spec = BiasedWalk::constant(0.0, ctl);
-        let mut st = spec.spawn(&g, 3);
+        let mut st = spec.spawn_typed(&g, 3);
         let mut rng = StdRng::seed_from_u64(3);
         let mut prev = 3;
         for _ in 0..50 {
@@ -547,7 +567,7 @@ mod tests {
     fn metropolis_walk_moves_on_edges() {
         let g = grid::grid(&[3, 3]);
         let mw = MetropolisWalk::new(&g, 0);
-        let mut st = mw.spawn(&g, 8);
+        let mut st = mw.spawn_typed(&g, 8);
         let mut rng = StdRng::seed_from_u64(4);
         let mut prev = 8;
         for _ in 0..200 {
@@ -562,7 +582,7 @@ mod tests {
     fn metropolis_reaches_target_quickly_on_path() {
         let g = classic::path(20).unwrap();
         let mw = MetropolisWalk::new(&g, 0);
-        let mut st = mw.spawn(&g, 19);
+        let mut st = mw.spawn_typed(&g, 19);
         let mut rng = StdRng::seed_from_u64(5);
         let mut hit = None;
         for t in 1..100_000 {

@@ -14,10 +14,8 @@
 //! `k = 2`.
 
 use crate::frontier::Frontier;
-use crate::process::{
-    ImplicitDraw, NeighborDraw, Process, ProcessState, StateView, TypedProcess, TypedState,
-};
-use cobra_graph::{Graph, ImplicitGraph, Vertex};
+use crate::process::{ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
 /// Specification of a `k`-cobra walk.
@@ -50,10 +48,6 @@ impl CobraWalk {
 impl Process for CobraWalk {
     fn name(&self) -> String {
         format!("cobra(k={})", self.branching_factor)
-    }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
     }
 }
 
@@ -100,12 +94,11 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for CobraWalk {
 /// The step iterates the frontier in its native order — insertion order
 /// while sparse, ascending vertex order once dense (which streams the CSR
 /// adjacency arrays sequentially instead of hopping around them). The
-/// order is deterministic, and the dyn and typed routes share this one
-/// step body, so they consume identical RNG streams. `occ` is a
-/// materialized copy of the active set kept for
-/// [`ProcessState::occupied`]; the fast-path [`TypedState::step_fast`]
-/// skips maintaining it because the typed drivers read the frontier
-/// directly. No per-step allocation once warmed up.
+/// order is deterministic, and every step method shares this one body,
+/// so they consume identical RNG streams. `occ` is a materialized copy of
+/// the active set kept for [`StateView::occupied`]; the fast-path
+/// [`TypedState::step_fast`] skips maintaining it because the drivers
+/// read the frontier directly. No per-step allocation once warmed up.
 pub struct CobraState {
     k: u32,
     cur: Frontier,
@@ -118,9 +111,10 @@ impl CobraState {
     /// vertex (through a [`NeighborDraw`] strategy — all strategies are
     /// stream-compatible, so every route makes the same draws),
     /// deduplicated into the next frontier through the branch-free
-    /// quiet-insert path. `MAINTAIN_OCC` is compile-time so the dyn route
-    /// rematerializes its `occupied()` slice after the round while the
-    /// fast route drops that bookkeeping entirely — same draws either way.
+    /// quiet-insert path. `MAINTAIN_OCC` is compile-time so
+    /// [`TypedState::step`] rematerializes its `occupied()` slice after the
+    /// round while the fast route drops that bookkeeping entirely — same
+    /// draws either way.
     #[inline]
     fn advance<const MAINTAIN_OCC: bool, G: ?Sized, D: NeighborDraw<G>, R: Rng + ?Sized>(
         &mut self,
@@ -158,9 +152,6 @@ impl StateView for CobraState {
 
 impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        // `ImplicitDraw` resolves identical vertices from the identical
-        // stream as the old slice-based default on CSR graphs, so the dyn
-        // route's draws are unchanged.
         self.advance::<true, G, _, R>(g, &ImplicitDraw, rng);
     }
 
@@ -196,6 +187,7 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
 mod tests {
     use super::*;
     use cobra_graph::generators::{classic, grid, hypercube};
+    use cobra_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -205,8 +197,8 @@ mod tests {
         start: Vertex,
         steps: usize,
         seed: u64,
-    ) -> Box<dyn ProcessState> {
-        let mut st = spec.spawn(g, start);
+    ) -> CobraState {
+        let mut st = spec.spawn_typed(g, start);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..steps {
             st.step(g, &mut rng);
@@ -229,7 +221,7 @@ mod tests {
     #[test]
     fn initial_state_is_start_vertex() {
         let g = classic::cycle(5).unwrap();
-        let st = CobraWalk::standard().spawn(&g, 2);
+        let st = CobraWalk::standard().spawn_typed(&g, 2);
         assert_eq!(st.occupied(), &[2]);
         assert_eq!(st.support_size(), 1);
     }
@@ -248,7 +240,7 @@ mod tests {
     fn active_set_has_no_duplicates() {
         let g = hypercube::hypercube(5);
         let spec = CobraWalk::new(3);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..50 {
             st.step(&g, &mut rng);
@@ -263,7 +255,7 @@ mod tests {
     fn growth_is_bounded_by_k() {
         let g = hypercube::hypercube(7);
         let spec = CobraWalk::new(2);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(13);
         let mut prev = st.occupied().len();
         for _ in 0..60 {
@@ -283,7 +275,7 @@ mod tests {
     fn k1_is_a_single_walk() {
         let g = classic::cycle(8).unwrap();
         let spec = CobraWalk::new(1);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..40 {
             st.step(&g, &mut rng);
@@ -297,7 +289,7 @@ mod tests {
         // adjacent vertices only.
         let g = classic::path(10).unwrap();
         let spec = CobraWalk::standard();
-        let mut st = spec.spawn(&g, 5);
+        let mut st = spec.spawn_typed(&g, 5);
         let mut rng = StdRng::seed_from_u64(19);
         st.step(&g, &mut rng);
         for &v in st.occupied() {
@@ -309,7 +301,7 @@ mod tests {
     fn complete_graph_active_set_expands_quickly() {
         let g = classic::complete(64).unwrap();
         let spec = CobraWalk::standard();
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..10 {
             st.step(&g, &mut rng);

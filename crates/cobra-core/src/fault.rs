@@ -57,10 +57,9 @@
 
 use crate::frontier::{reinit_frontier_run, Frontier};
 use crate::process::{
-    bernoulli, ImplicitDraw, NeighborDraw, Process, ProcessState, StateView, TypedProcess,
-    TypedState,
+    bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
-use cobra_graph::{Graph, ImplicitGraph, Vertex};
+use cobra_graph::{ImplicitGraph, Vertex};
 use cobra_obs::{FaultKind, NoopProbe, Probe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -262,10 +261,6 @@ impl Process for FaultyCobraWalk {
                 self.plan.deletion_waves.len(),
             )
         }
-    }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
     }
 }
 
@@ -649,10 +644,11 @@ mod tests {
     use super::*;
     use crate::CobraWalk;
     use cobra_graph::generators::{classic, grid};
+    use cobra_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sorted_occ(st: &dyn ProcessState) -> Vec<Vertex> {
+    fn sorted_occ(st: &impl StateView) -> Vec<Vertex> {
         let mut v = st.occupied().to_vec();
         v.sort_unstable();
         v
@@ -660,17 +656,19 @@ mod tests {
 
     #[test]
     fn none_plan_is_bit_identical_to_cobra_dyn_route() {
+        // The occupied-slice `step` — the body the retired dyn route ran —
+        // must match the plain cobra walk round for round.
         let g = grid::grid(&[6, 6]);
         let plain = CobraWalk::standard();
         let faulty = FaultyCobraWalk::new(2, FaultPlan::none());
-        let mut a = plain.spawn(&g, 0);
-        let mut b = faulty.spawn(&g, 0);
+        let mut a = plain.spawn_typed(&g, 0);
+        let mut b = faulty.spawn_typed(&g, 0);
         let mut ra = StdRng::seed_from_u64(99);
         let mut rb = StdRng::seed_from_u64(99);
         for _ in 0..60 {
-            a.step(&g, &mut ra);
-            b.step(&g, &mut rb);
-            assert_eq!(sorted_occ(a.as_ref()), sorted_occ(b.as_ref()));
+            TypedState::step(&mut a, &g, &mut ra);
+            TypedState::step(&mut b, &g, &mut rb);
+            assert_eq!(sorted_occ(&a), sorted_occ(&b));
         }
         // Zero extra randomness: both RNGs sit at the same stream point.
         assert_eq!(ra.next_u64(), rb.next_u64());
@@ -859,7 +857,7 @@ mod tests {
         let spec = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(0.05));
         let mut rng = StdRng::seed_from_u64(41);
         let res = CoverDriver::new(&g)
-            .run(&spec, 0, 100_000, &mut rng)
+            .run_typed(&spec, 0, 100_000, &mut rng)
             .expect("lossy cobra still covers K_32");
         assert_eq!(res.covered, 32);
     }

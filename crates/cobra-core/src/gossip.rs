@@ -12,7 +12,7 @@
 //! round (plus the source initially), so the driver's union-over-time
 //! coverage matches the usual "all vertices informed" completion time.
 
-use crate::process::{random_neighbor, Process, ProcessState, TypedProcess, TypedState};
+use crate::process::{random_neighbor, Process, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -42,10 +42,6 @@ impl Process for PushGossip {
     fn name(&self) -> String {
         "gossip-push".into()
     }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
-    }
 }
 
 impl TypedProcess for PushGossip {
@@ -64,10 +60,6 @@ impl Process for PullGossip {
     fn name(&self) -> String {
         "gossip-pull".into()
     }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
-    }
 }
 
 impl TypedProcess for PullGossip {
@@ -85,10 +77,6 @@ impl TypedProcess for PullGossip {
 impl Process for PushPullGossip {
     fn name(&self) -> String {
         "gossip-pushpull".into()
-    }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
     }
 }
 
@@ -208,12 +196,13 @@ impl crate::process::StateView for GossipState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::StateView;
     use cobra_graph::generators::classic;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn informed_after(proc_: &dyn Process, g: &Graph, steps: usize, seed: u64) -> usize {
-        let mut st = proc_.spawn(g, 0);
+    fn informed_after<P: TypedProcess>(proc_: &P, g: &Graph, steps: usize, seed: u64) -> usize {
+        let mut st = proc_.spawn_typed(g, 0);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..steps {
             st.step(g, &mut rng);
@@ -224,7 +213,7 @@ mod tests {
     #[test]
     fn initial_state() {
         let g = classic::complete(5).unwrap();
-        let st = PushGossip.spawn(&g, 0);
+        let st = PushGossip.spawn_typed(&g, 0);
         assert_eq!(st.occupied(), &[0]);
         assert_eq!(st.support_size(), 1);
     }
@@ -232,7 +221,7 @@ mod tests {
     #[test]
     fn informed_set_is_monotone() {
         let g = classic::cycle(12).unwrap();
-        let mut st = PushGossip.spawn(&g, 0);
+        let mut st = PushGossip.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(1);
         let mut prev = 1;
         for _ in 0..100 {
@@ -247,7 +236,7 @@ mod tests {
     #[test]
     fn push_at_most_doubles() {
         let g = classic::complete(64).unwrap();
-        let mut st = PushGossip.spawn(&g, 0);
+        let mut st = PushGossip.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(2);
         let mut prev = 1;
         for _ in 0..30 {
@@ -261,7 +250,7 @@ mod tests {
     #[test]
     fn occupied_reports_only_fresh_vertices() {
         let g = classic::complete(32).unwrap();
-        let mut st = PushGossip.spawn(&g, 0);
+        let mut st = PushGossip.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = std::collections::HashSet::new();
         seen.insert(0u32);

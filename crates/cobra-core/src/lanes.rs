@@ -162,7 +162,7 @@ fn rank_parity_mask(m: u64) -> u64 {
 /// function of `(g, k, start, lane_mask, max_steps, rng seed)`. Note the
 /// mask shapes the draw stream: callers wanting prefix-comparable batches
 /// must run full-width masks and truncate at aggregation, which is what
-/// `cobra_sim::run_cover_trials_lanes` does.
+/// `cobra_sim::run_cover_trials_lanes_probed` does.
 #[allow(clippy::too_many_arguments)] // mirrors run_typed_in's driver shape
 pub fn run_lane_cover<R: Rng + ?Sized>(
     g: &Graph,

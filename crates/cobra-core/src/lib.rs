@@ -22,14 +22,13 @@
 //!   pluggable [`Controller`], and the paper's **inverse-degree-biased
 //!   walk** whose hitting time upper-bounds the cobra walk's (Lemma 14);
 //!   includes the Metropolis controller of Lemma 16.
-//! * [`CoalescingWalks`] / [`BranchingWalk`] — the two halves of the
-//!   cobra dynamics in isolation (§1.2 related work).
 //! * [`queueing`] — the multi-dimensional drift chain from the proof of
 //!   Theorem 3 (§3), a.k.a. the paper's "discrete time queueing system".
 //!
-//! Measurement drivers ([`CoverDriver`], [`HittingDriver`], h_max
-//! estimation and the Matthews-bound check of Theorem 1) live in
-//! [`measure`].
+//! Every process implements [`TypedProcess`]; measurement drivers
+//! ([`CoverDriver`], [`HittingDriver`], h_max estimation and the
+//! Matthews-bound check of Theorem 1) live in [`measure`] and run any of
+//! them with no virtual dispatch.
 //!
 //! ## Example: cover a hypercube with a 2-cobra walk
 //!
@@ -41,7 +40,7 @@
 //! let g = hypercube(6);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(3);
 //! let res = CoverDriver::new(&g)
-//!     .run(&CobraWalk::new(2), 0, 50_000, &mut rng)
+//!     .run_typed(&CobraWalk::new(2), 0, 50_000, &mut rng)
 //!     .expect("cover within budget");
 //! assert_eq!(res.covered, 64);
 //! ```
@@ -51,8 +50,6 @@
 
 mod active_set;
 pub mod biased;
-pub mod branching;
-pub mod coalescing;
 pub mod cobra;
 pub mod coverage;
 pub mod fault;
@@ -68,13 +65,10 @@ pub mod scratch;
 pub mod simple;
 pub mod sis;
 pub mod trajectory;
-pub mod two_stage;
 pub mod walt;
 
 pub use active_set::DenseSet;
 pub use biased::{BiasedWalk, Controller, MetropolisWalk, TowardTarget};
-pub use branching::BranchingWalk;
-pub use coalescing::CoalescingWalks;
 pub use cobra::CobraWalk;
 pub use coverage::SuccinctCoverage;
 pub use fault::{DeletionWave, FaultPlan, FaultyCobraState, FaultyCobraWalk, VertexOutage};
@@ -84,8 +78,7 @@ pub use lanes::{run_lane_cover, run_lane_cover_probed, LaneOutcome, LaneScratch,
 pub use measure::{run_cover_succinct, CoverDriver, CoverResult, HittingDriver, HittingResult};
 pub use parallel_walks::ParallelWalks;
 pub use process::{
-    BoundDraw, DrawOnTheFly, ImplicitDraw, NeighborDraw, Process, ProcessState, SliceDraw,
-    StateView, TypedProcess, TypedState,
+    BoundDraw, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 pub use queueing::DriftChain;
 pub use schedule::{BranchingSchedule, ScheduledCobraWalk};
@@ -93,5 +86,4 @@ pub use scratch::TrialScratch;
 pub use simple::SimpleWalk;
 pub use sis::SisProcess;
 pub use trajectory::{record_trajectory, Trajectory};
-pub use two_stage::TwoStageProcess;
 pub use walt::WaltProcess;

@@ -10,8 +10,7 @@
 //!   cover time `= O(h_max · log n)` — checked empirically by
 //!   [`matthews_ratio`].
 
-use crate::frontier::CoverageMask;
-use crate::process::{NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{ImplicitDraw, NeighborDraw, StateView, TypedProcess, TypedState};
 use crate::scratch::TrialScratch;
 use cobra_graph::{Graph, ImplicitGraph, Vertex};
 use cobra_obs::{NoopProbe, Probe};
@@ -33,11 +32,9 @@ pub struct CoverResult {
 /// Drives a process on a graph until coverage or a step budget.
 ///
 /// Generic over the graph representation: `G = Graph` (the CSR default)
-/// keeps every existing call site unchanged, while any
-/// [`ImplicitGraph`] family runs the same monomorphized kernels without
-/// materializing adjacency. The dyn-dispatch [`CoverDriver::run`] entry
-/// point exists only for CSR graphs ([`crate::process::Process`] is
-/// CSR-typed); the typed paths are available for every `G`.
+/// and every [`ImplicitGraph`] family run the same monomorphized kernels,
+/// the latter without materializing adjacency. All three entry points
+/// share one body, [`CoverDriver::run_typed_in_probed`].
 pub struct CoverDriver<'g, G: ?Sized = Graph> {
     g: &'g G,
     record_trajectory: bool,
@@ -58,104 +55,16 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
         self.record_trajectory = true;
         self
     }
-}
 
-impl<'g> CoverDriver<'g, Graph> {
     /// Run `process` from `start` until the graph is covered or
     /// `max_steps` rounds elapse. Returns `None` only if the graph has no
-    /// vertices.
-    pub fn run(
-        &self,
-        process: &dyn Process,
-        start: Vertex,
-        max_steps: usize,
-        rng: &mut dyn Rng,
-    ) -> Option<CoverResult> {
-        self.run_probed(process, start, max_steps, rng, &mut NoopProbe)
-    }
-
-    /// [`CoverDriver::run`] with an observability [`Probe`] attached: the
-    /// driver reports each round's index and frontier occupancy plus the
-    /// coverage delta (the dyn route cannot account for draw counts — the
-    /// boxed state hides the kernel). The probe never touches the RNG, so
-    /// results are bit-identical to [`CoverDriver::run`]; with
-    /// [`NoopProbe`] this *is* `run`.
-    pub fn run_probed<Pb: Probe>(
-        &self,
-        process: &dyn Process,
-        start: Vertex,
-        max_steps: usize,
-        rng: &mut dyn Rng,
-        probe: &mut Pb,
-    ) -> Option<CoverResult> {
-        let n = self.g.num_vertices();
-        if n == 0 {
-            return None;
-        }
-        let mut state = process.spawn(self.g, start);
-        let mut covered = vec![false; n];
-        let mut covered_count = 0usize;
-        let mark = |occ: &[Vertex], covered: &mut [bool], count: &mut usize| {
-            for &v in occ {
-                if !covered[v as usize] {
-                    covered[v as usize] = true;
-                    *count += 1;
-                }
-            }
-        };
-        mark(state.occupied(), &mut covered, &mut covered_count);
-        probe.on_coverage(covered_count as u64, covered_count as u64);
-        let mut trajectory = self.record_trajectory.then(Vec::new);
-        if covered_count == n {
-            probe.on_trial_end(0, true);
-            return Some(CoverResult {
-                steps: 0,
-                covered: n,
-                completed: true,
-                trajectory,
-            });
-        }
-        for t in 1..=max_steps {
-            state.step(self.g, rng);
-            let before = covered_count;
-            mark(state.occupied(), &mut covered, &mut covered_count);
-            // `Pb::ENABLED` gate: `support_size` is a scan (and for some
-            // processes an allocation) when there is no O(1) frontier —
-            // the noop route must not pay for it.
-            if Pb::ENABLED {
-                probe.on_round(t as u64, state.support_size() as u64);
-            }
-            probe.on_coverage((covered_count - before) as u64, covered_count as u64);
-            if let Some(tr) = trajectory.as_mut() {
-                tr.push(state.support_size());
-            }
-            if covered_count == n {
-                probe.on_trial_end(t as u64, true);
-                return Some(CoverResult {
-                    steps: t,
-                    covered: n,
-                    completed: true,
-                    trajectory,
-                });
-            }
-        }
-        probe.on_trial_end(max_steps as u64, false);
-        Some(CoverResult {
-            steps: max_steps,
-            covered: covered_count,
-            completed: false,
-            trajectory,
-        })
-    }
-}
-
-impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
-    /// Monomorphized fast path: identical semantics (and, on the same
-    /// seed, identical results — see `tests/engine_equivalence.rs`) to
-    /// [`CoverDriver::run`], but with zero virtual dispatch. The process
-    /// state, the RNG, and the coverage bookkeeping all inline; coverage
-    /// is tracked in a [`CoverageMask`] and updated word-parallel whenever
-    /// the process exposes a dense [`crate::frontier::Frontier`].
+    /// vertices. Coverage is tracked in a
+    /// [`crate::frontier::CoverageMask`] and updated word-parallel
+    /// whenever the process exposes a dense [`crate::frontier::Frontier`].
+    ///
+    /// This is [`CoverDriver::run_typed_in`] on a fresh [`TrialScratch`]
+    /// with [`ImplicitDraw`] neighbor draws, so it needs no per-graph
+    /// setup; batched callers reuse one scratch per worker instead.
     pub fn run_typed<P: TypedProcess<G>, R: Rng + ?Sized>(
         &self,
         process: &P,
@@ -163,74 +72,8 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
         max_steps: usize,
         rng: &mut R,
     ) -> Option<CoverResult> {
-        self.run_typed_probed(process, start, max_steps, rng, &mut NoopProbe)
-    }
-
-    /// [`CoverDriver::run_typed`] with an observability [`Probe`]
-    /// attached: the driver reports rounds, frontier occupancy, and
-    /// coverage deltas; the process kernel reports its own draw
-    /// accounting through [`TypedState::step_probed`]. The probe never
-    /// touches the RNG, so results are bit-identical to
-    /// [`CoverDriver::run_typed`]; with [`NoopProbe`] every hook is dead
-    /// code and this *is* `run_typed`.
-    pub fn run_typed_probed<P: TypedProcess<G>, R: Rng + ?Sized, Pb: Probe>(
-        &self,
-        process: &P,
-        start: Vertex,
-        max_steps: usize,
-        rng: &mut R,
-        probe: &mut Pb,
-    ) -> Option<CoverResult> {
-        let n = self.g.num_vertices();
-        if n == 0 {
-            return None;
-        }
-        let mut state = process.spawn_typed(self.g, start);
-        let mut covered = CoverageMask::new(n);
-        let newly = covered.mark_slice(state.occupied());
-        probe.on_coverage(newly as u64, covered.count() as u64);
-        let mut trajectory = self.record_trajectory.then(Vec::new);
-        if covered.is_complete() {
-            probe.on_trial_end(0, true);
-            return Some(CoverResult {
-                steps: 0,
-                covered: n,
-                completed: true,
-                trajectory,
-            });
-        }
-        for t in 1..=max_steps {
-            // `ImplicitDraw` is stream-compatible with the `step_fast`
-            // default, so the probed round makes the same draws.
-            state.step_probed(self.g, &crate::process::ImplicitDraw, rng, probe);
-            let newly = match state.frontier() {
-                Some(f) => covered.union_frontier(f),
-                None => covered.mark_slice(state.occupied()),
-            };
-            if Pb::ENABLED {
-                probe.on_round(t as u64, state.support_size() as u64);
-            }
-            probe.on_coverage(newly as u64, covered.count() as u64);
-            if let Some(tr) = trajectory.as_mut() {
-                tr.push(state.support_size());
-            }
-            if covered.is_complete() {
-                probe.on_trial_end(t as u64, true);
-                return Some(CoverResult {
-                    steps: t,
-                    covered: n,
-                    completed: true,
-                    trajectory,
-                });
-            }
-        }
-        probe.on_trial_end(max_steps as u64, false);
-        Some(CoverResult {
-            steps: max_steps,
-            covered: covered.count(),
-            completed: false,
-            trajectory,
-        })
+        let mut scratch = TrialScratch::new(self.g);
+        self.run_typed_in(process, &ImplicitDraw, &mut scratch, start, max_steps, rng)
     }
 
     /// Scratch-borrowing variant of [`CoverDriver::run_typed`] for the
@@ -267,11 +110,12 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     }
 
     /// [`CoverDriver::run_typed_in`] with an observability [`Probe`]
-    /// attached — the probed analogue exactly as
-    /// [`CoverDriver::run_typed_probed`] is to [`CoverDriver::run_typed`].
-    /// Bit-identical to the unprobed scratch driver on the same seed
-    /// (the probe never touches the RNG), and allocation-free once warm
-    /// for probes that don't allocate.
+    /// attached: the driver reports rounds, frontier occupancy, and
+    /// coverage deltas; the process kernel reports its own draw
+    /// accounting through [`TypedState::step_probed`]. The probe never
+    /// touches the RNG, so results are bit-identical to the unprobed
+    /// driver on the same seed; with [`NoopProbe`] every hook is dead
+    /// code. Allocation-free once warm for probes that don't allocate.
     #[allow(clippy::too_many_arguments)] // mirrors run_typed_in + probe
     pub fn run_typed_in_probed<P, D, R, Pb>(
         &self,
@@ -355,9 +199,7 @@ pub struct HittingResult {
 
 /// Drives a process until a target vertex is occupied.
 ///
-/// Generic over the graph representation exactly like [`CoverDriver`]:
-/// the dyn-dispatch [`HittingDriver::run`] is CSR-only, the typed paths
-/// work for any [`ImplicitGraph`].
+/// Generic over the graph representation exactly like [`CoverDriver`].
 pub struct HittingDriver<'g, G: ?Sized = Graph> {
     g: &'g G,
 }
@@ -367,49 +209,15 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
     pub fn new(g: &'g G) -> Self {
         HittingDriver { g }
     }
-}
 
-impl<'g> HittingDriver<'g, Graph> {
     /// Run `process` from `start` until some pebble occupies `target` or
     /// `max_steps` rounds elapse. A run started *at* the target hits at
-    /// step 0.
-    pub fn run(
-        &self,
-        process: &dyn Process,
-        start: Vertex,
-        target: Vertex,
-        max_steps: usize,
-        rng: &mut dyn Rng,
-    ) -> HittingResult {
-        let mut state = process.spawn(self.g, start);
-        if state.occupied().contains(&target) {
-            return HittingResult {
-                steps: 0,
-                hit: true,
-            };
-        }
-        for t in 1..=max_steps {
-            state.step(self.g, rng);
-            if state.occupied().contains(&target) {
-                return HittingResult {
-                    steps: t,
-                    hit: true,
-                };
-            }
-        }
-        HittingResult {
-            steps: max_steps,
-            hit: false,
-        }
-    }
-}
-
-impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
-    /// Monomorphized fast path for hitting times; identical semantics and
-    /// seed-for-seed results to [`HittingDriver::run`]. When the process
-    /// exposes a [`crate::frontier::Frontier`], the per-round hit test is
-    /// an O(1)/O(log s) membership query instead of a linear scan of the
-    /// occupied slice.
+    /// step 0. When the process exposes a [`crate::frontier::Frontier`],
+    /// the per-round hit test is an O(1)/O(log s) membership query
+    /// instead of a linear scan of the occupied slice.
+    ///
+    /// This is [`HittingDriver::run_typed_in`] on a fresh
+    /// [`TrialScratch`] with [`ImplicitDraw`] neighbor draws.
     pub fn run_typed<P: TypedProcess<G>, R: Rng + ?Sized>(
         &self,
         process: &P,
@@ -418,30 +226,16 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
         max_steps: usize,
         rng: &mut R,
     ) -> HittingResult {
-        let mut state = process.spawn_typed(self.g, start);
-        if state.occupied().contains(&target) {
-            return HittingResult {
-                steps: 0,
-                hit: true,
-            };
-        }
-        for t in 1..=max_steps {
-            state.step_fast(self.g, rng);
-            let hit = match state.frontier() {
-                Some(f) => f.contains(target),
-                None => state.occupied().contains(&target),
-            };
-            if hit {
-                return HittingResult {
-                    steps: t,
-                    hit: true,
-                };
-            }
-        }
-        HittingResult {
-            steps: max_steps,
-            hit: false,
-        }
+        let mut scratch = TrialScratch::new(self.g);
+        self.run_typed_in(
+            process,
+            &ImplicitDraw,
+            &mut scratch,
+            start,
+            target,
+            max_steps,
+            rng,
+        )
     }
 
     /// Scratch-borrowing variant of [`HittingDriver::run_typed`] for the
@@ -501,8 +295,8 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
 /// reuse, via [`crate::coverage::SuccinctCoverage::reset`]) the coverage
 /// structure, the graph is consulted only through arithmetic
 /// [`ImplicitGraph`] calls, and the step kernel is the same monomorphized
-/// path as [`CoverDriver::run_typed`] — so on `G = Graph` the two agree
-/// draw-for-draw (the coverage structure never touches the RNG). See
+/// path as [`CoverDriver::run_typed`] — so the two agree draw-for-draw
+/// (the coverage structure never touches the RNG). See
 /// `tests/implicit_scale.rs`, which pushes this through 10⁸ vertices
 /// without materializing adjacency.
 pub fn run_cover_succinct<G, P, R>(
@@ -569,13 +363,13 @@ where
 /// Runs that exhaust `max_steps` count as `max_steps` (an underestimate —
 /// acceptable because the Matthews experiment only needs the right order
 /// of magnitude and reports censoring separately).
-pub fn estimate_hmax(
+pub fn estimate_hmax<P: TypedProcess, R: Rng + ?Sized>(
     g: &Graph,
-    process: &dyn Process,
+    process: &P,
     pairs: usize,
     trials: usize,
     max_steps: usize,
-    rng: &mut dyn Rng,
+    rng: &mut R,
 ) -> f64 {
     use crate::process::sample_index;
     let n = g.num_vertices();
@@ -590,7 +384,7 @@ pub fn estimate_hmax(
         }
         let mut total = 0usize;
         for _ in 0..trials {
-            total += driver.run(process, u, v, max_steps, rng).steps;
+            total += driver.run_typed(process, u, v, max_steps, rng).steps;
         }
         let mean = total as f64 / trials as f64;
         worst = worst.max(mean);
@@ -620,7 +414,7 @@ mod tests {
         let g = classic::cycle(8).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let res = CoverDriver::new(&g)
-            .run(&CobraWalk::standard(), 0, 10_000, &mut rng)
+            .run_typed(&CobraWalk::standard(), 0, 10_000, &mut rng)
             .unwrap();
         assert!(res.completed);
         assert_eq!(res.covered, 8);
@@ -632,7 +426,7 @@ mod tests {
         let g = classic::path(50).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let res = CoverDriver::new(&g)
-            .run(&SimpleWalk::new(), 0, 3, &mut rng)
+            .run_typed(&SimpleWalk::new(), 0, 3, &mut rng)
             .unwrap();
         assert!(!res.completed);
         assert!(res.covered < 50);
@@ -646,7 +440,7 @@ mod tests {
         // so its (absent) neighbors are never sampled.
         let mut rng = StdRng::seed_from_u64(3);
         let res = CoverDriver::new(&g)
-            .run(&SimpleWalk::new(), 0, 10, &mut rng)
+            .run_typed(&SimpleWalk::new(), 0, 10, &mut rng)
             .unwrap();
         assert!(res.completed);
         assert_eq!(res.steps, 0);
@@ -657,7 +451,7 @@ mod tests {
         let g = cobra_graph::Graph::empty(0);
         let mut rng = StdRng::seed_from_u64(4);
         assert!(CoverDriver::new(&g)
-            .run(&SimpleWalk::new(), 0, 10, &mut rng)
+            .run_typed(&SimpleWalk::new(), 0, 10, &mut rng)
             .is_none());
     }
 
@@ -667,7 +461,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let res = CoverDriver::new(&g)
             .record_trajectory()
-            .run(&CobraWalk::standard(), 0, 10_000, &mut rng)
+            .run_typed(&CobraWalk::standard(), 0, 10_000, &mut rng)
             .unwrap();
         let tr = res.trajectory.unwrap();
         assert_eq!(tr.len(), res.steps);
@@ -678,7 +472,7 @@ mod tests {
     fn hitting_at_start_is_zero() {
         let g = classic::cycle(5).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let res = HittingDriver::new(&g).run(&SimpleWalk::new(), 3, 3, 100, &mut rng);
+        let res = HittingDriver::new(&g).run_typed(&SimpleWalk::new(), 3, 3, 100, &mut rng);
         assert!(res.hit);
         assert_eq!(res.steps, 0);
     }
@@ -687,7 +481,7 @@ mod tests {
     fn hitting_adjacent_takes_at_least_one_step() {
         let g = classic::complete(4).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let res = HittingDriver::new(&g).run(&CobraWalk::standard(), 0, 1, 1000, &mut rng);
+        let res = HittingDriver::new(&g).run_typed(&CobraWalk::standard(), 0, 1, 1000, &mut rng);
         assert!(res.hit);
         assert!(res.steps >= 1);
     }
@@ -696,7 +490,7 @@ mod tests {
     fn hitting_budget_exhaustion() {
         let g = classic::path(100).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let res = HittingDriver::new(&g).run(&SimpleWalk::new(), 0, 99, 5, &mut rng);
+        let res = HittingDriver::new(&g).run_typed(&SimpleWalk::new(), 0, 99, 5, &mut rng);
         assert!(!res.hit);
         assert_eq!(res.steps, 5);
     }
@@ -731,11 +525,11 @@ mod tests {
         let mut rw_total = 0usize;
         for _ in 0..trials {
             cobra_total += CoverDriver::new(&g)
-                .run(&CobraWalk::standard(), 0, 1_000_000, &mut rng)
+                .run_typed(&CobraWalk::standard(), 0, 1_000_000, &mut rng)
                 .unwrap()
                 .steps;
             rw_total += CoverDriver::new(&g)
-                .run(&SimpleWalk::new(), 0, 1_000_000, &mut rng)
+                .run_typed(&SimpleWalk::new(), 0, 1_000_000, &mut rng)
                 .unwrap()
                 .steps;
         }

@@ -6,7 +6,7 @@
 //! makes parallel walks analyzable is exactly what breaks for cobra walks
 //! (§1.2), which is why the paper treats them as a distinct baseline.
 
-use crate::process::{random_neighbor, Process, ProcessState};
+use crate::process::{random_neighbor, Process, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -34,26 +34,33 @@ impl Process for ParallelWalks {
     fn name(&self) -> String {
         format!("parallel-rw(k={})", self.walkers)
     }
+}
 
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
+impl TypedProcess for ParallelWalks {
+    type State = ParallelState;
+
+    fn spawn_typed(&self, g: &Graph, start: Vertex) -> ParallelState {
         assert!((start as usize) < g.num_vertices(), "start vertex in range");
-        Box::new(ParallelState {
+        ParallelState {
             positions: vec![start; self.walkers],
-        })
+        }
     }
 }
 
-struct ParallelState {
+/// Mutable state of `k` parallel walks: one position per walker.
+pub struct ParallelState {
     positions: Vec<Vertex>,
 }
 
-impl ProcessState for ParallelState {
-    fn step(&mut self, g: &Graph, rng: &mut dyn Rng) {
+impl TypedState for ParallelState {
+    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
         for pos in &mut self.positions {
             *pos = random_neighbor(g, *pos, rng);
         }
     }
+}
 
+impl StateView for ParallelState {
     fn occupied(&self) -> &[Vertex] {
         &self.positions
     }
@@ -71,7 +78,7 @@ mod tests {
         let g = classic::cycle(11).unwrap();
         let spec = ParallelWalks::new(6);
         assert_eq!(spec.walkers(), 6);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             st.step(&g, &mut rng);
@@ -83,7 +90,7 @@ mod tests {
     fn walkers_move_along_edges() {
         let g = classic::path(8).unwrap();
         let spec = ParallelWalks::new(3);
-        let mut st = spec.spawn(&g, 4);
+        let mut st = spec.spawn_typed(&g, 4);
         let mut rng = StdRng::seed_from_u64(2);
         let mut prev = st.occupied().to_vec();
         for _ in 0..50 {
@@ -99,7 +106,7 @@ mod tests {
     fn walkers_eventually_diverge() {
         let g = classic::complete(10).unwrap();
         let spec = ParallelWalks::new(4);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(3);
         st.step(&g, &mut rng);
         let distinct: std::collections::HashSet<_> = st.occupied().iter().collect();

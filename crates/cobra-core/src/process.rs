@@ -1,49 +1,25 @@
 //! The process abstraction shared by every walk variant.
 //!
-//! A [`Process`] is an immutable *specification* (e.g. "the 2-cobra walk");
-//! [`Process::spawn`] creates the mutable per-run [`ProcessState`]. The
-//! split exists so the Monte-Carlo engine can share one specification
-//! across rayon worker threads while each trial owns its own state.
+//! A process is an immutable *specification* (e.g. "the 2-cobra walk");
+//! [`TypedProcess::spawn_typed`] creates the mutable per-run
+//! [`TypedState`]. The split exists so the Monte-Carlo engine can share
+//! one specification across rayon worker threads while each trial owns
+//! its own state. Every driver is generic over the process, the graph,
+//! and the RNG, so a trial's walk kernel, draws, and coverage bookkeeping
+//! inline into one loop with no virtual dispatch.
 
 use cobra_graph::{Graph, ImplicitGraph, Vertex};
 use rand::Rng;
 
-/// An immutable specification of a walk process on a graph.
+/// The graph-independent part of a process specification.
+///
+/// [`TypedProcess`] is generic over the graph type, and most processes
+/// implement it for *every* [`ImplicitGraph`]; a `name()` declared there
+/// would be ambiguous at call sites that do not pin `G`. This non-generic
+/// supertrait keeps it unambiguous, as [`StateView`] does for states.
 pub trait Process: Sync {
     /// Human-readable name used in result tables (e.g. `"cobra(k=2)"`).
     fn name(&self) -> String;
-
-    /// Create a fresh run of the process with its initial pebble(s)/token(s)
-    /// at `start`.
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState>;
-}
-
-/// The mutable state of one run of a process.
-///
-/// The driver contract is:
-///
-/// 1. immediately after [`Process::spawn`], [`ProcessState::occupied`]
-///    describes the initial configuration (typically `[start]`);
-/// 2. each call to [`ProcessState::step`] advances the process one round;
-/// 3. after each step, [`ProcessState::occupied`] lists the vertices that
-///    are *active* in that round (duplicates allowed — e.g. Walt reports
-///    one entry per pebble). The driver unions these over time to compute
-///    coverage, matching the paper's definition of the cover time as the
-///    first `T` with `⋃_{t ≤ T} S_t = V`.
-pub trait ProcessState {
-    /// Advance one round.
-    fn step(&mut self, g: &Graph, rng: &mut dyn Rng);
-
-    /// Vertices occupied after the last step (or the initial configuration
-    /// before any step). May contain duplicates.
-    fn occupied(&self) -> &[Vertex];
-
-    /// Number of tokens the process currently maintains; used by
-    /// experiments that track active-set growth (e.g. the exponential
-    /// growth phase on expanders). Defaults to `occupied().len()`.
-    fn support_size(&self) -> usize {
-        self.occupied().len()
-    }
 }
 
 /// Blanket impl so `&T` specifications can be passed around cheaply.
@@ -51,28 +27,27 @@ impl<T: Process + ?Sized> Process for &T {
     fn name(&self) -> String {
         (**self).name()
     }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        (**self).spawn(g, start)
-    }
 }
 
-/// A [`Process`] whose per-run state has a concrete (non-boxed) type.
+/// A runnable process on graphs of type `G`.
 ///
-/// This is the monomorphized fast path: [`TypedProcess::spawn_typed`]
-/// returns the state by value, so drivers generic over `P: TypedProcess`
-/// step it with zero virtual dispatch — the walk kernel, the RNG, and the
-/// coverage bookkeeping all inline into one loop. The dyn API stays
-/// available for heterogeneous experiment tables: [`Process::spawn`] for
-/// these types boxes the *same* state struct, so both routes execute
-/// identical code and consume identical RNG streams (the seed-equivalence
-/// harness in `tests/engine_equivalence.rs` pins this bit-for-bit).
+/// [`TypedProcess::spawn_typed`] returns the state by value, so drivers
+/// generic over `P: TypedProcess` step it with zero virtual dispatch.
+/// The driver contract is:
+///
+/// 1. immediately after `spawn_typed`, [`StateView::occupied`] describes
+///    the initial configuration (typically `[start]`);
+/// 2. each call to [`TypedState::step`] advances the process one round;
+/// 3. after each step, [`StateView::occupied`] lists the vertices that
+///    are *active* in that round (duplicates allowed — e.g. Walt reports
+///    one entry per pebble). The driver unions these over time to compute
+///    coverage, matching the paper's definition of the cover time as the
+///    first `T` with `⋃_{t ≤ T} S_t = V`.
 pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Process {
     /// The concrete per-run state.
     type State: TypedState<G> + 'static;
 
-    /// Create a fresh, unboxed run of the process (fast-path analogue of
-    /// [`Process::spawn`]).
+    /// Create a fresh run of the process from `start`.
     fn spawn_typed(&self, g: &G, start: Vertex) -> Self::State;
 
     /// Reinitialize an existing state for a new run from `start`,
@@ -128,8 +103,9 @@ pub trait StateView {
     /// before any step). May contain duplicates.
     fn occupied(&self) -> &[Vertex];
 
-    /// Number of tokens currently maintained; see
-    /// [`ProcessState::support_size`].
+    /// Number of tokens the process currently maintains; used by
+    /// experiments that track active-set growth (e.g. the exponential
+    /// growth phase on expanders). Defaults to `occupied().len()`.
     fn support_size(&self) -> usize {
         self.occupied().len()
     }
@@ -143,22 +119,17 @@ pub trait StateView {
     }
 }
 
-/// Statically dispatched analogue of [`ProcessState`], generic over the
-/// graph representation.
+/// The mutable state of one run of a process, generic over the graph
+/// representation.
 ///
-/// The contract is identical to [`ProcessState`]; the differences are
-/// that [`TypedState::step`] is generic over the RNG, so a driver holding a
-/// concrete `StdRng` monomorphizes the whole step (no `dyn Rng` virtual
-/// call per random draw), and over the graph `G`, so the same kernel body
-/// serves both the materialized CSR [`Graph`] and the arithmetic
-/// [`ImplicitGraph`] families with zero dynamic dispatch either way.
-/// Every `TypedState<Graph>` implementor automatically implements
-/// [`ProcessState`] through a blanket impl that instantiates the same
-/// `step` with `R = dyn Rng` — one body, two dispatch styles, so the two
-/// routes cannot drift apart.
+/// [`TypedState::step`] is generic over the RNG, so a driver holding a
+/// concrete `StdRng` monomorphizes the whole step (no virtual call per
+/// random draw), and over the graph `G`, so the same kernel body serves
+/// both the materialized CSR [`Graph`] and the arithmetic
+/// [`ImplicitGraph`] families. See [`TypedProcess`] for the driver
+/// contract.
 pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
-    /// Advance one round. Must draw from `rng` exactly as the dyn route
-    /// does (it is the same code, instantiated twice).
+    /// Advance one round, keeping [`StateView::occupied`] current.
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R);
 
     /// Advance one round on the fast path. Must consume the same RNG
@@ -210,9 +181,10 @@ pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
 /// All implementations are **stream-compatible**: on the same RNG state
 /// they make the same draws and consume the same number of `u64`s, so a
 /// kernel parameterized over `D: NeighborDraw` produces bit-identical runs
-/// whichever strategy drives it. [`DrawOnTheFly`] resolves the CSR slice
-/// per vertex (the spawn-anywhere default); [`cobra_graph::NeighborSampler`]
-/// is the table-driven fast path built once per graph.
+/// whichever strategy drives it. [`ImplicitDraw`] resolves each neighbor
+/// arithmetically (the spawn-anywhere default, for any graph);
+/// [`cobra_graph::NeighborSampler`] is the table-driven CSR fast path
+/// built once per graph.
 ///
 /// Kernels call [`NeighborDraw::bind`] once per active vertex and draw
 /// repeatedly through the returned [`BoundDraw`], so per-vertex setup
@@ -262,38 +234,6 @@ pub trait BoundDraw {
     fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Vertex;
 }
 
-/// The default [`NeighborDraw`]: resolve the neighbor slice per vertex,
-/// draw with [`sample_index`] (lazy rejection threshold) — exactly what
-/// [`random_neighbor`] / `ns[sample_index(ns.len(), rng)]` do. Used by
-/// the plain `step` routes so the sampled and unsampled kernels share one
-/// generic body.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DrawOnTheFly;
-
-/// [`DrawOnTheFly`] bound to one vertex's neighbor slice.
-#[derive(Clone, Copy, Debug)]
-pub struct SliceDraw<'a> {
-    ns: &'a [Vertex],
-}
-
-impl NeighborDraw for DrawOnTheFly {
-    type Bound<'a> = SliceDraw<'a>;
-
-    #[inline]
-    fn bind<'a>(&'a self, g: &'a Graph, v: Vertex) -> SliceDraw<'a> {
-        let ns = g.neighbors(v);
-        assert!(!ns.is_empty(), "vertex {v} has no neighbors");
-        SliceDraw { ns }
-    }
-}
-
-impl BoundDraw for SliceDraw<'_> {
-    #[inline]
-    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Vertex {
-        self.ns[sample_index(self.ns.len(), rng)]
-    }
-}
-
 impl NeighborDraw for cobra_graph::NeighborSampler {
     type Bound<'a> = cobra_graph::sampler::BoundSample<'a>;
 
@@ -314,9 +254,10 @@ impl BoundDraw for cobra_graph::sampler::BoundSample<'_> {
 /// vertex through the [`ImplicitGraph`] trait, then index-address each
 /// draw with `neighbor(v, i)` — no adjacency slice exists to borrow.
 /// Draws with [`sample_index`] (lazy rejection threshold), so for
-/// `G = Graph` this consumes the identical RNG stream as [`DrawOnTheFly`]
-/// and [`cobra_graph::NeighborSampler`], and resolves identical vertices
-/// (the implicit families enumerate neighbors in CSR order).
+/// `G = Graph` this consumes the identical RNG stream as
+/// [`cobra_graph::NeighborSampler`] and `ns[sample_index(ns.len(), rng)]`,
+/// and resolves identical vertices (the implicit families enumerate
+/// neighbors in CSR order).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ImplicitDraw;
 
@@ -350,23 +291,6 @@ impl<G: ImplicitGraph + ?Sized> BoundDraw for ImplicitBound<'_, G> {
     }
 }
 
-/// Every typed state is usable through the dyn API: the blanket impl
-/// instantiates the generic step with `R = dyn Rng`, so boxed and unboxed
-/// runs execute the same instructions modulo dispatch.
-impl<T: TypedState<Graph>> ProcessState for T {
-    fn step(&mut self, g: &Graph, rng: &mut dyn Rng) {
-        TypedState::step(self, g, rng)
-    }
-
-    fn occupied(&self) -> &[Vertex] {
-        StateView::occupied(self)
-    }
-
-    fn support_size(&self) -> usize {
-        StateView::support_size(self)
-    }
-}
-
 /// Draw a uniformly random neighbor of `v`. Panics if `v` is isolated —
 /// every process in the paper is defined on connected graphs, so an
 /// isolated vertex is a caller bug worth failing loudly on.
@@ -378,8 +302,8 @@ pub fn random_neighbor<R: Rng + ?Sized>(g: &Graph, v: Vertex, rng: &mut R) -> Ve
 }
 
 /// Uniform index in `0..len` using Lemire-style rejection; unbiased and
-/// branch-light. Generic over the RNG so the typed fast path inlines the
-/// generator while `&mut dyn Rng` callers keep working unchanged.
+/// branch-light. Generic over the RNG so every kernel inlines the
+/// generator.
 #[inline]
 pub fn sample_index<R: Rng + ?Sized>(len: usize, rng: &mut R) -> usize {
     debug_assert!(len > 0);

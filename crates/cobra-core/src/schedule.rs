@@ -11,7 +11,7 @@
 
 use crate::frontier::Frontier;
 use crate::process::{
-    bernoulli, DrawOnTheFly, NeighborDraw, Process, ProcessState, TypedProcess, TypedState,
+    bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
@@ -138,10 +138,6 @@ impl Process for ScheduledCobraWalk {
     fn name(&self) -> String {
         format!("cobra[{}]", self.schedule.name())
     }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
-    }
 }
 
 impl TypedProcess for ScheduledCobraWalk {
@@ -222,11 +218,11 @@ impl ScheduledState {
 
 impl TypedState for ScheduledState {
     fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<true, _, R>(g, &DrawOnTheFly, rng);
+        self.advance::<true, _, R>(g, &ImplicitDraw, rng);
     }
 
     fn step_fast<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<false, _, R>(g, &DrawOnTheFly, rng);
+        self.advance::<false, _, R>(g, &ImplicitDraw, rng);
     }
 
     fn step_sampled<D: NeighborDraw, R: Rng + ?Sized>(&mut self, g: &Graph, draw: &D, rng: &mut R) {
@@ -234,7 +230,7 @@ impl TypedState for ScheduledState {
     }
 }
 
-impl crate::process::StateView for ScheduledState {
+impl StateView for ScheduledState {
     fn occupied(&self) -> &[Vertex] {
         &self.occ
     }
@@ -261,8 +257,8 @@ mod tests {
         let g = classic::cycle(16).unwrap();
         let spec_s = ScheduledCobraWalk::new(BranchingSchedule::Fixed(2));
         let spec_c = crate::CobraWalk::new(2);
-        let mut a = spec_s.spawn(&g, 0);
-        let mut b = spec_c.spawn(&g, 0);
+        let mut a = spec_s.spawn_typed(&g, 0);
+        let mut b = spec_c.spawn_typed(&g, 0);
         let mut ra = StdRng::seed_from_u64(5);
         let mut rb = StdRng::seed_from_u64(5);
         for _ in 0..30 {
@@ -320,7 +316,7 @@ mod tests {
     fn active_set_growth_respects_max_branching() {
         let g = classic::complete(64).unwrap();
         let spec = ScheduledCobraWalk::new(BranchingSchedule::Alternating { even: 3, odd: 1 });
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(4);
         let mut prev = 1usize;
         for t in 0..30 {

@@ -5,10 +5,9 @@
 //! speedup measures against this process.
 
 use crate::process::{
-    bernoulli, ImplicitDraw, NeighborDraw, Process, ProcessState, StateView, TypedProcess,
-    TypedState,
+    bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
-use cobra_graph::{Graph, ImplicitGraph, Vertex};
+use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
 /// Specification of a simple random walk, optionally lazy.
@@ -52,10 +51,6 @@ impl Process for SimpleWalk {
         } else {
             format!("lazy-rw({})", self.laziness)
         }
-    }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
     }
 }
 
@@ -138,7 +133,7 @@ mod tests {
     fn walk_moves_along_edges() {
         let g = classic::cycle(7).unwrap();
         let spec = SimpleWalk::new();
-        let mut st = spec.spawn(&g, 3);
+        let mut st = spec.spawn_typed(&g, 3);
         let mut rng = StdRng::seed_from_u64(1);
         let mut prev = 3;
         for _ in 0..100 {
@@ -153,7 +148,7 @@ mod tests {
     fn lazy_walk_sometimes_holds() {
         let g = classic::cycle(7).unwrap();
         let spec = SimpleWalk::lazy(0.5);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(2);
         let mut holds = 0;
         let mut prev = 0;
@@ -174,7 +169,7 @@ mod tests {
     fn non_lazy_walk_never_holds_on_triangle_free_graph() {
         let g = classic::cycle(8).unwrap();
         let spec = SimpleWalk::new();
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(3);
         let mut prev = 0;
         for _ in 0..100 {
@@ -189,7 +184,7 @@ mod tests {
     fn support_is_always_one() {
         let g = classic::star(6).unwrap();
         let spec = SimpleWalk::new();
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..50 {
             st.step(&g, &mut rng);

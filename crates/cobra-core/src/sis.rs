@@ -15,8 +15,7 @@
 
 use crate::frontier::Frontier;
 use crate::process::{
-    bernoulli, BoundDraw, DrawOnTheFly, NeighborDraw, Process, ProcessState, TypedProcess,
-    TypedState,
+    bernoulli, BoundDraw, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
@@ -53,10 +52,6 @@ impl SisProcess {
 impl Process for SisProcess {
     fn name(&self) -> String {
         format!("sis(k={},p={})", self.contacts, self.transmit_prob)
-    }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
     }
 }
 
@@ -144,11 +139,11 @@ impl SisState {
 
 impl TypedState for SisState {
     fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<true, _, R>(g, &DrawOnTheFly, rng);
+        self.advance::<true, _, R>(g, &ImplicitDraw, rng);
     }
 
     fn step_fast<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<false, _, R>(g, &DrawOnTheFly, rng);
+        self.advance::<false, _, R>(g, &ImplicitDraw, rng);
     }
 
     fn step_sampled<D: NeighborDraw, R: Rng + ?Sized>(&mut self, g: &Graph, draw: &D, rng: &mut R) {
@@ -156,7 +151,7 @@ impl TypedState for SisState {
     }
 }
 
-impl crate::process::StateView for SisState {
+impl StateView for SisState {
     fn occupied(&self) -> &[Vertex] {
         &self.occ
     }
@@ -181,14 +176,14 @@ pub struct ExtinctionProbe {
 }
 
 /// Run the SIS process until extinction or `horizon` rounds.
-pub fn probe_extinction(
+pub fn probe_extinction<R: Rng + ?Sized>(
     g: &Graph,
     process: &SisProcess,
     start: Vertex,
     horizon: usize,
-    rng: &mut dyn Rng,
+    rng: &mut R,
 ) -> ExtinctionProbe {
-    let mut st = process.spawn(g, start);
+    let mut st = process.spawn_typed(g, start);
     for t in 1..=horizon {
         st.step(g, rng);
         if st.occupied().is_empty() {
@@ -216,8 +211,8 @@ mod tests {
         let g = classic::cycle(12).unwrap();
         let sis = SisProcess::new(2, 1.0);
         let cobra = crate::CobraWalk::new(2);
-        let mut a = sis.spawn(&g, 0);
-        let mut b = cobra.spawn(&g, 0);
+        let mut a = sis.spawn_typed(&g, 0);
+        let mut b = cobra.spawn_typed(&g, 0);
         let mut ra = StdRng::seed_from_u64(3);
         let mut rb = StdRng::seed_from_u64(3);
         for _ in 0..25 {
@@ -270,7 +265,7 @@ mod tests {
     fn empty_state_is_absorbing() {
         let g = classic::cycle(6).unwrap();
         let sis = SisProcess::new(1, 0.0); // never transmits
-        let mut st = sis.spawn(&g, 0);
+        let mut st = sis.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(6);
         st.step(&g, &mut rng);
         assert!(st.occupied().is_empty());

@@ -7,7 +7,7 @@
 //! sizes, coverage curve, and the first round the active set reached a
 //! target fraction.
 
-use crate::process::Process;
+use crate::process::{StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -69,16 +69,16 @@ impl Trajectory {
 
 /// Run `process` from `start` for at most `max_steps` rounds (stopping
 /// early on full coverage), recording the trajectory.
-pub fn record_trajectory(
+pub fn record_trajectory<P: TypedProcess, R: Rng + ?Sized>(
     g: &Graph,
-    process: &dyn Process,
+    process: &P,
     start: Vertex,
     max_steps: usize,
-    rng: &mut dyn Rng,
+    rng: &mut R,
 ) -> Trajectory {
     let n = g.num_vertices();
     assert!(n > 0, "non-empty graph");
-    let mut state = process.spawn(g, start);
+    let mut state = process.spawn_typed(g, start);
     let mut covered = vec![false; n];
     let mut covered_count = 0usize;
     for &v in state.occupied() {

@@ -14,7 +14,7 @@
 //! 1/2 all pebbles hold. Both the laziness and the three-pebble threshold
 //! are configurable here so experiment E13 can ablate them.
 
-use crate::process::{coin, sample_index, Process, ProcessState, TypedProcess, TypedState};
+use crate::process::{coin, sample_index, Process, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -29,10 +29,10 @@ pub enum PebblePopulation {
 
 /// Specification of a Walt process.
 ///
-/// [`Process::spawn`] places all pebbles at the start vertex, matching the
-/// paper's Theorem 8 analysis ("all δn pebbles begin at the same vertex").
-/// Use [`WaltProcess::spawn_at_positions`] for arbitrary placements (as in
-/// Lemma 10's statement).
+/// [`TypedProcess::spawn_typed`] places all pebbles at the start vertex,
+/// matching the paper's Theorem 8 analysis ("all δn pebbles begin at the
+/// same vertex"). Use [`WaltProcess::spawn_at_positions`] for arbitrary
+/// placements (as in Lemma 10's statement).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WaltProcess {
     population: PebblePopulation,
@@ -88,17 +88,12 @@ impl WaltProcess {
 
     /// Spawn with explicit initial pebble positions (Lemma 10 allows an
     /// arbitrary number of pebbles at each start vertex).
-    pub fn spawn_at_positions(&self, g: &Graph, positions: Vec<Vertex>) -> Box<dyn ProcessState> {
+    pub fn spawn_at_positions(&self, g: &Graph, positions: Vec<Vertex>) -> WaltState {
         assert!(!positions.is_empty(), "need at least one pebble");
         for &v in &positions {
             assert!((v as usize) < g.num_vertices(), "pebble position in range");
         }
-        Box::new(WaltState::new(
-            positions,
-            g.num_vertices(),
-            self.lazy,
-            self.threshold,
-        ))
+        WaltState::new(positions, g.num_vertices(), self.lazy, self.threshold)
     }
 }
 
@@ -117,10 +112,6 @@ impl Process for WaltProcess {
                 String::new()
             }
         )
-    }
-
-    fn spawn(&self, g: &Graph, start: Vertex) -> Box<dyn ProcessState> {
-        Box::new(self.spawn_typed(g, start))
     }
 }
 
@@ -236,7 +227,7 @@ impl TypedState for WaltState {
     }
 }
 
-impl crate::process::StateView for WaltState {
+impl StateView for WaltState {
     fn occupied(&self) -> &[Vertex] {
         &self.positions
     }
@@ -285,7 +276,7 @@ mod tests {
     fn pebble_count_is_invariant() {
         let g = hypercube::hypercube(4);
         let spec = WaltProcess::standard(0.5);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let expected = spec.population_for(16);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
@@ -298,7 +289,7 @@ mod tests {
     fn pebbles_move_along_edges() {
         let g = classic::cycle(9).unwrap();
         let spec = WaltProcess::with_count(5).lazy(false);
-        let mut st = spec.spawn(&g, 4);
+        let mut st = spec.spawn_typed(&g, 4);
         let mut rng = StdRng::seed_from_u64(2);
         let mut prev = st.occupied().to_vec();
         for _ in 0..100 {
@@ -318,7 +309,7 @@ mod tests {
     fn lazy_process_holds_roughly_half_the_time() {
         let g = classic::cycle(9).unwrap();
         let spec = WaltProcess::with_count(3); // lazy by default
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(3);
         let mut holds = 0;
         let steps = 600;
@@ -344,7 +335,7 @@ mod tests {
         // leaders' destinations.
         let g = classic::star(10).unwrap();
         let spec = WaltProcess::with_count(8).lazy(false);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(5);
         st.step(&g, &mut rng);
         let mut dests: Vec<Vertex> = st.occupied().to_vec();
@@ -364,7 +355,7 @@ mod tests {
         // sanity check that the ablation knob is wired through.
         let g = classic::star(10).unwrap();
         let spec = WaltProcess::with_count(5).lazy(false).threshold(2);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(6);
         st.step(&g, &mut rng);
         let mut dests: Vec<Vertex> = st.occupied().to_vec();
@@ -407,7 +398,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let mut diverged = false;
         for _ in 0..50 {
-            let mut st = spec.spawn(&g, 0);
+            let mut st = spec.spawn_typed(&g, 0);
             st.step(&g, &mut rng);
             let occ = st.occupied();
             if occ[0] != occ[1] {

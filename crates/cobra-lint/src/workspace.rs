@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 const EXCLUDED_DIRS: &[&str] = &["vendor", "target", "fixtures", ".git"];
 
 /// Top-level entries that contain first-party Rust source.
-const SOURCE_ROOTS: &[&str] = &["src", "crates", "tests", "examples", "benches"];
+const SOURCE_ROOTS: &[&str] = &["src", "crates", "tests", "examples", "benches", "perfbench"];
 
 /// Walk upward from `start` to the first directory whose `Cargo.toml`
 /// declares `[workspace]`.
@@ -77,6 +77,8 @@ mod tests {
         let files = first_party_files(&root).expect("walk");
         assert!(files.iter().any(|f| f == "crates/cobra-lint/src/lib.rs"));
         assert!(files.iter().any(|f| f.starts_with("src/")));
+        assert!(files.iter().any(|f| f == "perfbench/src/main.rs"));
+        assert!(!files.iter().any(|f| f.starts_with("perfbench/target/")));
         assert!(!files.iter().any(|f| f.contains("vendor/")));
         assert!(!files.iter().any(|f| f.contains("/fixtures/")));
         assert!(!files.iter().any(|f| f.contains("target/")));

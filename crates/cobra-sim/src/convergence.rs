@@ -4,10 +4,10 @@
 //! Long sweeps waste most of their time over-sampling easy cells; the
 //! adaptive runner keeps per-cell cost proportional to variance. The
 //! serial loop lives here ([`run_until_precise`]); the batched parallel
-//! engine that the sweeps actually run through is
-//! [`crate::runner::run_cover_trials_adaptive`] and friends, which share
-//! this module's [`StopRule`] and are defined to be bit-identical to the
-//! serial loop's stopping decision.
+//! engine that the sweeps and the orchestrator actually run through is
+//! [`crate::runner::run_cover_trials_adaptive_auto_resumable`] (and its
+//! hitting twin), which share this module's [`StopRule`] and are defined
+//! to be bit-identical to the serial loop's stopping decision.
 
 use crate::stats::{z_for_level, Summary};
 

@@ -6,9 +6,10 @@
 //!   every experiment is exactly reproducible from one master seed and
 //!   trials are independent across rayon workers;
 //! * [`runner`] — parallel trial execution for cover/hitting
-//!   measurements, including the bit-sliced 64-lane cover engine
-//!   ([`runner::run_cover_trials_lanes`]) that small-graph cells route
-//!   through automatically;
+//!   measurements: one trial-stream body behind eight short runners,
+//!   routing small-graph cover cells to the bit-sliced 64-lane engine
+//!   ([`runner::run_cover_trials_lanes_probed`]) and everything else to
+//!   the per-trial scratch engine;
 //! * [`stats`] — online summary statistics (Welford) with quantiles and
 //!   normal-approximation confidence intervals;
 //! * [`sweep`] — parameter sweeps producing result rows;
@@ -16,7 +17,7 @@
 //!   (hand-rolled: no serde needed);
 //! * [`convergence`] — run-until-CI-tight sequential stopping: the
 //!   [`convergence::StopRule`] and [`convergence::AdaptivePlan`] behind
-//!   the batched adaptive runners in [`runner`] and the adaptive sweeps
+//!   the resumable adaptive runners in [`runner`] and the adaptive sweeps
 //!   in [`sweep`];
 //! * [`fsio`] — atomic (temp + fsync + rename) artifact writes, so an
 //!   interrupted run never leaves a truncated CSV/manifest/checkpoint.
@@ -35,13 +36,9 @@ pub mod table;
 pub use convergence::{run_until_precise, AdaptivePlan, StopRule};
 pub use fsio::{write_atomic, write_atomic_str};
 pub use runner::{
-    lane_cover_applies, replay_outcomes, run_cover_trials, run_cover_trials_adaptive,
-    run_cover_trials_adaptive_auto, run_cover_trials_adaptive_auto_resumable,
-    run_cover_trials_adaptive_lanes, run_cover_trials_adaptive_lanes_resumable,
-    run_cover_trials_adaptive_resumable, run_cover_trials_auto, run_cover_trials_implicit,
-    run_cover_trials_implicit_probed, run_cover_trials_lanes, run_cover_trials_lanes_probed,
-    run_cover_trials_probed, run_cover_trials_typed, run_cover_trials_typed_probed,
-    run_hitting_trials, run_hitting_trials_adaptive, run_hitting_trials_adaptive_resumable,
+    lane_cover_applies, replay_outcomes, run_cover_trials_adaptive_auto_resumable,
+    run_cover_trials_implicit, run_cover_trials_implicit_probed, run_cover_trials_lanes_probed,
+    run_cover_trials_typed, run_cover_trials_typed_probed, run_hitting_trials_adaptive_resumable,
     run_hitting_trials_typed, AdaptiveOutcome, BatchControl, ResumableOutcome, TrialOutcome,
     TrialPlan, LANE_MAX_N,
 };

@@ -3,16 +3,26 @@
 //! Trials fan out over rayon workers; each trial gets an independent,
 //! deterministically derived RNG (see [`crate::seeds`]), so results are
 //! bit-reproducible regardless of thread scheduling.
+//!
+//! Every runner is a short forward to one body: a cell's *trial stream*
+//! — the per-trial outcomes of its engine, indexed by global trial
+//! number and random-access — extended once for a fixed run, or batch by
+//! batch (resumable from any consumed prefix) for an adaptive run. The
+//! stream is generic over the graph, the [`cobra_core::NeighborDraw`]
+//! strategy, and a probe factory; the only engine choice is
+//! [`lane_cover_applies`], which sends small CSR cover cells to the
+//! bit-sliced 64-lane engine and everything else to the per-trial
+//! scratch engine.
 
-use crate::convergence::AdaptivePlan;
+use crate::convergence::{AdaptivePlan, StopRule};
 use crate::seeds::SeedSequence;
 use crate::stats::{EmptySummary, Summary};
 use cobra_core::{
-    run_lane_cover, run_lane_cover_probed, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch,
-    Process, TrialScratch, TypedProcess, LANE_WIDTH,
+    run_lane_cover_probed, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch, NeighborDraw,
+    TrialScratch, TypedProcess, LANE_WIDTH,
 };
 use cobra_graph::{Graph, ImplicitGraph, NeighborSampler, Vertex};
-use cobra_obs::Probe;
+use cobra_obs::{NoopProbe, Probe};
 use rayon::prelude::*;
 
 /// How many trials to run and how long each may take.
@@ -87,73 +97,410 @@ fn aggregate(times: Vec<Option<usize>>) -> TrialOutcome {
     TrialOutcome { summary, censored }
 }
 
-/// Split a per-trial `(outcome, probe)` stream into the aggregated
-/// [`TrialOutcome`] plus the probes in global trial order.
-fn split_probed<Pb>(pairs: Vec<(Option<usize>, Pb)>) -> (TrialOutcome, Vec<Pb>) {
-    let mut times = Vec::with_capacity(pairs.len());
-    let mut probes = Vec::with_capacity(pairs.len());
-    for (t, p) in pairs {
-        times.push(t);
-        probes.push(p);
-    }
-    (aggregate(times), probes)
+/// Largest vertex count for which the bit-sliced lane engine is the
+/// default. Below this the per-round lane overhead (three `n`-word
+/// bitset scans) is dwarfed by the 64-way draw sharing; above it the
+/// scans dominate and the per-trial scratch engine's sparse frontier
+/// wins. The crossover on this hardware sits well past 1024 for cover
+/// cells, but 1024 keeps a comfortable margin.
+pub const LANE_MAX_N: usize = 1024;
+
+/// Whether the bit-sliced lane engine applies to a cover cell: the graph
+/// must be small (`n ≤` [`LANE_MAX_N`]), the workload wide enough to
+/// fill lanes (`trials ≥` [`LANE_WIDTH`]), and the process must have a
+/// lane-parallel form ([`TypedProcess::lane_branching`] — `k`-cobra
+/// walks and the non-lazy simple walk do; processes with per-pebble
+/// auxiliary state do not).
+///
+/// For adaptive runs pass the rule's `max_trials`: eligibility must not
+/// depend on how many trials end up consumed, or the engine choice
+/// (and with it the RNG stream) would depend on the data.
+///
+/// The lane engine is **CSR-only by construction**: this gate takes
+/// `&Graph` (not a generic [`ImplicitGraph`]) because
+/// [`cobra_core::run_lane_cover`] shares draws through a materialized
+/// [`NeighborSampler`] table. Implicit families must not be squeezed
+/// through a CSR conversion just to reach the lanes — they route
+/// through [`run_cover_trials_implicit`], whose stream stays
+/// bit-compatible with the scratch engine. Keeping the `&Graph`
+/// signature here makes misrouting a compile error rather than a
+/// silent de-implicitization.
+pub fn lane_cover_applies<P: TypedProcess>(g: &Graph, process: &P, trials: usize) -> bool {
+    g.num_vertices() <= LANE_MAX_N && trials >= LANE_WIDTH && process.lane_branching().is_some()
 }
 
-/// Measure cover times of `process` from `start` over `plan.trials`
-/// independent runs (parallel). Accepts `&dyn Process` as before, or any
-/// concrete specification.
-pub fn run_cover_trials<P: Process + ?Sized>(
+/// The engine a [`TrialStream`] draws its outcomes from.
+enum Engine<'a, D> {
+    /// The per-trial scratch engine: one [`TrialScratch`] per worker,
+    /// neighbor draws through `D`, and trial `i` seeded from
+    /// `SeedSequence::rng_at(i)`.
+    Scratch(D),
+    /// The bit-sliced lane engine for `k`-out-choice cover processes:
+    /// batch `b` of [`LANE_WIDTH`] trials seeded from
+    /// `SeedSequence::rng_at(b)`, sharing draws through `sampler`. Trial
+    /// `i` is lane `i % 64` of batch `i / 64`, and every batch runs all
+    /// 64 lanes against the full mask — a narrower mask would change the
+    /// shared-draw stream — so a shorter run is a bitwise prefix of a
+    /// longer one.
+    Lanes {
+        g: &'a Graph,
+        sampler: NeighborSampler,
+        k: u32,
+    },
+}
+
+/// One cell's per-trial outcome stream: `Some(steps)` for a completed
+/// trial, `None` for a censored one, in global trial order.
+///
+/// Each outcome depends only on its global index and the master seed,
+/// so the stream is bit-identical at any worker count and for any
+/// partition into consecutive extensions — the property that makes a
+/// fixed run an adaptive run's prefix and lets a checkpointed prefix
+/// resume exactly.
+struct TrialStream<'a, G: ?Sized, P, D> {
+    g: &'a G,
+    process: &'a P,
+    engine: Engine<'a, D>,
+    start: Vertex,
+    /// `None` measures cover times, `Some(v)` hitting times of `v`.
+    target: Option<Vertex>,
+    max_steps: usize,
+    seq: SeedSequence,
+}
+
+impl<'a, G, P, D> TrialStream<'a, G, P, D>
+where
+    G: ImplicitGraph + ?Sized,
+    P: TypedProcess<G> + Sync,
+    D: NeighborDraw<G> + Sync,
+{
+    /// The scratch engine drawing through `draw`.
+    fn scratch(
+        g: &'a G,
+        process: &'a P,
+        draw: D,
+        start: Vertex,
+        target: Option<Vertex>,
+        max_steps: usize,
+        master_seed: u64,
+    ) -> Self {
+        TrialStream {
+            g,
+            process,
+            engine: Engine::Scratch(draw),
+            start,
+            target,
+            max_steps,
+            seq: SeedSequence::new(master_seed),
+        }
+    }
+
+    /// Outcomes of global trials `lo..` through at least `hi` (the lane
+    /// engine rounds up to whole batches), plus one probe per
+    /// observation unit: per trial on the scratch engine, per 64-lane
+    /// batch on the lane engine (lanes share draws, so per-lane draw
+    /// attribution does not exist). Each probe comes from
+    /// `make_probe(unit_index)` and sees [`Probe::on_trial_begin`] with
+    /// that index before its unit runs.
+    fn extend<Pb, F>(&self, lo: usize, hi: usize, make_probe: &F) -> (Vec<Option<usize>>, Vec<Pb>)
+    where
+        Pb: Probe + Send,
+        F: Fn(u64) -> Pb + Sync,
+    {
+        match &self.engine {
+            Engine::Scratch(draw) => {
+                let pairs: Vec<(Option<usize>, Pb)> = (lo..hi)
+                    .into_par_iter()
+                    .map_init(
+                        || TrialScratch::new(self.g),
+                        |scratch, i| {
+                            let mut rng = self.seq.rng_at(i as u64);
+                            let mut probe = make_probe(i as u64);
+                            probe.on_trial_begin(i as u64);
+                            let t = match self.target {
+                                None => {
+                                    let res = CoverDriver::new(self.g)
+                                        .run_typed_in_probed(
+                                            self.process,
+                                            draw,
+                                            scratch,
+                                            self.start,
+                                            self.max_steps,
+                                            &mut rng,
+                                            &mut probe,
+                                        )
+                                        .expect("non-empty graph");
+                                    res.completed.then_some(res.steps)
+                                }
+                                Some(target) => {
+                                    let res = HittingDriver::new(self.g).run_typed_in(
+                                        self.process,
+                                        draw,
+                                        scratch,
+                                        self.start,
+                                        target,
+                                        self.max_steps,
+                                        &mut rng,
+                                    );
+                                    res.hit.then_some(res.steps)
+                                }
+                            };
+                            (t, probe)
+                        },
+                    )
+                    .collect();
+                pairs.into_iter().unzip()
+            }
+            Engine::Lanes { g, sampler, k } => {
+                let first = lo / LANE_WIDTH;
+                let outs: Vec<_> = (first..hi.div_ceil(LANE_WIDTH))
+                    .into_par_iter()
+                    .map_init(
+                        || LaneScratch::new(g),
+                        |scratch, b| {
+                            let mut rng = self.seq.rng_at(b as u64);
+                            let mut probe = make_probe(b as u64);
+                            probe.on_trial_begin(b as u64);
+                            let out = run_lane_cover_probed(
+                                g,
+                                sampler,
+                                *k,
+                                self.start,
+                                u64::MAX,
+                                self.max_steps,
+                                scratch,
+                                &mut rng,
+                                &mut probe,
+                            );
+                            (out, probe)
+                        },
+                    )
+                    .collect();
+                let mut times = Vec::with_capacity(outs.len() * LANE_WIDTH);
+                let mut probes = Vec::with_capacity(outs.len());
+                for (out, probe) in outs {
+                    times.extend((0..LANE_WIDTH).map(|lane| out.cover_time(lane)));
+                    probes.push(probe);
+                }
+                // When `lo` sits mid-batch, that batch's already-consumed
+                // lanes were recomputed whole; drop them.
+                times.drain(..lo - first * LANE_WIDTH);
+                (times, probes)
+            }
+        }
+    }
+
+    /// A fixed run: the stream's first `trials` outcomes in one
+    /// extension. Surplus lanes of a partial tail batch are discarded
+    /// here, preserving the prefix property.
+    fn run_fixed<Pb, F>(&self, trials: usize, make_probe: F) -> (TrialOutcome, Vec<Pb>)
+    where
+        Pb: Probe + Send,
+        F: Fn(u64) -> Pb + Sync,
+    {
+        let (mut times, probes) = self.extend(0, trials, &make_probe);
+        times.truncate(trials);
+        (aggregate(times), probes)
+    }
+
+    /// An adaptive run, resumable at batch boundaries: extend the stream
+    /// until `plan.rule` decides, starting from the checkpointed `prior`
+    /// prefix.
+    ///
+    /// Semantics: trials are conceptually consumed one at a time in
+    /// global index order, with the stop rule consulted after every
+    /// trial — exactly the serial [`crate::convergence::run_until_precise`]
+    /// loop. Execution speculates ahead through [`TrialStream::extend`],
+    /// then replays the new outcomes serially against the rule. Because
+    /// each trial's outcome depends only on its global index, and the
+    /// stopping index only on the ordered prefix of outcomes, the result
+    /// is bit-identical across worker counts, batch sizes, **and** resume
+    /// points: a `prior` prefix (from a checkpoint) is replayed through
+    /// the rule and the run continues exactly where an uninterrupted run
+    /// would be.
+    ///
+    /// `on_batch` runs at every batch boundary that leaves work
+    /// remaining, receiving the consumed prefix — the checkpoint/watchdog
+    /// seam.
+    fn run_adaptive(
+        &self,
+        plan: &AdaptivePlan,
+        prior: Vec<Option<usize>>,
+        mut on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
+    ) -> ResumableOutcome {
+        let rule = plan.rule;
+        let mut times = prior;
+        let mut outcome = replay_outcomes(&rule, &times);
+        let mut consumed = outcome.trials_run();
+        // Entries past the replayed stopping index (reachable only from a
+        // prior that over-ran the rule) are not part of the consumed stream.
+        times.truncate(consumed);
+        let mut halted = false;
+        while consumed < rule.max_trials && !outcome.precision_met && !halted {
+            // Never launch past the cap, and never speculate past the first
+            // point the rule could actually fire: the opening batch runs
+            // exactly to `min_trials` (an easy cell then computes the
+            // minimum and nothing more), later batches extend by
+            // `plan.batch`. Speculation depth never changes results — only
+            // how much computed-then-discarded work a stop can strand.
+            let horizon = if consumed < rule.min_trials {
+                rule.min_trials
+            } else {
+                consumed + plan.batch
+            };
+            let hi = horizon.min(rule.max_trials);
+            if times.len() < hi {
+                let lo = times.len();
+                let more = self.extend(lo, hi, &|_| NoopProbe).0;
+                debug_assert!(lo + more.len() >= hi, "extender under-filled the horizon");
+                times.extend(more);
+            }
+            while consumed < hi && !outcome.precision_met {
+                match times[consumed] {
+                    Some(steps) => {
+                        outcome.summary.push(steps as f64);
+                        if rule.satisfied(&outcome.summary) {
+                            outcome.precision_met = true;
+                        }
+                    }
+                    None => outcome.censored += 1,
+                }
+                consumed += 1;
+            }
+            if !outcome.precision_met && consumed < rule.max_trials {
+                if let BatchControl::Halt = on_batch(&times[..consumed]) {
+                    halted = true;
+                }
+            }
+        }
+        times.truncate(consumed);
+        ResumableOutcome {
+            outcome,
+            times,
+            halted,
+        }
+    }
+}
+
+impl<'a, P: TypedProcess + Sync> TrialStream<'a, Graph, P, NeighborSampler> {
+    /// The lane engine for a process with a lane-parallel form. Panics
+    /// otherwise; eligibility is the caller's job ([`lane_cover_applies`]).
+    fn lanes(g: &'a Graph, process: &'a P, start: Vertex, max_steps: usize, seed: u64) -> Self {
+        let k = process
+            .lane_branching()
+            .expect("process has no lane-parallel form");
+        TrialStream {
+            g,
+            process,
+            engine: Engine::Lanes {
+                g,
+                sampler: NeighborSampler::new(g),
+                k,
+            },
+            start,
+            target: None,
+            max_steps,
+            seq: SeedSequence::new(seed),
+        }
+    }
+}
+
+/// The scratch engine on a CSR graph, drawing through a per-call
+/// [`NeighborSampler`] table.
+fn csr_stream<'a, P: TypedProcess + Sync>(
+    g: &'a Graph,
+    process: &'a P,
+    start: Vertex,
+    target: Option<Vertex>,
+    max_steps: usize,
+    seed: u64,
+) -> TrialStream<'a, Graph, P, NeighborSampler> {
+    TrialStream::scratch(
+        g,
+        process,
+        NeighborSampler::new(g),
+        start,
+        target,
+        max_steps,
+        seed,
+    )
+}
+
+/// The engine for a CSR cover cell planned for `trials` trials (an
+/// adaptive rule's `max_trials`): lanes when [`lane_cover_applies`],
+/// else scratch. This is the one engine choice; it depends only on the
+/// cell shape and plan, never on outcomes, so a cell always uses the
+/// same engine and stays reproducible.
+fn cover_stream<'a, P: TypedProcess + Sync>(
+    g: &'a Graph,
+    process: &'a P,
+    start: Vertex,
+    max_steps: usize,
+    seed: u64,
+    trials: usize,
+) -> TrialStream<'a, Graph, P, NeighborSampler> {
+    if lane_cover_applies(g, process, trials) {
+        TrialStream::lanes(g, process, start, max_steps, seed)
+    } else {
+        csr_stream(g, process, start, None, max_steps, seed)
+    }
+}
+
+/// Fixed-plan cover trials through the auto-routed engine
+/// ([`cover_stream`]), as the cover sweeps run them.
+pub(crate) fn run_cover_trials_auto<P: TypedProcess + Sync>(
     g: &Graph,
     process: &P,
     start: Vertex,
     plan: &TrialPlan,
 ) -> TrialOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let times: Vec<Option<usize>> = (0..plan.trials)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = seq.rng_at(i as u64);
-            let res = CoverDriver::new(g)
-                .run(&process, start, plan.max_steps, &mut rng)
-                .expect("non-empty graph");
-            res.completed.then_some(res.steps)
-        })
-        .collect();
-    aggregate(times)
+    let stream = cover_stream(
+        g,
+        process,
+        start,
+        plan.max_steps,
+        plan.master_seed,
+        plan.trials,
+    );
+    stream.run_fixed(plan.trials, |_| NoopProbe).0
 }
 
-/// Fast-path variant of [`run_cover_trials`]: drives the process through
-/// the batched scratch engine — a [`NeighborSampler`] built once per
-/// call, one [`TrialScratch`] per rayon worker (via `map_init`), and
+/// Measure cover times of `process` from `start` over `plan.trials`
+/// independent runs on the batched scratch engine: a [`NeighborSampler`]
+/// built once per call, one [`TrialScratch`] per rayon worker, and
 /// [`CoverDriver::run_typed_in`] per trial, so the steady-state trial
-/// path allocates nothing and re-derives nothing. Per-trial seeding is
-/// unchanged ([`SeedSequence::seed_at`]), so outcomes are bit-identical
-/// to the dyn path and to any worker count. Prefer this whenever the
-/// process type is statically known; keep [`run_cover_trials`] for
-/// heterogeneous `&dyn Process` experiment tables.
+/// path allocates nothing and re-derives nothing. Trial `i` seeds from
+/// [`SeedSequence::seed_at`]`(i)`, so outcomes are bit-identical at any
+/// worker count and to a serial [`CoverDriver::run_typed`] loop.
 pub fn run_cover_trials_typed<P: TypedProcess + Sync>(
     g: &Graph,
     process: &P,
     start: Vertex,
     plan: &TrialPlan,
 ) -> TrialOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let driver = CoverDriver::new(g);
-    let times: Vec<Option<usize>> = (0..plan.trials)
-        .into_par_iter()
-        .map_init(
-            || TrialScratch::new(g),
-            |scratch, i| {
-                let mut rng = seq.rng_at(i as u64);
-                let res = driver
-                    .run_typed_in(process, &sampler, scratch, start, plan.max_steps, &mut rng)
-                    .expect("non-empty graph");
-                res.completed.then_some(res.steps)
-            },
-        )
-        .collect();
-    aggregate(times)
+    run_cover_trials_typed_probed(g, process, start, plan, |_| NoopProbe).0
+}
+
+/// [`run_cover_trials_typed`] with one [`Probe`] per trial, built by
+/// `make_probe(global_trial_index)` and returned in global trial order.
+/// The runner fires [`Probe::on_trial_begin`] with the global index
+/// before each trial; because probes are keyed by that index and never
+/// touch the RNG, telemetry is bit-reproducible at any worker count and
+/// outcomes do not depend on the probe.
+pub fn run_cover_trials_typed_probed<P, Pb, F>(
+    g: &Graph,
+    process: &P,
+    start: Vertex,
+    plan: &TrialPlan,
+    make_probe: F,
+) -> (TrialOutcome, Vec<Pb>)
+where
+    P: TypedProcess + Sync,
+    Pb: Probe + Send,
+    F: Fn(u64) -> Pb + Sync,
+{
+    csr_stream(g, process, start, None, plan.max_steps, plan.master_seed)
+        .run_fixed(plan.trials, make_probe)
 }
 
 /// Cover trials for any [`ImplicitGraph`] family (grid, torus,
@@ -183,120 +530,11 @@ where
     G: ImplicitGraph + ?Sized,
     P: TypedProcess<G> + Sync,
 {
-    let seq = SeedSequence::new(plan.master_seed);
-    let driver = CoverDriver::new(g);
-    let times: Vec<Option<usize>> = (0..plan.trials)
-        .into_par_iter()
-        .map_init(
-            || TrialScratch::new(g),
-            |scratch, i| {
-                let mut rng = seq.rng_at(i as u64);
-                let res = driver
-                    .run_typed_in(
-                        process,
-                        &ImplicitDraw,
-                        scratch,
-                        start,
-                        plan.max_steps,
-                        &mut rng,
-                    )
-                    .expect("non-empty graph");
-                res.completed.then_some(res.steps)
-            },
-        )
-        .collect();
-    aggregate(times)
+    run_cover_trials_implicit_probed(g, process, start, plan, |_| NoopProbe).0
 }
 
-/// Probed variant of [`run_cover_trials`]: identical trial plan, seeds,
-/// and draw stream, plus one [`Probe`] per trial built by
-/// `make_probe(global_trial_index)` and returned in global trial order.
-///
-/// The runner fires [`Probe::on_trial_begin`] with the global index
-/// before each trial, then hands the probe to
-/// [`CoverDriver::run_probed`]. Because probes are keyed by global trial
-/// index and never touch the RNG, telemetry is bit-reproducible at any
-/// worker count, and a `NoopProbe` factory reproduces
-/// [`run_cover_trials`] exactly (pinned in `tests/probe_neutrality.rs`).
-pub fn run_cover_trials_probed<P, Pb, F>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &TrialPlan,
-    make_probe: F,
-) -> (TrialOutcome, Vec<Pb>)
-where
-    P: Process + ?Sized,
-    Pb: Probe + Send,
-    F: Fn(u64) -> Pb + Sync,
-{
-    let seq = SeedSequence::new(plan.master_seed);
-    let pairs: Vec<(Option<usize>, Pb)> = (0..plan.trials)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = seq.rng_at(i as u64);
-            let mut probe = make_probe(i as u64);
-            probe.on_trial_begin(i as u64);
-            let res = CoverDriver::new(g)
-                .run_probed(&process, start, plan.max_steps, &mut rng, &mut probe)
-                .expect("non-empty graph");
-            (res.completed.then_some(res.steps), probe)
-        })
-        .collect();
-    split_probed(pairs)
-}
-
-/// Probed variant of [`run_cover_trials_typed`]: the batched
-/// scratch+sampler engine with a per-trial [`Probe`] from
-/// `make_probe(global_trial_index)`, returned in global trial order.
-/// Same seeds and draws as the unprobed runner — a `NoopProbe` factory
-/// is bit-identical to [`run_cover_trials_typed`] at any worker count.
-pub fn run_cover_trials_typed_probed<P, Pb, F>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &TrialPlan,
-    make_probe: F,
-) -> (TrialOutcome, Vec<Pb>)
-where
-    P: TypedProcess + Sync,
-    Pb: Probe + Send,
-    F: Fn(u64) -> Pb + Sync,
-{
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let driver = CoverDriver::new(g);
-    let pairs: Vec<(Option<usize>, Pb)> = (0..plan.trials)
-        .into_par_iter()
-        .map_init(
-            || TrialScratch::new(g),
-            |scratch, i| {
-                let mut rng = seq.rng_at(i as u64);
-                let mut probe = make_probe(i as u64);
-                probe.on_trial_begin(i as u64);
-                let res = driver
-                    .run_typed_in_probed(
-                        process,
-                        &sampler,
-                        scratch,
-                        start,
-                        plan.max_steps,
-                        &mut rng,
-                        &mut probe,
-                    )
-                    .expect("non-empty graph");
-                (res.completed.then_some(res.steps), probe)
-            },
-        )
-        .collect();
-    split_probed(pairs)
-}
-
-/// Probed variant of [`run_cover_trials_implicit`]: the arithmetic
-/// [`ImplicitDraw`] engine with a per-trial [`Probe`] from
-/// `make_probe(global_trial_index)`, returned in global trial order.
-/// Never lane-routed, like its unprobed twin; a `NoopProbe` factory is
-/// bit-identical to [`run_cover_trials_implicit`].
+/// [`run_cover_trials_implicit`] with one [`Probe`] per trial, exactly as
+/// [`run_cover_trials_typed_probed`] is to [`run_cover_trials_typed`].
 pub fn run_cover_trials_implicit_probed<G, P, Pb, F>(
     g: &G,
     process: &P,
@@ -310,175 +548,16 @@ where
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
-    let seq = SeedSequence::new(plan.master_seed);
-    let driver = CoverDriver::new(g);
-    let pairs: Vec<(Option<usize>, Pb)> = (0..plan.trials)
-        .into_par_iter()
-        .map_init(
-            || TrialScratch::new(g),
-            |scratch, i| {
-                let mut rng = seq.rng_at(i as u64);
-                let mut probe = make_probe(i as u64);
-                probe.on_trial_begin(i as u64);
-                let res = driver
-                    .run_typed_in_probed(
-                        process,
-                        &ImplicitDraw,
-                        scratch,
-                        start,
-                        plan.max_steps,
-                        &mut rng,
-                        &mut probe,
-                    )
-                    .expect("non-empty graph");
-                (res.completed.then_some(res.steps), probe)
-            },
-        )
-        .collect();
-    split_probed(pairs)
-}
-
-/// Measure hitting times `start → target` of `process` over
-/// `plan.trials` independent runs (parallel).
-pub fn run_hitting_trials<P: Process + ?Sized>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    target: Vertex,
-    plan: &TrialPlan,
-) -> TrialOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let times: Vec<Option<usize>> = (0..plan.trials)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = seq.rng_at(i as u64);
-            let res = HittingDriver::new(g).run(&process, start, target, plan.max_steps, &mut rng);
-            res.hit.then_some(res.steps)
-        })
-        .collect();
-    aggregate(times)
-}
-
-/// Fast-path variant of [`run_hitting_trials`] through the batched
-/// scratch engine ([`HittingDriver::run_typed_in`] with a shared
-/// [`NeighborSampler`] and per-worker [`TrialScratch`]); bit-identical
-/// outcomes on the same plan at any worker count.
-pub fn run_hitting_trials_typed<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    target: Vertex,
-    plan: &TrialPlan,
-) -> TrialOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let driver = HittingDriver::new(g);
-    let times: Vec<Option<usize>> = (0..plan.trials)
-        .into_par_iter()
-        .map_init(
-            || TrialScratch::new(g),
-            |scratch, i| {
-                let mut rng = seq.rng_at(i as u64);
-                let res = driver.run_typed_in(
-                    process,
-                    &sampler,
-                    scratch,
-                    start,
-                    target,
-                    plan.max_steps,
-                    &mut rng,
-                );
-                res.hit.then_some(res.steps)
-            },
-        )
-        .collect();
-    aggregate(times)
-}
-
-/// Largest vertex count for which the bit-sliced lane engine is the
-/// default. Below this the per-round lane overhead (three `n`-word
-/// bitset scans) is dwarfed by the 64-way draw sharing; above it the
-/// scans dominate and the per-trial scratch engine's sparse frontier
-/// wins. The crossover on this hardware sits well past 1024 for cover
-/// cells, but 1024 keeps a comfortable margin.
-pub const LANE_MAX_N: usize = 1024;
-
-/// Whether the bit-sliced lane engine applies to a cover cell: the graph
-/// must be small (`n ≤` [`LANE_MAX_N`]), the workload wide enough to
-/// fill lanes (`trials ≥` [`LANE_WIDTH`]), and the process must have a
-/// lane-parallel form ([`TypedProcess::lane_branching`] — `k`-cobra
-/// walks and the non-lazy simple walk do; processes with per-pebble
-/// auxiliary state do not).
-///
-/// For adaptive runs pass the rule's `max_trials`: eligibility must not
-/// depend on how many trials end up consumed, or the engine choice
-/// (and with it the RNG stream) would depend on the data.
-///
-/// The lane engine is **CSR-only by construction**: this gate takes
-/// `&Graph` (not a generic [`ImplicitGraph`]) because
-/// [`run_lane_cover`] shares draws through a materialized
-/// [`NeighborSampler`] table. Implicit families must not be squeezed
-/// through a CSR conversion just to reach the lanes — they route
-/// through [`run_cover_trials_implicit`], whose stream stays
-/// bit-compatible with the scratch engine. Keeping the `&Graph`
-/// signature here makes misrouting a compile error rather than a
-/// silent de-implicitization.
-pub fn lane_cover_applies<P: TypedProcess>(g: &Graph, process: &P, trials: usize) -> bool {
-    g.num_vertices() <= LANE_MAX_N && trials >= LANE_WIDTH && process.lane_branching().is_some()
-}
-
-/// Flattened cover times of lane batches `batch_range`, in global trial
-/// order (batch-major, lane-minor: trial `i` is lane `i % 64` of batch
-/// `i / 64`).
-///
-/// Every batch always computes all [`LANE_WIDTH`] lanes against the full
-/// mask — a narrower mask would change the shared-draw stream, and the
-/// full-width-then-truncate discipline is what gives lane runs their
-/// prefix property (a `trials = n` run is a bitwise prefix of a
-/// `trials = m ≥ n` run, and an adaptive run is a prefix of the fixed
-/// run). Batch `b` seeds from `SeedSequence::rng_at(b)`, and the
-/// parallel collect preserves batch order, so the result is identical at
-/// any worker count and for any partition of `batch_range` into
-/// consecutive sub-ranges.
-fn lane_cover_times<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    max_steps: usize,
-    master_seed: u64,
-    batch_range: std::ops::Range<usize>,
-) -> Vec<Option<usize>> {
-    let k = process
-        .lane_branching()
-        .expect("process has no lane-parallel form");
-    let seq = SeedSequence::new(master_seed);
-    let sampler = NeighborSampler::new(g);
-    let outs: Vec<_> = batch_range
-        .into_par_iter()
-        .map_init(
-            || LaneScratch::new(g),
-            |scratch, b| {
-                let mut rng = seq.rng_at(b as u64);
-                run_lane_cover(
-                    g,
-                    &sampler,
-                    k,
-                    start,
-                    u64::MAX,
-                    max_steps,
-                    scratch,
-                    &mut rng,
-                )
-            },
-        )
-        .collect();
-    let mut times = Vec::with_capacity(outs.len() * LANE_WIDTH);
-    for out in &outs {
-        for lane in 0..LANE_WIDTH {
-            times.push(out.cover_time(lane));
-        }
-    }
-    times
+    TrialStream::scratch(
+        g,
+        process,
+        ImplicitDraw,
+        start,
+        None,
+        plan.max_steps,
+        plan.master_seed,
+    )
+    .run_fixed(plan.trials, make_probe)
 }
 
 /// Measure cover times through the bit-sliced 64-lane engine: whole
@@ -486,51 +565,23 @@ fn lane_cover_times<P: TypedProcess + Sync>(
 /// draws across lanes (see [`cobra_core::lanes`]), which is what makes
 /// small-`n` cover cells cheap — per-trial dispatch no longer dominates.
 ///
+/// One [`Probe`] per 64-lane **batch** (the lane engine's natural
+/// observation unit), built by `make_probe(batch_index)` and returned in
+/// batch order; the lane kernel reports rounds, live-lane counts, pooled
+/// draw totals, and (vertex, lane) coverage deltas (see
+/// [`cobra_core::lanes::run_lane_cover_probed`]).
+///
 /// Seeding is per *batch* (`SeedSequence::rng_at(batch_index)`), so the
 /// result is bit-identical at any worker count, and a run with fewer
 /// trials is a bitwise prefix of a longer run with the same master seed.
 /// Because lanes share draws, individual trials do **not** reproduce the
 /// serial engines' trials; cover-time *distributions* agree (each lane's
 /// marginal law is exactly the process — see the module docs), and the
-/// `tests/lanes.rs` KS harness pins that. Callers who need trial-level
-/// reproducibility against the serial stream use
-/// [`run_cover_trials_typed`]; [`run_cover_trials_auto`] picks per cell.
+/// `tests/lanes.rs` KS harness pins that.
 ///
-/// The caller is responsible for eligibility
-/// ([`lane_cover_applies`]) — this runner itself accepts any typed
-/// process with a lane form and panics otherwise.
-pub fn run_cover_trials_lanes<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &TrialPlan,
-) -> TrialOutcome {
-    let batches = plan.trials.div_ceil(LANE_WIDTH);
-    let mut times = lane_cover_times(
-        g,
-        process,
-        start,
-        plan.max_steps,
-        plan.master_seed,
-        0..batches,
-    );
-    // The tail batch computes all 64 lanes regardless (the stream is a
-    // unit); surplus lanes are discarded here, preserving the prefix
-    // property.
-    times.truncate(plan.trials);
-    aggregate(times)
-}
-
-/// Probed variant of [`run_cover_trials_lanes`]: one [`Probe`] per
-/// 64-lane **batch** (the lane engine's natural observation unit — lanes
-/// share draws, so per-lane draw attribution does not exist), built by
-/// `make_probe(batch_index)` and returned in batch order. The runner
-/// fires [`Probe::on_trial_begin`] with the batch index; the lane kernel
-/// reports rounds, live-lane counts, pooled draw totals, and
-/// (vertex, lane) coverage deltas (see
-/// [`cobra_core::lanes::run_lane_cover_probed`]). Seeds and draws match
-/// the unprobed lane runner exactly — a `NoopProbe` factory is
-/// bit-identical to [`run_cover_trials_lanes`].
+/// The caller is responsible for eligibility ([`lane_cover_applies`]) —
+/// this runner itself accepts any typed process with a lane form and
+/// panics otherwise.
 pub fn run_cover_trials_lanes_probed<P, Pb, F>(
     g: &Graph,
     process: &P,
@@ -543,63 +594,32 @@ where
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
-    let k = process
-        .lane_branching()
-        .expect("process has no lane-parallel form");
-    let batches = plan.trials.div_ceil(LANE_WIDTH);
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let outs: Vec<_> = (0..batches)
-        .into_par_iter()
-        .map_init(
-            || LaneScratch::new(g),
-            |scratch, b| {
-                let mut rng = seq.rng_at(b as u64);
-                let mut probe = make_probe(b as u64);
-                probe.on_trial_begin(b as u64);
-                let out = run_lane_cover_probed(
-                    g,
-                    &sampler,
-                    k,
-                    start,
-                    u64::MAX,
-                    plan.max_steps,
-                    scratch,
-                    &mut rng,
-                    &mut probe,
-                );
-                (out, probe)
-            },
-        )
-        .collect();
-    let mut times = Vec::with_capacity(batches * LANE_WIDTH);
-    let mut probes = Vec::with_capacity(batches);
-    for (out, probe) in outs {
-        for lane in 0..LANE_WIDTH {
-            times.push(out.cover_time(lane));
-        }
-        probes.push(probe);
-    }
-    times.truncate(plan.trials);
-    (aggregate(times), probes)
+    TrialStream::lanes(g, process, start, plan.max_steps, plan.master_seed)
+        .run_fixed(plan.trials, make_probe)
 }
 
-/// Cover trials through the best engine for the cell: the 64-lane
-/// engine when [`lane_cover_applies`], else the per-trial scratch
-/// engine ([`run_cover_trials_typed`]). The choice depends only on the
-/// plan and the cell shape — never on trial outcomes — so a given cell
-/// always uses the same engine and stays reproducible.
-pub fn run_cover_trials_auto<P: TypedProcess + Sync>(
+/// Measure hitting times `start → target` of `process` over
+/// `plan.trials` independent runs on the batched scratch engine
+/// ([`HittingDriver::run_typed_in`] with a shared [`NeighborSampler`]
+/// and per-worker [`TrialScratch`]); bit-identical outcomes on the same
+/// plan at any worker count.
+pub fn run_hitting_trials_typed<P: TypedProcess + Sync>(
     g: &Graph,
     process: &P,
     start: Vertex,
+    target: Vertex,
     plan: &TrialPlan,
 ) -> TrialOutcome {
-    if lane_cover_applies(g, process, plan.trials) {
-        run_cover_trials_lanes(g, process, start, plan)
-    } else {
-        run_cover_trials_typed(g, process, start, plan)
-    }
+    csr_stream(
+        g,
+        process,
+        start,
+        Some(target),
+        plan.max_steps,
+        plan.master_seed,
+    )
+    .run_fixed(plan.trials, |_| NoopProbe)
+    .0
 }
 
 /// Outcome of an adaptive (sequentially stopped) batch of trials.
@@ -686,8 +706,10 @@ pub struct ResumableOutcome {
 /// reconstructing the summary/censoring/precision state an uninterrupted
 /// adaptive run had after those trials. Stopping decisions are made
 /// per-trial in global order, so entries past the stopping index (or the
-/// trial cap) are ignored.
-fn replay_prefix(rule: &crate::convergence::StopRule, times: &[Option<usize>]) -> AdaptiveOutcome {
+/// trial cap) are ignored. `--resume` uses this to render completed
+/// cells into the final manifest byte-identically without recomputing a
+/// single trial.
+pub fn replay_outcomes(rule: &StopRule, times: &[Option<usize>]) -> AdaptiveOutcome {
     let mut summary = Summary::new();
     let mut censored = 0usize;
     let mut met = false;
@@ -712,295 +734,22 @@ fn replay_prefix(rule: &crate::convergence::StopRule, times: &[Option<usize>]) -
     }
 }
 
-/// Public view of the internal `replay_prefix`: rebuild an [`AdaptiveOutcome`] from
-/// a checkpointed per-trial outcome stream. Used by `--resume` to render
-/// completed cells into the final manifest byte-identically without
-/// recomputing a single trial.
-pub fn replay_outcomes(
-    rule: &crate::convergence::StopRule,
-    times: &[Option<usize>],
-) -> AdaptiveOutcome {
-    replay_prefix(rule, times)
-}
-
-/// The shared control loop of every adaptive engine, resumable at batch
-/// boundaries.
+/// Adaptive cover trials, resumable at batch boundaries: runs until
+/// `plan.rule` is satisfied (or its trial cap is hit) on the 64-lane
+/// engine when [`lane_cover_applies`] at the rule's `max_trials`, else
+/// on the scratch engine. Eligibility uses the cap — not the consumed
+/// count — so the engine choice (and the RNG stream) never depends on
+/// the data, and a resumed cell re-routes to the engine its checkpoint
+/// came from.
 ///
-/// Semantics: trials are conceptually consumed one at a time in global
-/// index order, with the stop rule consulted after every trial — exactly
-/// the serial [`crate::convergence::run_until_precise`] loop. Execution
-/// speculates ahead through `extend(lo, hi)`, which appends per-trial
-/// outcomes for global indices `lo..` (at least through `hi`; the lane
-/// extender rounds up to whole 64-lane batches), then replays the new
-/// outcomes serially against the rule. Because each trial's outcome
-/// depends only on its global index, and the stopping index only on the
-/// ordered prefix of outcomes, the result is bit-identical across worker
-/// counts, batch sizes, **and** resume points: seeding the loop with a
-/// `prior` prefix (from a checkpoint) replays it through the rule and
-/// continues exactly where an uninterrupted run would be.
-///
-/// `on_batch` runs at every batch boundary that leaves work remaining,
-/// receiving the consumed prefix — the checkpoint/watchdog seam.
-fn adaptive_stream_loop(
-    plan: &AdaptivePlan,
-    prior: Vec<Option<usize>>,
-    mut extend: impl FnMut(usize, usize) -> Vec<Option<usize>>,
-    mut on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
-) -> ResumableOutcome {
-    let rule = plan.rule;
-    let mut times = prior;
-    let mut outcome = replay_prefix(&rule, &times);
-    let mut consumed = outcome.trials_run();
-    // Entries past the replayed stopping index (reachable only from a
-    // prior that over-ran the rule) are not part of the consumed stream.
-    times.truncate(consumed);
-    let mut halted = false;
-    while consumed < rule.max_trials && !outcome.precision_met && !halted {
-        // Never launch past the cap, and never speculate past the first
-        // point the rule could actually fire: the opening batch runs
-        // exactly to `min_trials` (an easy cell then computes the
-        // minimum and nothing more), later batches extend by
-        // `plan.batch`. Speculation depth never changes results — only
-        // how much computed-then-discarded work a stop can strand.
-        let horizon = if consumed < rule.min_trials {
-            rule.min_trials
-        } else {
-            consumed + plan.batch
-        };
-        let hi = horizon.min(rule.max_trials);
-        if times.len() < hi {
-            let lo = times.len();
-            let more = extend(lo, hi);
-            debug_assert!(lo + more.len() >= hi, "extender under-filled the horizon");
-            times.extend(more);
-        }
-        while consumed < hi && !outcome.precision_met {
-            match times[consumed] {
-                Some(steps) => {
-                    outcome.summary.push(steps as f64);
-                    if rule.satisfied(&outcome.summary) {
-                        outcome.precision_met = true;
-                    }
-                }
-                None => outcome.censored += 1,
-            }
-            consumed += 1;
-        }
-        if !outcome.precision_met && consumed < rule.max_trials {
-            if let BatchControl::Halt = on_batch(&times[..consumed]) {
-                halted = true;
-            }
-        }
-    }
-    times.truncate(consumed);
-    ResumableOutcome {
-        outcome,
-        times,
-        halted,
-    }
-}
-
-/// The adaptive batch engine shared by the cover and hitting scratch
-/// runners: [`adaptive_stream_loop`] with a worker-parallel extender
-/// (per-worker scratch via `map_init`, per-trial RNGs from the global
-/// index).
-fn run_adaptive_batches_resumable<S, Init, Trial>(
-    plan: &AdaptivePlan,
-    prior: Vec<Option<usize>>,
-    init: Init,
-    trial: Trial,
-    on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
-) -> ResumableOutcome
-where
-    Init: Fn() -> S + Sync,
-    Trial: Fn(&mut S, usize) -> Option<usize> + Sync,
-{
-    adaptive_stream_loop(
-        plan,
-        prior,
-        |lo, hi| {
-            (lo..hi)
-                .into_par_iter()
-                .map_init(&init, |scratch, i| trial(scratch, i))
-                .collect()
-        },
-        on_batch,
-    )
-}
-
-/// Non-resumable wrapper kept for the fixed entry points.
-fn run_adaptive_batches<S, Init, Trial>(
-    plan: &AdaptivePlan,
-    init: Init,
-    trial: Trial,
-) -> AdaptiveOutcome
-where
-    Init: Fn() -> S + Sync,
-    Trial: Fn(&mut S, usize) -> Option<usize> + Sync,
-{
-    run_adaptive_batches_resumable(plan, Vec::new(), init, trial, |_| BatchControl::Continue)
-        .outcome
-}
-
-/// Adaptive variant of [`run_cover_trials_typed`]: runs cover trials in
-/// worker-parallel batches on the scratch+sampler path until
-/// `plan.rule` is satisfied (or its trial cap is hit). Trial `i` draws
-/// the same RNG as in the fixed-plan runner, so an adaptive run that
-/// consumes `n` trials reproduces the fixed runner's first `n` trials
-/// bit-for-bit, at any worker count and batch size.
-pub fn run_cover_trials_adaptive<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &AdaptivePlan,
-) -> AdaptiveOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let driver = CoverDriver::new(g);
-    run_adaptive_batches(
-        plan,
-        || TrialScratch::new(g),
-        |scratch, i| {
-            let mut rng = seq.rng_at(i as u64);
-            let res = driver
-                .run_typed_in(process, &sampler, scratch, start, plan.max_steps, &mut rng)
-                .expect("non-empty graph");
-            res.completed.then_some(res.steps)
-        },
-    )
-}
-
-/// Adaptive variant of [`run_cover_trials_lanes`]: sequential stopping
-/// with the exact horizon discipline of [`run_cover_trials_adaptive`]
-/// (speculate to `min_trials`, then extend by `plan.batch`, cap at
-/// `max_trials`; replay serially against the rule), but trials come from
-/// the lane engine's flattened global stream. Lane batches are computed
-/// whole — the shared-draw stream of a 64-lane batch is a unit — and the
-/// flattened outcome vector is extended exactly to cover each horizon,
-/// so the stopping index is independent of `plan.batch` and worker
-/// count, and a run consuming `n` trials reproduces
-/// [`run_cover_trials_lanes`]' first `n` trials bit-for-bit.
-pub fn run_cover_trials_adaptive_lanes<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &AdaptivePlan,
-) -> AdaptiveOutcome {
-    run_cover_trials_adaptive_lanes_resumable(g, process, start, plan, Vec::new(), |_| {
-        BatchControl::Continue
-    })
-    .outcome
-}
-
-/// Resumable form of [`run_cover_trials_adaptive_lanes`]: seed with a
-/// checkpointed `prior` prefix and observe batch boundaries via
-/// `on_batch`. A resume from any consumed prefix is bit-identical to the
-/// uninterrupted run (the lane stream is prefix-stable and
-/// random-access by batch, so a prior ending mid-batch recomputes only
-/// that batch's already-consumed lanes and discards them).
-pub fn run_cover_trials_adaptive_lanes_resumable<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &AdaptivePlan,
-    prior: Vec<Option<usize>>,
-    on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
-) -> ResumableOutcome {
-    adaptive_stream_loop(
-        plan,
-        prior,
-        |lo, hi| {
-            // Lane batches are computed whole (the shared-draw stream of
-            // a 64-lane batch is a unit); when `lo` sits mid-batch the
-            // already-consumed lanes of that batch are recomputed and
-            // dropped, preserving the flattened global stream exactly.
-            let first = lo / LANE_WIDTH;
-            let need = hi.div_ceil(LANE_WIDTH);
-            let mut v = lane_cover_times(
-                g,
-                process,
-                start,
-                plan.max_steps,
-                plan.master_seed,
-                first..need,
-            );
-            v.drain(..lo - first * LANE_WIDTH);
-            v
-        },
-        on_batch,
-    )
-}
-
-/// Adaptive cover trials through the best engine for the cell: the
-/// 64-lane engine when [`lane_cover_applies`] at the rule's
-/// `max_trials`, else the scratch engine. Eligibility uses the cap —
-/// not the consumed count — so the engine choice (and the RNG stream)
-/// never depends on the data.
-pub fn run_cover_trials_adaptive_auto<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &AdaptivePlan,
-) -> AdaptiveOutcome {
-    if lane_cover_applies(g, process, plan.rule.max_trials) {
-        run_cover_trials_adaptive_lanes(g, process, start, plan)
-    } else {
-        run_cover_trials_adaptive(g, process, start, plan)
-    }
-}
-
-/// Adaptive variant of [`run_hitting_trials_typed`]; same engine and
-/// seeding invariants as [`run_cover_trials_adaptive`].
-pub fn run_hitting_trials_adaptive<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    target: Vertex,
-    plan: &AdaptivePlan,
-) -> AdaptiveOutcome {
-    run_hitting_trials_adaptive_resumable(g, process, start, target, plan, Vec::new(), |_| {
-        BatchControl::Continue
-    })
-    .outcome
-}
-
-/// Resumable form of [`run_cover_trials_adaptive`]: seed with a
-/// checkpointed `prior` outcome prefix and observe batch boundaries via
-/// `on_batch` (the checkpoint/watchdog seam). Resuming from any consumed
-/// prefix is bit-identical to the uninterrupted run — per-trial RNGs key
-/// on the global trial index and stopping decisions are per-trial, so
-/// the prefix partition cannot affect the result.
-pub fn run_cover_trials_adaptive_resumable<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &AdaptivePlan,
-    prior: Vec<Option<usize>>,
-    on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
-) -> ResumableOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let driver = CoverDriver::new(g);
-    run_adaptive_batches_resumable(
-        plan,
-        prior,
-        || TrialScratch::new(g),
-        |scratch, i| {
-            let mut rng = seq.rng_at(i as u64);
-            let res = driver
-                .run_typed_in(process, &sampler, scratch, start, plan.max_steps, &mut rng)
-                .expect("non-empty graph");
-            res.completed.then_some(res.steps)
-        },
-        on_batch,
-    )
-}
-
-/// Resumable form of [`run_cover_trials_adaptive_auto`]: routes to the
-/// lane or scratch resumable engine by [`lane_cover_applies`] at the
-/// rule's `max_trials` — the same data-independent gate as the
-/// non-resumable auto runner, so a resumed cell always re-routes to the
-/// engine (and stream) its checkpoint came from.
+/// Seed with a checkpointed `prior` prefix and observe batch boundaries
+/// via `on_batch` (the checkpoint/watchdog seam). Trial `i` draws the
+/// same outcome as in the fixed runner on the same engine, so a run
+/// that consumes `n` trials reproduces that runner's first `n` trials
+/// bit-for-bit, at any worker count and batch size — and resuming from
+/// any consumed prefix is bit-identical to the uninterrupted run (the
+/// lane stream is random-access by batch, so a prior ending mid-batch
+/// recomputes only that batch and discards its consumed lanes).
 pub fn run_cover_trials_adaptive_auto_resumable<P: TypedProcess + Sync>(
     g: &Graph,
     process: &P,
@@ -1009,15 +758,20 @@ pub fn run_cover_trials_adaptive_auto_resumable<P: TypedProcess + Sync>(
     prior: Vec<Option<usize>>,
     on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
 ) -> ResumableOutcome {
-    if lane_cover_applies(g, process, plan.rule.max_trials) {
-        run_cover_trials_adaptive_lanes_resumable(g, process, start, plan, prior, on_batch)
-    } else {
-        run_cover_trials_adaptive_resumable(g, process, start, plan, prior, on_batch)
-    }
+    let stream = cover_stream(
+        g,
+        process,
+        start,
+        plan.max_steps,
+        plan.master_seed,
+        plan.rule.max_trials,
+    );
+    stream.run_adaptive(plan, prior, on_batch)
 }
 
-/// Resumable form of [`run_hitting_trials_adaptive`]; same invariants as
-/// [`run_cover_trials_adaptive_resumable`].
+/// Adaptive hitting trials on the scratch engine, resumable at batch
+/// boundaries; same seeding and resume invariants as
+/// [`run_cover_trials_adaptive_auto_resumable`].
 pub fn run_hitting_trials_adaptive_resumable<P: TypedProcess + Sync>(
     g: &Graph,
     process: &P,
@@ -1027,36 +781,58 @@ pub fn run_hitting_trials_adaptive_resumable<P: TypedProcess + Sync>(
     prior: Vec<Option<usize>>,
     on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
 ) -> ResumableOutcome {
-    let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(g);
-    let driver = HittingDriver::new(g);
-    run_adaptive_batches_resumable(
-        plan,
-        prior,
-        || TrialScratch::new(g),
-        |scratch, i| {
-            let mut rng = seq.rng_at(i as u64);
-            let res = driver.run_typed_in(
-                process,
-                &sampler,
-                scratch,
-                start,
-                target,
-                plan.max_steps,
-                &mut rng,
-            );
-            res.hit.then_some(res.steps)
-        },
-        on_batch,
+    csr_stream(
+        g,
+        process,
+        start,
+        Some(target),
+        plan.max_steps,
+        plan.master_seed,
     )
+    .run_adaptive(plan, prior, on_batch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::StopRule;
     use cobra_core::{CobraWalk, SimpleWalk};
     use cobra_graph::generators::classic;
+
+    fn noop(_: u64) -> NoopProbe {
+        NoopProbe
+    }
+
+    fn go_on(_: &[Option<usize>]) -> BatchControl {
+        BatchControl::Continue
+    }
+
+    /// The scratch engine's stream for a cover cell from vertex 0,
+    /// whatever the router would pick for it.
+    fn scratch<'a, P: TypedProcess + Sync>(
+        g: &'a Graph,
+        process: &'a P,
+        max_steps: usize,
+        seed: u64,
+    ) -> TrialStream<'a, Graph, P, NeighborSampler> {
+        csr_stream(g, process, 0, None, max_steps, seed)
+    }
+
+    /// The lane engine's stream for a cover cell from vertex 0.
+    fn lanes<'a, P: TypedProcess + Sync>(
+        g: &'a Graph,
+        process: &'a P,
+        max_steps: usize,
+        seed: u64,
+    ) -> TrialStream<'a, Graph, P, NeighborSampler> {
+        TrialStream::lanes(g, process, 0, max_steps, seed)
+    }
+
+    fn adaptive<P: TypedProcess + Sync>(
+        stream: &TrialStream<'_, Graph, P, NeighborSampler>,
+        plan: &AdaptivePlan,
+    ) -> AdaptiveOutcome {
+        stream.run_adaptive(plan, Vec::new(), go_on).outcome
+    }
 
     #[test]
     fn adaptive_prefix_matches_fixed_runner_bitwise() {
@@ -1066,7 +842,7 @@ mod tests {
         let cobra = CobraWalk::standard();
         let rule = StopRule::new(8, 200, 0.05);
         let plan = AdaptivePlan::new(rule, 16, 100_000, 77);
-        let out = run_cover_trials_adaptive(&g, &cobra, 0, &plan);
+        let out = adaptive(&scratch(&g, &cobra, 100_000, 77), &plan);
         assert!(out.precision_met);
         let n = out.trials_run();
         assert!((rule.min_trials..=rule.max_trials).contains(&n));
@@ -1088,7 +864,7 @@ mod tests {
         let rule = StopRule::new(6, 500, 0.04);
         for batch in [1usize, 7, 64] {
             let plan = AdaptivePlan::new(rule, batch, 10_000, 0xAB);
-            let out = run_cover_trials_adaptive(&g, &cobra, 0, &plan);
+            let out = adaptive(&scratch(&g, &cobra, 10_000, 0xAB), &plan);
             assert!(out.precision_met);
             // Serial oracle: feed the same trial values (complete graph
             // cover always completes) one at a time.
@@ -1114,7 +890,8 @@ mod tests {
         let cobra = CobraWalk::standard();
         let rule = StopRule::new(10, 2000, 0.05);
         let plan = AdaptivePlan::new(rule, 32, 10_000, 5);
-        let out = run_hitting_trials_adaptive(&g, &cobra, 0, 3, &plan);
+        let out = run_hitting_trials_adaptive_resumable(&g, &cobra, 0, 3, &plan, Vec::new(), go_on)
+            .outcome;
         assert!(out.precision_met);
         assert_eq!(out.censored, 0);
         assert!(out.summary.mean() > 0.0);
@@ -1129,7 +906,7 @@ mod tests {
         let g = classic::path(60).unwrap();
         let rule = StopRule::new(4, 24, 0.1);
         let plan = AdaptivePlan::new(rule, 10, 5, 3);
-        let out = run_cover_trials_adaptive(&g, &SimpleWalk::new(), 0, &plan);
+        let out = adaptive(&scratch(&g, &SimpleWalk::new(), 5, 3), &plan);
         assert!(!out.precision_met);
         assert_eq!(out.censored, 24);
         assert_eq!(out.summary.count(), 0);
@@ -1141,7 +918,7 @@ mod tests {
     fn adaptive_outcome_converts_to_trial_outcome() {
         let g = classic::complete(10).unwrap();
         let plan = AdaptivePlan::new(StopRule::new(4, 50, 0.2), 8, 1000, 9);
-        let out = run_cover_trials_adaptive(&g, &CobraWalk::standard(), 0, &plan);
+        let out = adaptive(&scratch(&g, &CobraWalk::standard(), 1000, 9), &plan);
         let as_fixed = out.to_trial_outcome();
         assert_eq!(as_fixed.summary.count(), out.summary.count());
         assert_eq!(as_fixed.censored, out.censored);
@@ -1152,7 +929,7 @@ mod tests {
     fn cover_trials_complete_on_small_graph() {
         let g = classic::complete(12).unwrap();
         let plan = TrialPlan::new(40, 10_000, 1);
-        let out = run_cover_trials(&g, &CobraWalk::standard(), 0, &plan);
+        let out = run_cover_trials_typed(&g, &CobraWalk::standard(), 0, &plan);
         assert_eq!(out.censored, 0);
         assert_eq!(out.summary.count(), 40);
         assert!(out.summary.mean() >= 4.0, "cannot cover K12 in < 4 rounds");
@@ -1163,8 +940,8 @@ mod tests {
     fn results_are_reproducible() {
         let g = classic::cycle(20).unwrap();
         let plan = TrialPlan::new(25, 100_000, 7);
-        let a = run_cover_trials(&g, &CobraWalk::standard(), 0, &plan);
-        let b = run_cover_trials(&g, &CobraWalk::standard(), 0, &plan);
+        let a = run_cover_trials_typed(&g, &CobraWalk::standard(), 0, &plan);
+        let b = run_cover_trials_typed(&g, &CobraWalk::standard(), 0, &plan);
         assert_eq!(a.summary.count(), b.summary.count());
         assert!((a.summary.mean() - b.summary.mean()).abs() < 1e-12);
         assert_eq!(a.summary.median(), b.summary.median());
@@ -1173,13 +950,13 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let g = classic::cycle(20).unwrap();
-        let a = run_cover_trials(
+        let a = run_cover_trials_typed(
             &g,
             &CobraWalk::standard(),
             0,
             &TrialPlan::new(25, 100_000, 1),
         );
-        let b = run_cover_trials(
+        let b = run_cover_trials_typed(
             &g,
             &CobraWalk::standard(),
             0,
@@ -1192,7 +969,7 @@ mod tests {
     fn censoring_is_reported() {
         let g = classic::path(60).unwrap();
         // 10 steps cannot cover a 60-path.
-        let out = run_cover_trials(&g, &SimpleWalk::new(), 0, &TrialPlan::new(10, 10, 3));
+        let out = run_cover_trials_typed(&g, &SimpleWalk::new(), 0, &TrialPlan::new(10, 10, 3));
         assert_eq!(out.censored, 10);
         assert_eq!(out.summary.count(), 0);
         assert_eq!(out.completion_rate(), 0.0);
@@ -1204,7 +981,7 @@ mod tests {
         // and the checked accessor reports that as a value.
         let g = classic::path(60).unwrap();
         let plan = TrialPlan::new(8, 10, 3);
-        let out = run_cover_trials(&g, &SimpleWalk::new(), 0, &plan);
+        let out = run_cover_trials_typed(&g, &SimpleWalk::new(), 0, &plan);
         assert_eq!(out.censored, 8);
         assert!(matches!(
             out.completed_summary(),
@@ -1221,7 +998,7 @@ mod tests {
         // seeds and compare moments bitwise.
         let g = classic::cycle(16).unwrap();
         let plan = TrialPlan::new(60, 120, 11);
-        let out = run_cover_trials(&g, &SimpleWalk::new(), 0, &plan);
+        let out = run_cover_trials_typed(&g, &SimpleWalk::new(), 0, &plan);
         assert!(out.censored > 0, "expected some censored trials");
         assert!(out.summary.count() > 0, "expected some completed trials");
         assert_eq!(out.summary.count() + out.censored, plan.trials);
@@ -1231,7 +1008,7 @@ mod tests {
         for i in 0..plan.trials {
             let mut rng = seq.rng_at(i as u64);
             let res = CoverDriver::new(&g)
-                .run(&SimpleWalk::new(), 0, plan.max_steps, &mut rng)
+                .run_typed(&SimpleWalk::new(), 0, plan.max_steps, &mut rng)
                 .unwrap();
             if res.completed {
                 completed.push(res.steps as f64);
@@ -1247,26 +1024,25 @@ mod tests {
 
     #[test]
     fn typed_trials_match_dyn_trials_bitwise() {
+        // Values the retired boxed-state dyn runners recorded on this plan.
         let g = classic::complete(16).unwrap();
         let plan = TrialPlan::new(32, 10_000, 21);
         let cobra = CobraWalk::standard();
-        let a = run_cover_trials(&g, &cobra, 0, &plan);
-        let b = run_cover_trials_typed(&g, &cobra, 0, &plan);
-        assert_eq!(a.censored, b.censored);
-        assert_eq!(a.summary.count(), b.summary.count());
-        assert_eq!(a.summary.mean(), b.summary.mean());
-        assert_eq!(a.summary.median(), b.summary.median());
-        let h_dyn = run_hitting_trials(&g, &cobra, 0, 9, &plan);
-        let h_typed = run_hitting_trials_typed(&g, &cobra, 0, 9, &plan);
-        assert_eq!(h_dyn.summary.mean(), h_typed.summary.mean());
-        assert_eq!(h_dyn.censored, h_typed.censored);
+        let cover = run_cover_trials_typed(&g, &cobra, 0, &plan);
+        assert_eq!((cover.summary.count(), cover.censored), (32, 0));
+        assert_eq!(cover.summary.mean().to_bits(), 0x4018_4000_0000_0001);
+        assert_eq!(cover.summary.median(), 6.0);
+        let hit = run_hitting_trials_typed(&g, &cobra, 0, 9, &plan);
+        assert_eq!((hit.summary.count(), hit.censored), (32, 0));
+        assert_eq!(hit.summary.mean(), 3.1875);
+        assert_eq!(hit.summary.median(), 3.0);
     }
 
     #[test]
     fn hitting_trials_measure_adjacent_hop() {
         let g = classic::complete(5).unwrap();
         let plan = TrialPlan::new(200, 10_000, 4);
-        let out = run_hitting_trials(&g, &SimpleWalk::new(), 0, 1, &plan);
+        let out = run_hitting_trials_typed(&g, &SimpleWalk::new(), 0, 1, &plan);
         assert_eq!(out.censored, 0);
         // On K_5, hitting a fixed other vertex is geometric(1/4): mean 4.
         let mean = out.summary.mean();
@@ -1276,7 +1052,8 @@ mod tests {
     #[test]
     fn hitting_start_equals_target() {
         let g = classic::cycle(6).unwrap();
-        let out = run_hitting_trials(&g, &SimpleWalk::new(), 2, 2, &TrialPlan::new(5, 100, 5));
+        let out =
+            run_hitting_trials_typed(&g, &SimpleWalk::new(), 2, 2, &TrialPlan::new(5, 100, 5));
         assert_eq!(out.summary.mean(), 0.0);
     }
 
@@ -1329,8 +1106,8 @@ mod tests {
         // And the lane engine on the same plan is a genuinely different
         // stream — if the implicit runner ever silently rerouted to it,
         // the equality above would have been vacuous.
-        let lanes = run_cover_trials_lanes(&g, &cobra, 0, &plan);
-        assert_ne!(implicit.summary.mean(), lanes.summary.mean());
+        let lane = run_cover_trials_lanes_probed(&g, &cobra, 0, &plan, noop).0;
+        assert_ne!(implicit.summary.mean(), lane.summary.mean());
     }
 
     #[test]
@@ -1357,9 +1134,10 @@ mod tests {
         // (resume identity) — both are what the adaptive runner leans on.
         let g = classic::cycle(24).unwrap();
         let cobra = CobraWalk::standard();
-        let two = lane_cover_times(&g, &cobra, 0, 100_000, 42, 0..2);
-        let one = lane_cover_times(&g, &cobra, 0, 100_000, 42, 0..1);
-        let tail = lane_cover_times(&g, &cobra, 0, 100_000, 42, 1..2);
+        let stream = lanes(&g, &cobra, 100_000, 42);
+        let two = stream.extend(0, 2 * LANE_WIDTH, &noop).0;
+        let one = stream.extend(0, LANE_WIDTH, &noop).0;
+        let tail = stream.extend(LANE_WIDTH, 2 * LANE_WIDTH, &noop).0;
         assert_eq!(two.len(), 2 * LANE_WIDTH);
         assert_eq!(&two[..LANE_WIDTH], &one[..]);
         assert_eq!(&two[LANE_WIDTH..], &tail[..]);
@@ -1372,9 +1150,12 @@ mod tests {
         // 128-trial run.
         let g = classic::complete(16).unwrap();
         let cobra = CobraWalk::standard();
-        let out = run_cover_trials_lanes(&g, &cobra, 0, &TrialPlan::new(70, 10_000, 9));
+        let plan = TrialPlan::new(70, 10_000, 9);
+        let out = run_cover_trials_lanes_probed(&g, &cobra, 0, &plan, noop).0;
         assert_eq!(out.summary.count() + out.censored, 70);
-        let full = lane_cover_times(&g, &cobra, 0, 10_000, 9, 0..2);
+        let full = lanes(&g, &cobra, 10_000, 9)
+            .extend(0, 2 * LANE_WIDTH, &noop)
+            .0;
         let oracle = aggregate(full[..70].to_vec());
         assert_eq!(out.summary.count(), oracle.summary.count());
         assert_eq!(out.summary.mean(), oracle.summary.mean());
@@ -1388,9 +1169,9 @@ mod tests {
         // Eligible cell: auto must equal the lane runner bitwise.
         let plan = TrialPlan::new(128, 100_000, 5);
         let auto_out = run_cover_trials_auto(&g, &cobra, 0, &plan);
-        let lanes = run_cover_trials_lanes(&g, &cobra, 0, &plan);
-        assert_eq!(auto_out.summary.mean(), lanes.summary.mean());
-        assert_eq!(auto_out.summary.median(), lanes.summary.median());
+        let lane = run_cover_trials_lanes_probed(&g, &cobra, 0, &plan, noop).0;
+        assert_eq!(auto_out.summary.mean(), lane.summary.mean());
+        assert_eq!(auto_out.summary.median(), lane.summary.median());
         // Ineligible cell (too few trials): auto must equal the scratch
         // engine bitwise.
         let small_plan = TrialPlan::new(20, 100_000, 5);
@@ -1406,11 +1187,12 @@ mod tests {
         let cobra = CobraWalk::standard();
         let rule = StopRule::new(64, 640, 0.05);
         let plan = AdaptivePlan::new(rule, 16, 100_000, 77);
-        let out = run_cover_trials_adaptive_lanes(&g, &cobra, 0, &plan);
+        let out = adaptive(&lanes(&g, &cobra, 100_000, 77), &plan);
         assert!(out.precision_met);
         let n = out.trials_run();
         assert!((rule.min_trials..=rule.max_trials).contains(&n));
-        let fixed = run_cover_trials_lanes(&g, &cobra, 0, &TrialPlan::new(n, 100_000, 77));
+        let fixed_plan = TrialPlan::new(n, 100_000, 77);
+        let fixed = run_cover_trials_lanes_probed(&g, &cobra, 0, &fixed_plan, noop).0;
         assert_eq!(out.summary.count(), fixed.summary.count());
         assert_eq!(out.censored, fixed.censored);
         assert_eq!(out.summary.mean(), fixed.summary.mean());
@@ -1427,7 +1209,7 @@ mod tests {
         let mut reference: Option<AdaptiveOutcome> = None;
         for batch in [1usize, 7, 64] {
             let plan = AdaptivePlan::new(rule, batch, 10_000, 0xAB);
-            let out = run_cover_trials_adaptive_lanes(&g, &cobra, 0, &plan);
+            let out = adaptive(&lanes(&g, &cobra, 10_000, 0xAB), &plan);
             if let Some(r) = &reference {
                 assert_eq!(out.summary.count(), r.summary.count(), "batch {batch}");
                 assert_eq!(out.summary.mean(), r.summary.mean(), "batch {batch}");
@@ -1445,16 +1227,21 @@ mod tests {
         let cobra = CobraWalk::standard();
         // Cap ≥ 64 → lanes; compare against the lane engine bitwise.
         let plan = AdaptivePlan::new(StopRule::new(64, 200, 0.03), 16, 100_000, 3);
-        let auto_out = run_cover_trials_adaptive_auto(&g, &cobra, 0, &plan);
-        let lanes = run_cover_trials_adaptive_lanes(&g, &cobra, 0, &plan);
-        assert_eq!(auto_out.summary.count(), lanes.summary.count());
-        assert_eq!(auto_out.summary.mean(), lanes.summary.mean());
+        let auto_out =
+            run_cover_trials_adaptive_auto_resumable(&g, &cobra, 0, &plan, Vec::new(), go_on);
+        let lane = adaptive(&lanes(&g, &cobra, 100_000, 3), &plan);
+        assert_eq!(auto_out.outcome.summary.count(), lane.summary.count());
+        assert_eq!(auto_out.outcome.summary.mean(), lane.summary.mean());
         // Cap < 64 → scratch engine.
         let small = AdaptivePlan::new(StopRule::new(8, 40, 0.2), 8, 100_000, 3);
-        let auto_small = run_cover_trials_adaptive_auto(&g, &cobra, 0, &small);
-        let scratch = run_cover_trials_adaptive(&g, &cobra, 0, &small);
-        assert_eq!(auto_small.summary.count(), scratch.summary.count());
-        assert_eq!(auto_small.summary.mean(), scratch.summary.mean());
+        let auto_small =
+            run_cover_trials_adaptive_auto_resumable(&g, &cobra, 0, &small, Vec::new(), go_on);
+        let per_trial = adaptive(&scratch(&g, &cobra, 100_000, 3), &small);
+        assert_eq!(
+            auto_small.outcome.summary.count(),
+            per_trial.summary.count()
+        );
+        assert_eq!(auto_small.outcome.summary.mean(), per_trial.summary.mean());
     }
 
     #[test]
@@ -1465,24 +1252,22 @@ mod tests {
         let g = classic::cycle(24).unwrap();
         let cobra = CobraWalk::standard();
         let plan = AdaptivePlan::new(StopRule::new(8, 2000, 0.03), 16, 100_000, 77);
-        let full = run_cover_trials_adaptive_resumable(&g, &cobra, 0, &plan, Vec::new(), |_| {
-            BatchControl::Continue
-        });
+        let stream = scratch(&g, &cobra, 100_000, 77);
+        let full = stream.run_adaptive(&plan, Vec::new(), go_on);
         assert!(!full.halted);
         assert!(full.outcome.precision_met);
         for halt_after in 1..4usize {
             let mut boundaries = 0usize;
             let mut checkpoint: Vec<Option<usize>> = Vec::new();
-            let interrupted =
-                run_cover_trials_adaptive_resumable(&g, &cobra, 0, &plan, Vec::new(), |prefix| {
-                    boundaries += 1;
-                    if boundaries >= halt_after {
-                        checkpoint = prefix.to_vec();
-                        BatchControl::Halt
-                    } else {
-                        BatchControl::Continue
-                    }
-                });
+            let interrupted = stream.run_adaptive(&plan, Vec::new(), |prefix| {
+                boundaries += 1;
+                if boundaries >= halt_after {
+                    checkpoint = prefix.to_vec();
+                    BatchControl::Halt
+                } else {
+                    BatchControl::Continue
+                }
+            });
             if !interrupted.halted {
                 // The rule stopped before the halt-th boundary; nothing
                 // left to resume.
@@ -1490,10 +1275,7 @@ mod tests {
                 continue;
             }
             assert_eq!(interrupted.times, checkpoint);
-            let resumed =
-                run_cover_trials_adaptive_resumable(&g, &cobra, 0, &plan, checkpoint, |_| {
-                    BatchControl::Continue
-                });
+            let resumed = stream.run_adaptive(&plan, checkpoint, go_on);
             assert_eq!(resumed.times, full.times, "halt at boundary {halt_after}");
             assert_eq!(resumed.outcome.summary.mean(), full.outcome.summary.mean());
             assert_eq!(resumed.outcome.censored, full.outcome.censored);
@@ -1509,32 +1291,22 @@ mod tests {
         let g = classic::cycle(24).unwrap();
         let cobra = CobraWalk::standard();
         let plan = AdaptivePlan::new(StopRule::new(64, 640, 0.02), 8, 100_000, 42);
-        let full =
-            run_cover_trials_adaptive_lanes_resumable(&g, &cobra, 0, &plan, Vec::new(), |_| {
-                BatchControl::Continue
-            });
+        let stream = lanes(&g, &cobra, 100_000, 42);
+        let full = stream.run_adaptive(&plan, Vec::new(), go_on);
         let mut halted_once = false;
-        let interrupted =
-            run_cover_trials_adaptive_lanes_resumable(&g, &cobra, 0, &plan, Vec::new(), |prefix| {
-                // Halt at the second boundary: consumed = 64 + 8 = 72,
-                // mid-way through lane batch 1.
-                if prefix.len() >= 72 {
-                    halted_once = true;
-                    BatchControl::Halt
-                } else {
-                    BatchControl::Continue
-                }
-            });
+        let interrupted = stream.run_adaptive(&plan, Vec::new(), |prefix| {
+            // Halt at the second boundary: consumed = 64 + 8 = 72,
+            // mid-way through lane batch 1.
+            if prefix.len() >= 72 {
+                halted_once = true;
+                BatchControl::Halt
+            } else {
+                BatchControl::Continue
+            }
+        });
         assert!(halted_once && interrupted.halted);
         assert_eq!(interrupted.times.len() % LANE_WIDTH, 8);
-        let resumed = run_cover_trials_adaptive_lanes_resumable(
-            &g,
-            &cobra,
-            0,
-            &plan,
-            interrupted.times,
-            |_| BatchControl::Continue,
-        );
+        let resumed = stream.run_adaptive(&plan, interrupted.times, go_on);
         assert_eq!(resumed.times, full.times);
         assert_eq!(resumed.outcome.summary.mean(), full.outcome.summary.mean());
         assert_eq!(resumed.outcome.censored, full.outcome.censored);
@@ -1545,9 +1317,7 @@ mod tests {
         let g = classic::complete(16).unwrap();
         let cobra = CobraWalk::standard();
         let plan = AdaptivePlan::new(StopRule::new(6, 500, 0.04), 7, 10_000, 0xAB);
-        let run = run_cover_trials_adaptive_resumable(&g, &cobra, 0, &plan, Vec::new(), |_| {
-            BatchControl::Continue
-        });
+        let run = scratch(&g, &cobra, 10_000, 0xAB).run_adaptive(&plan, Vec::new(), go_on);
         let replayed = replay_outcomes(&plan.rule, &run.times);
         assert_eq!(replayed.summary.count(), run.outcome.summary.count());
         assert_eq!(replayed.summary.mean(), run.outcome.summary.mean());
@@ -1571,16 +1341,14 @@ mod tests {
         let g = classic::complete(16).unwrap();
         let cobra = CobraWalk::standard();
         let plan = AdaptivePlan::new(StopRule::new(6, 500, 0.04), 7, 10_000, 0xAB);
-        let run = run_cover_trials_adaptive_resumable(&g, &cobra, 0, &plan, Vec::new(), |_| {
-            BatchControl::Continue
-        });
+        let stream = scratch(&g, &cobra, 10_000, 0xAB);
+        let run = stream.run_adaptive(&plan, Vec::new(), go_on);
         assert!(run.outcome.precision_met);
         let mut boundaries = 0usize;
-        let redone =
-            run_cover_trials_adaptive_resumable(&g, &cobra, 0, &plan, run.times.clone(), |_| {
-                boundaries += 1;
-                BatchControl::Continue
-            });
+        let redone = stream.run_adaptive(&plan, run.times.clone(), |_| {
+            boundaries += 1;
+            BatchControl::Continue
+        });
         assert_eq!(boundaries, 0, "no batch should run on a done prior");
         assert_eq!(redone.times, run.times);
         assert_eq!(redone.outcome.summary.mean(), run.outcome.summary.mean());
@@ -1593,7 +1361,7 @@ mod tests {
         let g = classic::path(60).unwrap();
         let rule = StopRule::new(64, 128, 0.1);
         let plan = AdaptivePlan::new(rule, 16, 3, 3);
-        let out = run_cover_trials_adaptive_lanes(&g, &SimpleWalk::new(), 0, &plan);
+        let out = adaptive(&lanes(&g, &SimpleWalk::new(), 3, 3), &plan);
         assert!(!out.precision_met);
         assert_eq!(out.censored, 128);
         assert_eq!(out.summary.count(), 0);

@@ -7,7 +7,8 @@
 
 use crate::convergence::AdaptivePlan;
 use crate::runner::{
-    run_cover_trials_adaptive_auto, run_cover_trials_auto, AdaptiveOutcome, TrialPlan,
+    run_cover_trials_adaptive_auto_resumable, run_cover_trials_auto, AdaptiveOutcome, BatchControl,
+    TrialPlan,
 };
 use crate::stats::{EmptySummary, Summary};
 use cobra_core::TypedProcess;
@@ -172,14 +173,14 @@ impl SweepCell {
     }
 }
 
-/// Run a cover-time sweep: one row per [`SweepCell`], each measured with
-/// [`run_cover_trials_auto`] — the bit-sliced lane engine for small
-/// graphs with lane-friendly processes, the batched scratch engine
-/// otherwise — under a per-cell child seed of `plan.master_seed` (so
-/// cells are decorrelated but the whole sweep is reproducible from one
-/// master seed) and the cell's own step budget when it carries one. The
-/// engine choice depends only on the cell shape and plan, never on
-/// outcomes, so each cell stays bit-reproducible.
+/// Run a cover-time sweep: one row per [`SweepCell`], each measured on
+/// the engine [`crate::runner::lane_cover_applies`] picks — the
+/// bit-sliced lane engine for small graphs with lane-friendly processes,
+/// the batched scratch engine otherwise — under a per-cell child seed of
+/// `plan.master_seed` (so cells are decorrelated but the whole sweep is
+/// reproducible from one master seed) and the cell's own step budget
+/// when it carries one. The engine choice depends only on the cell shape
+/// and plan, never on outcomes, so each cell stays bit-reproducible.
 ///
 /// Returns `Err(EmptySummary)` if any cell completes zero trials — a
 /// budget bug that would otherwise surface as a panic deep in the stats.
@@ -276,11 +277,12 @@ impl AdaptiveSweep {
 }
 
 /// Adaptive-stopping variant of [`run_cover_sweep_cells`]: each cell
-/// runs [`run_cover_trials_adaptive_auto`] under a per-cell child seed
-/// of `plan.master_seed` (same derivation as the fixed sweep) and the
-/// cell's own step budget when it carries one. Small lane-friendly cells
-/// route through the 64-lane engine (eligibility keys on the rule's
-/// `max_trials`, never on consumed trials). Results are bit-identical
+/// runs [`run_cover_trials_adaptive_auto_resumable`] to completion under
+/// a per-cell child seed of `plan.master_seed` (same derivation as the
+/// fixed sweep) and the cell's own step budget when it carries one.
+/// Small lane-friendly cells route through the 64-lane engine
+/// (eligibility keys on the rule's `max_trials`, never on consumed
+/// trials). Results are bit-identical
 /// across worker counts and batch sizes (both engines' invariant), and
 /// per-cell cost adapts to per-cell variance — easy cells stop at
 /// `rule.min_trials`, hard cells run until the CI is tight or the cap
@@ -305,7 +307,15 @@ pub fn run_cover_sweep_cells_adaptive<P: TypedProcess + Sync>(
             max_steps: cell.max_steps.unwrap_or(plan.max_steps),
             ..*plan
         };
-        let out = run_cover_trials_adaptive_auto(&cell.graph, process, cell.start, &cell_plan);
+        let out = run_cover_trials_adaptive_auto_resumable(
+            &cell.graph,
+            process,
+            cell.start,
+            &cell_plan,
+            Vec::new(),
+            |_| BatchControl::Continue,
+        )
+        .outcome;
         reports.push(AdaptiveCellReport::from_outcome(
             cell.scale,
             &out,

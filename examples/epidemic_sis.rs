@@ -18,7 +18,7 @@
 
 use cobra_repro::graph::generators::geometric::{random_geometric, supercritical_radius};
 use cobra_repro::graph::metrics::largest_component;
-use cobra_repro::walks::{CobraWalk, Process};
+use cobra_repro::walks::{CobraWalk, StateView, TypedProcess, TypedState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,7 +41,7 @@ fn main() {
 
     for contacts_per_day in [1u32, 2, 3] {
         let process = CobraWalk::new(contacts_per_day);
-        let mut state = process.spawn(&g, 0);
+        let mut state = process.spawn_typed(&g, 0);
         let mut exposed = vec![false; g.num_vertices()];
         exposed[0] = true;
         let mut exposed_count = 1usize;

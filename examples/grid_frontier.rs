@@ -10,7 +10,7 @@
 //! ```
 
 use cobra_repro::graph::generators::grid::{grid, GridShape};
-use cobra_repro::walks::{CobraWalk, Process};
+use cobra_repro::walks::{CobraWalk, StateView, TypedProcess, TypedState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,7 +22,7 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(7);
     let process = CobraWalk::standard();
-    let mut state = process.spawn(&g, 0); // start at corner (0,0)
+    let mut state = process.spawn_typed(&g, 0); // start at corner (0,0)
 
     let mut covered = vec![false; n];
     covered[0] = true;

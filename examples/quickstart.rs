@@ -9,7 +9,7 @@
 //! `examples_compile` smoke test so the example can never rot silently).
 
 use cobra_repro::graph::generators::{classic, random_regular};
-use cobra_repro::sim::runner::{run_cover_trials, TrialPlan};
+use cobra_repro::sim::runner::{run_cover_trials_typed, TrialPlan};
 use cobra_repro::walks::{CobraWalk, CoverDriver, SimpleWalk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,7 @@ fn main() {
     let cobra = CobraWalk::standard(); // k = 2, the paper's process
     let result = CoverDriver::new(&g)
         .record_trajectory()
-        .run(&cobra, 0, 1_000_000, &mut rng)
+        .run_typed(&cobra, 0, 1_000_000, &mut rng)
         .expect("non-empty graph");
     println!(
         "single run: covered all {} vertices in {} rounds",
@@ -47,8 +47,8 @@ fn main() {
 
     // 3. Monte-Carlo comparison against the simple random walk.
     let plan = TrialPlan::new(trials, 10_000_000, 7);
-    let cobra_out = run_cover_trials(&g, &cobra, 0, &plan);
-    let rw_out = run_cover_trials(&g, &SimpleWalk::new(), 0, &plan);
+    let cobra_out = run_cover_trials_typed(&g, &cobra, 0, &plan);
+    let rw_out = run_cover_trials_typed(&g, &SimpleWalk::new(), 0, &plan);
     println!(
         "over {trials} trials: cobra mean cover {:.0} rounds, simple walk {:.0} rounds ({:.0}x speedup)",
         cobra_out.summary.mean(),
@@ -60,8 +60,8 @@ fn main() {
     //    the lollipop (Theorem 20 territory).
     let lolly = classic::lollipop(n_lolly).expect("valid parameters");
     let plan = TrialPlan::new(trials.min(20), 50_000_000, 11);
-    let cobra_l = run_cover_trials(&lolly, &cobra, 1, &plan);
-    let rw_l = run_cover_trials(&lolly, &SimpleWalk::new(), 1, &plan);
+    let cobra_l = run_cover_trials_typed(&lolly, &cobra, 1, &plan);
+    let rw_l = run_cover_trials_typed(&lolly, &SimpleWalk::new(), 1, &plan);
     println!(
         "lollipop({n_lolly}) from the clique: cobra {:.0} rounds vs simple walk {:.0} rounds ({:.0}x)",
         cobra_l.summary.mean(),

@@ -23,21 +23,23 @@
 use cobra_repro::graph::generators::powerlaw::chung_lu;
 use cobra_repro::graph::metrics::largest_component;
 use cobra_repro::graph::Graph;
-use cobra_repro::walks::{CobraWalk, ParallelWalks, Process, PushGossip};
+use cobra_repro::walks::{
+    CobraWalk, ParallelWalks, PushGossip, StateView, TypedProcess, TypedState,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Run a process to full coverage; return (rounds, total messages), where
 /// per-round messages = tokens sent = occupied-set size for walk-style
 /// processes and informed-count for push gossip.
-fn run_protocol(
+fn run_protocol<P: TypedProcess>(
     g: &Graph,
-    process: &dyn Process,
+    process: &P,
     push_semantics: bool,
     rng: &mut StdRng,
 ) -> (usize, u64) {
     let n = g.num_vertices();
-    let mut state = process.spawn(g, 0);
+    let mut state = process.spawn_typed(g, 0);
     let mut covered = vec![false; n];
     covered[0] = true;
     let mut covered_count = 1usize;
@@ -63,6 +65,28 @@ fn run_protocol(
     (rounds, messages)
 }
 
+/// Average `trials` full disseminations of one protocol into a table row.
+fn report<P: TypedProcess>(
+    name: &str,
+    g: &Graph,
+    process: &P,
+    push_semantics: bool,
+    trials: usize,
+    rng: &mut StdRng,
+) {
+    let mut total_rounds = 0usize;
+    let mut total_msgs = 0u64;
+    for _ in 0..trials {
+        let (r, m) = run_protocol(g, process, push_semantics, rng);
+        total_rounds += r;
+        total_msgs += m;
+    }
+    let rounds = total_rounds as f64 / trials as f64;
+    let msgs = total_msgs as f64 / trials as f64;
+    let n = g.num_vertices() as f64;
+    println!("| {name} | {rounds:.0} | {msgs:.0} | {:.1} |", msgs / n);
+}
+
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
 
@@ -81,28 +105,11 @@ fn main() {
     println!("| protocol | rounds (avg of {trials}) | messages (avg) | msg/node |");
     println!("|----------|------------------|----------------|----------|");
 
-    let n = g.num_vertices() as f64;
     let cobra = CobraWalk::standard();
-    let gossip = PushGossip;
+    report("cobra(k=2)", &g, &cobra, false, trials, &mut rng);
+    report("push gossip", &g, &PushGossip, true, trials, &mut rng);
     let pwalks = ParallelWalks::new(8);
-
-    let protocols: Vec<(&str, &dyn Process, bool)> = vec![
-        ("cobra(k=2)", &cobra, false),
-        ("push gossip", &gossip, true),
-        ("8 parallel walks", &pwalks, false),
-    ];
-    for (name, process, push_sem) in protocols {
-        let mut total_rounds = 0usize;
-        let mut total_msgs = 0u64;
-        for _ in 0..trials {
-            let (r, m) = run_protocol(&g, process, push_sem, &mut rng);
-            total_rounds += r;
-            total_msgs += m;
-        }
-        let rounds = total_rounds as f64 / trials as f64;
-        let msgs = total_msgs as f64 / trials as f64;
-        println!("| {name} | {rounds:.0} | {msgs:.0} | {:.1} |", msgs / n);
-    }
+    report("8 parallel walks", &g, &pwalks, false, trials, &mut rng);
     println!();
     println!(
         "parallel walks are frugal in messages but very slow in rounds. Push\n\

@@ -27,7 +27,7 @@
 //! let g = hypercube::hypercube(6); // 64 vertices
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let walk = CobraWalk::new(2);
-//! let result = CoverDriver::new(&g).run(&walk, 0, 100_000, &mut rng).unwrap();
+//! let result = CoverDriver::new(&g).run_typed(&walk, 0, 100_000, &mut rng).unwrap();
 //! assert_eq!(result.covered, g.num_vertices());
 //! ```
 

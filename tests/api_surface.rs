@@ -5,16 +5,17 @@
 use cobra_repro::analysis::fit::power_law_fit;
 use cobra_repro::analysis::growth::{classify_growth, GrowthShape};
 use cobra_repro::graph::generators::{grid, hypercube, trees};
-use cobra_repro::graph::metrics;
-use cobra_repro::sim::runner::{run_cover_trials, TrialPlan};
+use cobra_repro::graph::{metrics, Graph};
+use cobra_repro::sim::runner::{run_cover_trials_typed, TrialPlan};
 use cobra_repro::sim::stats::Summary;
 use cobra_repro::sim::sweep::{SweepRow, SweepTable};
 use cobra_repro::sim::table::{render_csv, render_markdown};
 use cobra_repro::spectral::laplacian::spectral_gap;
 use cobra_repro::spectral::tensor::TensorChain;
 use cobra_repro::walks::{
-    BranchingWalk, CoalescingWalks, CobraWalk, CoverDriver, HittingDriver, ParallelWalks, Process,
-    PushGossip, SimpleWalk, WaltProcess,
+    BiasedWalk, BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk,
+    HittingDriver, MetropolisWalk, ParallelWalks, PushGossip, ScheduledCobraWalk, SimpleWalk,
+    SisProcess, StateView, TypedProcess, TypedState, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +26,7 @@ fn quickstart_workflow_through_umbrella_crate() {
     let mut table = SweepTable::new("cobra on hypercube", "n");
     for dim in [4u32, 5, 6] {
         let g = hypercube::hypercube(dim);
-        let out = run_cover_trials(
+        let out = run_cover_trials_typed(
             &g,
             &CobraWalk::standard(),
             0,
@@ -50,27 +51,31 @@ fn quickstart_workflow_through_umbrella_crate() {
     assert_eq!(csv.lines().count(), 4);
 }
 
+/// Spawn `p` at vertex 0 and step it ten rounds.
+fn run_ten_rounds<P: TypedProcess>(p: &P, g: &Graph, rng: &mut StdRng) {
+    let mut st = p.spawn_typed(g, 0);
+    for _ in 0..10 {
+        st.step(g, rng);
+    }
+    assert!(!st.occupied().is_empty(), "{} lost its tokens", p.name());
+}
+
 #[test]
 fn every_process_type_is_constructible_and_runnable() {
     let g = grid::grid(&[4, 4]);
     let mut rng = StdRng::seed_from_u64(0);
-    let processes: Vec<Box<dyn Process>> = vec![
-        Box::new(CobraWalk::standard()),
-        Box::new(SimpleWalk::new()),
-        Box::new(SimpleWalk::lazy(0.5)),
-        Box::new(ParallelWalks::new(4)),
-        Box::new(WaltProcess::standard(0.25)),
-        Box::new(PushGossip),
-        Box::new(CoalescingWalks::new(3)),
-        Box::new(BranchingWalk::new(2, 64)),
-    ];
-    for p in &processes {
-        let mut st = p.spawn(&g, 0);
-        for _ in 0..10 {
-            st.step(&g, &mut rng);
-        }
-        assert!(!st.occupied().is_empty(), "{} lost its tokens", p.name());
-    }
+    run_ten_rounds(&CobraWalk::standard(), &g, &mut rng);
+    run_ten_rounds(&SimpleWalk::new(), &g, &mut rng);
+    run_ten_rounds(&SimpleWalk::lazy(0.5), &g, &mut rng);
+    run_ten_rounds(&ParallelWalks::new(4), &g, &mut rng);
+    run_ten_rounds(&WaltProcess::standard(0.25), &g, &mut rng);
+    run_ten_rounds(&PushGossip, &g, &mut rng);
+    run_ten_rounds(&SisProcess::new(2, 1.0), &g, &mut rng);
+    let fixed = ScheduledCobraWalk::new(BranchingSchedule::Fixed(2));
+    run_ten_rounds(&fixed, &g, &mut rng);
+    run_ten_rounds(&FaultyCobraWalk::new(2, FaultPlan::none()), &g, &mut rng);
+    run_ten_rounds(&BiasedWalk::inverse_degree_toward(&g, 15), &g, &mut rng);
+    run_ten_rounds(&MetropolisWalk::new(&g, 15), &g, &mut rng);
 }
 
 #[test]
@@ -78,10 +83,10 @@ fn drivers_work_against_any_process() {
     let g = trees::kary_tree(2, 4).unwrap();
     let mut rng = StdRng::seed_from_u64(1);
     let cover = CoverDriver::new(&g)
-        .run(&CobraWalk::standard(), 0, 1_000_000, &mut rng)
+        .run_typed(&CobraWalk::standard(), 0, 1_000_000, &mut rng)
         .unwrap();
     assert!(cover.completed);
-    let hit = HittingDriver::new(&g).run(&SimpleWalk::new(), 0, 7, 1_000_000, &mut rng);
+    let hit = HittingDriver::new(&g).run_typed(&SimpleWalk::new(), 0, 7, 1_000_000, &mut rng);
     assert!(hit.hit);
 }
 

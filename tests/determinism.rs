@@ -2,9 +2,7 @@
 //! function of its seed, regardless of thread scheduling.
 
 use cobra_repro::graph::generators::{classic, gnp, random_regular};
-use cobra_repro::sim::runner::{
-    run_cover_trials, run_cover_trials_typed, run_hitting_trials_typed, TrialPlan,
-};
+use cobra_repro::sim::runner::{run_cover_trials_typed, run_hitting_trials_typed, TrialPlan};
 use cobra_repro::sim::seeds::SeedSequence;
 use cobra_repro::sim::TrialOutcome;
 use cobra_repro::walks::{CobraWalk, CoverDriver, HittingDriver, SisProcess, WaltProcess};
@@ -34,8 +32,8 @@ fn parallel_runner_is_schedule_independent() {
         .num_threads(1)
         .build()
         .unwrap()
-        .install(|| run_cover_trials(&g, &cobra, 0, &plan));
-    let multi = run_cover_trials(&g, &cobra, 0, &plan);
+        .install(|| run_cover_trials_typed(&g, &cobra, 0, &plan));
+    let multi = run_cover_trials_typed(&g, &cobra, 0, &plan);
 
     assert_eq!(single.summary.count(), multi.summary.count());
     assert!((single.summary.mean() - multi.summary.mean()).abs() < 1e-12);
@@ -120,7 +118,7 @@ fn scratch_engine_matches_pre_scratch_path() {
     // SeedSequence with the allocate-fresh `run_typed` drivers and
     // compare summary moments of the two multisets. (Per-trial positional
     // pinning — which seed produced which outcome — is covered by the
-    // serial scratch-vs-dyn matrix in tests/engine_equivalence.rs; a
+    // serial scratch-vs-fresh matrix in tests/engine_equivalence.rs; a
     // runner bug that drew the wrong seeds would change the multiset and
     // be caught here.)
     let g = classic::cycle(64).unwrap();
@@ -164,10 +162,10 @@ fn scratch_engine_matches_pre_scratch_path() {
 fn walt_runs_reproduce() {
     let g = gnp::gnp_connected(100, 0.08, 100, &mut StdRng::seed_from_u64(8)).unwrap();
     let walt = WaltProcess::standard(0.25);
-    let a = run_cover_trials(&g, &walt, 0, &TrialPlan::new(40, 1_000_000, 3));
-    let b = run_cover_trials(&g, &walt, 0, &TrialPlan::new(40, 1_000_000, 3));
+    let a = run_cover_trials_typed(&g, &walt, 0, &TrialPlan::new(40, 1_000_000, 3));
+    let b = run_cover_trials_typed(&g, &walt, 0, &TrialPlan::new(40, 1_000_000, 3));
     assert!((a.summary.mean() - b.summary.mean()).abs() < 1e-12);
-    let c = run_cover_trials(&g, &walt, 0, &TrialPlan::new(40, 1_000_000, 4));
+    let c = run_cover_trials_typed(&g, &walt, 0, &TrialPlan::new(40, 1_000_000, 4));
     assert_ne!(
         a.summary.mean(),
         c.summary.mean(),

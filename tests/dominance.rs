@@ -7,7 +7,7 @@
 //! no statistical slack. Run them with `cargo test -- --ignored`.
 
 use cobra_repro::graph::generators::{classic, hypercube, random_regular};
-use cobra_repro::sim::runner::{run_cover_trials, run_hitting_trials, TrialPlan};
+use cobra_repro::sim::runner::{run_cover_trials_typed, run_hitting_trials_typed, TrialPlan};
 use cobra_repro::walks::{BiasedWalk, CobraWalk, WaltProcess};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,13 +16,13 @@ use rand::SeedableRng;
 fn walt_cover_dominates_cobra_on_hypercube() {
     let g = hypercube::hypercube(5);
     let trials = 300;
-    let cobra = run_cover_trials(
+    let cobra = run_cover_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
         &TrialPlan::new(trials, 1_000_000, 1),
     );
-    let walt = run_cover_trials(
+    let walt = run_cover_trials_typed(
         &g,
         &WaltProcess::standard(0.5),
         0,
@@ -51,13 +51,13 @@ fn walt_cover_dominates_cobra_on_hypercube() {
 fn walt_cover_dominates_cobra_on_complete_graph() {
     let g = classic::complete(32).unwrap();
     let trials = 300;
-    let cobra = run_cover_trials(
+    let cobra = run_cover_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
         &TrialPlan::new(trials, 100_000, 3),
     );
-    let walt = run_cover_trials(
+    let walt = run_cover_trials_typed(
         &g,
         &WaltProcess::standard(0.5),
         0,
@@ -73,13 +73,13 @@ fn non_lazy_walt_still_dominates_cobra() {
     // about the branching deficit; it must hold for eager Walt too.
     let g = hypercube::hypercube(5);
     let trials = 400;
-    let cobra = run_cover_trials(
+    let cobra = run_cover_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
         &TrialPlan::new(trials, 1_000_000, 5),
     );
-    let walt = run_cover_trials(
+    let walt = run_cover_trials_typed(
         &g,
         &WaltProcess::standard(0.5).lazy(false),
         0,
@@ -101,13 +101,13 @@ fn high_trial_walt_dominates_cobra_quantilewise() {
     // hold at every decile, not just the quartiles.
     let g = hypercube::hypercube(5);
     let trials = 5_000;
-    let cobra = run_cover_trials(
+    let cobra = run_cover_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
         &TrialPlan::new(trials, 1_000_000, 31),
     );
-    let walt = run_cover_trials(
+    let walt = run_cover_trials_typed(
         &g,
         &WaltProcess::standard(0.5),
         0,
@@ -133,7 +133,7 @@ fn high_trial_cobra_hitting_dominated_on_expander() {
     let g = random_regular::random_regular(128, 3, &mut rng).unwrap();
     let target = 100u32;
     let trials = 3_000;
-    let cobra = run_hitting_trials(
+    let cobra = run_hitting_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
@@ -141,7 +141,7 @@ fn high_trial_cobra_hitting_dominated_on_expander() {
         &TrialPlan::new(trials, 1_000_000, 34),
     );
     let biased = BiasedWalk::inverse_degree_toward(&g, target);
-    let b = run_hitting_trials(
+    let b = run_hitting_trials_typed(
         &g,
         &biased,
         0,
@@ -164,7 +164,7 @@ fn cobra_hitting_dominated_by_biased_walk_on_cycle() {
     let g = classic::cycle(n).unwrap();
     let target = (n / 2) as u32;
     let trials = 300;
-    let cobra = run_hitting_trials(
+    let cobra = run_hitting_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
@@ -172,7 +172,7 @@ fn cobra_hitting_dominated_by_biased_walk_on_cycle() {
         &TrialPlan::new(trials, 1_000_000, 7),
     );
     let biased = BiasedWalk::inverse_degree_toward(&g, target);
-    let b = run_hitting_trials(
+    let b = run_hitting_trials_typed(
         &g,
         &biased,
         0,
@@ -194,7 +194,7 @@ fn cobra_hitting_dominated_by_biased_walk_on_expander() {
     let g = random_regular::random_regular(128, 3, &mut rng).unwrap();
     let target = 100u32;
     let trials = 300;
-    let cobra = run_hitting_trials(
+    let cobra = run_hitting_trials_typed(
         &g,
         &CobraWalk::standard(),
         0,
@@ -202,7 +202,7 @@ fn cobra_hitting_dominated_by_biased_walk_on_expander() {
         &TrialPlan::new(trials, 1_000_000, 10),
     );
     let biased = BiasedWalk::inverse_degree_toward(&g, target);
-    let b = run_hitting_trials(
+    let b = run_hitting_trials_typed(
         &g,
         &biased,
         0,

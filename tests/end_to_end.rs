@@ -10,7 +10,7 @@
 //!   `cargo test -- --ignored` (or `--include-ignored` for both tiers).
 
 use cobra_repro::graph::generators::classic;
-use cobra_repro::sim::runner::{run_cover_trials, run_hitting_trials, TrialPlan};
+use cobra_repro::sim::runner::{run_cover_trials_typed, run_hitting_trials_typed, TrialPlan};
 use cobra_repro::spectral::exact::{exact_hitting_times, exact_return_time};
 use cobra_repro::spectral::walk_matrix::{delta, evolve, transition_matrix, tv_distance};
 use cobra_repro::walks::{CobraWalk, SimpleWalk};
@@ -27,7 +27,7 @@ fn simulated_hitting_matches_exact_on_cycle() {
     let g = classic::cycle(n).unwrap();
     let exact = exact_hitting_times(&g, 0);
     // Antipodal start: H(n/2, 0) = (n/2)·(n − n/2) = 64.
-    let out = run_hitting_trials(
+    let out = run_hitting_trials_typed(
         &g,
         &SimpleWalk::new(),
         (n / 2) as u32,
@@ -50,7 +50,7 @@ fn simulated_hitting_matches_exact_on_lollipop() {
     let target = (g.num_vertices() - 1) as u32; // path tip
     let exact = exact_hitting_times(&g, target);
     let start = 1u32; // clique interior
-    let out = run_hitting_trials(
+    let out = run_hitting_trials_typed(
         &g,
         &SimpleWalk::new(),
         start,
@@ -76,7 +76,7 @@ fn return_time_kac_formula_via_simulation() {
     // return = 1 + H(hub, leaf).
     let h = exact_hitting_times(&g, 1);
     assert!((1.0 + h[0] - truth).abs() < 1e-9);
-    let out = run_hitting_trials(&g, &SimpleWalk::new(), 0, 1, &plan(4000, 1_000_000, 3));
+    let out = run_hitting_trials_typed(&g, &SimpleWalk::new(), 0, 1, &plan(4000, 1_000_000, 3));
     let measured = 1.0 + out.summary.mean();
     assert!(
         (measured - truth).abs() < 0.06 * truth,
@@ -98,9 +98,9 @@ fn empirical_distribution_matches_exact_evolution() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut counts = vec![0u64; n];
     let spec = SimpleWalk::new();
-    use cobra_repro::walks::Process;
+    use cobra_repro::walks::{StateView, TypedProcess, TypedState};
     for _ in 0..trials {
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         for _ in 0..t {
             st.step(&g, &mut rng);
         }
@@ -116,7 +116,7 @@ fn cobra_cover_on_complete_graph_is_logarithmic() {
     // On K_n the 2-cobra active set roughly doubles until saturation,
     // then coupon-collects; cover should be Θ(log n) and far below n.
     let g = classic::complete(256).unwrap();
-    let out = run_cover_trials(&g, &CobraWalk::standard(), 0, &plan(60, 100_000, 4));
+    let out = run_cover_trials_typed(&g, &CobraWalk::standard(), 0, &plan(60, 100_000, 4));
     assert_eq!(out.censored, 0);
     let mean = out.summary.mean();
     assert!(
@@ -134,7 +134,7 @@ fn high_trial_hitting_matches_exact_on_cycle_tightly() {
     let n = 16;
     let g = classic::cycle(n).unwrap();
     let exact = exact_hitting_times(&g, 0);
-    let out = run_hitting_trials(
+    let out = run_hitting_trials_typed(
         &g,
         &SimpleWalk::new(),
         (n / 2) as u32,
@@ -157,7 +157,7 @@ fn high_trial_lollipop_hitting_tightly() {
     let target = (g.num_vertices() - 1) as u32;
     let exact = exact_hitting_times(&g, target);
     let start = 1u32;
-    let out = run_hitting_trials(
+    let out = run_hitting_trials_typed(
         &g,
         &SimpleWalk::new(),
         start,
@@ -176,8 +176,8 @@ fn high_trial_lollipop_hitting_tightly() {
 #[test]
 fn cover_time_exceeds_hitting_time() {
     let g = classic::cycle(32).unwrap();
-    let cover = run_cover_trials(&g, &CobraWalk::standard(), 0, &plan(60, 1_000_000, 5));
-    let hit = run_hitting_trials(&g, &CobraWalk::standard(), 0, 16, &plan(60, 1_000_000, 5));
+    let cover = run_cover_trials_typed(&g, &CobraWalk::standard(), 0, &plan(60, 1_000_000, 5));
+    let hit = run_hitting_trials_typed(&g, &CobraWalk::standard(), 0, 16, &plan(60, 1_000_000, 5));
     assert!(
         cover.summary.mean() >= hit.summary.mean(),
         "cover {} < hitting {}",

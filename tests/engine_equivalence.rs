@@ -1,19 +1,20 @@
 //! Seed-equivalence harness for the hybrid frontier engine.
 //!
-//! The monomorphized fast path (`CoverDriver::run_typed` /
+//! The fresh-state path (`CoverDriver::run_typed` /
 //! `HittingDriver::run_typed`, backed by the sparse/dense
-//! [`cobra_repro::walks::Frontier`]) and the batched scratch path
-//! (`run_typed_in`, with state reuse via `respawn_typed` and table-driven
-//! draws via [`NeighborSampler`]) must produce **bit-for-bit identical**
-//! results to the legacy `Box<dyn ProcessState>` path on the same
-//! [`SeedSequence`]-derived seeds — not just statistical agreement. All
-//! routes instantiate the same generic step code and stream-compatible
-//! draw strategies, so any divergence here means the engine changed
-//! *what* is computed, not just how fast.
+//! [`cobra_repro::walks::Frontier`] and [`ImplicitDraw`] neighbor draws)
+//! and the batched scratch path (`run_typed_in`, with state reuse via
+//! `respawn_typed` and table-driven draws via [`NeighborSampler`]) must
+//! produce **bit-for-bit identical** results on the same
+//! [`SeedSequence`]-derived seeds — not just statistical agreement — and
+//! must reproduce the outputs the retired boxed-state dyn route recorded,
+//! pinned here as one 64-bit FNV-1a digest per (process, graph) cell. Any
+//! divergence means the engine changed *what* is computed, not just how
+//! fast.
 //!
 //! Matrix: every process family of the paper (cobra k ∈ {1,2,3}, simple
 //! walk, Walt, SIS, push/pull/push-pull gossip) × four graph shapes
-//! (grid, cycle, star, Chung-Lu power-law) × several derived seeds, for
+//! (grid, cycle, star, Chung-Lu power-law) × three derived seeds, for
 //! both cover and hitting measurements, with trajectories recorded so the
 //! per-round support sizes are compared too.
 
@@ -24,13 +25,38 @@ use cobra_repro::graph::{
 };
 use cobra_repro::sim::SeedSequence;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, HittingDriver, ImplicitDraw, PullGossip, PushGossip, PushPullGossip,
-    SimpleWalk, SisProcess, TrialScratch, TypedProcess, WaltProcess,
+    CobraWalk, CoverDriver, CoverResult, HittingDriver, HittingResult, ImplicitDraw, PullGossip,
+    PushGossip, PushPullGossip, SimpleWalk, SisProcess, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const MAX_STEPS: usize = 20_000;
+
+/// One FNV-1a step over the little-endian bytes of `word`.
+fn fnv(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Fold one seed's cover result (trajectory included) and hitting result
+/// into a cell digest.
+fn fold_seed(h: u64, cover: &CoverResult, hit: &HittingResult) -> u64 {
+    let tr = cover.trajectory.as_deref().expect("trajectory recorded");
+    [
+        cover.steps,
+        cover.covered,
+        cover.completed as usize,
+        tr.len(),
+    ]
+    .into_iter()
+    .chain(tr.iter().copied())
+    .chain([hit.steps, hit.hit as usize])
+    .fold(h, |h, w| fnv(h, w as u64))
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The graph zoo. Chung-Lu instances are regenerated (deterministically)
 /// until minimum degree ≥ 1 so degree-0 vertices cannot trip the
@@ -59,32 +85,26 @@ fn cell_seeds(process_idx: u64, graph_idx: u64) -> Vec<u64> {
     (0..3).map(|i| seq.seed_at(i)).collect()
 }
 
-/// Assert fast path ≡ dyn path ≡ scratch path for cover and hitting on
-/// every graph. The scratch engine reuses one [`TrialScratch`] (and one
-/// per-graph [`NeighborSampler`]) across all seeds of a cell, so the
-/// respawn-reuse path and the table-driven draws are exercised against
-/// the allocate-fresh routes on identical RNG streams.
-fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P) {
+/// Assert fresh path ≡ scratch path ≡ recorded dyn-route digest for cover
+/// and hitting on every graph (`pinned` is indexed like [`graphs`]). The
+/// scratch engine reuses one [`TrialScratch`] (and one per-graph
+/// [`NeighborSampler`]) across all seeds of a cell, so the respawn-reuse
+/// path and the table-driven draws are exercised against the
+/// allocate-fresh route on identical RNG streams.
+fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pinned: [u64; 4]) {
     for (graph_idx, (gname, g)) in graphs().into_iter().enumerate() {
         let n = g.num_vertices();
         let target = (n - 1) as u32;
         let sampler = NeighborSampler::new(&g);
         let mut scratch = TrialScratch::new(&g);
+        let mut digest = FNV_OFFSET;
         for seed in cell_seeds(process_idx, graph_idx as u64) {
             let label = format!("{} on {gname} (seed {seed:#x})", process.name());
 
-            let dyn_cover = CoverDriver::new(&g)
-                .record_trajectory()
-                .run(process, 0, MAX_STEPS, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
             let typed_cover = CoverDriver::new(&g)
                 .record_trajectory()
                 .run_typed(process, 0, MAX_STEPS, &mut StdRng::seed_from_u64(seed))
                 .unwrap();
-            assert_eq!(
-                dyn_cover, typed_cover,
-                "cover divergence for {label}: dyn {dyn_cover:?} vs typed {typed_cover:?}"
-            );
             let scratch_cover = CoverDriver::new(&g)
                 .record_trajectory()
                 .run_typed_in(
@@ -97,8 +117,8 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P) {
                 )
                 .unwrap();
             assert_eq!(
-                dyn_cover, scratch_cover,
-                "cover divergence for {label}: dyn {dyn_cover:?} vs scratch {scratch_cover:?}"
+                typed_cover, scratch_cover,
+                "cover divergence for {label}: typed {typed_cover:?} vs scratch {scratch_cover:?}"
             );
             assert_eq!(
                 scratch.trajectory(),
@@ -106,23 +126,12 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P) {
                 "scratch trajectory buffer must mirror the returned trajectory for {label}"
             );
 
-            let dyn_hit = HittingDriver::new(&g).run(
-                process,
-                0,
-                target,
-                MAX_STEPS,
-                &mut StdRng::seed_from_u64(seed),
-            );
             let typed_hit = HittingDriver::new(&g).run_typed(
                 process,
                 0,
                 target,
                 MAX_STEPS,
                 &mut StdRng::seed_from_u64(seed),
-            );
-            assert_eq!(
-                dyn_hit, typed_hit,
-                "hitting divergence for {label}: dyn {dyn_hit:?} vs typed {typed_hit:?}"
             );
             let scratch_hit = HittingDriver::new(&g).run_typed_in(
                 process,
@@ -134,45 +143,162 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P) {
                 &mut StdRng::seed_from_u64(seed),
             );
             assert_eq!(
-                dyn_hit, scratch_hit,
-                "hitting divergence for {label}: dyn {dyn_hit:?} vs scratch {scratch_hit:?}"
+                typed_hit, scratch_hit,
+                "hitting divergence for {label}: typed {typed_hit:?} vs scratch {scratch_hit:?}"
             );
+            digest = fold_seed(digest, &typed_cover, &typed_hit);
         }
+        assert_eq!(
+            digest,
+            pinned[graph_idx],
+            "{} on {gname}: digest {digest:#018x} differs from the recorded dyn-route output",
+            process.name()
+        );
     }
 }
 
 #[test]
 fn cobra_walks_match_across_branching_factors() {
+    let pinned = [
+        [
+            0x2a63d2c119384d33,
+            0x5b742b4bf787e622,
+            0xddbd70d43e8b6cc8,
+            0xee5096859907116c,
+        ],
+        [
+            0x78ab64a7a266820e,
+            0x5339d3e64849af25,
+            0xbec6c28a89430dbb,
+            0xd4c720e0635ec676,
+        ],
+        [
+            0xd3f02275bab627e5,
+            0x8e03a4a52b778046,
+            0xa727313d4a93b0fe,
+            0x9696d8c20d942fff,
+        ],
+    ];
     for (i, k) in [1u32, 2, 3].into_iter().enumerate() {
-        assert_engine_equivalence(i as u64, &CobraWalk::new(k));
+        assert_engine_equivalence(i as u64, &CobraWalk::new(k), pinned[i]);
     }
 }
 
 #[test]
 fn simple_walk_matches() {
-    assert_engine_equivalence(10, &SimpleWalk::new());
-    assert_engine_equivalence(11, &SimpleWalk::lazy(0.3));
+    assert_engine_equivalence(
+        10,
+        &SimpleWalk::new(),
+        [
+            0x9893cbb883ecef7f,
+            0xab45ff1bfe2b5b2f,
+            0xc1fd2f39f73dcb6e,
+            0x8288ed68e641476f,
+        ],
+    );
+    assert_engine_equivalence(
+        11,
+        &SimpleWalk::lazy(0.3),
+        [
+            0x0318d1f1f61fee6d,
+            0x4fb803077a55ca1a,
+            0x7998a9d4c74a16aa,
+            0x3be75702daa65059,
+        ],
+    );
 }
 
 #[test]
 fn walt_matches() {
-    assert_engine_equivalence(20, &WaltProcess::standard(0.25));
-    assert_engine_equivalence(21, &WaltProcess::with_count(6).lazy(false));
+    assert_engine_equivalence(
+        20,
+        &WaltProcess::standard(0.25),
+        [
+            0x0770c47751d744dd,
+            0x2a283b3d5fcda42a,
+            0x028228c6bdf6c73e,
+            0xaea1b24f5554733f,
+        ],
+    );
+    assert_engine_equivalence(
+        21,
+        &WaltProcess::with_count(6).lazy(false),
+        [
+            0x533f77a0231aad26,
+            0x9dd65168b359dcf5,
+            0x97500b181f1aa723,
+            0xc9c2445bceff1b8b,
+        ],
+    );
 }
 
 #[test]
 fn sis_matches() {
-    // Supercritical (covers), critical-ish, and exactly-cobra (p = 1).
-    assert_engine_equivalence(30, &SisProcess::new(2, 1.0));
-    assert_engine_equivalence(31, &SisProcess::new(2, 0.8));
-    assert_engine_equivalence(32, &SisProcess::new(3, 0.4));
+    // Exactly-cobra (p = 1), supercritical, and critical-ish.
+    assert_engine_equivalence(
+        30,
+        &SisProcess::new(2, 1.0),
+        [
+            0x7529229c3292c396,
+            0xcec05a85c016652b,
+            0x6e05c528e9bb54e3,
+            0x2457ab1c6aa850b1,
+        ],
+    );
+    assert_engine_equivalence(
+        31,
+        &SisProcess::new(2, 0.8),
+        [
+            0x6e0dc6277eeeb783,
+            0xa89054b399d9f1c2,
+            0x2afd80d74fda0668,
+            0x731c1c8a118449fd,
+        ],
+    );
+    assert_engine_equivalence(
+        32,
+        &SisProcess::new(3, 0.4),
+        [
+            0xfc9a2ca35260a68d,
+            0xb8146fb6caa8be0a,
+            0xc90750356c1d9eb1,
+            0xe9188d87834b8ebc,
+        ],
+    );
 }
 
 #[test]
 fn gossip_matches() {
-    assert_engine_equivalence(40, &PushGossip);
-    assert_engine_equivalence(41, &PullGossip);
-    assert_engine_equivalence(42, &PushPullGossip);
+    assert_engine_equivalence(
+        40,
+        &PushGossip,
+        [
+            0x5ad3dc0e4b63bfbb,
+            0xc2741a9613cc354f,
+            0x0545317c500d1a88,
+            0xaf8526f9e5bb7b87,
+        ],
+    );
+    assert_engine_equivalence(
+        41,
+        &PullGossip,
+        [
+            0xa7e9108b54807573,
+            0x1a6e5920623721b3,
+            0x78a8359d4b4962a4,
+            0x0fa19077f5cf5bde,
+        ],
+    );
+    assert_engine_equivalence(
+        42,
+        &PushPullGossip,
+        [
+            0xb055100f92409b5a,
+            0xd509c4f7460db84f,
+            0x78a8359d4b4962a4,
+            0xd462d6d3b929dbfd,
+        ],
+    );
 }
 
 /// Assert the CSR representation and an arithmetic [`ImplicitGraph`]

@@ -7,8 +7,9 @@
 //!
 //! * **`FaultPlan::none()` is free** — a `FaultyCobraWalk` carrying the
 //!   empty plan is bit-identical to the plain `CobraWalk` on every
-//!   engine route (dyn, typed scratch, bit-sliced lanes, implicit) and
-//!   at every rayon worker count {1, 2, 8}. The fault machinery must
+//!   engine route (typed scratch, bit-sliced lanes, implicit) and at
+//!   every rayon worker count {1, 2, 8}, and matches outcome digests the
+//!   retired dyn route recorded. The fault machinery must
 //!   never perturb the walk stream when no fault is configured, or the
 //!   whole experiment corpus silently forks from its frozen baselines.
 //! * **Faulty runs are deterministic** — a non-trivial plan (loss,
@@ -24,13 +25,14 @@
 
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, ImplicitGrid};
+use cobra_repro::obs::NoopProbe;
 use cobra_repro::sim::convergence::{AdaptivePlan, StopRule};
 use cobra_repro::sim::runner::{
-    run_cover_trials, run_cover_trials_adaptive_auto, run_cover_trials_implicit,
-    run_cover_trials_lanes, run_cover_trials_typed, TrialPlan,
+    run_cover_trials_adaptive_auto_resumable, run_cover_trials_implicit,
+    run_cover_trials_lanes_probed, run_cover_trials_typed, TrialPlan,
 };
-use cobra_repro::sim::{AdaptiveOutcome, TrialOutcome};
-use cobra_repro::walks::{CobraWalk, FaultPlan, FaultyCobraWalk};
+use cobra_repro::sim::{AdaptiveOutcome, BatchControl, TrialOutcome};
+use cobra_repro::walks::{CobraWalk, FaultPlan, FaultyCobraWalk, TypedProcess};
 use proptest::prelude::*;
 
 const MAX_STEPS: usize = 60_000;
@@ -44,6 +46,36 @@ fn in_pool<T: Send>(workers: usize, f: impl FnOnce() -> T + Send) -> T {
         .build()
         .expect("build rayon pool")
         .install(f)
+}
+
+fn lanes_fixed<P: TypedProcess + Sync>(g: &Graph, process: &P, plan: &TrialPlan) -> TrialOutcome {
+    run_cover_trials_lanes_probed(g, process, 0, plan, |_| NoopProbe).0
+}
+
+fn adaptive_auto<P: TypedProcess + Sync>(
+    g: &Graph,
+    process: &P,
+    plan: &AdaptivePlan,
+) -> AdaptiveOutcome {
+    run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
+        BatchControl::Continue
+    })
+    .outcome
+}
+
+/// FNV-1a digest of an outcome's censoring, count, and moments — the form
+/// the pinned dyn-route values below were recorded in.
+fn outcome_digest(out: &TrialOutcome) -> u64 {
+    let s = &out.summary;
+    let mut words = vec![out.censored as u64, s.count() as u64];
+    if s.count() > 0 {
+        words.extend([s.mean(), s.variance(), s.min(), s.max(), s.median()].map(f64::to_bits));
+    }
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
 }
 
 /// Full-moment equality: same censoring and the same multiset summary
@@ -105,27 +137,31 @@ fn none_plan_is_bit_identical_to_plain_cobra_on_all_four_routes() {
         ("grid 8x8", grid::grid(&[7, 7])),
         ("cycle 33", classic::cycle(33).unwrap()),
     ];
-    for k in [1u32, 2, 3] {
+    // Plain-cobra outcome digests the retired dyn route recorded, per k
+    // and graph.
+    let dyn_pinned = [
+        [0xb2e496d02f954edd, 0xde13349035373336],
+        [0x8dc0f55a32704880, 0x814825dba5ac47ae],
+        [0x077727d419321d9f, 0x5a63904eb67cfac6],
+    ];
+    for (k, pins) in [1u32, 2, 3].into_iter().zip(dyn_pinned) {
         let plain = CobraWalk::new(k);
         let faulty = FaultyCobraWalk::new(k, FaultPlan::none());
         // 96 trials: ≥ 64 so the lane route runs a full-width batch plus
         // a truncated one, covering both of its collection paths.
         let plan = TrialPlan::new(96, MAX_STEPS, 0xFA017 + u64::from(k));
-        for (name, g) in &graphs {
+        for ((name, g), pin) in graphs.iter().zip(pins) {
             let label = |route: &str| format!("k={k}, {name}, {route} route");
+            let typed = run_cover_trials_typed(g, &faulty, 0, &plan);
+            assert_eq!(outcome_digest(&typed), pin, "{}", label("recorded dyn"));
             assert_outcomes_identical(
-                &run_cover_trials(g, &faulty, 0, &plan),
-                &run_cover_trials(g, &plain, 0, &plan),
-                &label("dyn"),
-            );
-            assert_outcomes_identical(
-                &run_cover_trials_typed(g, &faulty, 0, &plan),
+                &typed,
                 &run_cover_trials_typed(g, &plain, 0, &plan),
                 &label("typed"),
             );
             assert_outcomes_identical(
-                &run_cover_trials_lanes(g, &faulty, 0, &plan),
-                &run_cover_trials_lanes(g, &plain, 0, &plan),
+                &lanes_fixed(g, &faulty, &plan),
+                &lanes_fixed(g, &plain, &plan),
                 &label("lane"),
             );
         }
@@ -158,37 +194,31 @@ fn none_plan_identity_holds_at_every_worker_count() {
     // Single-thread baselines, one per route.
     let base = in_pool(1, || {
         (
-            run_cover_trials(&g, &faulty, 0, &plan),
             run_cover_trials_typed(&g, &faulty, 0, &plan),
-            run_cover_trials_lanes(&g, &faulty, 0, &plan),
+            lanes_fixed(&g, &faulty, &plan),
             run_cover_trials_implicit(&ig, &faulty, 0, &plan),
         )
     });
     for workers in WORKER_COUNTS {
-        let (f_dyn, f_typed, f_lane, f_impl, p_dyn, p_typed, p_lane, p_impl) =
-            in_pool(workers, || {
-                (
-                    run_cover_trials(&g, &faulty, 0, &plan),
-                    run_cover_trials_typed(&g, &faulty, 0, &plan),
-                    run_cover_trials_lanes(&g, &faulty, 0, &plan),
-                    run_cover_trials_implicit(&ig, &faulty, 0, &plan),
-                    run_cover_trials(&g, &plain, 0, &plan),
-                    run_cover_trials_typed(&g, &plain, 0, &plan),
-                    run_cover_trials_lanes(&g, &plain, 0, &plan),
-                    run_cover_trials_implicit(&ig, &plain, 0, &plan),
-                )
-            });
+        let (f_typed, f_lane, f_impl, p_typed, p_lane, p_impl) = in_pool(workers, || {
+            (
+                run_cover_trials_typed(&g, &faulty, 0, &plan),
+                lanes_fixed(&g, &faulty, &plan),
+                run_cover_trials_implicit(&ig, &faulty, 0, &plan),
+                run_cover_trials_typed(&g, &plain, 0, &plan),
+                lanes_fixed(&g, &plain, &plan),
+                run_cover_trials_implicit(&ig, &plain, 0, &plan),
+            )
+        });
         let label = |route: &str| format!("{workers} workers, {route} route");
         // Faulty-none equals plain at this worker count…
-        assert_outcomes_identical(&f_dyn, &p_dyn, &label("dyn"));
         assert_outcomes_identical(&f_typed, &p_typed, &label("typed"));
         assert_outcomes_identical(&f_lane, &p_lane, &label("lane"));
         assert_outcomes_identical(&f_impl, &p_impl, &label("implicit"));
         // …and equals the single-thread baseline (worker independence).
-        assert_outcomes_identical(&f_dyn, &base.0, &label("dyn vs 1-thread"));
-        assert_outcomes_identical(&f_typed, &base.1, &label("typed vs 1-thread"));
-        assert_outcomes_identical(&f_lane, &base.2, &label("lane vs 1-thread"));
-        assert_outcomes_identical(&f_impl, &base.3, &label("implicit vs 1-thread"));
+        assert_outcomes_identical(&f_typed, &base.0, &label("typed vs 1-thread"));
+        assert_outcomes_identical(&f_lane, &base.1, &label("lane vs 1-thread"));
+        assert_outcomes_identical(&f_impl, &base.2, &label("implicit vs 1-thread"));
     }
 }
 
@@ -202,19 +232,19 @@ fn faulty_plans_are_deterministic_across_worker_counts_and_reruns() {
 
     let base = in_pool(1, || run_cover_trials_typed(&g, &faulty, 0, &plan));
     for workers in WORKER_COUNTS {
-        let (typed, typed_again, dynamic) = in_pool(workers, || {
+        let (typed, typed_again, implicit) = in_pool(workers, || {
             (
                 run_cover_trials_typed(&g, &faulty, 0, &plan),
                 run_cover_trials_typed(&g, &faulty, 0, &plan),
-                run_cover_trials(&g, &faulty, 0, &plan),
+                run_cover_trials_implicit(&g, &faulty, 0, &plan),
             )
         });
         assert_outcomes_identical(&typed, &base, &format!("{workers} workers vs 1-thread"));
         assert_outcomes_identical(&typed, &typed_again, &format!("{workers} workers, rerun"));
         assert_outcomes_identical(
             &typed,
-            &dynamic,
-            &format!("{workers} workers, dyn vs typed"),
+            &implicit,
+            &format!("{workers} workers, implicit draws vs sampler"),
         );
     }
 }
@@ -228,14 +258,14 @@ fn adaptive_auto_route_preserves_none_plan_identity_and_faulty_determinism() {
     let rule = StopRule::new(8, 120, 0.05);
     let plan = AdaptivePlan::new(rule, 16, MAX_STEPS, 0xFA317);
 
-    let base_none = in_pool(1, || run_cover_trials_adaptive_auto(&g, &none, 0, &plan));
-    let base_lossy = in_pool(1, || run_cover_trials_adaptive_auto(&g, &lossy, 0, &plan));
+    let base_none = in_pool(1, || adaptive_auto(&g, &none, &plan));
+    let base_lossy = in_pool(1, || adaptive_auto(&g, &lossy, &plan));
     for workers in WORKER_COUNTS {
         let (a_none, a_plain, a_lossy) = in_pool(workers, || {
             (
-                run_cover_trials_adaptive_auto(&g, &none, 0, &plan),
-                run_cover_trials_adaptive_auto(&g, &plain, 0, &plan),
-                run_cover_trials_adaptive_auto(&g, &lossy, 0, &plan),
+                adaptive_auto(&g, &none, &plan),
+                adaptive_auto(&g, &plain, &plan),
+                adaptive_auto(&g, &lossy, &plan),
             )
         });
         // The auto router must keep the none-plan on the same engine it
@@ -272,9 +302,9 @@ proptest! {
             "proptest typed route",
         );
         assert_outcomes_identical(
-            &run_cover_trials(&g, &faulty, 0, &plan),
-            &run_cover_trials(&g, &plain, 0, &plan),
-            "proptest dyn route",
+            &run_cover_trials_implicit(&g, &faulty, 0, &plan),
+            &run_cover_trials_implicit(&g, &plain, 0, &plan),
+            "proptest implicit-draw route",
         );
     }
 

@@ -18,22 +18,39 @@
 //!   their exact times, lanes that did not are censored individually;
 //! * outcomes are bit-identical across rayon worker counts {1, 2, 8}
 //!   (batch seeds are positional, collection is order-preserving), for
-//!   both the fixed-plan and the adaptive lane runners.
+//!   both fixed-plan and adaptive lane runs;
+//! * the auto routers (the cover sweeps and the adaptive runner) run the
+//!   engine [`lane_cover_applies`] selects.
 
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, NeighborSampler};
+use cobra_repro::obs::NoopProbe;
 use cobra_repro::sim::runner::{
-    lane_cover_applies, run_cover_trials_adaptive_auto, run_cover_trials_adaptive_lanes,
-    run_cover_trials_auto, run_cover_trials_lanes, run_cover_trials_typed, TrialPlan,
+    lane_cover_applies, run_cover_trials_adaptive_auto_resumable, run_cover_trials_lanes_probed,
+    run_cover_trials_typed, TrialPlan,
 };
 use cobra_repro::sim::{
-    ks_distance, AdaptiveOutcome, AdaptivePlan, SeedSequence, StopRule, Summary, TrialOutcome,
+    cell_seed, ks_distance, run_cover_sweep_cells, AdaptiveOutcome, AdaptivePlan, BatchControl,
+    SeedSequence, StopRule, Summary, SweepCell, TrialOutcome,
 };
 use cobra_repro::walks::{run_lane_cover, CobraWalk, CoverDriver, LaneScratch, LANE_WIDTH};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const MAX_STEPS: usize = 200_000;
+
+/// A fixed-plan lane run from vertex 0.
+fn lanes_fixed(g: &Graph, cobra: &CobraWalk, plan: &TrialPlan) -> TrialOutcome {
+    run_cover_trials_lanes_probed(g, cobra, 0, plan, |_| NoopProbe).0
+}
+
+/// An uninterrupted adaptive run from vertex 0 through the auto router.
+fn adaptive_auto(g: &Graph, cobra: &CobraWalk, plan: &AdaptivePlan) -> AdaptiveOutcome {
+    run_cover_trials_adaptive_auto_resumable(g, cobra, 0, plan, Vec::new(), |_| {
+        BatchControl::Continue
+    })
+    .outcome
+}
 
 /// One independent lane-engine cover time per batch: lane 0 of `batches`
 /// full-width batch runs. Harvesting a single lane per batch sidesteps
@@ -111,7 +128,7 @@ fn partial_batch_truncates_the_full_width_stream() {
     let g = grid::grid(&[7, 7]);
     let cobra = CobraWalk::standard();
     let plan = TrialPlan::new(100, MAX_STEPS, 0xBEEF);
-    let out = run_cover_trials_lanes(&g, &cobra, 0, &plan);
+    let out = lanes_fixed(&g, &cobra, &plan);
     assert_eq!(out.summary.count() + out.censored, 100);
 
     // Oracle: flatten both batches by hand and truncate.
@@ -268,6 +285,7 @@ fn lane_runners_are_worker_count_independent() {
     let plan = TrialPlan::new(200, MAX_STEPS, 0x9A9A);
     let rule = StopRule::new(64, 512, 0.05);
     let adaptive = AdaptivePlan::new(rule, 32, MAX_STEPS, 0x5151);
+    assert!(lane_cover_applies(&g, &cobra, rule.max_trials));
 
     let at_workers = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new()
@@ -276,8 +294,8 @@ fn lane_runners_are_worker_count_independent() {
             .unwrap();
         pool.install(|| {
             (
-                run_cover_trials_lanes(&g, &cobra, 0, &plan),
-                run_cover_trials_adaptive_lanes(&g, &cobra, 0, &adaptive),
+                lanes_fixed(&g, &cobra, &plan),
+                adaptive_auto(&g, &cobra, &adaptive),
             )
         })
     };
@@ -295,30 +313,54 @@ fn lane_runners_are_worker_count_independent() {
 fn auto_routers_match_the_engine_they_select() {
     let cobra = CobraWalk::standard();
 
-    // Small n, trials ≥ 64: eligible, auto must equal the lane engine.
     let small = grid::grid(&[7, 7]);
+    // The fixed sweep's one cell runs under `cell_seed(master, 0)`.
+    let swept = |plan: &TrialPlan| {
+        let cells = [SweepCell::new(64.0, small.clone(), 0)];
+        let table = run_cover_sweep_cells("auto", "n", cells, &cobra, plan).unwrap();
+        let cell_plan = TrialPlan {
+            master_seed: cell_seed(plan.master_seed, 0),
+            ..*plan
+        };
+        (table.rows[0].clone(), cell_plan)
+    };
+    let assert_row = |plan: &TrialPlan, engine: &dyn Fn(&TrialPlan) -> TrialOutcome, label| {
+        let (row, cell_plan) = swept(plan);
+        let out = engine(&cell_plan);
+        assert_eq!(row.trials, out.summary.count(), "{label}: counts differ");
+        assert_eq!(row.censored, out.censored, "{label}: censoring differs");
+        assert_eq!(row.mean, out.summary.mean(), "{label}: means differ");
+        assert_eq!(row.median, out.summary.median(), "{label}: medians differ");
+    };
+
+    // Small n, trials ≥ 64: eligible, the sweep must equal the lane engine.
     let plan = TrialPlan::new(128, MAX_STEPS, 7);
     assert!(lane_cover_applies(&small, &cobra, plan.trials));
-    assert_outcomes_identical(
-        &run_cover_trials_auto(&small, &cobra, 0, &plan),
-        &run_cover_trials_lanes(&small, &cobra, 0, &plan),
-        "auto on an eligible cell",
+    assert_row(
+        &plan,
+        &|p| lanes_fixed(&small, &cobra, p),
+        "sweep, eligible cell",
     );
 
-    // Trials below one lane width: ineligible, auto must equal serial.
+    // Trials below one lane width: ineligible, the sweep must equal serial.
     let tiny = TrialPlan::new(32, MAX_STEPS, 7);
     assert!(!lane_cover_applies(&small, &cobra, tiny.trials));
-    assert_outcomes_identical(
-        &run_cover_trials_auto(&small, &cobra, 0, &tiny),
-        &run_cover_trials_typed(&small, &cobra, 0, &tiny),
-        "auto on an ineligible cell",
+    assert_row(
+        &tiny,
+        &|p| run_cover_trials_typed(&small, &cobra, 0, p),
+        "sweep, ineligible cell",
     );
 
     // Adaptive routing keys on the trial *cap* (engine choice must never
-    // depend on how many trials the data ends up consuming).
+    // depend on how many trials the data ends up consuming): an adaptive
+    // lane run is a prefix of the fixed lane run.
     let rule = StopRule::new(64, 256, 0.05);
     let adaptive = AdaptivePlan::new(rule, 32, MAX_STEPS, 11);
-    let auto = run_cover_trials_adaptive_auto(&small, &cobra, 0, &adaptive);
-    let lanes = run_cover_trials_adaptive_lanes(&small, &cobra, 0, &adaptive);
-    assert_adaptive_identical(&auto, &lanes, "adaptive auto, eligible cell");
+    let auto = adaptive_auto(&small, &cobra, &adaptive);
+    let prefix = TrialPlan::new(auto.trials_run(), MAX_STEPS, 11);
+    assert_outcomes_identical(
+        &auto.to_trial_outcome(),
+        &lanes_fixed(&small, &cobra, &prefix),
+        "adaptive auto, eligible cell",
+    );
 }

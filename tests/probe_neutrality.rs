@@ -2,12 +2,15 @@
 //!
 //! The observability seam (`cobra_obs::Probe`) owes two guarantees:
 //!
-//! * **`NoopProbe` is free** — every probed engine route (dyn, typed,
-//!   scratch/implicit, bit-sliced lanes) driven with a `NoopProbe`
-//!   factory is bit-identical to its unprobed twin, at every rayon
-//!   worker count {1, 2, 8}. The probe must never touch the RNG stream
-//!   or perturb the walk; otherwise enabling telemetry would fork every
-//!   frozen baseline.
+//! * **`NoopProbe` is free** — every engine route (scratch+sampler,
+//!   scratch/implicit, bit-sliced lanes) gives the same outcome under a
+//!   `NoopProbe` factory as under a `CountingProbe` one (whose
+//!   `ENABLED = true` runs every hook), at every rayon worker count
+//!   {1, 2, 8}, and that outcome matches digests recorded before the
+//!   probed and unprobed runners became one body — the scratch digests
+//!   are also what the retired dyn route produced. The probe must never
+//!   touch the RNG stream or perturb the walk; otherwise enabling
+//!   telemetry would fork every frozen baseline.
 //! * **Counters are honest** — `CountingProbe`/`TraceProbe` totals are
 //!   validated against independent oracles: draws consumed equals the
 //!   RNG stream position (on cycle graphs every neighbor draw costs
@@ -19,12 +22,13 @@ use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, ImplicitGrid};
 use cobra_repro::obs::{CountingProbe, NoopProbe, Probe, TraceEvent, TraceProbe};
 use cobra_repro::sim::runner::{
-    run_cover_trials, run_cover_trials_implicit, run_cover_trials_implicit_probed,
-    run_cover_trials_lanes, run_cover_trials_lanes_probed, run_cover_trials_probed,
-    run_cover_trials_typed, run_cover_trials_typed_probed, TrialPlan,
+    run_cover_trials_implicit_probed, run_cover_trials_lanes_probed, run_cover_trials_typed_probed,
+    TrialPlan,
 };
 use cobra_repro::sim::TrialOutcome;
-use cobra_repro::walks::{CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk};
+use cobra_repro::walks::{
+    CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, ImplicitDraw, TrialScratch,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,6 +43,29 @@ fn in_pool<T: Send>(workers: usize, f: impl FnOnce() -> T + Send) -> T {
         .build()
         .expect("build rayon pool")
         .install(f)
+}
+
+/// FNV-1a digest of an outcome's censoring, count, and moments — the form
+/// the pinned values below were recorded in.
+fn outcome_digest(out: &TrialOutcome) -> u64 {
+    let s = &out.summary;
+    let mut words = vec![out.censored as u64, s.count() as u64];
+    if s.count() > 0 {
+        words.extend([s.mean(), s.variance(), s.min(), s.max(), s.median()].map(f64::to_bits));
+    }
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+fn noop(_trial: u64) -> NoopProbe {
+    NoopProbe
+}
+
+fn counting(_trial: u64) -> CountingProbe {
+    CountingProbe::new()
 }
 
 /// Full-moment equality: same censoring and the same multiset summary,
@@ -69,39 +96,63 @@ fn noop_probe_is_bit_identical_on_all_four_routes_and_worker_counts() {
         ("cycle 33", classic::cycle(33).unwrap()),
     ];
     let implicit = ImplicitGrid::new(&[7, 7]).unwrap();
-    let noop = |_trial: u64| NoopProbe;
-    for k in [1u32, 2] {
+    // Recorded digests per k: [graph][scratch (= the dyn route), lanes],
+    // then the implicit grid (the CSR grid's scratch stream).
+    let pinned = [
+        (
+            [
+                [0x5cb1b983b0791581, 0xb06cc4608b05ec10],
+                [0x65cf6657c9f9d8ce, 0xa22f9d80062e9cfa],
+            ],
+            0x5cb1b983b0791581,
+        ),
+        (
+            [
+                [0x281d339f841d7465, 0x2948f0cbf05067f6],
+                [0x4e81e49343e37c43, 0x37611f57e6d69ea6],
+            ],
+            0x281d339f841d7465,
+        ),
+    ];
+    for (k, (per_graph, implicit_pin)) in [1u32, 2].into_iter().zip(pinned) {
         let process = CobraWalk::new(k);
         // 96 trials: ≥ 64 so the lane route runs a full-width batch plus
         // a truncated one.
         let plan = TrialPlan::new(96, MAX_STEPS, 0x0B5E + u64::from(k));
         for workers in WORKER_COUNTS {
-            for (name, g) in &graphs {
+            for ((name, g), [scratch_pin, lanes_pin]) in graphs.iter().zip(per_graph) {
                 let label = |route: &str| format!("k={k}, {name}, {workers}w, {route} route");
                 in_pool(workers, || {
+                    let typed = run_cover_trials_typed_probed(g, &process, 0, &plan, noop).0;
                     assert_outcomes_identical(
-                        &run_cover_trials_probed(g, &process, 0, &plan, noop).0,
-                        &run_cover_trials(g, &process, 0, &plan),
-                        &label("dyn"),
-                    );
-                    assert_outcomes_identical(
-                        &run_cover_trials_typed_probed(g, &process, 0, &plan, noop).0,
-                        &run_cover_trials_typed(g, &process, 0, &plan),
+                        &typed,
+                        &run_cover_trials_typed_probed(g, &process, 0, &plan, counting).0,
                         &label("typed"),
                     );
+                    assert_eq!(
+                        outcome_digest(&typed),
+                        scratch_pin,
+                        "{}",
+                        label("typed/dyn")
+                    );
+                    let lanes = run_cover_trials_lanes_probed(g, &process, 0, &plan, noop).0;
                     assert_outcomes_identical(
-                        &run_cover_trials_lanes_probed(g, &process, 0, &plan, noop).0,
-                        &run_cover_trials_lanes(g, &process, 0, &plan),
+                        &lanes,
+                        &run_cover_trials_lanes_probed(g, &process, 0, &plan, counting).0,
                         &label("lanes"),
                     );
+                    assert_eq!(outcome_digest(&lanes), lanes_pin, "{}", label("lanes"));
                 });
             }
             in_pool(workers, || {
+                let label = format!("k={k}, implicit grid, {workers}w");
+                let out = run_cover_trials_implicit_probed(&implicit, &process, 0, &plan, noop).0;
                 assert_outcomes_identical(
-                    &run_cover_trials_implicit_probed(&implicit, &process, 0, &plan, noop).0,
-                    &run_cover_trials_implicit(&implicit, &process, 0, &plan),
-                    &format!("k={k}, implicit grid, {workers}w"),
+                    &out,
+                    &run_cover_trials_implicit_probed(&implicit, &process, 0, &plan, counting).0,
+                    &label,
                 );
+                assert_eq!(outcome_digest(&out), implicit_pin, "{label}");
             });
         }
     }
@@ -113,9 +164,9 @@ fn noop_probe_is_bit_identical_through_the_fault_seam() {
     // NoopProbe route must not perturb either the plan-none fast path or
     // a plan exercising every fault dimension.
     let g = grid::grid(&[7, 7]);
-    let noop = |_trial: u64| NoopProbe;
+    // Recorded typed-route digests for each plan.
     let plans = [
-        ("none", FaultPlan::none()),
+        ("none", FaultPlan::none(), 0xaa8d717a564510f4),
         (
             "lossy",
             FaultPlan::none()
@@ -123,18 +174,22 @@ fn noop_probe_is_bit_identical_through_the_fault_seam() {
                 .with_delay(0.25, 32)
                 .with_outage(5, 3, 11)
                 .with_deletion_wave(7, vec![0, 1, 2]),
+            0x1e7cff1947a92f14,
         ),
     ];
-    for (pname, fault_plan) in plans {
+    for (pname, fault_plan, pin) in plans {
         let process = FaultyCobraWalk::new(2, fault_plan);
         let plan = TrialPlan::new(48, MAX_STEPS, 0xFA0B5);
         for workers in WORKER_COUNTS {
             in_pool(workers, || {
+                let label = format!("faulty({pname}), {workers}w, typed route");
+                let out = run_cover_trials_typed_probed(&g, &process, 0, &plan, noop).0;
                 assert_outcomes_identical(
-                    &run_cover_trials_typed_probed(&g, &process, 0, &plan, noop).0,
-                    &run_cover_trials_typed(&g, &process, 0, &plan),
-                    &format!("faulty({pname}), {workers}w, typed route"),
+                    &out,
+                    &run_cover_trials_typed_probed(&g, &process, 0, &plan, counting).0,
+                    &label,
                 );
+                assert_eq!(outcome_digest(&out), pin, "{label}");
             });
         }
     }
@@ -176,7 +231,15 @@ fn counting_probe_draws_equal_the_rng_stream_position() {
                 let mut probe = CountingProbe::new();
                 probe.on_trial_begin(0);
                 let res = driver
-                    .run_typed_probed(&process, 0, MAX_STEPS, &mut rng, &mut probe)
+                    .run_typed_in_probed(
+                        &process,
+                        &ImplicitDraw,
+                        &mut TrialScratch::new(&g),
+                        0,
+                        MAX_STEPS,
+                        &mut rng,
+                        &mut probe,
+                    )
                     .expect("non-empty graph");
                 let totals = probe.totals();
                 assert_eq!(
@@ -201,9 +264,8 @@ fn counting_probe_coverage_sums_to_n_across_parallel_trials() {
     let n = 24usize;
     let g = classic::cycle(n).unwrap();
     let plan = TrialPlan::new(16, MAX_STEPS, 0xC0FE);
-    let (out, probes) = run_cover_trials_typed_probed(&g, &CobraWalk::standard(), 0, &plan, |_| {
-        CountingProbe::new()
-    });
+    let (out, probes) =
+        run_cover_trials_typed_probed(&g, &CobraWalk::standard(), 0, &plan, counting);
     assert_eq!(out.censored, 0, "trials must complete for the oracle");
     assert_eq!(probes.len(), 16);
     for (i, probe) in probes.iter().enumerate() {
@@ -235,7 +297,15 @@ fn trace_probe_round_draws_equal_k_times_frontier() {
         probe.on_trial_begin(0);
         let mut rng = StdRng::seed_from_u64(0x7ACE);
         driver
-            .run_typed_probed(&process, 0, MAX_STEPS, &mut rng, &mut probe)
+            .run_typed_in_probed(
+                &process,
+                &ImplicitDraw,
+                &mut TrialScratch::new(&g),
+                0,
+                MAX_STEPS,
+                &mut rng,
+                &mut probe,
+            )
             .expect("non-empty graph");
         let mut prev_frontier = 1u64; // the lone start vertex
         let mut rounds_seen = 0usize;

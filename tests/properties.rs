@@ -9,7 +9,7 @@ use cobra_repro::graph::metrics::{
     sweep_conductance,
 };
 use cobra_repro::graph::{Graph, GraphBuilder};
-use cobra_repro::walks::{CobraWalk, Process, WaltProcess};
+use cobra_repro::walks::{CobraWalk, StateView, TypedProcess, TypedState, WaltProcess};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,7 +113,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gnp::gnp_connected(30, 0.2, 100, &mut rng).unwrap();
         let spec = CobraWalk::new(k);
-        let mut st = spec.spawn(&g, 0);
+        let mut st = spec.spawn_typed(&g, 0);
         let mut prev = st.occupied().len();
         for _ in 0..40 {
             st.step(&g, &mut rng);
@@ -134,7 +134,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gnp::gnp_connected(25, 0.25, 100, &mut rng).unwrap();
         let spec = WaltProcess::with_count(9);
-        let mut st = spec.spawn(&g, 3);
+        let mut st = spec.spawn_typed(&g, 3);
         for _ in 0..60 {
             st.step(&g, &mut rng);
             prop_assert_eq!(st.occupied().len(), 9);
