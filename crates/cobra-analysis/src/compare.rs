@@ -1,11 +1,6 @@
-//! Ratio flatness and crossover detection.
-//!
-//! Two recurring experiment questions:
-//!
-//! 1. *Is T(n) = O(f(n))?* — check that `T(n)/f(n)` is flat-or-decreasing
-//!    as `n` grows ([`ratio_flatness`]);
-//! 2. *Where does process A start beating process B?* — find the
-//!    crossover index of two measured curves ([`crossover_point`]).
+//! Ratio flatness: the recurring experiment question *is T(n) = O(f(n))?*
+//! — check that `T(n)/f(n)` is flat-or-decreasing as `n` grows
+//! ([`ratio_flatness`]).
 
 use crate::fit::linear_fit;
 
@@ -51,23 +46,6 @@ pub fn is_bounded_by(report: &RatioReport, tolerance: f64) -> bool {
     report.log_slope <= tolerance
 }
 
-/// First index `i` where `ys_a[i] < ys_b[i]` and stays below for the rest
-/// of the series ("A durably beats B from here on"). `None` if no such
-/// point.
-pub fn crossover_point(ys_a: &[f64], ys_b: &[f64]) -> Option<usize> {
-    assert_eq!(ys_a.len(), ys_b.len());
-    let n = ys_a.len();
-    let mut candidate = None;
-    for i in 0..n {
-        if ys_a[i] < ys_b[i] {
-            candidate.get_or_insert(i);
-        } else {
-            candidate = None;
-        }
-    }
-    candidate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,29 +79,6 @@ mod tests {
         let rep = ratio_flatness(&xs, &ys, &fs);
         assert!(rep.log_slope > 0.9);
         assert!(!is_bounded_by(&rep, 0.15));
-    }
-
-    #[test]
-    fn crossover_found() {
-        // A starts slower, wins from index 2 onward.
-        let a = [10.0, 9.0, 5.0, 4.0, 3.0];
-        let b = [5.0, 6.0, 7.0, 8.0, 9.0];
-        assert_eq!(crossover_point(&a, &b), Some(2));
-    }
-
-    #[test]
-    fn crossover_requires_durability() {
-        // A dips below B but loses again at the end.
-        let a = [10.0, 4.0, 10.0];
-        let b = [5.0, 5.0, 5.0];
-        assert_eq!(crossover_point(&a, &b), None);
-    }
-
-    #[test]
-    fn crossover_from_start() {
-        let a = [1.0, 1.0];
-        let b = [2.0, 2.0];
-        assert_eq!(crossover_point(&a, &b), Some(0));
     }
 
     #[test]

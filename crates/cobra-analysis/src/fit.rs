@@ -64,19 +64,6 @@ pub fn power_law_fit(xs: &[f64], ys: &[f64]) -> FitResult {
     linear_fit(&lx, &ly)
 }
 
-/// Evaluate a power-law fit at `x`.
-pub fn power_law_eval(fit: &FitResult, x: f64) -> f64 {
-    (fit.intercept + fit.slope * x.ln()).exp()
-}
-
-/// Residuals `y_i − ŷ_i` of a linear fit.
-pub fn residuals(fit: &FitResult, xs: &[f64], ys: &[f64]) -> Vec<f64> {
-    xs.iter()
-        .zip(ys)
-        .map(|(&x, &y)| y - (fit.intercept + fit.slope * x))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,25 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn power_law_eval_roundtrip() {
-        let xs = [1.0, 2.0, 4.0, 8.0];
-        let ys: Vec<f64> = xs.iter().map(|&x| 2.0 * x * x).collect();
-        let f = power_law_fit(&xs, &ys);
-        assert!((power_law_eval(&f, 3.0) - 18.0).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn power_law_rejects_nonpositive() {
         power_law_fit(&[1.0, 2.0], &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn residuals_sum_to_zero_for_ols() {
-        let xs = [1.0, 2.0, 3.0, 5.0];
-        let ys = [2.0, 2.5, 4.0, 5.5];
-        let f = linear_fit(&xs, &ys);
-        let r = residuals(&f, &xs, &ys);
-        assert!(r.iter().sum::<f64>().abs() < 1e-10);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`fit`] — ordinary least squares and log–log power-law fits with R²;
 //! * [`bootstrap`] — bootstrap confidence intervals for fitted exponents;
-//! * [`compare`] — ratio flatness tests and crossover detection;
+//! * [`compare`] — ratio flatness tests;
 //! * [`growth`] — classification of a curve against candidate shapes
 //!   (`log n`, `log² n`, `√n`, `n`, `n log n`, `n^α`).
 
@@ -22,6 +22,6 @@ pub mod fit;
 pub mod growth;
 
 pub use bootstrap::bootstrap_exponent_ci;
-pub use compare::{crossover_point, ratio_flatness};
+pub use compare::ratio_flatness;
 pub use fit::{linear_fit, power_law_fit, FitResult};
 pub use growth::{classify_growth, GrowthShape};

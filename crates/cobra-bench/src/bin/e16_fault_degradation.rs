@@ -56,7 +56,7 @@ fn loss_sweep(
         let g = family.build(side, stage_seed(cfg.seed, "e16", "graphs", i as u64));
         let start = family.adversarial_start(&g);
         let budget = (8_000 + 1_500 * side) * if p > 0.0 { 4 } else { 1 };
-        SweepCell::new(side as f64, g, start).with_budget(budget)
+        SweepCell::new(side as f64, g, start, budget)
     });
     let label = format!("cobra(k=2) loss={p} on grid d=2");
     orch.cover_sweep(

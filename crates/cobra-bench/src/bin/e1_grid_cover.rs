@@ -33,7 +33,7 @@ fn sweep_cover<P: TypedProcess + Sync>(
     let cells = scales.iter().enumerate().map(|(i, &scale)| {
         let g = family.build(scale, stage_seed(cfg.seed, "e1", "graphs", i as u64));
         let start = family.adversarial_start(&g);
-        SweepCell::new(scale as f64, g, start).with_budget(budget_for(scale))
+        SweepCell::new(scale as f64, g, start, budget_for(scale))
     });
     orch.cover_sweep(label, "n", cells, process, cfg.seed)
         .expect("a sweep cell completed zero trials — raise the step budget")

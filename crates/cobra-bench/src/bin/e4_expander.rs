@@ -50,7 +50,7 @@ fn main() {
             );
             let logn = (g.num_vertices() as f64).ln();
             let budget = (300.0 * logn * logn) as usize + 5_000;
-            SweepCell::new(g.num_vertices() as f64, g, 0u32).with_budget(budget)
+            SweepCell::new(g.num_vertices() as f64, g, 0u32, budget)
         });
         let mut table = orch
             .cover_sweep(
@@ -101,7 +101,7 @@ fn main() {
         let g = fam.build(n, stage_seed(cfg.seed, "e4", "rw-graphs", i as u64));
         let nn = g.num_vertices() as f64;
         let budget = (200.0 * nn * nn.ln()) as usize + 10_000;
-        SweepCell::new(nn, g, 0u32).with_budget(budget)
+        SweepCell::new(nn, g, 0u32, budget)
     });
     let rw_table = orch
         .cover_sweep(

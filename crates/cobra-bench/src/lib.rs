@@ -1,8 +1,9 @@
 //! # cobra-bench
 //!
 //! Experiment harness for the cobra-walk reproduction. Each empirically
-//! checkable claim of the paper has a binary (`e1_grid_cover` …
-//! `e13_walt_ablation`); shared sweep/reporting plumbing lives here.
+//! checkable claim of the paper has a binary (`e0_smoke`, `e1_grid_cover`
+//! … `e16_fault_degradation`); shared sweep/reporting plumbing lives
+//! here.
 //!
 //! Every binary supports:
 //!
@@ -26,12 +27,13 @@
 //!   render.
 //!
 //! Sweep-style binaries run through the adaptive orchestrator
-//! ([`orchestrator::Orchestrator`]): per-cell trial counts follow a
-//! sequential stopping rule instead of a fixed plan, so easy cells stop
-//! early and hard cells keep sampling until their CI is tight.
+//! ([`orchestrator::Orchestrator`]), the only sweep path: per-cell trial
+//! counts follow a sequential stopping rule instead of a fixed plan, so
+//! easy cells stop early and hard cells keep sampling until their CI is
+//! tight.
 //!
-//! See `EXPERIMENTS.md` at the workspace root for the experiment ↔ claim
-//! index and recorded results.
+//! Each binary's module docs name the claim it checks; its `[PASS]` /
+//! `[FAIL]` verdict lines and the run manifest record the results.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -416,10 +416,9 @@ impl Orchestrator {
         )
     }
 
-    /// Run a whole cover sweep adaptively (every cell must carry its own
-    /// step budget — see [`Orchestrator::try_cover_sweep`]; per-cell
-    /// seeds derive from `master_seed` via [`cell_seed`], exactly as in
-    /// the fixed-trial sweep) and record every cell in the manifest.
+    /// Run a whole cover sweep adaptively (each cell under its own step
+    /// budget; per-cell seeds derive from `master_seed` via [`cell_seed`])
+    /// and record every cell in the manifest.
     /// Quarantined cells are recorded `failed` and lose their table row;
     /// a halt exits with code 3 (use [`Orchestrator::try_cover_sweep`] to
     /// handle it yourself).
@@ -440,14 +439,10 @@ impl Orchestrator {
 
     /// Fault-aware cover sweep: one robust cell run per [`SweepCell`],
     /// seeded with `cell_seed(master_seed, index)` — identical streams
-    /// to the non-robust adaptive sweep, so pre-existing manifests keep
-    /// their numbers. Quarantined cells stay in the manifest as `failed`
-    /// but produce no table row.
-    ///
-    /// Panics, naming the cell's key, on a cell without a step budget
-    /// ([`SweepCell::with_budget`]): the orchestrator has no plan-wide
-    /// budget to fall back on, and a guessed one would censor every trial
-    /// and surface as a misleading [`EmptySummary`].
+    /// to a plain [`run_cover_trials_adaptive_auto_resumable`] run of
+    /// each cell, so pre-existing manifests keep their numbers.
+    /// Quarantined cells stay in the manifest as `failed` but produce no
+    /// table row.
     pub fn try_cover_sweep(
         &mut self,
         label: impl Into<String>,
@@ -459,13 +454,6 @@ impl Orchestrator {
         let label = label.into();
         let mut table = SweepTable::new(label.clone(), scale_name);
         for (cell_idx, cell) in cells.into_iter().enumerate() {
-            let max_steps = cell.max_steps.unwrap_or_else(|| {
-                panic!(
-                    "sweep cell \"{label}@{}\" has no step budget; orchestrated sweeps \
-                     need SweepCell::with_budget",
-                    cell.scale
-                )
-            });
             let seed = cell_seed(master_seed, cell_idx);
             match self.try_cover_cell(
                 &label,
@@ -473,7 +461,7 @@ impl Orchestrator {
                 &cell.graph,
                 process,
                 cell.start,
-                max_steps,
+                cell.max_steps,
                 seed,
             )? {
                 CellOutcome::Done(out) => {
@@ -1083,9 +1071,8 @@ mod tests {
     fn sweep_runs_record_every_cell() {
         let spec = ExperimentSpec::from_config("eS", "sweep claim", &ci_cfg());
         let mut orch = Orchestrator::new(spec);
-        let cells = [8usize, 12].map(|n| {
-            SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0u32).with_budget(50_000)
-        });
+        let cells = [8usize, 12]
+            .map(|n| SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0u32, 50_000));
         let t = orch
             .cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3)
             .unwrap();
@@ -1099,28 +1086,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep cell \"cobra on cycle@12\" has no step budget")]
-    fn budgetless_sweep_cell_panics_with_its_key() {
-        let spec = ExperimentSpec::from_config("eB", "budget", &ci_cfg());
-        let mut orch = Orchestrator::new(spec);
-        let cells = [
-            SweepCell::new(8.0, classic::cycle(8).unwrap(), 0u32).with_budget(50_000),
-            SweepCell::new(12.0, classic::cycle(12).unwrap(), 0u32),
-        ];
-        let _ = orch.try_cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3);
-    }
-
-    #[test]
     fn robust_sweep_matches_legacy_sweep_streams() {
-        // The robust per-cell path must reproduce the exact numbers of
-        // the non-robust adaptive sweep (same cell seeds, same engine
+        // The robust per-cell path must reproduce the exact numbers of a
+        // plain adaptive run of each cell (same cell seeds, same engine
         // routing) — otherwise pre-existing manifests would shift.
-        use cobra_sim::run_cover_sweep_cells_adaptive;
         let spec = ExperimentSpec::from_config("eQ", "c", &ci_cfg());
         let make_cells = || {
-            [8usize, 12, 16].map(|n| {
-                SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0u32).with_budget(50_000)
-            })
+            [8usize, 12, 16]
+                .map(|n| SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0, 50_000))
         };
         let mut orch = Orchestrator::new(spec.clone());
         let robust = orch
@@ -1132,17 +1105,19 @@ mod tests {
                 5,
             )
             .unwrap();
-        let plan = AdaptivePlan::new(spec.rule, spec.batch, 1, 5);
-        let legacy = run_cover_sweep_cells_adaptive(
-            "cobra on cycle",
-            "n",
-            make_cells(),
-            &CobraWalk::standard(),
-            &plan,
-        )
-        .unwrap();
-        assert_eq!(robust.rows.len(), legacy.table.rows.len());
-        for (a, b) in robust.rows.iter().zip(&legacy.table.rows) {
+        assert_eq!(robust.rows.len(), 3);
+        for (cell_idx, (a, cell)) in robust.rows.iter().zip(make_cells()).enumerate() {
+            let plan = spec.plan(cell.max_steps, cell_seed(5, cell_idx));
+            let out = run_cover_trials_adaptive_auto_resumable(
+                &cell.graph,
+                &CobraWalk::standard(),
+                cell.start,
+                &plan,
+                Vec::new(),
+                |_| BatchControl::Continue,
+            )
+            .outcome;
+            let b = SweepRow::from_summary(cell.scale, &out.summary, out.censored);
             assert_eq!(a.mean, b.mean);
             assert_eq!(a.trials, b.trials);
             assert_eq!(a.p95, b.p95);
@@ -1161,9 +1136,8 @@ mod tests {
         );
         let mut orch = Orchestrator::new(spec);
         orch.poison_cell("cobra on cycle@12");
-        let cells = [8usize, 12, 16].map(|n| {
-            SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0u32).with_budget(50_000)
-        });
+        let cells = [8usize, 12, 16]
+            .map(|n| SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0u32, 50_000));
         let t = orch
             .try_cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3)
             .unwrap();

@@ -3,13 +3,14 @@
 //!
 //! Three pieces, mirroring the paper:
 //!
-//! * [`BiasedWalk`] — the ε-biased walk of Azar, Broder, Karlin, Linial,
-//!   Phillips: each step, with probability `ε(v)` a [`Controller`] picks
-//!   the next vertex, otherwise the step is uniform. The paper's
-//!   **inverse-degree-biased walk** is the schedule `ε(v) = 1/d(v)` with
-//!   no bias at the target ([`BiasedWalk::inverse_degree`]).
-//! * [`TowardTarget`] — the natural controller that always moves along a
-//!   shortest path toward a target vertex (used to realize the drift
+//! * [`BiasedWalk`] — the paper's **inverse-degree-biased walk**: each
+//!   step, with probability `1/d(v)` the controller picks the next
+//!   vertex, otherwise the step is uniform, and there is no bias at the
+//!   target ([`BiasedWalk::inverse_degree_toward`]). This is the
+//!   `ε(v) = 1/d(v)` schedule of the ε-biased walks of Azar, Broder,
+//!   Karlin, Linial, Phillips.
+//! * [`TowardTarget`] — its controller, which always moves along a
+//!   shortest path toward the target vertex (used to realize the drift
 //!   the cobra walk's second pebble provides: Lemma 14's coupling says
 //!   `H_cobra(u, v) ≤ H*(u, v)` for the best inverse-degree-biased walk).
 //! * [`MetropolisWalk`] — the optimal-stationary-bias construction of
@@ -26,19 +27,10 @@ use cobra_graph::{metrics, Graph, Vertex};
 use rand::Rng;
 use std::sync::Arc;
 
-/// A memoryless, time-independent controller for a biased walk (paper
-/// §5.1: "the controller can be probabilistic, but it is time
-/// independent").
-pub trait Controller: Send + Sync {
-    /// Short name for reporting.
-    fn name(&self) -> String;
-
-    /// Choose the next vertex from `v`'s neighborhood.
-    fn choose(&self, g: &Graph, v: Vertex, rng: &mut dyn Rng) -> Vertex;
-}
-
-/// Controller that walks along a BFS shortest path toward `target`,
+/// The controller that walks along a BFS shortest path toward `target`,
 /// breaking ties uniformly at random among distance-decreasing neighbors.
+/// It is memoryless and time independent (paper §5.1: "the controller
+/// can be probabilistic, but it is time independent").
 pub struct TowardTarget {
     target: Vertex,
     dist: Vec<u32>,
@@ -57,14 +49,14 @@ impl TowardTarget {
     pub fn target(&self) -> Vertex {
         self.target
     }
-}
 
-impl Controller for TowardTarget {
-    fn name(&self) -> String {
+    /// Short name for reporting.
+    pub fn name(&self) -> String {
         format!("toward({})", self.target)
     }
 
-    fn choose(&self, g: &Graph, v: Vertex, rng: &mut dyn Rng) -> Vertex {
+    /// Choose the next vertex from `v`'s neighborhood.
+    pub fn choose<R: Rng + ?Sized>(&self, g: &Graph, v: Vertex, rng: &mut R) -> Vertex {
         let dv = self.dist[v as usize];
         let ns = g.neighbors(v);
         // Count distance-decreasing neighbors, then pick one uniformly.
@@ -87,63 +79,30 @@ impl Controller for TowardTarget {
     }
 }
 
-/// How much control the controller has at each vertex.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum BiasSchedule {
-    /// Fixed ε at every vertex (Azar et al.).
-    Constant(f64),
-    /// `ε(v) = 1/d(v)`, and no bias at `target` (the paper's
-    /// inverse-degree-biased walk, §5.1).
-    InverseDegree { target: Vertex },
-}
-
-/// The ε-biased walk process.
+/// The paper's inverse-degree-biased walk (§5.1): bias `1/d(v)` toward
+/// the target at `v ≠ target`, uniform at the target.
 #[derive(Clone)]
 pub struct BiasedWalk {
-    schedule: BiasSchedule,
-    controller: Arc<dyn Controller>,
+    controller: Arc<TowardTarget>,
 }
 
 impl BiasedWalk {
-    /// Constant-ε biased walk (Azar et al.).
-    pub fn constant(epsilon: f64, controller: Arc<dyn Controller>) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&epsilon),
-            "bias ε must be in [0, 1], got {epsilon}"
-        );
-        BiasedWalk {
-            schedule: BiasSchedule::Constant(epsilon),
-            controller,
-        }
-    }
-
-    /// The paper's inverse-degree-biased walk with the given target: bias
-    /// `1/d(v)` at `v ≠ target`, uniform at `target`.
-    pub fn inverse_degree(target: Vertex, controller: Arc<dyn Controller>) -> Self {
-        BiasedWalk {
-            schedule: BiasSchedule::InverseDegree { target },
-            controller,
-        }
-    }
-
-    /// Convenience: inverse-degree-biased walk steered along shortest
-    /// paths toward `target`.
+    /// The inverse-degree-biased walk steered along shortest paths
+    /// toward `target`.
     pub fn inverse_degree_toward(g: &Graph, target: Vertex) -> Self {
-        Self::inverse_degree(target, Arc::new(TowardTarget::new(g, target)))
+        BiasedWalk {
+            controller: Arc::new(TowardTarget::new(g, target)),
+        }
     }
 }
 
 impl Process for BiasedWalk {
     fn name(&self) -> String {
-        match self.schedule {
-            BiasSchedule::Constant(e) => format!("biased(ε={e},{})", self.controller.name()),
-            BiasSchedule::InverseDegree { target } => {
-                format!(
-                    "inv-degree-biased(target={target},{})",
-                    self.controller.name()
-                )
-            }
-        }
+        format!(
+            "inv-degree-biased(target={},{})",
+            self.controller.target(),
+            self.controller.name()
+        )
     }
 }
 
@@ -153,7 +112,6 @@ impl TypedProcess for BiasedWalk {
     fn spawn_typed(&self, g: &Graph, start: Vertex) -> BiasedState {
         assert!((start as usize) < g.num_vertices(), "start vertex in range");
         BiasedState {
-            schedule: self.schedule,
             controller: Arc::clone(&self.controller),
             pos: [start],
         }
@@ -163,28 +121,20 @@ impl TypedProcess for BiasedWalk {
 /// Mutable state of a running biased walk: one pebble position plus a
 /// handle on the shared controller.
 pub struct BiasedState {
-    schedule: BiasSchedule,
-    controller: Arc<dyn Controller>,
+    controller: Arc<TowardTarget>,
     pos: [Vertex; 1],
 }
 
 impl TypedState for BiasedState {
     fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
         let v = self.pos[0];
-        let bias = match self.schedule {
-            BiasSchedule::Constant(e) => e,
-            BiasSchedule::InverseDegree { target } => {
-                if v == target {
-                    0.0
-                } else {
-                    1.0 / g.degree(v) as f64
-                }
-            }
+        let bias = if v == self.controller.target() {
+            0.0
+        } else {
+            1.0 / g.degree(v) as f64
         };
         self.pos[0] = if bias > 0.0 && bernoulli(bias, rng) {
-            // The controller is object-safe, so it draws through a
-            // `&mut R` reborrow — the same stream, one indirection.
-            let u = self.controller.choose(g, v, &mut &mut *rng);
+            let u = self.controller.choose(g, v, rng);
             debug_assert!(g.has_edge(v, u), "controller must pick a neighbor");
             u
         } else {
@@ -428,42 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn full_bias_walk_reaches_target_in_distance_steps() {
-        let g = classic::path(10).unwrap();
-        let ctl = Arc::new(TowardTarget::new(&g, 0));
-        let spec = BiasedWalk::constant(1.0, ctl);
-        let mut st = spec.spawn_typed(&g, 9);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..9 {
-            st.step(&g, &mut rng);
-        }
-        assert_eq!(st.occupied(), &[0]);
-    }
-
-    #[test]
-    fn zero_bias_is_a_simple_walk() {
-        let g = classic::cycle(7).unwrap();
-        let ctl = Arc::new(TowardTarget::new(&g, 0));
-        let spec = BiasedWalk::constant(0.0, ctl);
-        let mut st = spec.spawn_typed(&g, 3);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut prev = 3;
-        for _ in 0..50 {
-            st.step(&g, &mut rng);
-            let cur = st.occupied()[0];
-            assert!(g.has_edge(prev, cur));
-            prev = cur;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bias ε")]
-    fn rejects_invalid_epsilon() {
-        let g = classic::path(3).unwrap();
-        BiasedWalk::constant(1.5, Arc::new(TowardTarget::new(&g, 0)));
-    }
-
-    #[test]
     fn sigma_hat_on_regular_graph_is_beta_power() {
         // On a δ-regular graph σ̂(x, v) = (1 − 1/δ)^{∆(x,v)−1} — a shortest
         // path has ∆−1 interior vertices, all with identical weight.
@@ -598,13 +512,10 @@ mod tests {
     #[test]
     fn names() {
         let g = classic::path(4).unwrap();
-        let ctl: Arc<dyn Controller> = Arc::new(TowardTarget::new(&g, 0));
-        assert!(BiasedWalk::constant(0.3, Arc::clone(&ctl))
-            .name()
-            .contains("ε=0.3"));
-        assert!(BiasedWalk::inverse_degree(0, ctl)
-            .name()
-            .contains("inv-degree"));
+        assert_eq!(
+            BiasedWalk::inverse_degree_toward(&g, 0).name(),
+            "inv-degree-biased(target=0,toward(0))"
+        );
         assert!(MetropolisWalk::new(&g, 2).name().contains("target=2"));
     }
 }

@@ -96,14 +96,17 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for CobraWalk {
 /// adjacency arrays sequentially instead of hopping around them). The
 /// order is deterministic, and every step method shares this one body,
 /// so they consume identical RNG streams. `occ` is a materialized copy of
-/// the active set kept for [`StateView::occupied`]; the fast-path
-/// [`TypedState::step_fast`] skips maintaining it because the drivers
+/// the active set kept for [`StateView::occupied`]; the drawing
+/// [`TypedState::step_sampled`] skips maintaining it because the drivers
 /// read the frontier directly. No per-step allocation once warmed up.
+///
+/// [`crate::fault::FaultyCobraState`] wraps one and runs its round when
+/// the fault plan is empty.
 pub struct CobraState {
-    k: u32,
-    cur: Frontier,
-    next: Frontier,
-    occ: Vec<Vertex>,
+    pub(crate) k: u32,
+    pub(crate) cur: Frontier,
+    pub(crate) next: Frontier,
+    pub(crate) occ: Vec<Vertex>,
 }
 
 impl CobraState {
@@ -134,6 +137,32 @@ impl CobraState {
         }
         std::mem::swap(cur, next);
     }
+
+    /// [`Self::advance`] with its draw accounting reported to `probe`.
+    /// Accounting costs two frontier-length reads (O(1) field loads),
+    /// never a kernel change: every active vertex makes exactly k draws,
+    /// and a draw "merged" iff it failed to open a new slot in the next
+    /// frontier. Under `NoopProbe` both reads and the hook are dead code
+    /// and the optimizer restores the exact unprobed body.
+    #[inline]
+    pub(crate) fn advance_probed<
+        const MAINTAIN_OCC: bool,
+        G: ?Sized,
+        D: NeighborDraw<G>,
+        R: Rng + ?Sized,
+        Pb: cobra_obs::Probe,
+    >(
+        &mut self,
+        g: &G,
+        draw: &D,
+        rng: &mut R,
+        probe: &mut Pb,
+    ) {
+        let senders = self.cur.len() as u64;
+        self.advance::<MAINTAIN_OCC, G, D, R>(g, draw, rng);
+        let draws = senders * u64::from(self.k);
+        probe.on_draws(draws, draws - self.cur.len() as u64);
+    }
 }
 
 impl StateView for CobraState {
@@ -155,10 +184,6 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
         self.advance::<true, G, _, R>(g, &ImplicitDraw, rng);
     }
 
-    fn step_fast<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        self.advance::<false, G, _, R>(g, &ImplicitDraw, rng);
-    }
-
     fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
         self.advance::<false, G, D, R>(g, draw, rng);
     }
@@ -170,16 +195,7 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
         rng: &mut R,
         probe: &mut Pb,
     ) {
-        // Draw accounting costs two frontier-length reads (O(1) field
-        // loads), never a kernel change: every active vertex makes
-        // exactly k draws, and a draw "merged" iff it failed to open a
-        // new slot in the next frontier. Under `NoopProbe` both reads
-        // and the hook are dead code and the optimizer restores the
-        // exact `step_sampled` body.
-        let senders = self.cur.len() as u64;
-        self.advance::<false, G, D, R>(g, draw, rng);
-        let draws = senders * u64::from(self.k);
-        probe.on_draws(draws, draws - self.cur.len() as u64);
+        self.advance_probed::<false, G, D, R, Pb>(g, draw, rng, probe);
     }
 }
 

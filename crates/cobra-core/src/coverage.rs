@@ -1,71 +1,43 @@
-//! Rank/select-capable coverage bitmap for giant implicit graphs.
+//! The coverage bitmap of a cover run.
 //!
-//! [`crate::frontier::CoverageMask`] is the right coverage structure for
-//! the batched trial engine: epoch-stamped words make `reset` O(1), which
-//! matters when thousands of trials reuse one mask. At the other extreme —
-//! a *single* cover run over 10⁸ implicit vertices — the pressure is
-//! different: the mask is the largest resident structure, the run wants
-//! `count`/`is_complete` in O(1) without a popcount sweep, and analysis
-//! code wants `rank`/`select` queries over the covered set without
-//! materializing it.
+//! Every cover loop unions each round's active set into a
+//! [`SuccinctCoverage`] and stops once all `n` vertices are marked. It
+//! is one bit per vertex id in 64-bit words plus a running count, so
+//! `count`/`is_complete` are O(1) and a dense [`Frontier`] unions in
+//! word-parallel, O(n/64) per round whatever its population.
 //!
-//! [`SuccinctCoverage`] serves that regime with the classic RRR-style
-//! block layout (Raman–Raman–Rao; see the repo's related-work notes):
-//! the universe is split into **63-bit blocks** so a block's popcount
-//! fits a `u8` with room to spare, a summary layer of one `u32` per
-//! [`SUPER_BLOCKS`] blocks caches per-superblock covered counts, and a
-//! global counter keeps `count`/`is_complete` O(1). `mark` and
-//! `contains` are O(1); `rank`/`select` scan summaries first and touch
-//! at most [`SUPER_BLOCKS`] block counts plus one block's bits; `reset`
-//! only rewrites superblocks that actually contain covered vertices.
-//!
-//! Overhead beyond the raw bits is one byte per 63 vertices plus four
-//! bytes per ~32k vertices (≈ 1.9%), so a 1.3·10⁸-vertex run keeps the
-//! whole structure around 19 MB — cache-friendly and far below the
-//! multi-GB CSR adjacency it replaces (see `tests/implicit_scale.rs`).
+//! [`SuccinctCoverage::reset`] zeroes the words when anything is
+//! covered. A completed cover has already written every word, so reuse
+//! across trials costs one pass per trial, the same as one dense union
+//! round. At `n/8` bytes the bitmap is also the whole coverage cost of a
+//! giant implicit run: about 16 MB for a 1.3·10⁸-vertex cover, far below
+//! the multi-GB CSR adjacency the implicit graph replaces (see
+//! `tests/implicit_scale.rs`).
 
 use crate::frontier::Frontier;
 use cobra_graph::Vertex;
 
-/// Bits stored per block. 63 (not 64) so a block popcount fits the u8
-/// summary with a spare bit, mirroring the RRR block convention.
-const BLOCK_BITS: usize = 63;
-
-/// Blocks per superblock in the summary layer (≈ 32k vertices each).
-pub const SUPER_BLOCKS: usize = 512;
-
-/// A coverage bitmap over vertex ids `0..n` with O(1) mark/contains/
-/// count/is-complete and summary-accelerated rank/select.
-///
-/// See the [module docs](self) for the layout and for when to prefer
-/// this over [`crate::frontier::CoverageMask`].
+/// A coverage bitmap over vertex ids `0..n` with a running count: O(1)
+/// mark/contains/count/is-complete and word-parallel frontier union.
 #[derive(Clone, Debug)]
 pub struct SuccinctCoverage {
     n: usize,
-    /// 63-bit payloads; bit 63 of every word is always zero.
-    blocks: Vec<u64>,
-    /// Popcount of each block (≤ 63).
-    block_counts: Vec<u8>,
-    /// Covered count within each superblock of [`SUPER_BLOCKS`] blocks.
-    super_counts: Vec<u32>,
+    words: Vec<u64>,
     covered: usize,
 }
 
 impl SuccinctCoverage {
     /// An empty coverage map over vertex ids `0..n`.
     pub fn new(n: usize) -> Self {
-        let blocks = n.div_ceil(BLOCK_BITS);
-        let supers = blocks.div_ceil(SUPER_BLOCKS);
         SuccinctCoverage {
             n,
-            blocks: vec![0; blocks],
-            block_counts: vec![0; blocks],
-            super_counts: vec![0; supers],
+            words: vec![0; n.div_ceil(64)],
             covered: 0,
         }
     }
 
     /// The id-space size `n`.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.n
     }
@@ -86,25 +58,20 @@ impl SuccinctCoverage {
     #[inline]
     pub fn contains(&self, v: Vertex) -> bool {
         let i = v as usize;
-        debug_assert!(i < self.n, "vertex {v} out of range");
-        self.blocks[i / BLOCK_BITS] & (1u64 << (i % BLOCK_BITS)) != 0
+        self.words[i >> 6] & (1u64 << (i & 63)) != 0
     }
 
-    /// Cover `v`; returns `true` if it was newly covered. Branch-free on
-    /// the already-covered fast path apart from the return itself.
+    /// Cover `v`; returns `true` if it was newly covered. Branch-free
+    /// apart from the return itself.
     #[inline]
     pub fn mark(&mut self, v: Vertex) -> bool {
         let i = v as usize;
         debug_assert!(i < self.n, "vertex {v} out of range");
-        let b = i / BLOCK_BITS;
-        let bit = 1u64 << (i % BLOCK_BITS);
-        let word = &mut self.blocks[b];
+        let word = &mut self.words[i >> 6];
+        let bit = 1u64 << (i & 63);
         let newly = *word & bit == 0;
         *word |= bit;
-        let newly_u = newly as usize;
-        self.block_counts[b] += newly_u as u8;
-        self.super_counts[b / SUPER_BLOCKS] += newly_u as u32;
-        self.covered += newly_u;
+        self.covered += newly as usize;
         newly
     }
 
@@ -119,114 +86,36 @@ impl SuccinctCoverage {
     }
 
     /// Union a [`Frontier`] in; returns how many vertices were newly
-    /// covered. Sparse frontiers mark per member; dense frontiers repack
-    /// the 64-bit frontier words into 63-bit blocks word-parallel, so the
-    /// per-round coverage update of a big run costs O(n/64) independent
-    /// of the frontier's population.
+    /// covered. Sparse frontiers mark per member; dense frontiers OR
+    /// their words in with a popcount of the fresh bits.
     pub fn union_from_frontier(&mut self, f: &Frontier) -> usize {
         assert_eq!(self.n, f.capacity(), "id spaces must match");
-        let before = self.covered;
         match f.as_sparse() {
-            Some(members) => {
-                for &v in members {
-                    self.mark(v);
-                }
-            }
+            Some(members) => self.mark_slice(members),
             None => {
-                let words = f.as_words();
-                for b in 0..self.blocks.len() {
-                    let lo_bit = b * BLOCK_BITS;
-                    let w = lo_bit / 64;
-                    let shift = lo_bit % 64;
-                    let mut incoming = words[w] >> shift;
-                    if shift != 0 && w + 1 < words.len() {
-                        incoming |= words[w + 1] << (64 - shift);
-                    }
-                    incoming &= (1u64 << BLOCK_BITS) - 1;
-                    let fresh = incoming & !self.blocks[b];
-                    if fresh != 0 {
-                        let added = fresh.count_ones();
-                        self.blocks[b] |= fresh;
-                        self.block_counts[b] += added as u8;
-                        self.super_counts[b / SUPER_BLOCKS] += added;
-                        self.covered += added as usize;
-                    }
+                let mut added = 0usize;
+                for (mine, &w) in self.words.iter_mut().zip(f.as_words()) {
+                    added += (w & !*mine).count_ones() as usize;
+                    *mine |= w;
                 }
+                self.covered += added;
+                added
             }
         }
-        self.covered - before
     }
 
-    /// Un-cover everything. Only superblocks that contain covered
-    /// vertices are rewritten, so a reset after a short partial run costs
-    /// O(covered region), not O(n).
+    /// Un-cover everything: one zeroing pass when anything is covered.
     pub fn reset(&mut self) {
-        if self.covered == 0 {
-            return;
+        if self.covered != 0 {
+            self.words.fill(0);
+            self.covered = 0;
         }
-        for (s, count) in self.super_counts.iter_mut().enumerate() {
-            if *count == 0 {
-                continue;
-            }
-            let lo = s * SUPER_BLOCKS;
-            let hi = (lo + SUPER_BLOCKS).min(self.blocks.len());
-            self.blocks[lo..hi].fill(0);
-            self.block_counts[lo..hi].fill(0);
-            *count = 0;
-        }
-        self.covered = 0;
-    }
-
-    /// Number of covered vertices with id strictly below `v`
-    /// (`v ≤ n` allowed; `rank(n)` equals [`SuccinctCoverage::count`]).
-    /// Scans the summary layer, then at most [`SUPER_BLOCKS`] block
-    /// counts, then popcounts one partial block.
-    pub fn rank(&self, v: usize) -> usize {
-        assert!(v <= self.n, "rank position {v} beyond id space {}", self.n);
-        let b = v / BLOCK_BITS;
-        let s = b / SUPER_BLOCKS;
-        let mut r: usize = self.super_counts[..s].iter().map(|&c| c as usize).sum();
-        r += self.block_counts[s * SUPER_BLOCKS..b]
-            .iter()
-            .map(|&c| c as usize)
-            .sum::<usize>();
-        if b < self.blocks.len() {
-            let mask = (1u64 << (v % BLOCK_BITS)) - 1;
-            r += (self.blocks[b] & mask).count_ones() as usize;
-        }
-        r
-    }
-
-    /// The id of the `r`-th covered vertex in ascending order (0-based),
-    /// or `None` when `r ≥ count()`. Walks the summary layer, then the
-    /// block counts of one superblock, then the bits of one block.
-    pub fn select(&self, r: usize) -> Option<Vertex> {
-        if r >= self.covered {
-            return None;
-        }
-        let mut remaining = r;
-        let mut s = 0usize;
-        while remaining >= self.super_counts[s] as usize {
-            remaining -= self.super_counts[s] as usize;
-            s += 1;
-        }
-        let mut b = s * SUPER_BLOCKS;
-        while remaining >= self.block_counts[b] as usize {
-            remaining -= self.block_counts[b] as usize;
-            b += 1;
-        }
-        let mut bits = self.blocks[b];
-        for _ in 0..remaining {
-            bits &= bits - 1;
-        }
-        Some((b * BLOCK_BITS + bits.trailing_zeros() as usize) as Vertex)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::CoverageMask;
     use proptest::prelude::*;
 
     #[test]
@@ -237,60 +126,68 @@ mod tests {
         assert!(!c.is_complete());
         assert_eq!(c.mark_slice(&[0, 1, 2, 3, 4, 2, 0]), 5);
         assert!(c.is_complete());
-        assert_eq!(c.rank(5), 5);
         c.reset();
         assert_eq!(c.count(), 0);
         assert!(!c.contains(3));
     }
 
     #[test]
-    fn mark_contains_rank_select_across_block_boundaries() {
-        // Straddle the 63-bit block boundary and a superblock boundary.
-        let n = BLOCK_BITS * SUPER_BLOCKS + 100;
+    fn mark_contains_across_word_boundaries() {
+        let n = 64 * 3 + 5;
         let mut c = SuccinctCoverage::new(n);
-        let picks = [
-            0usize,
-            62,
-            63,
-            64,
-            BLOCK_BITS * 2 - 1,
-            BLOCK_BITS * SUPER_BLOCKS - 1,
-            BLOCK_BITS * SUPER_BLOCKS,
-            n - 1,
-        ];
+        let picks = [0usize, 62, 63, 64, 127, 128, n - 1];
         for (i, &v) in picks.iter().enumerate() {
             assert!(c.mark(v as Vertex));
             assert!(!c.mark(v as Vertex), "remark of {v} reported new");
             assert_eq!(c.count(), i + 1);
         }
-        for (i, &v) in picks.iter().enumerate() {
-            assert!(c.contains(v as Vertex));
-            assert_eq!(c.rank(v), i, "rank below {v}");
-            assert_eq!(c.rank(v + 1), i + 1, "rank through {v}");
-            assert_eq!(c.select(i), Some(v as Vertex));
+        for v in 0..n {
+            assert_eq!(c.contains(v as Vertex), picks.contains(&v), "vertex {v}");
         }
-        assert_eq!(c.select(picks.len()), None);
+    }
+
+    #[test]
+    fn reset_uncovers_everything() {
+        let mut c = SuccinctCoverage::new(200);
+        c.mark_slice(&[0, 5, 64, 199]);
+        assert_eq!(c.count(), 4);
+        c.reset();
+        assert_eq!(c.count(), 0);
+        for v in [0u32, 5, 64, 199] {
+            assert!(!c.contains(v), "vertex {v} survived reset");
+        }
+        // Both write paths start from zero again.
+        assert_eq!(c.mark_slice(&[5, 5, 64]), 2);
+        let mut f = Frontier::new(200);
+        for v in 0..200u32 {
+            f.insert(v);
+        }
+        assert!(f.is_dense());
+        assert_eq!(c.union_from_frontier(&f), 198);
+        assert!(c.is_complete());
     }
 
     #[test]
     fn union_repacks_dense_frontier_words() {
-        // A frontier past its dense threshold exercises the 64→63-bit
-        // repack; compare against the mask oracle on the same members.
+        // A frontier past its dense threshold takes the word-OR path;
+        // compare against marking its members one at a time.
         let n = 4096;
         let mut f = Frontier::new(n);
-        let mut c = SuccinctCoverage::new(n);
-        let mut mask = CoverageMask::new(n);
         for v in (0..n as u32).step_by(3) {
             f.insert(v);
         }
         assert!(f.is_dense(), "step-3 fill must trip the dense threshold");
+        let mut c = SuccinctCoverage::new(n);
+        c.mark(1);
+        let mut by_mark = c.clone();
         assert_eq!(
             c.union_from_frontier(&f),
-            mask.union_frontier(&f),
+            by_mark.mark_slice(&f.to_sorted_vec()),
             "newly-covered counts must agree"
         );
+        assert_eq!(c.count(), by_mark.count());
         for v in 0..n as u32 {
-            assert_eq!(c.contains(v), mask.contains(v));
+            assert_eq!(c.contains(v), by_mark.contains(v));
         }
         // A second union adds nothing.
         assert_eq!(c.union_from_frontier(&f), 0);
@@ -300,61 +197,55 @@ mod tests {
     fn union_sparse_frontier_matches_mask() {
         let n = 1000;
         let mut f = Frontier::new(n);
-        let mut c = SuccinctCoverage::new(n);
-        let mut mask = CoverageMask::new(n);
         for v in [3u32, 999, 63, 64, 126, 3] {
             f.insert(v);
         }
         assert!(f.as_sparse().is_some());
-        assert_eq!(c.union_from_frontier(&f), mask.union_frontier(&f));
+        let mut c = SuccinctCoverage::new(n);
+        let mut mask = vec![false; n];
+        for v in [3usize, 999, 63, 64, 126] {
+            mask[v] = true;
+        }
+        assert_eq!(c.union_from_frontier(&f), 5);
         assert_eq!(c.count(), 5);
+        for (v, &covered) in mask.iter().enumerate() {
+            assert_eq!(c.contains(v as Vertex), covered, "vertex {v}");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Satellite 4: SuccinctCoverage must agree with the trial
-        // engine's CoverageMask (and a plain Vec<bool> oracle) under an
-        // arbitrary mark/reset workload, including rank/select readback.
+        /// The bitmap agrees with a plain `Vec<bool>` mask under an
+        /// arbitrary mark/reset workload over any id-space size,
+        /// including sizes that are not a multiple of 64.
         #[test]
         fn agrees_with_coverage_mask_oracle(
             n in 1usize..700,
             ops in proptest::collection::vec((0u8..10, 0u32..700u32), 1..120),
         ) {
             let mut c = SuccinctCoverage::new(n);
-            let mut mask = CoverageMask::new(n);
-            let mut oracle = vec![false; n];
+            let mut mask = vec![false; n];
+            let mut covered = 0usize;
             for (sel, raw) in ops {
                 let v = raw % n as u32;
                 if sel == 0 {
-                    // Occasional reset (mask resets are epoch bumps,
-                    // succinct resets rewrite dirty superblocks).
                     c.reset();
-                    mask.reset();
-                    oracle.fill(false);
+                    mask.fill(false);
+                    covered = 0;
                 } else {
-                    let newly = !oracle[v as usize];
-                    oracle[v as usize] = true;
+                    let newly = !mask[v as usize];
+                    mask[v as usize] = true;
+                    covered += newly as usize;
                     prop_assert_eq!(c.mark(v), newly);
-                    prop_assert_eq!(mask.mark(v), newly);
                 }
-                prop_assert_eq!(c.count(), mask.count());
-                prop_assert_eq!(c.is_complete(), mask.is_complete());
-                prop_assert_eq!(c.contains(v), mask.contains(v));
+                prop_assert_eq!(c.count(), covered);
+                prop_assert_eq!(c.is_complete(), covered == n);
+                prop_assert_eq!(c.contains(v), mask[v as usize]);
             }
-            // Full readback: membership, every rank boundary, and select
-            // as the inverse of rank.
-            let mut seen = 0usize;
-            for (v, &covered) in oracle.iter().enumerate() {
-                prop_assert_eq!(c.rank(v), seen);
-                if covered {
-                    prop_assert_eq!(c.select(seen), Some(v as Vertex));
-                    seen += 1;
-                }
-                prop_assert_eq!(c.contains(v as Vertex), covered);
+            for (v, &m) in mask.iter().enumerate() {
+                prop_assert_eq!(c.contains(v as Vertex), m);
             }
-            prop_assert_eq!(c.rank(n), seen);
-            prop_assert_eq!(c.select(seen), None);
         }
     }
 }

@@ -21,11 +21,10 @@
 //! only on its global trial index.
 //!
 //! [`FaultPlan::none()`] consumes **zero** extra randomness: no seeding
-//! draw, no coins, and the step body reduces to the exact
-//! [`CobraState`](crate::cobra::CobraState)-shaped round, so a
-//! no-fault [`FaultyCobraWalk`] is bit-identical to [`CobraWalk`](crate::CobraWalk) on the
-//! typed, scratch, lane, and implicit routes (pinned in
-//! `tests/faults.rs`).
+//! draw, no coins, and the step runs the wrapped [`CobraState`]'s own
+//! round, so a no-fault [`FaultyCobraWalk`] is bit-identical to
+//! [`CobraWalk`] on the typed, scratch, lane, and implicit routes (pinned
+//! in `tests/faults.rs`).
 //!
 //! ## Fault semantics (round-synchronous)
 //!
@@ -55,7 +54,8 @@
 //! the measurement drivers observe an empty frontier forever after and
 //! censor the trial at its step budget.
 
-use crate::frontier::{reinit_frontier_run, Frontier};
+use crate::cobra::{CobraState, CobraWalk};
+use crate::frontier::Frontier;
 use crate::process::{
     bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
@@ -108,7 +108,7 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// The fault-free plan. Provably consumes zero extra randomness: a
     /// [`FaultyCobraWalk`] under this plan is bit-identical to
-    /// [`CobraWalk`](crate::CobraWalk) on every engine route.
+    /// [`CobraWalk`] on every engine route.
     pub fn none() -> Self {
         FaultPlan {
             pebble_loss: 0.0,
@@ -215,7 +215,7 @@ struct CrashEvent {
 /// The `k`-cobra walk running inside a [`FaultPlan`].
 ///
 /// Under [`FaultPlan::none()`] this is bit-identical to
-/// [`CobraWalk`](crate::CobraWalk) (same draws, same stream, same
+/// [`CobraWalk`] (same draws, same stream, same
 /// frontier evolution) and keeps its lane-engine eligibility; any real
 /// fault disables [`TypedProcess::lane_branching`] so the auto-router
 /// keeps faulty runs on the per-trial engines, where the dedicated
@@ -276,9 +276,6 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
                 "fault plan references vertex {v} but the graph has {n} vertices"
             );
         }
-        let mut cur = Frontier::new(n);
-        cur.insert(start);
-
         // Depth-counted crash edits, sorted by round; within a round the
         // order is irrelevant because depths add.
         let mut crash_events = Vec::with_capacity(self.plan.outages.len() * 2);
@@ -299,11 +296,8 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
         waves.sort_by_key(|w| w.round);
 
         FaultyCobraState {
-            k: self.branching_factor,
+            walk: CobraWalk::new(self.branching_factor).spawn_typed(g, start),
             plan: self.plan.clone(),
-            cur,
-            next: Frontier::new(n),
-            occ: vec![start],
             round: 0,
             fault_rng: None,
             crash_events,
@@ -337,13 +331,11 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
 
     fn respawn_typed(&self, g: &G, start: Vertex, state: &mut FaultyCobraState) {
         let n = g.num_vertices();
-        if state.cur.capacity() != n || state.plan != self.plan {
+        if state.walk.cur.capacity() != n || state.plan != self.plan {
             *state = self.spawn_typed(g, start);
             return;
         }
-        assert!((start as usize) < n, "start vertex in range");
-        state.k = self.branching_factor;
-        reinit_frontier_run(&mut state.cur, &mut state.next, &mut state.occ, start);
+        CobraWalk::new(self.branching_factor).respawn_typed(g, start, &mut state.walk);
         state.round = 0;
         // Next trial reseeds its private fault stream from its own main
         // stream — this is what keeps batched trials bit-identical
@@ -364,17 +356,14 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
 
 /// Mutable state of a running faulty cobra walk.
 ///
-/// The fault-free fields (`cur`/`next`/`occ`) mirror
-/// [`CobraState`](crate::cobra::CobraState) exactly; the rest is the
-/// fault machinery: the lazily-seeded private fault RNG, the crash-edit
-/// cursor + depth map, the deletion-wave cursor + scratch marks, and the
-/// bounded in-flight queue of `(due_round, destination)` pebbles.
+/// The walk itself is a [`CobraState`], which runs the round whenever
+/// the plan is fault-free; the rest is the fault machinery: the
+/// lazily-seeded private fault RNG, the crash-edit cursor + depth map,
+/// the deletion-wave cursor + scratch marks, and the bounded in-flight
+/// queue of `(due_round, destination)` pebbles.
 pub struct FaultyCobraState {
-    k: u32,
+    walk: CobraState,
     plan: FaultPlan,
-    cur: Frontier,
-    next: Frontier,
-    occ: Vec<Vertex>,
     round: usize,
     fault_rng: Option<StdRng>,
     crash_events: Vec<CrashEvent>,
@@ -401,13 +390,12 @@ impl FaultyCobraState {
     /// Whether the process can ever deliver another pebble: dead means
     /// both the frontier and the in-flight queue are empty.
     pub fn is_dead(&self) -> bool {
-        self.cur.is_empty() && self.in_flight.is_empty()
+        self.walk.cur.is_empty() && self.in_flight.is_empty()
     }
 
-    /// The shared round body. When the plan is fault-free this reduces
-    /// to the exact `CobraState::advance` shape — same draws, same
-    /// stream, zero fault overhead (the identity is pinned bit-for-bit
-    /// in `tests/faults.rs`).
+    /// The shared round body. When the plan is fault-free this is the
+    /// cobra round itself — same draws, same stream, zero fault overhead
+    /// (the identity is pinned bit-for-bit in `tests/faults.rs`).
     #[inline]
     fn advance<const MAINTAIN_OCC: bool, G: ?Sized, D: NeighborDraw<G>, R: Rng + ?Sized>(
         &mut self,
@@ -444,22 +432,8 @@ impl FaultyCobraState {
         probe: &mut Pb,
     ) {
         if self.plan.is_none() {
-            let FaultyCobraState {
-                k, cur, next, occ, ..
-            } = self;
-            let senders = cur.len() as u64;
-            next.clear();
-            cur.for_each(|v| {
-                draw.draw_many(g, v, *k, rng, |u| next.insert_quiet(u));
-            });
-            next.finalize_len();
-            if MAINTAIN_OCC {
-                occ.clear();
-                next.for_each(|v| occ.push(v));
-            }
-            std::mem::swap(cur, next);
-            let draws = senders * u64::from(self.k);
-            probe.on_draws(draws, draws - self.cur.len() as u64);
+            self.walk
+                .advance_probed::<MAINTAIN_OCC, G, D, R, Pb>(g, draw, rng, probe);
             return;
         }
 
@@ -500,17 +474,15 @@ impl FaultyCobraState {
         }
 
         let FaultyCobraState {
-            k,
+            walk,
             plan,
-            cur,
-            next,
-            occ,
             fault_rng,
             crash_depth,
             wave_marks,
             in_flight,
             ..
         } = self;
+        let CobraState { k, cur, next, occ } = walk;
         let frng = fault_rng.as_mut().expect("fault rng seeded above");
         let down = |v: Vertex| !crash_depth.is_empty() && crash_depth[v as usize] > 0;
         let waved = |v: Vertex| !wave_marks.is_empty() && wave_marks[v as usize];
@@ -603,25 +575,21 @@ impl FaultyCobraState {
 
 impl StateView for FaultyCobraState {
     fn occupied(&self) -> &[Vertex] {
-        &self.occ
+        self.walk.occupied()
     }
 
     fn support_size(&self) -> usize {
-        self.cur.len()
+        self.walk.support_size()
     }
 
     fn frontier(&self) -> Option<&Frontier> {
-        Some(&self.cur)
+        self.walk.frontier()
     }
 }
 
 impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
         self.advance::<true, G, _, R>(g, &ImplicitDraw, rng);
-    }
-
-    fn step_fast<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        self.advance::<false, G, _, R>(g, &ImplicitDraw, rng);
     }
 
     fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {

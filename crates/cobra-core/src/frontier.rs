@@ -30,7 +30,7 @@
 //! throughout and the representation switch never changes which set is
 //! stored — only how it is traversed. Iteration order is insertion order
 //! while sparse and ascending once dense; it is deterministic either way,
-//! and the dyn and typed drivers share one step body, so the
+//! and every step method of a walk shares one body, so the
 //! seed-equivalence harness holds bit-for-bit across the switch.
 
 use cobra_graph::Vertex;
@@ -41,11 +41,6 @@ const DENSE_DIVISOR: usize = 64;
 
 /// Minimum threshold so tiny graphs keep a useful sparse phase.
 const MIN_THRESHOLD: usize = 8;
-
-#[inline]
-fn word_count(n: usize) -> usize {
-    n.div_ceil(64)
-}
 
 /// A set over dense vertex ids `0..n` that adapts its representation to
 /// its load factor: insertion-order vector + membership bits while small,
@@ -77,7 +72,7 @@ impl Frontier {
         Frontier {
             n,
             threshold,
-            words: vec![0; word_count(n)],
+            words: vec![0; n.div_ceil(64)],
             buf: Vec::with_capacity(threshold),
             dense: false,
             len: 0,
@@ -248,26 +243,6 @@ impl Frontier {
         out.sort_unstable();
         out
     }
-
-    /// Union another frontier into this one; returns how many members were
-    /// newly added. Word-parallel when this side is dense.
-    pub fn union_from(&mut self, other: &Frontier) -> usize {
-        assert_eq!(self.n, other.n, "frontier id spaces must match");
-        let before = self.len;
-        if self.dense {
-            let mut added = 0u32;
-            for (mine, &w) in self.words.iter_mut().zip(&other.words) {
-                added += (w & !*mine).count_ones();
-                *mine |= w;
-            }
-            self.len += added as usize;
-        } else {
-            other.for_each(|v| {
-                self.insert(v);
-            });
-        }
-        self.len - before
-    }
 }
 
 /// Reinitialize a frontier-pair walk state (cobra, scheduled cobra, SIS)
@@ -289,166 +264,10 @@ pub(crate) fn reinit_frontier_run(
     occ.push(start);
 }
 
-/// Monotone coverage bitmask with popcount-tracked cardinality and an
-/// epoch-stamped, O(dirty-words) [`CoverageMask::reset`].
-///
-/// The cover-time drivers union each round's frontier into this mask and
-/// stop at full coverage. Unlike [`Frontier`] it never shrinks and is
-/// usually a constant fraction of `n` for most of a run, so it is dense
-/// from the start.
-///
-/// **Reset strategy.** The batched trial engine reuses one mask across a
-/// worker's whole chunk of trials, so clearing must not cost O(n/64)
-/// words per trial when a trial touched only a few (short hitting runs,
-/// early-extinction SIS). Each word therefore carries an epoch stamp: a
-/// word's bits are valid only while its stamp matches the mask's current
-/// epoch, and [`CoverageMask::reset`] just bumps the epoch — O(1), no
-/// re-zeroing. Writers lazily refresh a stale word (one predictable
-/// compare per touched word) before OR-ing into it; on the extremely rare
-/// `u32` epoch wrap, everything is re-zeroed once for real.
-#[derive(Clone, Debug)]
-pub struct CoverageMask {
-    words: Vec<u64>,
-    /// Per-word epoch stamps; `words[w]` is garbage unless
-    /// `word_epoch[w] == epoch`.
-    word_epoch: Vec<u32>,
-    /// Current epoch; 0 is reserved so freshly built stamps read as stale.
-    epoch: u32,
-    n: usize,
-    covered: usize,
-}
-
-impl CoverageMask {
-    /// An all-uncovered mask over `0..n`.
-    pub fn new(n: usize) -> Self {
-        CoverageMask {
-            words: vec![0; word_count(n)],
-            word_epoch: vec![0; word_count(n)],
-            epoch: 1,
-            n,
-            covered: 0,
-        }
-    }
-
-    /// Size of the id space this mask covers.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.n
-    }
-
-    /// Number of covered vertices.
-    #[inline]
-    pub fn count(&self) -> usize {
-        self.covered
-    }
-
-    /// Whether all `n` vertices are covered.
-    #[inline]
-    pub fn is_complete(&self) -> bool {
-        self.covered == self.n
-    }
-
-    /// Un-cover everything in O(1): bump the epoch so every word reads as
-    /// stale. Actual zeroing happens lazily, only for words the next run
-    /// touches (O(dirty words) total), except at `u32` epoch wraparound
-    /// where one genuine re-zero keeps stale stamps from aliasing.
-    pub fn reset(&mut self) {
-        self.covered = 0;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.words.fill(0);
-            self.word_epoch.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// The current value of word `w` (0 if its stamp is stale).
-    #[inline]
-    fn word(&self, w: usize) -> u64 {
-        if self.word_epoch[w] == self.epoch {
-            self.words[w]
-        } else {
-            0
-        }
-    }
-
-    /// Mutable access to word `w`, refreshing it to the current epoch
-    /// (zeroing stale contents) first.
-    #[inline]
-    fn word_mut(&mut self, w: usize) -> &mut u64 {
-        if self.word_epoch[w] != self.epoch {
-            self.word_epoch[w] = self.epoch;
-            self.words[w] = 0;
-        }
-        &mut self.words[w]
-    }
-
-    /// Whether `v` is covered.
-    #[inline]
-    pub fn contains(&self, v: Vertex) -> bool {
-        let i = v as usize;
-        self.word(i >> 6) & (1u64 << (i & 63)) != 0
-    }
-
-    /// Mark one vertex; returns `true` if newly covered. One predictable
-    /// stamp check, otherwise branchless.
-    #[inline]
-    pub fn mark(&mut self, v: Vertex) -> bool {
-        let i = v as usize;
-        let word = self.word_mut(i >> 6);
-        let bit = 1u64 << (i & 63);
-        let newly = *word & bit == 0;
-        *word |= bit;
-        self.covered += newly as usize;
-        newly
-    }
-
-    /// Mark every vertex in `vs` (duplicates welcome); returns how many
-    /// were newly covered.
-    pub fn mark_slice(&mut self, vs: &[Vertex]) -> usize {
-        let before = self.covered;
-        for &v in vs {
-            self.mark(v);
-        }
-        self.covered - before
-    }
-
-    /// Union a frontier in; word-parallel with popcount deltas when the
-    /// frontier is dense, per-member branchless marks while it is sparse.
-    /// Returns how many vertices were newly covered.
-    pub fn union_frontier(&mut self, f: &Frontier) -> usize {
-        assert_eq!(self.n, f.capacity(), "id spaces must match");
-        let before = self.covered;
-        match f.as_sparse() {
-            Some(members) => {
-                for &v in members {
-                    self.mark(v);
-                }
-            }
-            None => {
-                let epoch = self.epoch;
-                let mut added = 0u32;
-                for ((mine, stamp), &w) in self
-                    .words
-                    .iter_mut()
-                    .zip(self.word_epoch.iter_mut())
-                    .zip(f.as_words())
-                {
-                    let cur = if *stamp == epoch { *mine } else { 0 };
-                    added += (w & !cur).count_ones();
-                    *mine = cur | w;
-                    *stamp = epoch;
-                }
-                self.covered += added as usize;
-            }
-        }
-        self.covered - before
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::SuccinctCoverage;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -554,142 +373,52 @@ mod tests {
         assert_eq!(got, expect, "dense iteration must be ascending");
     }
 
-    #[test]
-    fn union_from_counts_new_members() {
-        let mut a = Frontier::new(512);
-        let mut b = Frontier::new(512);
-        for v in 0..100u32 {
-            a.insert(v);
-        }
-        for v in 50..150u32 {
-            b.insert(v);
-        }
-        assert_eq!(a.union_from(&b), 50);
-        assert_eq!(a.len(), 150);
-        assert_eq!(a.union_from(&b), 0);
-    }
+    // The coverage tests below feed the bitmap from frontiers: its
+    // union reads `as_sparse` while sparse and `as_words` once dense.
 
     #[test]
     fn coverage_mask_counts_and_completes() {
-        let mut c = CoverageMask::new(70);
+        let mut c = SuccinctCoverage::new(70);
         assert_eq!(c.mark_slice(&[0, 1, 1, 69]), 3);
         assert_eq!(c.count(), 3);
         assert!(c.contains(69));
         assert!(!c.contains(2));
+        let mut f = Frontier::new(70);
         for v in 0..70u32 {
-            c.mark(v);
-        }
-        assert!(c.is_complete());
-    }
-
-    #[test]
-    fn coverage_reset_uncovers_everything() {
-        let mut c = CoverageMask::new(200);
-        c.mark_slice(&[0, 5, 64, 199]);
-        assert_eq!(c.count(), 4);
-        c.reset();
-        assert_eq!(c.count(), 0);
-        for v in [0u32, 5, 64, 199] {
-            assert!(!c.contains(v), "vertex {v} survived reset");
-        }
-        // Stale words must behave as zero for every operation.
-        assert_eq!(c.mark_slice(&[5, 5, 64]), 2);
-        let mut f = Frontier::new(200);
-        for v in 0..200u32 {
             f.insert(v);
         }
         assert!(f.is_dense());
-        assert_eq!(c.union_frontier(&f), 198);
+        assert_eq!(c.union_from_frontier(&f), 67);
         assert!(c.is_complete());
     }
 
     #[test]
     fn coverage_reset_interleaves_with_runs() {
-        // Many reset cycles with different touch patterns: lazily-refreshed
-        // words must never leak bits from a previous epoch.
-        let mut c = CoverageMask::new(320);
+        // Many reset cycles with different touch patterns, alternating
+        // per-vertex marks and frontier unions: no bit may survive a
+        // reset into the next run.
+        let n = 320;
+        let mut c = SuccinctCoverage::new(n);
         for round in 0..50u32 {
             let stride = (round % 7 + 1) as usize;
-            let mut marked = Vec::new();
-            for v in (0..320).step_by(stride) {
-                c.mark(v as u32);
-                marked.push(v as u32);
+            let marked: Vec<u32> = (0..n as u32).step_by(stride).collect();
+            if round % 2 == 0 {
+                for &v in &marked {
+                    c.mark(v);
+                }
+            } else {
+                let mut f = Frontier::new(n);
+                for &v in &marked {
+                    f.insert(v);
+                }
+                assert_eq!(c.union_from_frontier(&f), marked.len());
             }
             assert_eq!(c.count(), marked.len());
-            for v in 0..320u32 {
+            for v in 0..n as u32 {
                 assert_eq!(c.contains(v), marked.contains(&v), "round {round}, v {v}");
             }
             c.reset();
         }
-    }
-
-    #[test]
-    fn coverage_epoch_wrap_is_safe() {
-        let mut c = CoverageMask::new(70);
-        c.mark(3);
-        c.epoch = u32::MAX;
-        // Re-stamp under the pinned epoch, then force the wrap.
-        c.reset();
-        assert_eq!(c.epoch, 1, "wrap must land back on epoch 1");
-        assert!(!c.contains(3));
-        assert!(c.mark(3));
-        assert_eq!(c.count(), 1);
-    }
-
-    #[test]
-    fn coverage_epoch_wrap_rezeros_every_stale_word() {
-        // The wrap hazard is *aliasing*: after wrapping, the epoch counter
-        // lands back on 1, so any word whose stamp still says 1 from the
-        // mask's first life would read its ancient bits as live coverage —
-        // unless the wrap genuinely re-zeroes words and stamps. Build
-        // exactly that trap: dirty words at epoch 1, advance the epoch
-        // without touching them (their stamps stay 1), then wrap.
-        let mut c = CoverageMask::new(256);
-        c.mark(0); // word 0 stamped at epoch 1
-        c.mark(64); // word 1 stamped at epoch 1
-        c.mark(128); // word 2 stamped at epoch 1
-        c.reset(); // epoch 2
-        c.mark(5); // word 0 re-stamped at epoch 2; words 1-2 keep stamp 1
-        c.epoch = u32::MAX; // pin to the wrap boundary
-        c.mark(200); // word 3 stamped at u32::MAX
-        assert!(c.contains(200));
-        assert_eq!(c.count(), 2);
-
-        c.reset(); // wraps: the one genuine full re-zero
-        assert_eq!(c.epoch, 1, "wrap must land back on epoch 1");
-        assert_eq!(c.count(), 0);
-        assert!(
-            c.words.iter().all(|&w| w == 0),
-            "wrap must physically zero every word"
-        );
-        assert!(
-            c.word_epoch.iter().all(|&e| e == 0),
-            "wrap must reset every stamp below the new epoch"
-        );
-        // The aliasing trap: words 1-2 were stamped 1 before the wrap and
-        // the epoch is 1 again — they must read as uncovered regardless.
-        for v in [0u32, 5, 64, 128, 200, 255] {
-            assert!(!c.contains(v), "vertex {v} leaked through the wrap");
-        }
-
-        // Lazy refresh after the wrap yields correctly zeroed words for
-        // both write paths.
-        assert!(c.mark(64));
-        assert_eq!(c.mark_slice(&[64, 65, 200]), 2);
-        assert_eq!(c.count(), 3);
-        let mut f = Frontier::new(256);
-        for v in 0..256u32 {
-            f.insert(v);
-        }
-        assert!(f.is_dense());
-        assert_eq!(c.union_frontier(&f), 253);
-        assert!(c.is_complete());
-
-        // And the next (non-wrapping) reset behaves normally again.
-        c.reset();
-        assert_eq!(c.epoch, 2);
-        assert_eq!(c.count(), 0);
-        assert!(!c.contains(64));
     }
 
     #[test]
@@ -699,12 +428,12 @@ mod tests {
             f.insert(v);
         }
         assert!(f.is_dense());
-        let mut via_union = CoverageMask::new(300);
+        let mut via_union = SuccinctCoverage::new(300);
         via_union.mark(0);
         via_union.mark(1);
         let mut via_marks = via_union.clone();
         assert_eq!(
-            via_union.union_frontier(&f),
+            via_union.union_from_frontier(&f),
             via_marks.mark_slice(&f.to_sorted_vec())
         );
         assert_eq!(via_union.count(), via_marks.count());
@@ -713,25 +442,23 @@ mod tests {
         }
     }
 
-    /// Random op sequence for the oracle tests: insert (exact or quiet),
-    /// clear, or union with a random batch.
+    /// Random op sequence for the oracle test: insert (exact or quiet)
+    /// or clear.
     #[derive(Clone, Debug)]
     enum Op {
         Insert(u32),
         QuietBurst(Vec<u32>),
         Clear,
-        Union(Vec<u32>),
     }
 
     fn arb_ops(n: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
         // Weighted mix (the vendored proptest has no `prop_oneof`):
-        // selector 0 → clear, 1–2 → union, 3–4 → quiet burst, 5+ → insert.
+        // selector 0 → clear, 1–4 → quiet burst, 5+ → insert.
         proptest::collection::vec(
             (0u8..11, 0..n, proptest::collection::vec(0..n, 0..40)).prop_map(|(sel, v, vs)| {
                 match sel {
                     0 => Op::Clear,
-                    1 | 2 => Op::Union(vs),
-                    3 | 4 => Op::QuietBurst(vs),
+                    1..=4 => Op::QuietBurst(vs),
                     _ => Op::Insert(v),
                 }
             }),
@@ -743,7 +470,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The hybrid frontier agrees with a `HashSet` oracle under random
-        /// insert/union/clear sequences. `n = 600` with threshold
+        /// insert/clear sequences. `n = 600` with threshold
         /// `max(8, 600/64) = 9` makes the sparse↔dense switch and the
         /// post-clear re-sparsification both routine events.
         #[test]
@@ -768,17 +495,6 @@ mod tests {
                         oracle.clear();
                         prop_assert!(!f.is_dense(), "clear must re-sparsify");
                     }
-                    Op::Union(vs) => {
-                        let mut other = Frontier::new(n);
-                        let mut newly = 0;
-                        for v in vs {
-                            other.insert(v);
-                            if oracle.insert(v) {
-                                newly += 1;
-                            }
-                        }
-                        prop_assert_eq!(f.union_from(&other), newly);
-                    }
                 }
                 prop_assert_eq!(f.len(), oracle.len());
             }
@@ -790,35 +506,36 @@ mod tests {
             }
         }
 
-        /// The coverage mask agrees with a `HashSet` oracle when fed a mix
-        /// of slice marks, frontier unions (sparse and dense), and epoch
-        /// resets (every fifth batch, exercising lazy word refresh).
+        /// The coverage bitmap agrees with a `HashSet` oracle when fed a
+        /// mix of slice marks, frontier unions (sparse and dense), and
+        /// resets (every fifth batch).
         #[test]
         fn coverage_matches_hashset_oracle(batches in proptest::collection::vec(
             proptest::collection::vec(0u32..400, 0..60), 1..20))
         {
             let n = 400usize;
-            let mut mask = CoverageMask::new(n);
+            let mut c = SuccinctCoverage::new(n);
             let mut oracle: HashSet<u32> = HashSet::new();
             for (i, batch) in batches.iter().enumerate() {
                 if i % 5 == 4 {
-                    mask.reset();
+                    c.reset();
                     oracle.clear();
                 }
                 let newly_oracle = batch.iter().filter(|&&v| oracle.insert(v)).count();
                 if i % 2 == 0 {
-                    prop_assert_eq!(mask.mark_slice(batch), newly_oracle);
+                    prop_assert_eq!(c.mark_slice(batch), newly_oracle);
                 } else {
                     let mut f = Frontier::new(n);
                     for &v in batch {
                         f.insert(v);
                     }
-                    prop_assert_eq!(mask.union_frontier(&f), newly_oracle);
+                    prop_assert_eq!(c.union_from_frontier(&f), newly_oracle);
                 }
-                prop_assert_eq!(mask.count(), oracle.len());
+                prop_assert_eq!(c.count(), oracle.len());
+                prop_assert_eq!(c.is_complete(), oracle.len() == n);
             }
             for v in 0..n as u32 {
-                prop_assert_eq!(mask.contains(v), oracle.contains(&v));
+                prop_assert_eq!(c.contains(v), oracle.contains(&v));
             }
         }
     }

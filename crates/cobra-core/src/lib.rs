@@ -15,20 +15,22 @@
 //! * [`SimpleWalk`] / lazy variant — classic baseline (Feige's
 //!   Θ(log n)…O(n³) cover-time range, §1.2).
 //! * [`ParallelWalks`] — `k` independent walks (Alon et al., §1.2).
-//! * [`PushGossip`], [`PullGossip`], [`PushPullGossip`] — rumor spreading
-//!   (Feige et al.), the O(n log n) process cobra walks are conjectured to
-//!   match.
-//! * [`BiasedWalk`] — the ε-biased walks of Azar et al. (§5.1) with a
-//!   pluggable [`Controller`], and the paper's **inverse-degree-biased
-//!   walk** whose hitting time upper-bounds the cobra walk's (Lemma 14);
-//!   includes the Metropolis controller of Lemma 16.
+//! * [`PushGossip`] — push rumor spreading (Feige et al.), the
+//!   O(n log n) process cobra walks are conjectured to match.
+//! * [`BiasedWalk`] — the paper's **inverse-degree-biased walk** (§5.1),
+//!   steered by the shortest-path [`TowardTarget`] controller, whose
+//!   hitting time upper-bounds the cobra walk's (Lemma 14); plus the
+//!   Metropolis walk of Lemma 16 ([`MetropolisWalk`]).
 //! * [`queueing`] — the multi-dimensional drift chain from the proof of
 //!   Theorem 3 (§3), a.k.a. the paper's "discrete time queueing system".
 //!
 //! Every process implements [`TypedProcess`]; measurement drivers
 //! ([`CoverDriver`], [`HittingDriver`], h_max estimation and the
 //! Matthews-bound check of Theorem 1) live in [`measure`] and run any of
-//! them with no virtual dispatch.
+//! them with no virtual dispatch. Every per-trial cover run — the
+//! driver, the giant [`run_cover_succinct`] and [`record_trajectory`] —
+//! goes through one loop over one [`SuccinctCoverage`] bitmap; the
+//! bit-sliced 64-lane engine in [`lanes`] is the one separate engine.
 //!
 //! ## Example: cover a hypercube with a 2-cobra walk
 //!
@@ -48,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod active_set;
 pub mod biased;
 pub mod cobra;
 pub mod coverage;
@@ -67,13 +68,12 @@ pub mod sis;
 pub mod trajectory;
 pub mod walt;
 
-pub use active_set::DenseSet;
-pub use biased::{BiasedWalk, Controller, MetropolisWalk, TowardTarget};
+pub use biased::{BiasedWalk, MetropolisWalk, TowardTarget};
 pub use cobra::CobraWalk;
 pub use coverage::SuccinctCoverage;
 pub use fault::{DeletionWave, FaultPlan, FaultyCobraState, FaultyCobraWalk, VertexOutage};
-pub use frontier::{CoverageMask, Frontier};
-pub use gossip::{PullGossip, PushGossip, PushPullGossip};
+pub use frontier::Frontier;
+pub use gossip::PushGossip;
 pub use lanes::{run_lane_cover, run_lane_cover_probed, LaneOutcome, LaneScratch, LANE_WIDTH};
 pub use measure::{run_cover_succinct, CoverDriver, CoverResult, HittingDriver, HittingResult};
 pub use parallel_walks::ParallelWalks;

@@ -10,6 +10,7 @@
 //!   cover time `= O(h_max · log n)` — checked empirically by
 //!   [`matthews_ratio`].
 
+use crate::coverage::SuccinctCoverage;
 use crate::process::{ImplicitDraw, NeighborDraw, StateView, TypedProcess, TypedState};
 use crate::scratch::TrialScratch;
 use cobra_graph::{Graph, ImplicitGraph, Vertex};
@@ -25,8 +26,6 @@ pub struct CoverResult {
     pub covered: usize,
     /// Whether the whole graph was covered within the budget.
     pub completed: bool,
-    /// `|S_t|` after each round, recorded when trajectory recording is on.
-    pub trajectory: Option<Vec<usize>>,
 }
 
 /// Drives a process on a graph until coverage or a step budget.
@@ -34,33 +33,24 @@ pub struct CoverResult {
 /// Generic over the graph representation: `G = Graph` (the CSR default)
 /// and every [`ImplicitGraph`] family run the same monomorphized kernels,
 /// the latter without materializing adjacency. All three entry points
-/// share one body, [`CoverDriver::run_typed_in_probed`].
+/// share one body, [`CoverDriver::run_typed_in_probed`], whose loop is
+/// also the one [`run_cover_succinct`] and
+/// [`crate::trajectory::record_trajectory`] run.
 pub struct CoverDriver<'g, G: ?Sized = Graph> {
     g: &'g G,
-    record_trajectory: bool,
 }
 
 impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     /// Driver for graph `g`.
     pub fn new(g: &'g G) -> Self {
-        CoverDriver {
-            g,
-            record_trajectory: false,
-        }
-    }
-
-    /// Also record the active-set size after every round (costs one usize
-    /// per round).
-    pub fn record_trajectory(mut self) -> Self {
-        self.record_trajectory = true;
-        self
+        CoverDriver { g }
     }
 
     /// Run `process` from `start` until the graph is covered or
     /// `max_steps` rounds elapse. Returns `None` only if the graph has no
-    /// vertices. Coverage is tracked in a
-    /// [`crate::frontier::CoverageMask`] and updated word-parallel
-    /// whenever the process exposes a dense [`crate::frontier::Frontier`].
+    /// vertices. Coverage is tracked in a [`SuccinctCoverage`] bitmap and
+    /// updated word-parallel whenever the process exposes a dense
+    /// [`crate::frontier::Frontier`].
     ///
     /// This is [`CoverDriver::run_typed_in`] on a fresh [`TrialScratch`]
     /// with [`ImplicitDraw`] neighbor draws, so it needs no per-graph
@@ -77,18 +67,13 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     }
 
     /// Scratch-borrowing variant of [`CoverDriver::run_typed`] for the
-    /// batched trial engine: reuses the process state, coverage mask, and
-    /// trajectory buffer in `scratch` (O(dirty) reinitialization, zero
-    /// heap allocations once warm) and routes every neighbor draw through
-    /// `draw` (typically the per-graph
+    /// batched trial engine: reuses the process state and coverage bitmap
+    /// in `scratch` (zero heap allocations once warm) and routes every
+    /// neighbor draw through `draw` (typically the per-graph
     /// [`cobra_graph::NeighborSampler`]). All [`NeighborDraw`] strategies
     /// are stream-compatible and `respawn` mirrors `spawn`, so results
     /// are **bit-for-bit identical** to [`CoverDriver::run_typed`] on the
     /// same seed — pinned by `tests/engine_equivalence.rs`.
-    ///
-    /// When trajectory recording is on, the trajectory is both returned
-    /// in the [`CoverResult`] (cloned) and left in
-    /// [`TrialScratch::trajectory`] (borrowed, allocation-free).
     pub fn run_typed_in<P: TypedProcess<G>, D: NeighborDraw<G>, R: Rng + ?Sized>(
         &self,
         process: &P,
@@ -116,6 +101,8 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     /// touches the RNG, so results are bit-identical to the unprobed
     /// driver on the same seed; with [`NoopProbe`] every hook is dead
     /// code. Allocation-free once warm for probes that don't allocate.
+    /// A [`crate::trajectory::Trajectory`] probe records the per-round
+    /// active-set sizes and coverage curve.
     #[allow(clippy::too_many_arguments)] // mirrors run_typed_in + probe
     pub fn run_typed_in_probed<P, D, R, Pb>(
         &self,
@@ -133,58 +120,59 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
         R: Rng + ?Sized,
         Pb: Probe,
     {
-        let n = self.g.num_vertices();
-        if n == 0 {
+        if self.g.num_vertices() == 0 {
             return None;
         }
         scratch.prepare(self.g, process, start);
-        let TrialScratch {
-            state,
-            covered,
-            trajectory,
-        } = scratch;
+        let TrialScratch { state, covered } = scratch;
         let state = state.as_mut().expect("prepare populated the state");
-        let newly = covered.mark_slice(state.occupied());
+        Some(cover_loop(
+            self.g, state, covered, draw, max_steps, rng, probe,
+        ))
+    }
+}
+
+/// The per-trial cover loop: mark the initial configuration, then step
+/// `state` and union each round's active set into `covered` until every
+/// vertex is covered or `max_steps` rounds elapse. `covered` must be
+/// empty and sized for `g`.
+fn cover_loop<G, S, D, R, Pb>(
+    g: &G,
+    state: &mut S,
+    covered: &mut SuccinctCoverage,
+    draw: &D,
+    max_steps: usize,
+    rng: &mut R,
+    probe: &mut Pb,
+) -> CoverResult
+where
+    G: ImplicitGraph + ?Sized,
+    S: TypedState<G>,
+    D: NeighborDraw<G>,
+    R: Rng + ?Sized,
+    Pb: Probe,
+{
+    let newly = covered.mark_slice(state.occupied());
+    probe.on_coverage(newly as u64, covered.count() as u64);
+    let mut steps = 0;
+    while !covered.is_complete() && steps < max_steps {
+        steps += 1;
+        state.step_probed(g, draw, rng, probe);
+        let newly = match state.frontier() {
+            Some(f) => covered.union_from_frontier(f),
+            None => covered.mark_slice(state.occupied()),
+        };
+        if Pb::ENABLED {
+            probe.on_round(steps as u64, state.support_size() as u64);
+        }
         probe.on_coverage(newly as u64, covered.count() as u64);
-        if covered.is_complete() {
-            probe.on_trial_end(0, true);
-            return Some(CoverResult {
-                steps: 0,
-                covered: n,
-                completed: true,
-                trajectory: self.record_trajectory.then(|| trajectory.clone()),
-            });
-        }
-        for t in 1..=max_steps {
-            state.step_probed(self.g, draw, rng, probe);
-            let newly = match state.frontier() {
-                Some(f) => covered.union_frontier(f),
-                None => covered.mark_slice(state.occupied()),
-            };
-            if Pb::ENABLED {
-                probe.on_round(t as u64, state.support_size() as u64);
-            }
-            probe.on_coverage(newly as u64, covered.count() as u64);
-            if self.record_trajectory {
-                trajectory.push(state.support_size());
-            }
-            if covered.is_complete() {
-                probe.on_trial_end(t as u64, true);
-                return Some(CoverResult {
-                    steps: t,
-                    covered: n,
-                    completed: true,
-                    trajectory: self.record_trajectory.then(|| trajectory.clone()),
-                });
-            }
-        }
-        probe.on_trial_end(max_steps as u64, false);
-        Some(CoverResult {
-            steps: max_steps,
-            covered: covered.count(),
-            completed: false,
-            trajectory: self.record_trajectory.then(|| trajectory.clone()),
-        })
+    }
+    let completed = covered.is_complete();
+    probe.on_trial_end(steps as u64, completed);
+    CoverResult {
+        steps,
+        covered: covered.count(),
+        completed,
     }
 }
 
@@ -242,8 +230,7 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
     /// batched trial engine: reuses the process state in `scratch` and
     /// draws neighbors through `draw`. Bit-for-bit identical to
     /// [`HittingDriver::run_typed`] on the same seed (the scratch's
-    /// coverage mask and trajectory buffer are untouched — hitting runs
-    /// only need the state).
+    /// coverage bitmap is untouched — hitting runs only need the state).
     #[allow(clippy::too_many_arguments)] // mirrors run_typed + (draw, scratch)
     pub fn run_typed_in<P: TypedProcess<G>, D: NeighborDraw<G>, R: Rng + ?Sized>(
         &self,
@@ -289,20 +276,19 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
 }
 
 /// Run one cover trial of `process` on any [`ImplicitGraph`], tracking
-/// coverage in a caller-owned [`crate::coverage::SuccinctCoverage`].
+/// coverage in a caller-owned [`SuccinctCoverage`].
 ///
 /// This is the giant-run entry point: the caller preallocates (and can
-/// reuse, via [`crate::coverage::SuccinctCoverage::reset`]) the coverage
-/// structure, the graph is consulted only through arithmetic
-/// [`ImplicitGraph`] calls, and the step kernel is the same monomorphized
-/// path as [`CoverDriver::run_typed`] — so the two agree draw-for-draw
-/// (the coverage structure never touches the RNG). See
-/// `tests/implicit_scale.rs`, which pushes this through 10⁸ vertices
-/// without materializing adjacency.
+/// reuse) the coverage bitmap, which is reset here, and the graph is
+/// consulted only through arithmetic [`ImplicitGraph`] calls. The loop
+/// is [`CoverDriver`]'s, with [`ImplicitDraw`] draws on a freshly
+/// spawned state, so the two agree draw-for-draw (the bitmap never
+/// touches the RNG). See `tests/implicit_scale.rs`, which pushes this
+/// through 10⁸ vertices without materializing adjacency.
 pub fn run_cover_succinct<G, P, R>(
     g: &G,
     process: &P,
-    covered: &mut crate::coverage::SuccinctCoverage,
+    covered: &mut SuccinctCoverage,
     start: Vertex,
     max_steps: usize,
     rng: &mut R,
@@ -323,36 +309,15 @@ where
     );
     covered.reset();
     let mut state = process.spawn_typed(g, start);
-    covered.mark_slice(state.occupied());
-    if covered.is_complete() {
-        return Some(CoverResult {
-            steps: 0,
-            covered: n,
-            completed: true,
-            trajectory: None,
-        });
-    }
-    for t in 1..=max_steps {
-        state.step_fast(g, rng);
-        match state.frontier() {
-            Some(f) => covered.union_from_frontier(f),
-            None => covered.mark_slice(state.occupied()),
-        };
-        if covered.is_complete() {
-            return Some(CoverResult {
-                steps: t,
-                covered: n,
-                completed: true,
-                trajectory: None,
-            });
-        }
-    }
-    Some(CoverResult {
-        steps: max_steps,
-        covered: covered.count(),
-        completed: false,
-        trajectory: None,
-    })
+    Some(cover_loop(
+        g,
+        &mut state,
+        covered,
+        &ImplicitDraw,
+        max_steps,
+        rng,
+        &mut NoopProbe,
+    ))
 }
 
 /// Estimate `h_max = max_{u,v} H(u, v)` by measuring the mean hitting time
@@ -459,13 +424,22 @@ mod tests {
     fn trajectory_is_recorded() {
         let g = classic::complete(16).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
+        let mut tr = crate::trajectory::Trajectory::default();
         let res = CoverDriver::new(&g)
-            .record_trajectory()
-            .run_typed(&CobraWalk::standard(), 0, 10_000, &mut rng)
+            .run_typed_in_probed(
+                &CobraWalk::standard(),
+                &ImplicitDraw,
+                &mut TrialScratch::new(&g),
+                0,
+                10_000,
+                &mut rng,
+                &mut tr,
+            )
             .unwrap();
-        let tr = res.trajectory.unwrap();
-        assert_eq!(tr.len(), res.steps);
-        assert!(tr.iter().all(|&s| (1..=16).contains(&s)));
+        assert_eq!(tr.active.len(), res.steps);
+        assert_eq!(tr.covered.len(), res.steps);
+        assert_eq!(tr.completed_at, Some(res.steps));
+        assert!(tr.active.iter().all(|&s| (1..=16).contains(&s)));
     }
 
     #[test]

@@ -132,26 +132,19 @@ pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
     /// Advance one round, keeping [`StateView::occupied`] current.
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R);
 
-    /// Advance one round on the fast path. Must consume the same RNG
-    /// stream and produce the same occupied *set* as [`TypedState::step`],
-    /// but may skip materializing the [`StateView::occupied`] slice
-    /// (leaving it stale) when the state exposes a
-    /// [`StateView::frontier`] — the typed drivers read the frontier and
-    /// [`StateView::support_size`] instead. Defaults to `step`.
-    fn step_fast<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        self.step(g, rng)
-    }
-
     /// Advance one round on the fast path, drawing neighbors through
     /// `draw` (a [`NeighborDraw`] strategy such as the per-graph
     /// [`cobra_graph::NeighborSampler`] table). Must consume the same RNG
-    /// stream and reach the same state as [`TypedState::step_fast`] —
-    /// every [`NeighborDraw`] impl is stream-compatible, so the default
-    /// simply ignores `draw`; kernels whose inner loop is dominated by
-    /// neighbor draws override this to route them through the table.
+    /// stream and produce the same occupied *set* as [`TypedState::step`]
+    /// — every [`NeighborDraw`] impl is stream-compatible, so the default
+    /// simply ignores `draw`. Kernels whose inner loop is dominated by
+    /// neighbor draws override this to route them through the table, and
+    /// may skip materializing the [`StateView::occupied`] slice (leaving
+    /// it stale) when the state exposes a [`StateView::frontier`] — the
+    /// drivers read the frontier and [`StateView::support_size`] instead.
     fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
         let _ = draw;
-        self.step_fast(g, rng)
+        self.step(g, rng)
     }
 
     /// Advance one round on the fast path with an observability probe

@@ -221,10 +221,6 @@ impl TypedState for ScheduledState {
         self.advance::<true, _, R>(g, &ImplicitDraw, rng);
     }
 
-    fn step_fast<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<false, _, R>(g, &ImplicitDraw, rng);
-    }
-
     fn step_sampled<D: NeighborDraw, R: Rng + ?Sized>(&mut self, g: &Graph, draw: &D, rng: &mut R) {
         self.advance::<false, D, R>(g, draw, rng);
     }

@@ -2,19 +2,17 @@
 //!
 //! The paper's empirical claims are pinned by sweeps of thousands of
 //! short trials, so per-trial *setup* — allocating and zeroing two
-//! frontiers, a coverage mask, and the process state — was the dominant
+//! frontiers, a coverage bitmap, and the process state — was the dominant
 //! waste once the step kernel itself got fast. A [`TrialScratch`] owns
 //! all of that mutable state for one worker; the scratch-borrowing
 //! drivers ([`crate::CoverDriver::run_typed_in`] /
-//! [`crate::HittingDriver::run_typed_in`]) reinitialize it per trial with
-//! O(dirty) clears:
+//! [`crate::HittingDriver::run_typed_in`]) reinitialize it per trial:
 //!
 //! * the typed process state is rebuilt in place by
 //!   [`TypedProcess::respawn_typed`] (frontier clears are O(members), see
 //!   `Frontier::clear`);
-//! * the coverage mask's [`CoverageMask::reset`] is an O(1) epoch bump
-//!   with lazy word refresh — no re-zeroing of untouched words;
-//! * the trajectory buffer is a plain `Vec::clear`.
+//! * the coverage bitmap's [`SuccinctCoverage::reset`] is one zeroing
+//!   pass, no more than a completed cover already paid to fill it.
 //!
 //! After the first trial warms the buffers up, the steady-state trial
 //! path performs **zero heap allocations** (pinned by
@@ -22,7 +20,7 @@
 //! via `map_init` and reuses it across all of the worker's chunks, so
 //! the amortized setup cost per trial is ~nothing.
 
-use crate::frontier::CoverageMask;
+use crate::coverage::SuccinctCoverage;
 use crate::process::TypedProcess;
 use cobra_graph::{ImplicitGraph, Vertex};
 
@@ -33,11 +31,8 @@ use cobra_graph::{ImplicitGraph, Vertex};
 pub struct TrialScratch<S> {
     /// The reused typed process state; `None` until the first trial.
     pub(crate) state: Option<S>,
-    /// The reused coverage mask.
-    pub(crate) covered: CoverageMask,
-    /// The reused per-round support-size buffer (only written when the
-    /// driver records trajectories).
-    pub(crate) trajectory: Vec<usize>,
+    /// The reused coverage bitmap.
+    pub(crate) covered: SuccinctCoverage,
 }
 
 impl<S> TrialScratch<S> {
@@ -47,32 +42,23 @@ impl<S> TrialScratch<S> {
     pub fn new<G: ImplicitGraph + ?Sized>(g: &G) -> Self {
         TrialScratch {
             state: None,
-            covered: CoverageMask::new(g.num_vertices()),
-            trajectory: Vec::new(),
+            covered: SuccinctCoverage::new(g.num_vertices()),
         }
     }
 
-    /// The trajectory recorded by the most recent scratch-borrowing run
-    /// (empty unless the driver had `record_trajectory` on).
-    pub fn trajectory(&self) -> &[usize] {
-        &self.trajectory
-    }
-
     /// Reinitialize for a trial of `process` from `start` on `g`: respawn
-    /// (or lazily spawn) the state, epoch-reset the mask, clear the
-    /// trajectory buffer. Returns the ready state; everything is O(dirty)
-    /// and allocation-free once warm.
+    /// (or lazily spawn) the state and reset the coverage bitmap. Returns
+    /// the ready state; allocation-free once warm.
     pub(crate) fn prepare<'a, G, P>(&'a mut self, g: &G, process: &P, start: Vertex) -> &'a mut S
     where
         G: ImplicitGraph + ?Sized,
         P: TypedProcess<G, State = S>,
     {
         if self.covered.capacity() != g.num_vertices() {
-            self.covered = CoverageMask::new(g.num_vertices());
+            self.covered = SuccinctCoverage::new(g.num_vertices());
         } else {
             self.covered.reset();
         }
-        self.trajectory.clear();
         match self.state {
             Some(ref mut state) => process.respawn_typed(g, start, state),
             None => self.state = Some(process.spawn_typed(g, start)),

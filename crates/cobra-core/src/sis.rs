@@ -142,10 +142,6 @@ impl TypedState for SisState {
         self.advance::<true, _, R>(g, &ImplicitDraw, rng);
     }
 
-    fn step_fast<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<false, _, R>(g, &ImplicitDraw, rng);
-    }
-
     fn step_sampled<D: NeighborDraw, R: Rng + ?Sized>(&mut self, g: &Graph, draw: &D, rng: &mut R) {
         self.advance::<false, D, R>(g, draw, rng);
     }
@@ -165,46 +161,22 @@ impl StateView for SisState {
     }
 }
 
-/// Outcome of an extinction probe: rounds survived and whether the
-/// infection died before the horizon.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExtinctionProbe {
-    /// Rounds until extinction (or the horizon).
-    pub rounds: usize,
-    /// Whether the infected set became empty.
-    pub died_out: bool,
-}
-
-/// Run the SIS process until extinction or `horizon` rounds.
-pub fn probe_extinction<R: Rng + ?Sized>(
-    g: &Graph,
-    process: &SisProcess,
-    start: Vertex,
-    horizon: usize,
-    rng: &mut R,
-) -> ExtinctionProbe {
-    let mut st = process.spawn_typed(g, start);
-    for t in 1..=horizon {
-        st.step(g, rng);
-        if st.occupied().is_empty() {
-            return ExtinctionProbe {
-                rounds: t,
-                died_out: true,
-            };
-        }
-    }
-    ExtinctionProbe {
-        rounds: horizon,
-        died_out: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cobra_graph::generators::classic;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Step a fresh infection from vertex 0 until it dies out or
+    /// `horizon` rounds pass; returns whether it died.
+    fn dies_out(g: &Graph, sis: &SisProcess, horizon: usize, rng: &mut StdRng) -> bool {
+        let mut st = sis.spawn_typed(g, 0);
+        (0..horizon).any(|_| {
+            st.step(g, rng);
+            st.occupied().is_empty()
+        })
+    }
 
     #[test]
     fn p_one_matches_cobra_walk_trajectory() {
@@ -231,8 +203,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut extinctions = 0;
         for _ in 0..50 {
-            let probe = probe_extinction(&g, &sis, 0, 10_000, &mut rng);
-            if probe.died_out {
+            if dies_out(&g, &sis, 10_000, &mut rng) {
                 extinctions += 1;
             }
         }
@@ -250,8 +221,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut survivals = 0;
         for _ in 0..50 {
-            let probe = probe_extinction(&g, &sis, 0, 500, &mut rng);
-            if !probe.died_out {
+            if !dies_out(&g, &sis, 500, &mut rng) {
                 survivals += 1;
             }
         }

@@ -5,10 +5,14 @@
 //! an *exponential growth phase* (active set grows from 1 to δn) and a
 //! *coverage phase*. [`record_trajectory`] captures both: active-set
 //! sizes, coverage curve, and the first round the active set reached a
-//! target fraction.
+//! target fraction. The record is a [`Probe`] on the cover driver's own
+//! loop, so a recorded run is the run [`crate::CoverDriver`] makes.
 
-use crate::process::{StateView, TypedProcess, TypedState};
+use crate::measure::CoverDriver;
+use crate::process::{ImplicitDraw, TypedProcess};
+use crate::scratch::TrialScratch;
 use cobra_graph::{Graph, Vertex};
+use cobra_obs::Probe;
 use rand::Rng;
 
 /// Per-round record of a process run.
@@ -67,8 +71,30 @@ impl Trajectory {
     }
 }
 
+/// Records the run it observes: [`Probe::on_round`] appends to
+/// `active`, [`Probe::on_coverage`] after a round appends to `covered`
+/// (the driver's report of the start configuration, before round 1, is
+/// not a round and is skipped), and [`Probe::on_trial_end`] sets
+/// `completed_at`.
+impl Probe for Trajectory {
+    fn on_round(&mut self, _round: u64, frontier: u64) {
+        self.active.push(frontier as usize);
+    }
+
+    fn on_coverage(&mut self, _newly: u64, total: u64) {
+        if self.covered.len() < self.active.len() {
+            self.covered.push(total as usize);
+        }
+    }
+
+    fn on_trial_end(&mut self, steps: u64, completed: bool) {
+        self.completed_at = completed.then_some(steps as usize);
+    }
+}
+
 /// Run `process` from `start` for at most `max_steps` rounds (stopping
-/// early on full coverage), recording the trajectory.
+/// early on full coverage), recording the trajectory. A start that
+/// already covers the graph completes at round 0 with empty records.
 pub fn record_trajectory<P: TypedProcess, R: Rng + ?Sized>(
     g: &Graph,
     process: &P,
@@ -76,33 +102,18 @@ pub fn record_trajectory<P: TypedProcess, R: Rng + ?Sized>(
     max_steps: usize,
     rng: &mut R,
 ) -> Trajectory {
-    let n = g.num_vertices();
-    assert!(n > 0, "non-empty graph");
-    let mut state = process.spawn_typed(g, start);
-    let mut covered = vec![false; n];
-    let mut covered_count = 0usize;
-    for &v in state.occupied() {
-        if !covered[v as usize] {
-            covered[v as usize] = true;
-            covered_count += 1;
-        }
-    }
     let mut tr = Trajectory::default();
-    for t in 1..=max_steps {
-        state.step(g, rng);
-        for &v in state.occupied() {
-            if !covered[v as usize] {
-                covered[v as usize] = true;
-                covered_count += 1;
-            }
-        }
-        tr.active.push(state.support_size());
-        tr.covered.push(covered_count);
-        if covered_count == n {
-            tr.completed_at = Some(t);
-            break;
-        }
-    }
+    CoverDriver::new(g)
+        .run_typed_in_probed(
+            process,
+            &ImplicitDraw,
+            &mut TrialScratch::new(g),
+            start,
+            max_steps,
+            rng,
+            &mut tr,
+        )
+        .expect("non-empty graph");
     tr
 }
 
@@ -161,6 +172,20 @@ mod tests {
             assert!(*r > 1.0);
         }
         assert!(tr.peak_active() > 1);
+    }
+
+    #[test]
+    fn start_that_covers_the_graph_completes_at_round_zero() {
+        let g = cobra_graph::builder::from_edges(1, &[]).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        for tr in [
+            record_trajectory(&g, &CobraWalk::standard(), 0, 10, &mut rng),
+            record_trajectory(&g, &SimpleWalk::new(), 0, 10, &mut rng),
+        ] {
+            assert_eq!(tr.completed_at, Some(0));
+            assert!(tr.active.is_empty());
+            assert!(tr.covered.is_empty());
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   deduplication, and validation;
 //! * [`generators`] — deterministic and random constructions for every
 //!   family the paper mentions;
-//! * [`metrics`] — structural measurements (degrees, BFS distances,
-//!   diameter, connected components, conductance) used both by tests and by
+//! * [`metrics`] — structural measurements (BFS distances, diameter,
+//!   connected components, conductance) used both by tests and by
 //!   the experiment harness to parameterize the paper's bounds (e.g. the
 //!   `Φ_G^{-2} log² n` bound of Theorem 8 needs the conductance `Φ_G`);
 //! * [`sampler`] — a per-graph [`NeighborSampler`] table that makes the
@@ -48,7 +48,6 @@ mod csr;
 mod error;
 pub mod generators;
 pub mod implicit;
-pub mod io;
 pub mod metrics;
 pub mod sampler;
 

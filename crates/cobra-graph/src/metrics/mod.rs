@@ -3,15 +3,12 @@
 //! * [`bfs`] — single-source distances, eccentricity, diameter;
 //! * [`components`] — connectivity and largest-component extraction;
 //! * [`conductance`] — exact (small-n) and sweep-estimated conductance,
-//!   the `Φ_G` parameter of the paper's Theorem 8;
-//! * [`degree`] — degree statistics.
+//!   the `Φ_G` parameter of the paper's Theorem 8.
 
 pub mod bfs;
 pub mod components;
 pub mod conductance;
-pub mod degree;
 
 pub use bfs::{bfs_distances, diameter, eccentricity, farthest_vertex};
 pub use components::{connected_components, is_connected, largest_component};
 pub use conductance::{conductance_exact, conductance_of_set, sweep_conductance};
-pub use degree::DegreeStats;

@@ -29,8 +29,9 @@
 //! draws) followed by `on_round` and `on_coverage` (from the measure
 //! driver), with `on_fault` interleaved by fault-injecting processes,
 //! and finally `on_trial_end`. Probes must not assume every hook fires:
-//! the dyn-dispatch route reports rounds and coverage but not draw
-//! counts, and the lane engine reports per-batch (64 fused trials)
+//! only the cobra kernels (plain and fault-injected) account their
+//! draws, the cover driver alone does not call `on_trial_begin` (the
+//! runners do), and the lane engine reports per-batch (64 fused trials)
 //! rather than per-trial.
 
 #![warn(missing_docs)]

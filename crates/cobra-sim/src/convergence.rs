@@ -4,7 +4,7 @@
 //! Long sweeps waste most of their time over-sampling easy cells; the
 //! adaptive runner keeps per-cell cost proportional to variance. The
 //! serial loop lives here ([`run_until_precise`]); the batched parallel
-//! engine that the sweeps and the orchestrator actually run through is
+//! engine that the orchestrator's sweep cells actually run through is
 //! [`crate::runner::run_cover_trials_adaptive_auto_resumable`] (and its
 //! hitting twin), which share this module's [`StopRule`] and are defined
 //! to be bit-identical to the serial loop's stopping decision.
@@ -100,14 +100,6 @@ impl AdaptivePlan {
             max_steps,
             master_seed,
         }
-    }
-
-    /// A plan with the same stopping semantics but a different step
-    /// budget (sweep cells carry per-cell budgets).
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        assert!(max_steps >= 1, "need a positive step budget");
-        self.max_steps = max_steps;
-        self
     }
 }
 

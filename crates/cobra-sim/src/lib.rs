@@ -12,13 +12,13 @@
 //!   the per-trial scratch engine;
 //! * [`stats`] — online summary statistics (Welford) with quantiles and
 //!   normal-approximation confidence intervals;
-//! * [`sweep`] — parameter sweeps producing result rows;
+//! * [`sweep`] — sweep cells, result rows and tables (the orchestrator in
+//!   cobra-bench runs every sweep cell by cell);
 //! * [`table`] — CSV and aligned-Markdown writers for result tables
 //!   (hand-rolled: no serde needed);
 //! * [`convergence`] — run-until-CI-tight sequential stopping: the
 //!   [`convergence::StopRule`] and [`convergence::AdaptivePlan`] behind
-//!   the resumable adaptive runners in [`runner`] and the adaptive sweeps
-//!   in [`sweep`];
+//!   the resumable adaptive runners in [`runner`];
 //! * [`fsio`] — atomic (temp + fsync + rename) artifact writes, so an
 //!   interrupted run never leaves a truncated CSV/manifest/checkpoint.
 
@@ -44,8 +44,5 @@ pub use runner::{
 };
 pub use seeds::SeedSequence;
 pub use stats::{ks_distance, quantile_sorted, z_for_level, EmptySummary, Summary};
-pub use sweep::{
-    cell_seed, run_cover_sweep, run_cover_sweep_cells, run_cover_sweep_cells_adaptive,
-    AdaptiveCellReport, AdaptiveSweep, SweepCell, SweepRow, SweepTable,
-};
+pub use sweep::{cell_seed, AdaptiveCellReport, SweepCell, SweepRow, SweepTable};
 pub use table::{render_csv, render_markdown};

@@ -61,16 +61,6 @@ pub struct TrialOutcome {
 }
 
 impl TrialOutcome {
-    /// Fraction of trials that completed.
-    pub fn completion_rate(&self) -> f64 {
-        let total = self.summary.count() + self.censored;
-        if total == 0 {
-            0.0
-        } else {
-            self.summary.count() as f64 / total as f64
-        }
-    }
-
     /// The summary over completed trials, or `Err(EmptySummary)` when
     /// every trial was censored — use this instead of reading `summary`
     /// directly when a too-small budget is a reachable condition, so the
@@ -446,25 +436,6 @@ fn cover_stream<'a, P: TypedProcess + Sync>(
     }
 }
 
-/// Fixed-plan cover trials through the auto-routed engine
-/// ([`cover_stream`]), as the cover sweeps run them.
-pub(crate) fn run_cover_trials_auto<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    start: Vertex,
-    plan: &TrialPlan,
-) -> TrialOutcome {
-    let stream = cover_stream(
-        g,
-        process,
-        start,
-        plan.max_steps,
-        plan.master_seed,
-        plan.trials,
-    );
-    stream.run_fixed(plan.trials, |_| NoopProbe).0
-}
-
 /// Measure cover times of `process` from `start` over `plan.trials`
 /// independent runs on the batched scratch engine: a [`NeighborSampler`]
 /// built once per call, one [`TrialScratch`] per rayon worker, and
@@ -642,16 +613,6 @@ impl AdaptiveOutcome {
     /// Total trials consumed (completed + censored).
     pub fn trials_run(&self) -> usize {
         self.summary.count() + self.censored
-    }
-
-    /// Fraction of consumed trials that completed.
-    pub fn completion_rate(&self) -> f64 {
-        let total = self.trials_run();
-        if total == 0 {
-            0.0
-        } else {
-            self.summary.count() as f64 / total as f64
-        }
     }
 
     /// The summary over completed trials, or `Err(EmptySummary)` when
@@ -910,7 +871,6 @@ mod tests {
         assert!(!out.precision_met);
         assert_eq!(out.censored, 24);
         assert_eq!(out.summary.count(), 0);
-        assert_eq!(out.completion_rate(), 0.0);
         assert!(matches!(out.completed_summary(), Err(EmptySummary)));
     }
 
@@ -922,7 +882,7 @@ mod tests {
         let as_fixed = out.to_trial_outcome();
         assert_eq!(as_fixed.summary.count(), out.summary.count());
         assert_eq!(as_fixed.censored, out.censored);
-        assert_eq!(as_fixed.completion_rate(), out.completion_rate());
+        assert_eq!(as_fixed.summary.mean(), out.summary.mean());
     }
 
     #[test]
@@ -933,7 +893,6 @@ mod tests {
         assert_eq!(out.censored, 0);
         assert_eq!(out.summary.count(), 40);
         assert!(out.summary.mean() >= 4.0, "cannot cover K12 in < 4 rounds");
-        assert!((out.completion_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -972,7 +931,6 @@ mod tests {
         let out = run_cover_trials_typed(&g, &SimpleWalk::new(), 0, &TrialPlan::new(10, 10, 3));
         assert_eq!(out.censored, 10);
         assert_eq!(out.summary.count(), 0);
-        assert_eq!(out.completion_rate(), 0.0);
     }
 
     #[test]
@@ -1166,16 +1124,22 @@ mod tests {
     fn auto_runner_routes_by_eligibility() {
         let g = classic::cycle(16).unwrap();
         let cobra = CobraWalk::standard();
-        // Eligible cell: auto must equal the lane runner bitwise.
+        let auto = |plan: &TrialPlan| {
+            cover_stream(&g, &cobra, 0, plan.max_steps, plan.master_seed, plan.trials)
+                .run_fixed(plan.trials, noop)
+                .0
+        };
+        // Eligible cell: the routed stream must equal the lane runner
+        // bitwise.
         let plan = TrialPlan::new(128, 100_000, 5);
-        let auto_out = run_cover_trials_auto(&g, &cobra, 0, &plan);
+        let auto_out = auto(&plan);
         let lane = run_cover_trials_lanes_probed(&g, &cobra, 0, &plan, noop).0;
         assert_eq!(auto_out.summary.mean(), lane.summary.mean());
         assert_eq!(auto_out.summary.median(), lane.summary.median());
-        // Ineligible cell (too few trials): auto must equal the scratch
-        // engine bitwise.
+        // Ineligible cell (too few trials): the routed stream must equal
+        // the scratch engine bitwise.
         let small_plan = TrialPlan::new(20, 100_000, 5);
-        let auto_small = run_cover_trials_auto(&g, &cobra, 0, &small_plan);
+        let auto_small = auto(&small_plan);
         let typed = run_cover_trials_typed(&g, &cobra, 0, &small_plan);
         assert_eq!(auto_small.summary.mean(), typed.summary.mean());
         assert_eq!(auto_small.summary.median(), typed.summary.median());

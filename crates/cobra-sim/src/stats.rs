@@ -236,28 +236,6 @@ impl Summary {
     pub fn ci_half_width(&self, level: f64) -> f64 {
         z_for_level(level) * self.stderr()
     }
-
-    /// Merge another summary into this one (used to combine per-worker
-    /// partials).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.values.extend_from_slice(&other.values);
-    }
 }
 
 impl Default for Summary {
@@ -400,30 +378,5 @@ mod tests {
     #[should_panic(expected = "unsupported")]
     fn ci_rejects_odd_levels() {
         Summary::from_slice(&[1.0, 2.0]).mean_ci(0.5);
-    }
-
-    #[test]
-    fn merge_matches_concatenation() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64 * 1.3).collect();
-        let (a, b) = xs.split_at(4);
-        let mut left = Summary::from_slice(a);
-        let right = Summary::from_slice(b);
-        left.merge(&right);
-        let full = Summary::from_slice(&xs);
-        assert_eq!(left.count(), full.count());
-        assert!((left.mean() - full.mean()).abs() < 1e-12);
-        assert!((left.variance() - full.variance()).abs() < 1e-12);
-        assert_eq!(left.median(), full.median());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut s = Summary::from_slice(&[1.0, 2.0]);
-        s.merge(&Summary::new());
-        assert_eq!(s.count(), 2);
-        let mut e = Summary::new();
-        e.merge(&Summary::from_slice(&[5.0]));
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 5.0);
     }
 }

@@ -5,13 +5,8 @@
 //! `(scale, statistics…)` pairs that render straight into CSV/Markdown
 //! (see [`crate::table`]) and feed the fitters in `cobra-analysis`.
 
-use crate::convergence::AdaptivePlan;
-use crate::runner::{
-    run_cover_trials_adaptive_auto_resumable, run_cover_trials_auto, AdaptiveOutcome, BatchControl,
-    TrialPlan,
-};
+use crate::runner::AdaptiveOutcome;
 use crate::stats::{EmptySummary, Summary};
-use cobra_core::TypedProcess;
 use cobra_graph::{Graph, Vertex};
 
 /// One row of a sweep: a scale point plus measured statistics.
@@ -111,26 +106,15 @@ impl SweepTable {
     pub fn means(&self) -> Vec<f64> {
         self.rows.iter().map(|r| r.mean).collect()
     }
-
-    /// The p95 column.
-    pub fn p95s(&self) -> Vec<f64> {
-        self.rows.iter().map(|r| r.p95).collect()
-    }
-
-    /// Total censored trials across all rows.
-    pub fn total_censored(&self) -> usize {
-        self.rows.iter().map(|r| r.censored).sum()
-    }
 }
 
 /// The per-cell master seed of sweep cell `cell_idx` under a sweep
 /// master seed: `SeedSequence::new(master).child(cell_idx).seed_at(0)`.
 ///
-/// This is **the** derivation both sweep runners use; anything that
-/// re-executes individual sweep cells out of band (the checkpoint/resume
-/// orchestrator in cobra-bench) must call this helper rather than
-/// re-deriving, so the two can never drift and a resumed cell replays
-/// the exact trial stream of the original run.
+/// This is **the** derivation of a sweep cell's trial stream; the
+/// checkpoint/resume orchestrator in cobra-bench calls it for every cell
+/// it runs or resumes, so a resumed cell replays the exact trial stream
+/// of the original run.
 pub fn cell_seed(master_seed: u64, cell_idx: usize) -> u64 {
     crate::seeds::SeedSequence::new(master_seed)
         .child(cell_idx as u64)
@@ -138,10 +122,10 @@ pub fn cell_seed(master_seed: u64, cell_idx: usize) -> u64 {
 }
 
 /// One cell of a cover sweep: a scale point, the graph to measure on, the
-/// start vertex, and an optional per-cell step budget (experiments
-/// routinely size the budget to the scale — e.g. `O(n)` for cobra on
-/// grids, `O(n²)` for the simple-walk baseline — so a shared budget would
-/// change each cell's censoring semantics).
+/// start vertex, and the cell's step budget (experiments size the budget
+/// to the scale — e.g. `O(n)` for cobra on grids, `O(n²)` for the
+/// simple-walk baseline — so a shared budget would change each cell's
+/// censoring semantics).
 #[derive(Clone, Debug)]
 pub struct SweepCell {
     /// The swept scale recorded in the row.
@@ -150,62 +134,21 @@ pub struct SweepCell {
     pub graph: Graph,
     /// Start vertex for every trial of the cell.
     pub start: Vertex,
-    /// Per-cell step budget; `None` uses the plan's `max_steps`.
-    pub max_steps: Option<usize>,
+    /// Per-trial step budget of the cell.
+    pub max_steps: usize,
 }
 
 impl SweepCell {
-    /// A cell using the sweep plan's shared step budget.
-    pub fn new(scale: f64, graph: Graph, start: Vertex) -> Self {
+    /// A cell whose trials each get `max_steps ≥ 1` rounds.
+    pub fn new(scale: f64, graph: Graph, start: Vertex, max_steps: usize) -> Self {
+        assert!(max_steps >= 1, "need a positive step budget");
         SweepCell {
             scale,
             graph,
             start,
-            max_steps: None,
+            max_steps,
         }
     }
-
-    /// Override the step budget for this cell (builder style).
-    pub fn with_budget(mut self, max_steps: usize) -> Self {
-        assert!(max_steps >= 1, "need a positive step budget");
-        self.max_steps = Some(max_steps);
-        self
-    }
-}
-
-/// Run a cover-time sweep: one row per [`SweepCell`], each measured on
-/// the engine [`crate::runner::lane_cover_applies`] picks — the
-/// bit-sliced lane engine for small graphs with lane-friendly processes,
-/// the batched scratch engine otherwise — under a per-cell child seed of
-/// `plan.master_seed` (so cells are decorrelated but the whole sweep is
-/// reproducible from one master seed) and the cell's own step budget
-/// when it carries one. The engine choice depends only on the cell shape
-/// and plan, never on outcomes, so each cell stays bit-reproducible.
-///
-/// Returns `Err(EmptySummary)` if any cell completes zero trials — a
-/// budget bug that would otherwise surface as a panic deep in the stats.
-pub fn run_cover_sweep_cells<P: TypedProcess + Sync>(
-    label: impl Into<String>,
-    scale_name: impl Into<String>,
-    cells: impl IntoIterator<Item = SweepCell>,
-    process: &P,
-    plan: &TrialPlan,
-) -> Result<SweepTable, EmptySummary> {
-    let mut table = SweepTable::new(label, scale_name);
-    for (cell_idx, cell) in cells.into_iter().enumerate() {
-        let cell_plan = TrialPlan {
-            master_seed: cell_seed(plan.master_seed, cell_idx),
-            max_steps: cell.max_steps.unwrap_or(plan.max_steps),
-            ..*plan
-        };
-        let out = run_cover_trials_auto(&cell.graph, process, cell.start, &cell_plan);
-        table.push(SweepRow::try_from_summary(
-            cell.scale,
-            &out.summary,
-            out.censored,
-        )?);
-    }
-    Ok(table)
 }
 
 /// Adaptive-stopping record for one sweep cell, alongside its
@@ -254,102 +197,6 @@ impl AdaptiveCellReport {
     }
 }
 
-/// Result of an adaptive sweep: the usual table plus per-cell stopping
-/// reports in the same order.
-#[derive(Clone, Debug)]
-pub struct AdaptiveSweep {
-    /// One row per cell, as in the fixed-trial sweep.
-    pub table: SweepTable,
-    /// One stopping report per cell, aligned with `table.rows`.
-    pub reports: Vec<AdaptiveCellReport>,
-}
-
-impl AdaptiveSweep {
-    /// Total trials consumed across all cells.
-    pub fn total_trials(&self) -> usize {
-        self.reports.iter().map(|r| r.trials_used).sum()
-    }
-
-    /// Whether every cell met the precision target.
-    pub fn all_precise(&self) -> bool {
-        self.reports.iter().all(|r| r.precision_met)
-    }
-}
-
-/// Adaptive-stopping variant of [`run_cover_sweep_cells`]: each cell
-/// runs [`run_cover_trials_adaptive_auto_resumable`] to completion under
-/// a per-cell child seed of `plan.master_seed` (same derivation as the
-/// fixed sweep) and the cell's own step budget when it carries one.
-/// Small lane-friendly cells route through the 64-lane engine
-/// (eligibility keys on the rule's `max_trials`, never on consumed
-/// trials). Results are bit-identical
-/// across worker counts and batch sizes (both engines' invariant), and
-/// per-cell cost adapts to per-cell variance — easy cells stop at
-/// `rule.min_trials`, hard cells run until the CI is tight or the cap
-/// is hit.
-///
-/// Returns `Err(EmptySummary)` if any cell completes zero trials — a
-/// budget bug, as in the fixed sweep. A cell that merely fails to reach
-/// the precision target is *not* an error; it is reported via its
-/// [`AdaptiveCellReport::precision_met`] flag.
-pub fn run_cover_sweep_cells_adaptive<P: TypedProcess + Sync>(
-    label: impl Into<String>,
-    scale_name: impl Into<String>,
-    cells: impl IntoIterator<Item = SweepCell>,
-    process: &P,
-    plan: &AdaptivePlan,
-) -> Result<AdaptiveSweep, EmptySummary> {
-    let mut table = SweepTable::new(label, scale_name);
-    let mut reports = Vec::new();
-    for (cell_idx, cell) in cells.into_iter().enumerate() {
-        let cell_plan = AdaptivePlan {
-            master_seed: cell_seed(plan.master_seed, cell_idx),
-            max_steps: cell.max_steps.unwrap_or(plan.max_steps),
-            ..*plan
-        };
-        let out = run_cover_trials_adaptive_auto_resumable(
-            &cell.graph,
-            process,
-            cell.start,
-            &cell_plan,
-            Vec::new(),
-            |_| BatchControl::Continue,
-        )
-        .outcome;
-        reports.push(AdaptiveCellReport::from_outcome(
-            cell.scale,
-            &out,
-            plan.rule.confidence,
-        ));
-        table.push(SweepRow::try_from_summary(
-            cell.scale,
-            &out.summary,
-            out.censored,
-        )?);
-    }
-    Ok(AdaptiveSweep { table, reports })
-}
-
-/// [`run_cover_sweep_cells`] for sweeps whose cells all share the plan's
-/// step budget, taking plain `(scale, graph, start)` tuples.
-pub fn run_cover_sweep<P: TypedProcess + Sync>(
-    label: impl Into<String>,
-    scale_name: impl Into<String>,
-    cells: impl IntoIterator<Item = (f64, Graph, Vertex)>,
-    process: &P,
-    plan: &TrialPlan,
-) -> Result<SweepTable, EmptySummary> {
-    run_cover_sweep_cells(
-        label,
-        scale_name,
-        cells
-            .into_iter()
-            .map(|(scale, graph, start)| SweepCell::new(scale, graph, start)),
-        process,
-        plan,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,54 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn cover_sweep_produces_one_row_per_cell() {
-        use cobra_core::CobraWalk;
-        use cobra_graph::generators::classic;
-        let cells = [8usize, 12, 16].map(|n| (n as f64, classic::cycle(n).unwrap(), 0u32));
-        let plan = TrialPlan::new(10, 100_000, 7);
-        let t =
-            run_cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), &plan).unwrap();
-        assert_eq!(t.rows.len(), 3);
-        assert_eq!(t.scales(), vec![8.0, 12.0, 16.0]);
-        assert_eq!(t.total_censored(), 0);
-        assert!(t.means().iter().all(|&m| m > 0.0));
-    }
-
-    #[test]
-    fn per_cell_budgets_override_the_plan() {
-        use cobra_core::SimpleWalk;
-        use cobra_graph::generators::classic;
-        // Plan budget is generous, but the cell's own 3-step budget must
-        // win: a 50-path cannot be covered in 3 steps, so the cell fully
-        // censors and the sweep errors.
-        let cells = [SweepCell::new(50.0, classic::path(50).unwrap(), 0u32).with_budget(3)];
-        let plan = TrialPlan::new(5, 1_000_000, 1);
-        let err = run_cover_sweep_cells("rw on path", "n", cells, &SimpleWalk::new(), &plan);
-        assert_eq!(err.unwrap_err(), EmptySummary);
-        // Without the override, the generous plan budget completes it.
-        let cells = [SweepCell::new(50.0, classic::path(50).unwrap(), 0u32)];
-        let ok =
-            run_cover_sweep_cells("rw on path", "n", cells, &SimpleWalk::new(), &plan).unwrap();
-        assert_eq!(ok.rows.len(), 1);
-        assert_eq!(ok.rows[0].censored, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "positive step budget")]
     fn cell_budget_rejects_zero() {
         use cobra_graph::generators::classic;
-        let _ = SweepCell::new(8.0, classic::cycle(8).unwrap(), 0u32).with_budget(0);
-    }
-
-    #[test]
-    fn cover_sweep_surfaces_budget_starvation_as_error() {
-        use cobra_core::SimpleWalk;
-        use cobra_graph::generators::classic;
-        // 3 steps cannot cover a 50-path: the sweep must error, not panic.
-        let cells = [(50.0, classic::path(50).unwrap(), 0u32)];
-        let plan = TrialPlan::new(5, 3, 1);
-        let err = run_cover_sweep("rw on path", "n", cells, &SimpleWalk::new(), &plan);
-        assert_eq!(err.unwrap_err(), EmptySummary);
+        let _ = SweepCell::new(8.0, classic::cycle(8).unwrap(), 0u32, 0);
     }
 
     #[test]
@@ -444,8 +247,6 @@ mod tests {
         t.push(SweepRow::from_summary(20.0, &sample_summary(), 1));
         assert_eq!(t.scales(), vec![10.0, 20.0]);
         assert_eq!(t.means(), vec![14.0, 14.0]);
-        assert_eq!(t.p95s().len(), 2);
-        assert_eq!(t.total_censored(), 1);
         assert_eq!(t.label, "cobra on grid");
         assert_eq!(t.scale_name, "n");
     }

@@ -6,7 +6,7 @@
 //!
 //! * [`CsrMatrix`] — compressed sparse row matrices with (optionally
 //!   rayon-parallel) matvec;
-//! * [`walk_matrix`] — transition matrices of simple/lazy walks and exact
+//! * [`walk_matrix`] — the simple walk's transition matrix and exact
 //!   distribution evolution (used to validate Monte-Carlo estimates);
 //! * [`power`] — power iteration and deflation for dominant/second
 //!   eigenvalues;
@@ -18,18 +18,14 @@
 //!   (`2/(n²+n)` on the diagonal, `1/(n²+n)` off it) and collision
 //!   probabilities;
 //! * [`exact`] — exact hitting times of the simple walk via linear solves
-//!   (ground truth for the simulation tests);
-//! * [`mixing`] — mixing-time estimates from the spectral gap and by
-//!   direct evolution.
+//!   (ground truth for the simulation tests).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod commute;
 pub mod exact;
 pub mod laplacian;
 pub mod matrix;
-pub mod mixing;
 pub mod power;
 pub mod tensor;
 pub mod walk_matrix;

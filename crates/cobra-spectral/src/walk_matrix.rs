@@ -1,9 +1,9 @@
-//! Transition matrices of simple and lazy random walks, and exact
+//! The transition matrix of the simple random walk, and exact
 //! distribution evolution.
 //!
 //! The experiment harness cross-checks Monte-Carlo walk estimates against
-//! these exact computations on small graphs, and the Theorem 8 experiment
-//! uses the spectral-gap/mixing estimates derived from them.
+//! these exact computations on small graphs, and the tensor chain of
+//! Lemma 11 evolves its distributions with them.
 
 use crate::matrix::CsrMatrix;
 use cobra_graph::Graph;
@@ -16,25 +16,6 @@ pub fn transition_matrix(g: &Graph) -> CsrMatrix {
         .map(|v| {
             let d = g.degree(v) as f64;
             g.neighbors(v).iter().map(|&u| (u, 1.0 / d)).collect()
-        })
-        .collect();
-    CsrMatrix::from_rows(g.num_vertices(), rows)
-}
-
-/// The lazy walk matrix `(1 − α)·P + α·I` (hold probability `α`).
-pub fn lazy_transition_matrix(g: &Graph, alpha: f64) -> CsrMatrix {
-    assert!((0.0..1.0).contains(&alpha), "laziness in [0,1)");
-    let rows: Vec<Vec<(u32, f64)>> = g
-        .vertices()
-        .map(|v| {
-            let d = g.degree(v) as f64;
-            let mut row: Vec<(u32, f64)> = g
-                .neighbors(v)
-                .iter()
-                .map(|&u| (u, (1.0 - alpha) / d))
-                .collect();
-            row.push((v, alpha));
-            row
         })
         .collect();
     CsrMatrix::from_rows(g.num_vertices(), rows)
@@ -88,15 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matrix_is_stochastic_with_self_loops() {
-        let g = classic::cycle(5).unwrap();
-        let p = lazy_transition_matrix(&g, 0.5);
-        assert!(p.is_row_stochastic(1e-12));
-        assert!((p.get(0, 0) - 0.5).abs() < 1e-12);
-        assert!((p.get(0, 1) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn stationary_is_degree_proportional() {
         let g = classic::star(5).unwrap();
         let pi = stationary_distribution(&g);
@@ -132,10 +104,6 @@ mod tests {
         let evolved = evolve(&p, &delta(4, 0), 101);
         let pi = stationary_distribution(&g);
         assert!(tv_distance(&evolved, &pi) > 0.4);
-        // Laziness breaks periodicity.
-        let lp = lazy_transition_matrix(&g, 0.5);
-        let evolved = evolve(&lp, &delta(4, 0), 101);
-        assert!(tv_distance(&evolved, &pi) < 1e-6);
     }
 
     #[test]

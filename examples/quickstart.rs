@@ -10,7 +10,7 @@
 
 use cobra_repro::graph::generators::{classic, random_regular};
 use cobra_repro::sim::runner::{run_cover_trials_typed, TrialPlan};
-use cobra_repro::walks::{CobraWalk, CoverDriver, SimpleWalk};
+use cobra_repro::walks::{record_trajectory, CobraWalk, SimpleWalk};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,21 +29,16 @@ fn main() {
 
     // 2. Run a single 2-cobra walk and watch it cover the graph.
     let cobra = CobraWalk::standard(); // k = 2, the paper's process
-    let result = CoverDriver::new(&g)
-        .record_trajectory()
-        .run_typed(&cobra, 0, 1_000_000, &mut rng)
-        .expect("non-empty graph");
+    let tr = record_trajectory(&g, &cobra, 0, 1_000_000, &mut rng);
+    let rounds = tr.completed_at.expect("covered within the budget");
     println!(
-        "single run: covered all {} vertices in {} rounds",
-        result.covered, result.steps
+        "single run: covered all {} vertices in {rounds} rounds",
+        g.num_vertices()
     );
-    if let Some(tr) = &result.trajectory {
-        let peak = tr.iter().max().copied().unwrap_or(0);
-        println!(
-            "active set grew to a peak of {} simultaneously active vertices",
-            peak
-        );
-    }
+    println!(
+        "active set grew to a peak of {} simultaneously active vertices",
+        tr.peak_active()
+    );
 
     // 3. Monte-Carlo comparison against the simple random walk.
     let plan = TrialPlan::new(trials, 10_000_000, 7);

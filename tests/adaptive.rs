@@ -7,6 +7,7 @@
 //! (a trial cap below the 64-lane width, or a process without a lane
 //! form); `tests/lanes.rs` pins the lane route.
 
+use cobra_bench::{ExpConfig, ExperimentSpec, Json, Orchestrator};
 use cobra_repro::graph::{Graph, Vertex};
 use cobra_repro::sim::convergence::{run_until_precise, AdaptivePlan, StopRule};
 use cobra_repro::sim::runner::{
@@ -14,7 +15,7 @@ use cobra_repro::sim::runner::{
     run_hitting_trials_adaptive_resumable, AdaptiveOutcome, BatchControl, TrialPlan,
 };
 use cobra_repro::sim::seeds::SeedSequence;
-use cobra_repro::sim::sweep::{run_cover_sweep_cells_adaptive, SweepCell};
+use cobra_repro::sim::sweep::{SweepCell, SweepTable};
 use cobra_repro::walks::{CobraWalk, CoverDriver, SimpleWalk, SisProcess, TypedProcess};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,52 +151,54 @@ fn adaptive_fully_censored_cell_fails_soft() {
 
 #[test]
 fn adaptive_sweep_is_batch_independent_and_reports_per_cell() {
-    let cells = |scales: &[usize]| {
-        scales
-            .iter()
-            .map(|&n| {
-                SweepCell::new(
-                    n as f64,
-                    cobra_repro::graph::generators::classic::cycle(n).unwrap(),
-                    0u32,
-                )
-                .with_budget(100_000)
-            })
-            .collect::<Vec<_>>()
-    };
     let rule = StopRule::new(8, 200, 0.05);
     let cobra = CobraWalk::standard();
-    let base = run_cover_sweep_cells_adaptive(
-        "cobra on cycle",
-        "n",
-        cells(&[12, 16, 24]),
-        &cobra,
-        &AdaptivePlan::new(rule, 1, 1, 0xBEE),
-    )
-    .unwrap();
-    assert_eq!(base.table.rows.len(), 3);
-    assert_eq!(base.reports.len(), 3);
-    assert!(base.all_precise());
-    assert_eq!(
-        base.total_trials(),
-        base.reports.iter().map(|r| r.trials_used).sum::<usize>()
-    );
-    for (row, rep) in base.table.rows.iter().zip(&base.reports) {
-        assert_eq!(row.trials, rep.completed);
-        assert_eq!(row.censored, rep.censored);
-        assert!(rep.rel_half_width <= rule.rel_precision + 1e-12);
-        assert!(rep.trials_used >= rule.min_trials);
+    // One orchestrated sweep over three cycles at `batch`: its table and
+    // the per-cell reports of its manifest.
+    let sweep = |batch: usize| -> (SweepTable, Vec<Json>) {
+        let mut spec =
+            ExperimentSpec::from_config("eA", "batch independence", &ExpConfig::default())
+                .with_rule(rule);
+        spec.batch = batch;
+        let mut orch = Orchestrator::new(spec);
+        let cells = [12usize, 16, 24].map(|n| {
+            SweepCell::new(
+                n as f64,
+                cobra_repro::graph::generators::classic::cycle(n).unwrap(),
+                0u32,
+                100_000,
+            )
+        });
+        let table = orch
+            .cover_sweep("cobra on cycle", "n", cells, &cobra, 0xBEE)
+            .unwrap();
+        let manifest = Json::parse(&orch.render_manifest()).unwrap();
+        let reports = manifest.get("cells").and_then(Json::as_array).unwrap();
+        assert_eq!(
+            orch.total_trials(),
+            reports
+                .iter()
+                .map(|r| r.get("trials_used").and_then(Json::as_usize).unwrap())
+                .sum::<usize>()
+        );
+        assert_eq!(orch.precise_cells(), 3, "batch {batch}");
+        (table, reports.to_vec())
+    };
+    let count = |rep: &Json, key: &str| rep.get(key).and_then(Json::as_usize).unwrap();
+    let (base, reports) = sweep(1);
+    assert_eq!(base.rows.len(), 3);
+    assert_eq!(reports.len(), 3);
+    for (row, rep) in base.rows.iter().zip(&reports) {
+        assert_eq!(row.trials, count(rep, "completed"));
+        assert_eq!(row.censored, count(rep, "censored"));
+        assert!(count(rep, "trials_used") >= rule.min_trials);
+        // The manifest prints six decimals.
+        let rel = rep.get("rel_half_width").and_then(Json::as_f64).unwrap();
+        assert!(rel <= rule.rel_precision + 1e-6);
     }
     for batch in [16usize, 64] {
-        let other = run_cover_sweep_cells_adaptive(
-            "cobra on cycle",
-            "n",
-            cells(&[12, 16, 24]),
-            &cobra,
-            &AdaptivePlan::new(rule, batch, 1, 0xBEE),
-        )
-        .unwrap();
-        for (a, b) in base.table.rows.iter().zip(&other.table.rows) {
+        let (other, _) = sweep(batch);
+        for (a, b) in base.rows.iter().zip(&other.rows) {
             assert_eq!(a.mean, b.mean, "batch {batch}");
             assert_eq!(a.median, b.median, "batch {batch}");
             assert_eq!(a.trials, b.trials, "batch {batch}");

@@ -13,10 +13,10 @@
 //! fast.
 //!
 //! Matrix: every process family of the paper (cobra k ∈ {1,2,3}, simple
-//! walk, Walt, SIS, push/pull/push-pull gossip) × four graph shapes
-//! (grid, cycle, star, Chung-Lu power-law) × three derived seeds, for
-//! both cover and hitting measurements, with trajectories recorded so the
-//! per-round support sizes are compared too.
+//! walk, Walt, SIS, push gossip) × four graph shapes (grid, cycle, star,
+//! Chung-Lu power-law) × three derived seeds, for both cover and hitting
+//! measurements, with a [`Trajectory`] probe attached so the per-round
+//! support sizes are compared too.
 
 use cobra_repro::graph::generators::{chung_lu, classic, grid, hypercube, trees};
 use cobra_repro::graph::{
@@ -25,8 +25,8 @@ use cobra_repro::graph::{
 };
 use cobra_repro::sim::SeedSequence;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, CoverResult, HittingDriver, HittingResult, ImplicitDraw, PullGossip,
-    PushGossip, PushPullGossip, SimpleWalk, SisProcess, TrialScratch, TypedProcess, WaltProcess,
+    CobraWalk, CoverDriver, CoverResult, HittingDriver, HittingResult, ImplicitDraw, NeighborDraw,
+    PushGossip, SimpleWalk, SisProcess, Trajectory, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,10 +40,38 @@ fn fnv(h: u64, word: u64) -> u64 {
     })
 }
 
-/// Fold one seed's cover result (trajectory included) and hitting result
-/// into a cell digest.
-fn fold_seed(h: u64, cover: &CoverResult, hit: &HittingResult) -> u64 {
-    let tr = cover.trajectory.as_deref().expect("trajectory recorded");
+/// One cover run from vertex 0 on seed `seed` with a [`Trajectory`]
+/// probe attached: the result and the per-round support sizes.
+fn traced_cover<G, P, D>(
+    g: &G,
+    process: &P,
+    draw: &D,
+    scratch: &mut TrialScratch<P::State>,
+    seed: u64,
+) -> (CoverResult, Vec<usize>)
+where
+    G: ImplicitGraph,
+    P: TypedProcess<G>,
+    D: NeighborDraw<G>,
+{
+    let mut tr = Trajectory::default();
+    let cover = CoverDriver::new(g)
+        .run_typed_in_probed(
+            process,
+            draw,
+            scratch,
+            0,
+            MAX_STEPS,
+            &mut StdRng::seed_from_u64(seed),
+            &mut tr,
+        )
+        .unwrap();
+    (cover, tr.active)
+}
+
+/// Fold one seed's cover result, its trajectory, and hitting result into
+/// a cell digest.
+fn fold_seed(h: u64, cover: &CoverResult, tr: &[usize], hit: &HittingResult) -> u64 {
     [
         cover.steps,
         cover.covered,
@@ -59,8 +87,7 @@ fn fold_seed(h: u64, cover: &CoverResult, hit: &HittingResult) -> u64 {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The graph zoo. Chung-Lu instances are regenerated (deterministically)
-/// until minimum degree ≥ 1 so degree-0 vertices cannot trip the
-/// pull-gossip polling loop.
+/// until minimum degree ≥ 1 — the instance the digests were recorded on.
 fn graphs() -> Vec<(&'static str, Graph)> {
     let seq = SeedSequence::new(0xF2011713);
     let chung_lu_graph = (0..u64::MAX)
@@ -87,10 +114,12 @@ fn cell_seeds(process_idx: u64, graph_idx: u64) -> Vec<u64> {
 
 /// Assert fresh path ≡ scratch path ≡ recorded dyn-route digest for cover
 /// and hitting on every graph (`pinned` is indexed like [`graphs`]). The
-/// scratch engine reuses one [`TrialScratch`] (and one per-graph
-/// [`NeighborSampler`]) across all seeds of a cell, so the respawn-reuse
-/// path and the table-driven draws are exercised against the
-/// allocate-fresh route on identical RNG streams.
+/// fresh path is what `CoverDriver::run_typed` runs: a new
+/// [`TrialScratch`] and [`ImplicitDraw`] per seed. The scratch engine
+/// reuses one [`TrialScratch`] (and one per-graph [`NeighborSampler`])
+/// across all seeds of a cell, so the respawn-reuse path and the
+/// table-driven draws are exercised against the allocate-fresh route on
+/// identical RNG streams.
 fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pinned: [u64; 4]) {
     for (graph_idx, (gname, g)) in graphs().into_iter().enumerate() {
         let n = g.num_vertices();
@@ -101,30 +130,15 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
         for seed in cell_seeds(process_idx, graph_idx as u64) {
             let label = format!("{} on {gname} (seed {seed:#x})", process.name());
 
-            let typed_cover = CoverDriver::new(&g)
-                .record_trajectory()
-                .run_typed(process, 0, MAX_STEPS, &mut StdRng::seed_from_u64(seed))
-                .unwrap();
-            let scratch_cover = CoverDriver::new(&g)
-                .record_trajectory()
-                .run_typed_in(
-                    process,
-                    &sampler,
-                    &mut scratch,
-                    0,
-                    MAX_STEPS,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .unwrap();
+            let (typed_cover, typed_tr) =
+                traced_cover(&g, process, &ImplicitDraw, &mut TrialScratch::new(&g), seed);
+            let (scratch_cover, scratch_tr) =
+                traced_cover(&g, process, &sampler, &mut scratch, seed);
             assert_eq!(
                 typed_cover, scratch_cover,
                 "cover divergence for {label}: typed {typed_cover:?} vs scratch {scratch_cover:?}"
             );
-            assert_eq!(
-                scratch.trajectory(),
-                scratch_cover.trajectory.as_deref().unwrap(),
-                "scratch trajectory buffer must mirror the returned trajectory for {label}"
-            );
+            assert_eq!(typed_tr, scratch_tr, "trajectory divergence for {label}");
 
             let typed_hit = HittingDriver::new(&g).run_typed(
                 process,
@@ -146,7 +160,7 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
                 typed_hit, scratch_hit,
                 "hitting divergence for {label}: typed {typed_hit:?} vs scratch {scratch_hit:?}"
             );
-            digest = fold_seed(digest, &typed_cover, &typed_hit);
+            digest = fold_seed(digest, &typed_cover, &typed_tr, &typed_hit);
         }
         assert_eq!(
             digest,
@@ -279,31 +293,11 @@ fn gossip_matches() {
             0xaf8526f9e5bb7b87,
         ],
     );
-    assert_engine_equivalence(
-        41,
-        &PullGossip,
-        [
-            0xa7e9108b54807573,
-            0x1a6e5920623721b3,
-            0x78a8359d4b4962a4,
-            0x0fa19077f5cf5bde,
-        ],
-    );
-    assert_engine_equivalence(
-        42,
-        &PushPullGossip,
-        [
-            0xb055100f92409b5a,
-            0xd509c4f7460db84f,
-            0x78a8359d4b4962a4,
-            0xd462d6d3b929dbfd,
-        ],
-    );
 }
 
 /// Assert the CSR representation and an arithmetic [`ImplicitGraph`]
-/// family drive **bit-for-bit identical** runs: same cover results (with
-/// trajectories), same hitting results, on both the fresh typed path and
+/// family drive **bit-for-bit identical** runs: same cover results and
+/// trajectories, same hitting results, on both the fresh typed path and
 /// the scratch path (CSR draws through the [`NeighborSampler`] table,
 /// implicit draws through [`ImplicitDraw`] — stream-compatible by
 /// construction). Any divergence means the implicit family's neighbor
@@ -331,18 +325,25 @@ fn assert_csr_implicit_equivalence<G, P>(
     for seed in cell_seeds(0xC5, cell) {
         let label = format!("{} on {gname} (seed {seed:#x})", process.name());
 
-        let csr_cover = CoverDriver::new(csr)
-            .record_trajectory()
-            .run_typed(process, 0, MAX_STEPS, &mut StdRng::seed_from_u64(seed))
-            .unwrap();
-        let imp_cover = CoverDriver::new(implicit)
-            .record_trajectory()
-            .run_typed(process, 0, MAX_STEPS, &mut StdRng::seed_from_u64(seed))
-            .unwrap();
+        let (csr_cover, csr_tr) = traced_cover(
+            csr,
+            process,
+            &ImplicitDraw,
+            &mut TrialScratch::new(csr),
+            seed,
+        );
+        let (imp_cover, imp_tr) = traced_cover(
+            implicit,
+            process,
+            &ImplicitDraw,
+            &mut TrialScratch::new(implicit),
+            seed,
+        );
         assert_eq!(
             csr_cover, imp_cover,
             "cover divergence for {label}: csr {csr_cover:?} vs implicit {imp_cover:?}"
         );
+        assert_eq!(csr_tr, imp_tr, "trajectory divergence for {label}");
         let csr_scratch_cover = CoverDriver::new(csr)
             .run_typed_in(
                 process,

@@ -5,43 +5,41 @@
 //! exponent ≈ 1 in d = 2 (empirically ≈ 0.95 at these sizes).
 //!
 //! Lives in the high-trial `#[ignore]` tier (run via
-//! `cargo test -- --ignored`) like the other Monte-Carlo suites; the sweep
-//! itself goes through the typed frontier engine (`run_cover_sweep`), so
-//! this doubles as an end-to-end exercise of the fast path at scale.
+//! `cargo test -- --ignored`) like the other Monte-Carlo suites; every
+//! cell goes through the typed frontier engine, so this doubles as an
+//! end-to-end exercise of the fast path at scale.
 
 use cobra_repro::analysis::fit::power_law_fit;
 use cobra_repro::graph::generators::grid;
 use cobra_repro::graph::ImplicitGrid;
-use cobra_repro::sim::runner::{run_cover_trials_implicit, TrialPlan};
-use cobra_repro::sim::sweep::run_cover_sweep;
+use cobra_repro::sim::runner::{run_cover_trials_implicit, run_cover_trials_typed, TrialPlan};
+use cobra_repro::sim::sweep::cell_seed;
 use cobra_repro::walks::CobraWalk;
 
 #[test]
 #[ignore = "high-trial Monte-Carlo tier"]
 fn two_cobra_grid_cover_scales_linearly_in_n() {
-    // Side extents n give (n+1)² vertices: 81 … 1089.
-    let cells = [8usize, 12, 16, 24, 32]
-        .into_iter()
-        .map(|n| (n as f64, grid::grid(&[n, n]), 0u32));
-    let plan = TrialPlan::new(24, 1_000_000, 0xC0B7A);
-    let table = run_cover_sweep(
-        "cobra(k=2) on grid(d=2)",
-        "side extent n",
-        cells,
-        &CobraWalk::standard(),
-        &plan,
-    )
-    .expect("no cell may censor out at this budget");
-    assert_eq!(table.total_censored(), 0, "budget must dominate cover time");
+    // Side extents n give (n+1)² vertices: 81 … 1089. Each cell draws
+    // its own stream under `cell_seed`, as a sweep cell does.
+    let sides = [8usize, 12, 16, 24, 32];
+    let cobra = CobraWalk::standard();
+    let mut scales = Vec::new();
+    let mut means = Vec::new();
+    for (cell, &n) in sides.iter().enumerate() {
+        let plan = TrialPlan::new(24, 1_000_000, cell_seed(0xC0B7A, cell));
+        let out = run_cover_trials_typed(&grid::grid(&[n, n]), &cobra, 0, &plan);
+        assert_eq!(out.censored, 0, "side {n}: budget must dominate cover time");
+        scales.push(n as f64);
+        means.push(out.summary.mean());
+    }
 
-    let fit = power_law_fit(&table.scales(), &table.means());
+    let fit = power_law_fit(&scales, &means);
     assert!(
         (0.8..=1.3).contains(&fit.slope),
         "cover-time exponent {:.3} outside the O(n) window [0.8, 1.3] \
-         (R² = {:.3}, means = {:?})",
+         (R² = {:.3}, means = {means:?})",
         fit.slope,
         fit.r_squared,
-        table.means()
     );
     assert!(
         fit.r_squared > 0.95,

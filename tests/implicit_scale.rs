@@ -102,7 +102,7 @@ fn giant_implicit_cover_run_stays_under_the_memory_budget() {
     );
     assert_eq!(covered.count(), n, "coverage structure must agree");
 
-    // The hard bar: everything the run touched — coverage (~19 MB at
+    // The hard bar: everything the run touched — coverage (~16 MB at
     // Q27), two frontiers (~50 MB), occupied list, RNG — in under
     // 256 MB total allocation volume. CSR adjacency alone would be
     // ~56× that budget.
