@@ -21,7 +21,8 @@
 //!   `(d(v) + Σ_{x≠v} σ̂(x,v)·d(x)) / d(v)` bound.
 
 use crate::process::{
-    bernoulli, random_neighbor, sample_index, Process, StateView, TypedProcess, TypedState,
+    bernoulli, sample_index, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess,
+    TypedState,
 };
 use cobra_graph::{metrics, Graph, Vertex};
 use rand::Rng;
@@ -138,7 +139,7 @@ impl TypedState for BiasedState {
             debug_assert!(g.has_edge(v, u), "controller must pick a neighbor");
             u
         } else {
-            random_neighbor(g, v, rng)
+            ImplicitDraw.draw_one(g, v, rng)
         };
     }
 }

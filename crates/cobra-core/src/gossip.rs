@@ -11,7 +11,7 @@
 //! round (plus the source initially), so the driver's union-over-time
 //! coverage matches the usual "all vertices informed" completion time.
 
-use crate::process::{random_neighbor, Process, TypedProcess, TypedState};
+use crate::process::{ImplicitDraw, NeighborDraw, Process, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -85,7 +85,7 @@ impl TypedState for GossipState {
         self.fresh_from = already;
         // Every vertex informed *before* this round pushes once.
         for i in 0..already {
-            let u = random_neighbor(g, self.informed_list[i], rng);
+            let u = ImplicitDraw.draw_one(g, self.informed_list[i], rng);
             if !self.informed[u as usize] {
                 self.informed[u as usize] = true;
                 self.informed_list.push(u);

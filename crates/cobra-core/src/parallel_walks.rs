@@ -6,7 +6,7 @@
 //! makes parallel walks analyzable is exactly what breaks for cobra walks
 //! (§1.2), which is why the paper treats them as a distinct baseline.
 
-use crate::process::{random_neighbor, Process, StateView, TypedProcess, TypedState};
+use crate::process::{ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -55,7 +55,7 @@ pub struct ParallelState {
 impl TypedState for ParallelState {
     fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
         for pos in &mut self.positions {
-            *pos = random_neighbor(g, *pos, rng);
+            *pos = ImplicitDraw.draw_one(g, *pos, rng);
         }
     }
 }

@@ -8,7 +8,7 @@
 //! and the RNG, so a trial's walk kernel, draws, and coverage bookkeeping
 //! inline into one loop with no virtual dispatch.
 
-use cobra_graph::{Graph, ImplicitGraph, Vertex};
+use cobra_graph::{Graph, ImplicitGraph, Neighborhood, Vertex};
 use rand::Rng;
 
 /// The graph-independent part of a process specification.
@@ -243,23 +243,20 @@ impl BoundDraw for cobra_graph::sampler::BoundSample<'_> {
     }
 }
 
-/// The [`NeighborDraw`] for arithmetic graphs: resolve the degree per
-/// vertex through the [`ImplicitGraph`] trait, then index-address each
-/// draw with `neighbor(v, i)` — no adjacency slice exists to borrow.
-/// Draws with [`sample_index`] (lazy rejection threshold), so for
-/// `G = Graph` this consumes the identical RNG stream as
-/// [`cobra_graph::NeighborSampler`] and `ns[sample_index(ns.len(), rng)]`,
-/// and resolves identical vertices (the implicit families enumerate
-/// neighbors in CSR order).
+/// The [`NeighborDraw`] for arithmetic graphs: decode each vertex once
+/// through [`ImplicitGraph::adjacency`], then index-address each draw into
+/// that adjacency — no sampler table is needed. Draws with
+/// [`sample_index`] (lazy rejection threshold), so for `G = Graph` this
+/// consumes the identical RNG stream as [`cobra_graph::NeighborSampler`]
+/// and `ns[sample_index(ns.len(), rng)]`, and resolves identical vertices
+/// (the implicit families enumerate neighbors in CSR order).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ImplicitDraw;
 
-/// [`ImplicitDraw`] bound to one vertex: the graph handle, the vertex, and
-/// its degree, hoisted out of the draw loop.
-#[derive(Clone, Copy, Debug)]
-pub struct ImplicitBound<'a, G: ?Sized> {
-    g: &'a G,
-    v: Vertex,
+/// [`ImplicitDraw`] bound to one vertex: its decoded adjacency and its
+/// degree, hoisted out of the draw loop.
+pub struct ImplicitBound<'a, G: ImplicitGraph + ?Sized + 'a> {
+    adj: G::Adjacency<'a>,
     degree: usize,
 }
 
@@ -271,27 +268,18 @@ impl<G: ImplicitGraph + ?Sized> NeighborDraw<G> for ImplicitDraw {
 
     #[inline]
     fn bind<'a>(&'a self, g: &'a G, v: Vertex) -> ImplicitBound<'a, G> {
-        let degree = g.degree(v);
+        let adj = g.adjacency(v);
+        let degree = adj.degree();
         assert!(degree > 0, "vertex {v} has no neighbors");
-        ImplicitBound { g, v, degree }
+        ImplicitBound { adj, degree }
     }
 }
 
 impl<G: ImplicitGraph + ?Sized> BoundDraw for ImplicitBound<'_, G> {
     #[inline]
     fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Vertex {
-        self.g.neighbor(self.v, sample_index(self.degree, rng))
+        self.adj.neighbor(sample_index(self.degree, rng))
     }
-}
-
-/// Draw a uniformly random neighbor of `v`. Panics if `v` is isolated —
-/// every process in the paper is defined on connected graphs, so an
-/// isolated vertex is a caller bug worth failing loudly on.
-#[inline]
-pub fn random_neighbor<R: Rng + ?Sized>(g: &Graph, v: Vertex, rng: &mut R) -> Vertex {
-    let ns = g.neighbors(v);
-    assert!(!ns.is_empty(), "vertex {v} has no neighbors");
-    ns[sample_index(ns.len(), rng)]
 }
 
 /// Uniform index in `0..len` using Lemire-style rejection; unbiased and
@@ -365,21 +353,21 @@ mod tests {
     }
 
     #[test]
-    fn random_neighbor_stays_adjacent() {
+    fn implicit_draw_on_csr_stays_adjacent() {
         let g = classic::cycle(9).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
-            let u = random_neighbor(&g, 4, &mut rng);
+            let u = ImplicitDraw.draw_one(&g, 4, &mut rng);
             assert!(g.has_edge(4, u));
         }
     }
 
     #[test]
     #[should_panic(expected = "no neighbors")]
-    fn random_neighbor_panics_on_isolated() {
+    fn implicit_draw_on_csr_panics_on_isolated() {
         let g = cobra_graph::Graph::empty(2);
         let mut rng = StdRng::seed_from_u64(0);
-        random_neighbor(&g, 0, &mut rng);
+        ImplicitDraw.draw_one(&g, 0, &mut rng);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use crate::error::{GraphError, Result};
 
 /// Number of vertices of the complete `k`-ary tree of the given `depth`
 /// (a single root is depth 0): `(k^{depth+1} - 1) / (k - 1)` for `k ≥ 2`,
-/// `depth + 1` for `k = 1`.
+/// `depth + 1` for `k = 1`. Counting stops once the total passes `2³²`,
+/// the size of the id space, so a tree too large to build is reported as
+/// some count above `2³²` without walking all its levels.
 pub fn kary_tree_size(k: usize, depth: u32) -> u64 {
     if k == 1 {
         depth as u64 + 1
@@ -21,6 +23,9 @@ pub fn kary_tree_size(k: usize, depth: u32) -> u64 {
         let mut level: u64 = 1;
         for _ in 0..=depth {
             total = total.saturating_add(level);
+            if total > 1 << 32 {
+                break;
+            }
             level = level.saturating_mul(k as u64);
         }
         total
@@ -157,5 +162,19 @@ mod tests {
     #[test]
     fn rejects_k_zero() {
         assert!(kary_tree(0, 2).is_err());
+    }
+
+    #[test]
+    fn rejects_an_oversized_depth_without_walking_it() {
+        assert_eq!(kary_tree_size(2, 31), u32::MAX as u64);
+        assert!(kary_tree_size(2, 32) > 1 << 32);
+        assert!(matches!(
+            kary_tree(2, u32::MAX),
+            Err(GraphError::TooManyVertices { .. })
+        ));
+        assert!(matches!(
+            crate::ImplicitKaryTree::new(2, u32::MAX),
+            Err(GraphError::TooManyVertices { .. })
+        ));
     }
 }

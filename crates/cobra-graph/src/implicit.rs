@@ -5,10 +5,11 @@
 //! vertex `v` is an arithmetic function of `(v, i)`. Materializing them as
 //! CSR costs `Θ(Σ deg)` memory — 14.5 GB for the 27-dimensional Boolean
 //! hypercube — while the walk kernels only ever ask two questions per
-//! draw: `degree(v)` and `neighbor(v, i)`. [`ImplicitGraph`] abstracts
-//! exactly those two questions (plus the vertex count), so the typed walk
-//! engine in `cobra-core` can run on either representation through one
-//! generic seam.
+//! draw: `degree(v)` and `neighbor(v, i)`. [`ImplicitGraph`] answers both
+//! from one decode per vertex: [`ImplicitGraph::adjacency`] resolves `v`
+//! into a [`Neighborhood`] once, and each of the vertex's draws is then a
+//! lookup into it. The typed walk engine in `cobra-core` runs on either
+//! representation through this one generic seam.
 //!
 //! **Order contract.** Every implementation enumerates neighbors in
 //! *strictly ascending vertex order*, matching the sorted-CSR invariant of
@@ -22,61 +23,169 @@ use crate::error::{GraphError, Result};
 use crate::generators::grid::GridShape;
 use crate::generators::trees::kary_tree_size;
 
+/// One vertex's neighborhood, decoded once by [`ImplicitGraph::adjacency`].
+pub trait Neighborhood {
+    /// Number of neighbors.
+    fn degree(&self) -> usize;
+
+    /// The `i`-th neighbor in ascending vertex order, `i < degree()`.
+    fn neighbor(&self, i: usize) -> Vertex;
+}
+
 /// A graph whose adjacency is computed on demand instead of stored.
 ///
 /// Implementations must describe a simple undirected graph on the dense id
 /// space `0..num_vertices()` and must enumerate each vertex's neighbors in
 /// strictly ascending order (the CSR order), so that index-addressed
 /// neighbor draws agree bit-for-bit with the materialized representation.
+/// A family implements [`ImplicitGraph::num_vertices`] and
+/// [`ImplicitGraph::adjacency`]; `degree` and `neighbor` are derived.
 ///
 /// `Sync` is required so the Monte-Carlo engine can share one instance
 /// across rayon workers, exactly as it shares a [`Graph`].
 pub trait ImplicitGraph: Sync {
+    /// The decoded neighborhood of one vertex.
+    type Adjacency<'a>: Neighborhood
+    where
+        Self: 'a;
+
     /// Number of vertices `n`.
     fn num_vertices(&self) -> usize;
 
+    /// Decode vertex `v` once, so that its degree and each of its
+    /// neighbors is a lookup.
+    fn adjacency(&self, v: Vertex) -> Self::Adjacency<'_>;
+
     /// Degree of vertex `v`.
-    fn degree(&self, v: Vertex) -> usize;
+    #[inline]
+    fn degree(&self, v: Vertex) -> usize {
+        self.adjacency(v).degree()
+    }
 
     /// The `i`-th neighbor of `v` in ascending vertex order,
     /// `i < degree(v)`.
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex;
+    #[inline]
+    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
+        self.adjacency(v).neighbor(i)
+    }
 }
 
-/// A materialized CSR graph is trivially an implicit graph: the two
-/// accessors are the same two loads the walk kernels already do.
+/// A CSR adjacency slice is already decoded.
+impl Neighborhood for &[Vertex] {
+    #[inline]
+    fn degree(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn neighbor(&self, i: usize) -> Vertex {
+        self[i]
+    }
+}
+
+/// A materialized CSR graph is trivially an implicit graph: a vertex's
+/// adjacency is its sorted neighbor slice.
 impl ImplicitGraph for Graph {
+    type Adjacency<'a> = &'a [Vertex];
+
     #[inline]
     fn num_vertices(&self) -> usize {
         Graph::num_vertices(self)
     }
 
     #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        Graph::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        Graph::neighbor(self, v, i)
+    fn adjacency(&self, v: Vertex) -> &[Vertex] {
+        self.neighbors(v)
     }
 }
 
 /// References delegate, so drivers can hold `&G` without re-wrapping.
 impl<T: ImplicitGraph + ?Sized> ImplicitGraph for &T {
+    type Adjacency<'a>
+        = T::Adjacency<'a>
+    where
+        Self: 'a;
+
     #[inline]
     fn num_vertices(&self) -> usize {
         (**self).num_vertices()
     }
 
     #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        (**self).degree(v)
+    fn adjacency(&self, v: Vertex) -> T::Adjacency<'_> {
+        (**self).adjacency(v)
+    }
+}
+
+/// `0x01` in every byte.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte.
+const BYTE_HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// `SELECT_IN_BYTE[b | r << 8]` is the position of the `r`-th lowest set
+/// bit of the byte `b` (8 where `b` has no such bit).
+static SELECT_IN_BYTE: [u8; 2048] = select_in_byte_table();
+
+const fn select_in_byte_table() -> [u8; 2048] {
+    let mut table = [8u8; 2048];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut rank) = (0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                table[b | rank << 8] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// A word with the running popcounts of its bytes precomputed, so each
+/// `select` on it is branch-free broadword arithmetic plus one table load
+/// (Vigna, *Broadword implementation of rank/select queries*, 2008). Byte
+/// `j` of `sums` counts the set bits in bytes `0..=j` of `bits`, so the
+/// top byte is the popcount.
+#[derive(Clone, Copy, Debug)]
+struct RankedWord {
+    bits: u64,
+    sums: u64,
+}
+
+impl RankedWord {
+    #[inline]
+    fn new(bits: u64) -> Self {
+        let mut s = bits - ((bits >> 1) & 0x5555_5555_5555_5555);
+        s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+        s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+        RankedWord {
+            bits,
+            sums: s.wrapping_mul(BYTE_ONES),
+        }
     }
 
+    /// Number of set bits.
     #[inline]
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        (**self).neighbor(v, i)
+    fn count(self) -> usize {
+        (self.sums >> 56) as usize
+    }
+
+    /// Position of the `k`-th lowest set bit (`k` counts from 0), for
+    /// `k < count()`.
+    #[inline]
+    fn select(self, k: usize) -> u32 {
+        debug_assert!(k < self.count());
+        let k = k as u64;
+        // Flag (bit 7) each byte whose running count is at most k: those
+        // bytes lie wholly below the bit. Counting the flags with one
+        // multiply gives the byte that holds it.
+        let below = (((k * BYTE_ONES) | BYTE_HIGHS) - self.sums) & BYTE_HIGHS;
+        let shift = ((below >> 7).wrapping_mul(BYTE_ONES) >> 56) * 8;
+        let rank = (k - ((self.sums << 8) >> shift & 0xFF)) & 7;
+        let byte = self.bits >> shift & 0xFF;
+        shift as u32 + SELECT_IN_BYTE[(byte | rank << 8) as usize] as u32
     }
 }
 
@@ -90,15 +199,51 @@ impl<T: ImplicitGraph + ?Sized> ImplicitGraph for &T {
 #[derive(Clone, Debug)]
 pub struct ImplicitGrid {
     shape: GridShape,
+    /// The dimensions with at least 2 points, in dimension order (a
+    /// one-point dimension has no moves).
+    axes: Vec<Axis>,
+    /// The id step of each move in CSR order, as wrapping `u32` offsets:
+    /// minus moves in axis order, then plus moves in reverse. With `d`
+    /// axes, axis `a`'s minus move is move `a` and its plus move is move
+    /// `2d − 1 − a`.
+    steps: Vec<u32>,
+}
+
+/// One dimension of an [`ImplicitGrid`] that has moves.
+#[derive(Clone, Copy, Debug)]
+struct Axis {
+    points: u64,
+    /// `⌊(2⁶⁴ − 1) / points⌋ + 1`: the high word of `x · recip` is
+    /// `⌊x / points⌋` for every `x < 2³²` (Lemire, Kaser & Kurz, *Faster
+    /// remainder by direct computation*, 2019).
+    recip: u64,
 }
 
 impl ImplicitGrid {
     /// The grid `[0, extents[i]]` per dimension; same validation as the
     /// materialized [`crate::generators::grid::try_grid`].
     pub fn new(extents: &[usize]) -> Result<Self> {
-        Ok(ImplicitGrid {
-            shape: GridShape::new(extents)?,
-        })
+        let shape = GridShape::new(extents)?;
+        let moving: Vec<usize> = (0..shape.dims())
+            .filter(|&i| shape.points_in_dim(i) > 1)
+            .collect();
+        // n ≤ 2³² and every axis has ≥ 2 points, so there are at most 32
+        // axes: every move mask fits a u64.
+        let d = moving.len();
+        let mut axes = Vec::with_capacity(d);
+        let mut steps = vec![0u32; 2 * d];
+        for (a, &i) in moving.iter().enumerate() {
+            // The largest stride is n / points ≤ 2³¹.
+            let stride = shape.stride_in_dim(i) as u32;
+            steps[a] = stride.wrapping_neg();
+            steps[2 * d - 1 - a] = stride;
+            let points = shape.points_in_dim(i) as u64;
+            axes.push(Axis {
+                points,
+                recip: u64::MAX / points + 1,
+            });
+        }
+        Ok(ImplicitGrid { shape, axes, steps })
     }
 
     /// The coordinate addressing of this grid.
@@ -107,47 +252,55 @@ impl ImplicitGrid {
     }
 }
 
+/// An [`ImplicitGrid`] vertex's neighborhood: the vertex and a mask of
+/// its valid moves in CSR order.
+#[derive(Clone, Copy, Debug)]
+pub struct GridAdjacency<'a> {
+    v: Vertex,
+    moves: RankedWord,
+    steps: &'a [u32],
+}
+
+impl Neighborhood for GridAdjacency<'_> {
+    #[inline]
+    fn degree(&self) -> usize {
+        self.moves.count()
+    }
+
+    #[inline]
+    fn neighbor(&self, i: usize) -> Vertex {
+        self.v
+            .wrapping_add(self.steps[self.moves.select(i) as usize])
+    }
+}
+
 impl ImplicitGraph for ImplicitGrid {
+    type Adjacency<'a> = GridAdjacency<'a>;
+
     #[inline]
     fn num_vertices(&self) -> usize {
         self.shape.num_vertices()
     }
 
-    fn degree(&self, v: Vertex) -> usize {
-        let vu = v as usize;
-        let mut deg = 0;
-        for dim in 0..self.shape.dims() {
-            let pts = self.shape.points_in_dim(dim);
-            let c = (vu / self.shape.stride_in_dim(dim)) % pts;
-            deg += (c > 0) as usize + (c + 1 < pts) as usize;
+    /// Peels the coordinates off from the last axis, one multiply each: a
+    /// coordinate above 0 enables the axis's minus move, one below its
+    /// last point the plus move.
+    #[inline]
+    fn adjacency(&self, v: Vertex) -> GridAdjacency<'_> {
+        let d = self.axes.len();
+        let mut rest = v as u64;
+        let mut moves = 0u64;
+        for (a, axis) in self.axes.iter().enumerate().rev() {
+            let q = ((rest as u128 * axis.recip as u128) >> 64) as u64;
+            let c = rest - q * axis.points;
+            moves |= ((c > 0) as u64) << a | ((c + 1 < axis.points) as u64) << (2 * d - 1 - a);
+            rest = q;
         }
-        deg
-    }
-
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        let vu = v as usize;
-        let d = self.shape.dims();
-        let mut k = i;
-        for dim in 0..d {
-            let s = self.shape.stride_in_dim(dim);
-            if !(vu / s).is_multiple_of(self.shape.points_in_dim(dim)) {
-                if k == 0 {
-                    return (vu - s) as Vertex;
-                }
-                k -= 1;
-            }
+        GridAdjacency {
+            v,
+            moves: RankedWord::new(moves),
+            steps: &self.steps,
         }
-        for dim in (0..d).rev() {
-            let s = self.shape.stride_in_dim(dim);
-            let pts = self.shape.points_in_dim(dim);
-            if (vu / s) % pts + 1 < pts {
-                if k == 0 {
-                    return (vu + s) as Vertex;
-                }
-                k -= 1;
-            }
-        }
-        panic!("neighbor index {i} out of range for grid vertex {v}");
     }
 }
 
@@ -160,7 +313,7 @@ pub const MAX_TORUS_DIMS: usize = 16;
 /// `2d`-regular; the paper's convenient `d`-regular family for Theorem 8.
 ///
 /// Wrap-around breaks the stride monotonicity that lets the plain grid
-/// enumerate in order directly, so each query materializes the `2d`
+/// enumerate in order directly, so each adjacency materializes the `2d`
 /// candidate ids into a stack array and sorts it — `d ≤ 16` keeps that
 /// array at 32 words.
 #[derive(Clone, Debug)]
@@ -200,11 +353,40 @@ impl ImplicitTorus {
     pub fn shape(&self) -> &GridShape {
         &self.shape
     }
+}
+
+/// An [`ImplicitTorus`] vertex's neighborhood: its `2d` neighbor ids,
+/// sorted.
+#[derive(Clone, Copy, Debug)]
+pub struct TorusAdjacency {
+    sorted: [Vertex; 2 * MAX_TORUS_DIMS],
+    len: usize,
+}
+
+impl Neighborhood for TorusAdjacency {
+    #[inline]
+    fn degree(&self) -> usize {
+        self.len
+    }
 
     #[inline]
-    fn candidates(&self, v: Vertex, out: &mut [Vertex]) -> usize {
+    fn neighbor(&self, i: usize) -> Vertex {
+        self.sorted[..self.len][i]
+    }
+}
+
+impl ImplicitGraph for ImplicitTorus {
+    type Adjacency<'a> = TorusAdjacency;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        self.shape.num_vertices()
+    }
+
+    fn adjacency(&self, v: Vertex) -> TorusAdjacency {
         let vu = v as usize;
         let d = self.shape.dims();
+        let mut sorted = [0 as Vertex; 2 * MAX_TORUS_DIMS];
         for dim in 0..d {
             let s = self.shape.stride_in_dim(dim);
             let pts = self.shape.points_in_dim(dim);
@@ -212,30 +394,11 @@ impl ImplicitTorus {
             let down = if c == 0 { pts - 1 } else { c - 1 };
             let up = if c + 1 == pts { 0 } else { c + 1 };
             let base = vu - c * s;
-            out[2 * dim] = (base + down * s) as Vertex;
-            out[2 * dim + 1] = (base + up * s) as Vertex;
+            sorted[2 * dim] = (base + down * s) as Vertex;
+            sorted[2 * dim + 1] = (base + up * s) as Vertex;
         }
-        2 * d
-    }
-}
-
-impl ImplicitGraph for ImplicitTorus {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.shape.num_vertices()
-    }
-
-    #[inline]
-    fn degree(&self, _v: Vertex) -> usize {
-        2 * self.shape.dims()
-    }
-
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        let mut cand = [0 as Vertex; 2 * MAX_TORUS_DIMS];
-        let len = self.candidates(v, &mut cand);
-        let cand = &mut cand[..len];
-        cand.sort_unstable();
-        cand[i]
+        sorted[..2 * d].sort_unstable();
+        TorusAdjacency { sorted, len: 2 * d }
     }
 }
 
@@ -277,39 +440,48 @@ impl ImplicitHypercube {
     }
 }
 
-/// Lowest set bit of `x` after clearing the `skip` lowest set bits.
-/// `x` must have more than `skip` set bits.
-#[inline]
-fn select_low_bit(mut x: u64, skip: usize) -> u64 {
-    for _ in 0..skip {
-        x &= x - 1;
+/// An [`ImplicitHypercube`] vertex's neighborhood: its set bits (the
+/// vertex itself) and its unset bits below `dim`.
+#[derive(Clone, Copy, Debug)]
+pub struct HypercubeAdjacency {
+    set: RankedWord,
+    unset: RankedWord,
+}
+
+impl Neighborhood for HypercubeAdjacency {
+    #[inline]
+    fn degree(&self) -> usize {
+        self.set.count() + self.unset.count()
     }
-    x & x.wrapping_neg()
+
+    /// The first `set` neighbors clear a set bit, highest first; the rest
+    /// set an unset bit, lowest first.
+    #[inline]
+    fn neighbor(&self, i: usize) -> Vertex {
+        let set = self.set.count();
+        let (word, rank) = std::hint::select_unpredictable(
+            i < set,
+            (self.set, set.wrapping_sub(i + 1)),
+            (self.unset, i.wrapping_sub(set)),
+        );
+        (self.set.bits ^ 1 << word.select(rank)) as Vertex
+    }
 }
 
 impl ImplicitGraph for ImplicitHypercube {
+    type Adjacency<'a> = HypercubeAdjacency;
+
     #[inline]
     fn num_vertices(&self) -> usize {
         1usize << self.dim
     }
 
     #[inline]
-    fn degree(&self, _v: Vertex) -> usize {
-        self.dim as usize
-    }
-
-    #[inline]
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        debug_assert!(i < self.dim as usize);
-        let vv = v as u64;
-        let set = vv.count_ones() as usize;
-        if i < set {
-            // i-th neighbor below v: flip the i-th *highest* set bit,
-            // i.e. the (set-1-i)-th lowest.
-            (vv ^ select_low_bit(vv, set - 1 - i)) as Vertex
-        } else {
-            // Then neighbors above v: flip unset bits from the lowest up.
-            (vv | select_low_bit(!vv & self.mask, i - set)) as Vertex
+    fn adjacency(&self, v: Vertex) -> HypercubeAdjacency {
+        let v = v as u64;
+        HypercubeAdjacency {
+            set: RankedWord::new(v),
+            unset: RankedWord::new(!v & self.mask),
         }
     }
 }
@@ -336,24 +508,39 @@ impl ImplicitComplete {
     }
 }
 
+/// An [`ImplicitComplete`] vertex's neighborhood: everyone but `v`.
+#[derive(Clone, Copy, Debug)]
+pub struct CompleteAdjacency {
+    v: usize,
+    degree: usize,
+}
+
+impl Neighborhood for CompleteAdjacency {
+    #[inline]
+    fn degree(&self) -> usize {
+        self.degree
+    }
+
+    /// `0..v` then `v+1..n`.
+    #[inline]
+    fn neighbor(&self, i: usize) -> Vertex {
+        (i + (i >= self.v) as usize) as Vertex
+    }
+}
+
 impl ImplicitGraph for ImplicitComplete {
+    type Adjacency<'a> = CompleteAdjacency;
+
     #[inline]
     fn num_vertices(&self) -> usize {
         self.n
     }
 
     #[inline]
-    fn degree(&self, _v: Vertex) -> usize {
-        self.n - 1
-    }
-
-    #[inline]
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        // Everyone but v, in ascending order: 0..v then v+1..n.
-        if i < v as usize {
-            i as Vertex
-        } else {
-            (i + 1) as Vertex
+    fn adjacency(&self, v: Vertex) -> CompleteAdjacency {
+        CompleteAdjacency {
+            v: v as usize,
+            degree: self.n - 1,
         }
     }
 }
@@ -381,40 +568,54 @@ impl ImplicitKaryTree {
         crate::error::check_vertex_count(n)?;
         Ok(ImplicitKaryTree { k: k as u64, n })
     }
+}
 
-    /// Number of children of `v` (`k` for internal vertices, fewer on the
-    /// boundary level, 0 for leaves).
+/// An [`ImplicitKaryTree`] vertex's neighborhood: its parent (below `v`)
+/// first, then its children ascending.
+#[derive(Clone, Copy, Debug)]
+pub struct KaryTreeAdjacency {
+    parent: Option<Vertex>,
+    first_child: u64,
+    children: usize,
+}
+
+impl Neighborhood for KaryTreeAdjacency {
     #[inline]
-    fn child_count(&self, v: Vertex) -> usize {
-        let first = v as u64 * self.k + 1;
-        if first >= self.n {
-            0
-        } else {
-            (self.n - first).min(self.k) as usize
+    fn degree(&self) -> usize {
+        self.parent.is_some() as usize + self.children
+    }
+
+    #[inline]
+    fn neighbor(&self, i: usize) -> Vertex {
+        match (self.parent, i) {
+            (Some(p), 0) => p,
+            _ => {
+                let child = i - self.parent.is_some() as usize;
+                debug_assert!(child < self.children);
+                (self.first_child + child as u64) as Vertex
+            }
         }
     }
 }
 
 impl ImplicitGraph for ImplicitKaryTree {
+    type Adjacency<'a> = KaryTreeAdjacency;
+
     #[inline]
     fn num_vertices(&self) -> usize {
         self.n as usize
     }
 
+    /// `k` children for internal vertices, fewer on the boundary level,
+    /// none for leaves.
     #[inline]
-    fn degree(&self, v: Vertex) -> usize {
-        (v != 0) as usize + self.child_count(v)
-    }
-
-    #[inline]
-    fn neighbor(&self, v: Vertex, i: usize) -> Vertex {
-        // Parent first (its id is always below v), then children ascending.
-        if v != 0 && i == 0 {
-            return ((v as u64 - 1) / self.k) as Vertex;
+    fn adjacency(&self, v: Vertex) -> KaryTreeAdjacency {
+        let first_child = v as u64 * self.k + 1;
+        KaryTreeAdjacency {
+            parent: (v != 0).then(|| ((v as u64 - 1) / self.k) as Vertex),
+            first_child,
+            children: self.n.saturating_sub(first_child).min(self.k) as usize,
         }
-        let child = i - (v != 0) as usize;
-        debug_assert!(child < self.child_count(v));
-        (v as u64 * self.k + 1 + child as u64) as Vertex
     }
 }
 
@@ -422,6 +623,7 @@ impl ImplicitGraph for ImplicitKaryTree {
 mod tests {
     use super::*;
     use crate::generators::{classic, grid, hypercube, trees};
+    use proptest::prelude::*;
 
     /// Assert an implicit family agrees with its CSR counterpart on vertex
     /// count, every degree, and every neighbor *in order* — the contract
@@ -453,13 +655,109 @@ mod tests {
         }
     }
 
+    /// The `k`-th lowest set bit of `x`, by clearing the `k` below it.
+    fn select_by_loop(mut x: u64, k: usize) -> u32 {
+        for _ in 0..k {
+            x &= x - 1;
+        }
+        x.trailing_zeros()
+    }
+
+    /// A word of roughly one quarter, one half or three quarters density.
+    fn mix(a: u64, b: u64, density: u32) -> u64 {
+        match density {
+            0 => a & b,
+            1 => a,
+            _ => a | b,
+        }
+    }
+
+    #[test]
+    fn select_matches_a_bit_loop_on_every_table_entry() {
+        for b in 0..256usize {
+            for r in 0..8 {
+                let ones = b.count_ones() as usize;
+                let want = if r < ones {
+                    select_by_loop(b as u64, r)
+                } else {
+                    8
+                };
+                assert_eq!(
+                    SELECT_IN_BYTE[b | r << 8] as u32,
+                    want,
+                    "byte {b:#x} rank {r}"
+                );
+                if r >= ones {
+                    continue;
+                }
+                // The same entry reached from every byte of a word, alone
+                // and with every bit below it set.
+                for shift in (0..64u32).step_by(8) {
+                    let alone = (b as u64) << shift;
+                    assert_eq!(RankedWord::new(alone).select(r), shift + want);
+                    let below = alone | ((1u64 << shift) - 1);
+                    let w = RankedWord::new(below);
+                    assert_eq!(w.select(shift as usize + r), shift + want);
+                }
+            }
+        }
+    }
+
     #[test]
     fn grid_matches_csr() {
-        for extents in [&[9][..], &[2, 2], &[7, 7], &[3, 4, 5], &[1, 1, 1, 1]] {
+        for extents in [
+            &[9][..],
+            &[2, 2],
+            &[7, 7],
+            &[3, 4, 5],
+            &[1, 1, 1, 1],
+            &[0],
+            &[0, 4],
+            &[3, 0, 2],
+            &[0, 0, 5, 0],
+        ] {
             let implicit = ImplicitGrid::new(extents).unwrap();
             let csr = grid::try_grid(extents).unwrap();
             assert_matches_csr(&implicit, &csr, &format!("grid {extents:?}"));
         }
+    }
+
+    #[test]
+    fn grid_at_the_id_space_boundary() {
+        // The path on 2³² points: one axis whose reciprocal is 2³².
+        let path = ImplicitGrid::new(&[u32::MAX as usize]).unwrap();
+        assert_eq!(path.num_vertices(), 1usize << 32);
+        assert_eq!((path.degree(0), path.neighbor(0, 0)), (1, 1));
+        let top = u32::MAX;
+        assert_eq!((path.degree(top), path.neighbor(top, 0)), (1, top - 1));
+        let mid = 1u32 << 31;
+        assert_eq!(path.degree(mid), 2);
+        assert_eq!(
+            (path.neighbor(mid, 0), path.neighbor(mid, 1)),
+            (mid - 1, mid + 1)
+        );
+
+        // 2¹⁶ × 2¹⁶: both axes at the reciprocal of 2¹⁶.
+        let side = 1u32 << 16;
+        let square = ImplicitGrid::new(&[65535, 65535]).unwrap();
+        assert_eq!(square.num_vertices(), 1usize << 32);
+        assert_eq!(square.degree(0), 2);
+        assert_eq!((square.neighbor(0, 0), square.neighbor(0, 1)), (1, side));
+        assert_eq!(square.degree(top), 2);
+        assert_eq!(
+            (square.neighbor(top, 0), square.neighbor(top, 1)),
+            (top - side, top - 1)
+        );
+        // Mid-edge vertices on the last row (65535, 32767) and the last
+        // column (32768, 65535).
+        let bottom = top - side / 2;
+        assert_eq!(square.degree(bottom), 3);
+        let ns: Vec<Vertex> = (0..3).map(|i| square.neighbor(bottom, i)).collect();
+        assert_eq!(ns, [bottom - side, bottom - 1, bottom + 1]);
+        let right = side / 2 * side + side - 1;
+        assert_eq!(square.degree(right), 3);
+        let ns: Vec<Vertex> = (0..3).map(|i| square.neighbor(right, i)).collect();
+        assert_eq!(ns, [right - side, right - 1, right + side]);
     }
 
     #[test]
@@ -553,5 +851,50 @@ mod tests {
         assert_eq!(ImplicitGraph::num_vertices(&by_ref), 8);
         assert_eq!(ImplicitGraph::degree(&by_ref, 5), 3);
         assert_eq!(ImplicitGraph::neighbor(&by_ref, 0, 2), 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `select` agrees with a bit loop at every valid rank of sparse,
+        /// half-full and dense words.
+        #[test]
+        fn select_matches_a_bit_loop(
+            a in 0u64..u64::MAX,
+            b in 0u64..u64::MAX,
+            density in 0u32..3,
+        ) {
+            let x = mix(a, b, density);
+            let w = RankedWord::new(x);
+            prop_assert_eq!(w.count(), x.count_ones() as usize);
+            for k in 0..w.count() {
+                prop_assert_eq!(w.select(k), select_by_loop(x, k));
+            }
+        }
+
+        /// Past the CSR-checked Q1–Q6: at random vertices of Q7–Q32 the
+        /// neighbors ascend strictly, each differs from `v` in one bit,
+        /// and together they flip all `dim` bits.
+        #[test]
+        fn hypercube_neighbors_flip_every_bit_once_in_order(
+            dim in 7u32..33,
+            (a, b) in (0u64..u64::MAX, 0u64..u64::MAX),
+            density in 0u32..3,
+        ) {
+            let q = ImplicitHypercube::new(dim).unwrap();
+            let v = (mix(a, b, density) & q.mask) as Vertex;
+            prop_assert_eq!(q.degree(v), dim as usize);
+            let mut flipped = 0u64;
+            for i in 0..dim as usize {
+                let u = q.neighbor(v, i);
+                let bit = (u ^ v) as u64;
+                prop_assert!(bit.is_power_of_two(), "Q{dim}: {u:#x} is not one flip from {v:#x}");
+                if i > 0 {
+                    prop_assert!(q.neighbor(v, i - 1) < u, "Q{dim}: {v:#x} not ascending at {i}");
+                }
+                flipped |= bit;
+            }
+            prop_assert_eq!(flipped, q.mask);
+        }
     }
 }

@@ -56,6 +56,6 @@ pub use csr::{Graph, NeighborIter, Vertex};
 pub use error::{check_vertex_count, GraphError, Result};
 pub use implicit::{
     ImplicitComplete, ImplicitGraph, ImplicitGrid, ImplicitHypercube, ImplicitKaryTree,
-    ImplicitTorus,
+    ImplicitTorus, Neighborhood,
 };
 pub use sampler::{BoundSample, NeighborSampler};

@@ -55,11 +55,11 @@ enum Table {
 
 /// Lemire rejection threshold `(2⁶⁴ − d) mod d` for span `d` (callers
 /// guarantee the span of an actual draw is nonzero; isolated vertices get
-/// a placeholder 0). Public so generic draw strategies outside this crate
-/// (e.g. implicit-graph draws in `cobra-core`) can precompute the exact
-/// threshold this crate's table stores — the proptests below pin it
-/// against the lazy recompute-per-draw route at the boundary degrees
-/// `d = 1`, `d = 2`, and `d` near `u32::MAX`.
+/// a placeholder 0). This is the threshold the sampler table stores.
+/// `cobra-core`'s implicit-graph draws do not precompute it: they call
+/// `sample_index`, whose lazy threshold rejects the same draws, so both
+/// routes consume the same stream — the proptests below pin the two at
+/// the boundary degrees `d = 1`, `d = 2`, and `d` near `u32::MAX`.
 #[inline]
 pub fn threshold_for(d: u32) -> u32 {
     if d == 0 {
@@ -152,7 +152,7 @@ impl NeighborSampler {
     /// Resolve the per-vertex draw state for `v` once: the neighbor run
     /// and the precomputed rejection threshold, ready for repeated
     /// [`BoundSample::draw`]s with no per-draw slot loads. Panics if `v`
-    /// is isolated, mirroring `random_neighbor`.
+    /// is isolated, mirroring `cobra_core::ImplicitDraw`.
     #[inline]
     pub fn bind<'g>(&self, g: &'g Graph, v: Vertex) -> BoundSample<'g> {
         let (offset, degree, threshold) = self.slot(v);
@@ -164,9 +164,10 @@ impl NeighborSampler {
     }
 
     /// Draw one uniformly random neighbor of `v`. Panics if `v` is
-    /// isolated, mirroring `random_neighbor`. Consumes the same RNG stream
-    /// as `ns[sample_index(ns.len(), rng)]` on the same state. Burst
-    /// draws should [`NeighborSampler::bind`] once and draw repeatedly.
+    /// isolated, mirroring `cobra_core::ImplicitDraw`. Consumes the same
+    /// RNG stream as `ns[sample_index(ns.len(), rng)]` on the same state.
+    /// Burst draws should [`NeighborSampler::bind`] once and draw
+    /// repeatedly.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, g: &Graph, v: Vertex, rng: &mut R) -> Vertex {
         self.bind(g, v).draw(rng)
