@@ -71,7 +71,10 @@ impl SuccinctCoverage {
         let bit = 1u64 << (i & 63);
         let newly = *word & bit == 0;
         *word |= bit;
-        self.covered += newly as usize;
+        // Not `newly as usize` (nor `usize::from`): rustc 1.95's release
+        // MIR drops that update when an inlined caller branches on the
+        // result. See `mark_contains_across_word_boundaries`.
+        self.covered += if newly { 1 } else { 0 };
         newly
     }
 
@@ -131,6 +134,11 @@ mod tests {
         assert!(!c.contains(3));
     }
 
+    /// Also the regression test for a release-profile miscompile: with
+    /// `covered += newly as usize`, rustc 1.95.0's MIR pass
+    /// `SimplifyComparisonIntegral` dropped the count update once the
+    /// `assert!(c.mark(..))` below branched on the inlined result, so
+    /// `count()` stayed 0 under `cargo test --release`.
     #[test]
     fn mark_contains_across_word_boundaries() {
         let n = 64 * 3 + 5;

@@ -52,7 +52,8 @@
 //! start vertex counts at step 0, each round's *new* frontier is unioned,
 //! and the cover step is the first round at which coverage is complete.
 
-use cobra_graph::{Graph, NeighborSampler, Vertex};
+use crate::process::{BoundDraw, NeighborDraw};
+use cobra_graph::{Graph, Vertex};
 use cobra_obs::{NoopProbe, Probe};
 use rand::Rng;
 
@@ -157,16 +158,18 @@ fn rank_parity_mask(m: u64) -> u64 {
 /// `k`-cobra walk; `k = 1` is the non-lazy simple walk) simultaneously,
 /// all starting at `start`, for the lanes set in `lane_mask`.
 ///
-/// Draws come from `rng` in a fixed deterministic order (ascending vertex,
-/// then lane/slot order — see the module docs), so the outcome is a pure
-/// function of `(g, k, start, lane_mask, max_steps, rng seed)`. Note the
-/// mask shapes the draw stream: callers wanting prefix-comparable batches
-/// must run full-width masks and truncate at aggregation, which is what
-/// `cobra_sim::run_cover_trials_lanes_probed` does.
+/// Neighbors are drawn through `draw` (the runner passes
+/// [`crate::ImplicitDraw`]) from `rng` in a fixed deterministic order
+/// (ascending vertex, then lane/slot order — see the module docs), so the
+/// outcome is a pure function of `(g, k, start, lane_mask, max_steps, rng
+/// seed)`. Note the mask shapes the draw stream: callers wanting
+/// prefix-comparable batches must run full-width masks and truncate at
+/// aggregation, which is what `cobra_sim::run_cover_trials_lanes_probed`
+/// does.
 #[allow(clippy::too_many_arguments)] // mirrors run_typed_in's driver shape
-pub fn run_lane_cover<R: Rng + ?Sized>(
+pub fn run_lane_cover<D: NeighborDraw, R: Rng + ?Sized>(
     g: &Graph,
-    sampler: &NeighborSampler,
+    draw: &D,
     k: u32,
     start: Vertex,
     lane_mask: u64,
@@ -176,7 +179,7 @@ pub fn run_lane_cover<R: Rng + ?Sized>(
 ) -> LaneOutcome {
     run_lane_cover_probed(
         g,
-        sampler,
+        draw,
         k,
         start,
         lane_mask,
@@ -198,9 +201,9 @@ pub fn run_lane_cover<R: Rng + ?Sized>(
 /// [`run_lane_cover`] — which is in fact how the unprobed entry point is
 /// implemented.
 #[allow(clippy::too_many_arguments)] // mirrors run_typed_in's driver shape
-pub fn run_lane_cover_probed<R: Rng + ?Sized, Pb: Probe>(
+pub fn run_lane_cover_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: Probe>(
     g: &Graph,
-    sampler: &NeighborSampler,
+    draw: &D,
     k: u32,
     start: Vertex,
     lane_mask: u64,
@@ -263,7 +266,7 @@ pub fn run_lane_cover_probed<R: Rng + ?Sized, Pb: Probe>(
             if lanes == 0 {
                 continue;
             }
-            let bound = sampler.bind(g, v as Vertex);
+            let bound = draw.bind(g, v as Vertex);
             if t <= LANE_BURNIN {
                 // Independent draws per lane, ascending lane order.
                 let mut m = lanes;
@@ -354,7 +357,7 @@ pub fn run_lane_cover_probed<R: Rng + ?Sized, Pb: Probe>(
 mod tests {
     use super::*;
     use crate::measure::CoverDriver;
-    use crate::CobraWalk;
+    use crate::{CobraWalk, ImplicitDraw};
     use cobra_graph::generators::classic;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -406,12 +409,20 @@ mod tests {
     #[test]
     fn single_vertex_completes_at_step_zero() {
         // A 1-vertex graph is covered by its start configuration; no draw
-        // ever happens, so the isolated vertex never trips the sampler.
+        // ever happens, so the isolated vertex never trips the draw.
         let g1 = cobra_graph::Graph::empty(1);
-        let sampler = NeighborSampler::new(&g1);
         let mut scratch = LaneScratch::new(&g1);
         let mut rng = StdRng::seed_from_u64(0);
-        let out = run_lane_cover(&g1, &sampler, 2, 0, u64::MAX, 100, &mut scratch, &mut rng);
+        let out = run_lane_cover(
+            &g1,
+            &ImplicitDraw,
+            2,
+            0,
+            u64::MAX,
+            100,
+            &mut scratch,
+            &mut rng,
+        );
         assert_eq!(out.completed, u64::MAX);
         assert!(out.steps.iter().all(|&s| s == 0));
     }
@@ -419,12 +430,11 @@ mod tests {
     #[test]
     fn all_lanes_cover_a_complete_graph() {
         let g = classic::complete(16).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(7);
         let out = run_lane_cover(
             &g,
-            &sampler,
+            &ImplicitDraw,
             2,
             0,
             u64::MAX,
@@ -448,12 +458,11 @@ mod tests {
         // of even two independent trials tying their cover step is modest;
         // 64 distinct lanes sharing draws must still produce a spread.
         let g = classic::complete(16).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(11);
         let out = run_lane_cover(
             &g,
-            &sampler,
+            &ImplicitDraw,
             2,
             0,
             u64::MAX,
@@ -472,11 +481,19 @@ mod tests {
     #[test]
     fn partial_mask_runs_only_those_lanes() {
         let g = classic::complete(12).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(3);
         let mask = 0b1011u64;
-        let out = run_lane_cover(&g, &sampler, 2, 0, mask, 100_000, &mut scratch, &mut rng);
+        let out = run_lane_cover(
+            &g,
+            &ImplicitDraw,
+            2,
+            0,
+            mask,
+            100_000,
+            &mut scratch,
+            &mut rng,
+        );
         assert_eq!(out.lane_mask, mask);
         assert_eq!(out.completed, mask);
         for j in 0..LANE_WIDTH {
@@ -492,20 +509,18 @@ mod tests {
     #[should_panic(expected = "not in the batch")]
     fn cover_time_rejects_lane_outside_mask() {
         let g = classic::complete(8).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = run_lane_cover(&g, &sampler, 2, 0, 0b1, 10_000, &mut scratch, &mut rng);
+        let out = run_lane_cover(&g, &ImplicitDraw, 2, 0, 0b1, 10_000, &mut scratch, &mut rng);
         out.cover_time(5);
     }
 
     #[test]
     fn tiny_budget_censors_every_lane() {
         let g = classic::path(64).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(5);
-        let out = run_lane_cover(&g, &sampler, 1, 0, u64::MAX, 3, &mut scratch, &mut rng);
+        let out = run_lane_cover(&g, &ImplicitDraw, 1, 0, u64::MAX, 3, &mut scratch, &mut rng);
         assert_eq!(out.completed, 0, "3 steps cannot cover a 64-path");
         assert!(out.steps.iter().all(|&s| s == 3));
         assert_eq!(out.cover_time(0), None);
@@ -514,12 +529,11 @@ mod tests {
     #[test]
     fn deterministic_under_seed_and_scratch_reuse() {
         let g = classic::cycle(48).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(77);
         let a = run_lane_cover(
             &g,
-            &sampler,
+            &ImplicitDraw,
             2,
             0,
             u64::MAX,
@@ -531,7 +545,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let b = run_lane_cover(
             &g,
-            &sampler,
+            &ImplicitDraw,
             2,
             0,
             u64::MAX,
@@ -543,7 +557,16 @@ mod tests {
         // And a fresh scratch gives the same answer.
         let mut fresh = LaneScratch::new(&g);
         let mut rng = StdRng::seed_from_u64(77);
-        let c = run_lane_cover(&g, &sampler, 2, 0, u64::MAX, 100_000, &mut fresh, &mut rng);
+        let c = run_lane_cover(
+            &g,
+            &ImplicitDraw,
+            2,
+            0,
+            u64::MAX,
+            100_000,
+            &mut fresh,
+            &mut rng,
+        );
         assert_eq!(a, c);
     }
 
@@ -553,11 +576,10 @@ mod tests {
         let big = classic::cycle(200).unwrap();
         let mut scratch = LaneScratch::new(&small);
         assert_eq!(scratch.capacity(), 8);
-        let sampler = NeighborSampler::new(&big);
         let mut rng = StdRng::seed_from_u64(2);
         let out = run_lane_cover(
             &big,
-            &sampler,
+            &ImplicitDraw,
             2,
             0,
             u64::MAX,
@@ -576,7 +598,6 @@ mod tests {
         // must land near the serial engine's mean over the same number of
         // trials. Deterministic seeds, generous tolerance.
         let g = classic::complete(32).unwrap();
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = LaneScratch::new(&g);
         let batches = 8;
         let mut lane_sum = 0.0;
@@ -584,7 +605,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(1000 + b);
             let out = run_lane_cover(
                 &g,
-                &sampler,
+                &ImplicitDraw,
                 2,
                 0,
                 u64::MAX,

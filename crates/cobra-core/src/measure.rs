@@ -69,11 +69,11 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     /// Scratch-borrowing variant of [`CoverDriver::run_typed`] for the
     /// batched trial engine: reuses the process state and coverage bitmap
     /// in `scratch` (zero heap allocations once warm) and routes every
-    /// neighbor draw through `draw` (typically the per-graph
-    /// [`cobra_graph::NeighborSampler`]). All [`NeighborDraw`] strategies
-    /// are stream-compatible and `respawn` mirrors `spawn`, so results
-    /// are **bit-for-bit identical** to [`CoverDriver::run_typed`] on the
-    /// same seed — pinned by `tests/engine_equivalence.rs`.
+    /// neighbor draw through `draw` (the runners pass [`ImplicitDraw`]).
+    /// Every [`NeighborDraw`] makes [`ImplicitDraw`]'s draws and
+    /// `respawn` mirrors `spawn`, so results are **bit-for-bit
+    /// identical** to [`CoverDriver::run_typed`] on the same seed —
+    /// pinned by `tests/engine_equivalence.rs`.
     pub fn run_typed_in<P: TypedProcess<G>, D: NeighborDraw<G>, R: Rng + ?Sized>(
         &self,
         process: &P,

@@ -11,6 +11,8 @@
 use cobra_graph::{Graph, ImplicitGraph, Neighborhood, Vertex};
 use rand::Rng;
 
+pub use cobra_graph::sample_index;
+
 /// The graph-independent part of a process specification.
 ///
 /// [`TypedProcess`] is generic over the graph type, and most processes
@@ -133,15 +135,15 @@ pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
     fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R);
 
     /// Advance one round on the fast path, drawing neighbors through
-    /// `draw` (a [`NeighborDraw`] strategy such as the per-graph
-    /// [`cobra_graph::NeighborSampler`] table). Must consume the same RNG
-    /// stream and produce the same occupied *set* as [`TypedState::step`]
-    /// — every [`NeighborDraw`] impl is stream-compatible, so the default
-    /// simply ignores `draw`. Kernels whose inner loop is dominated by
-    /// neighbor draws override this to route them through the table, and
-    /// may skip materializing the [`StateView::occupied`] slice (leaving
-    /// it stale) when the state exposes a [`StateView::frontier`] — the
-    /// drivers read the frontier and [`StateView::support_size`] instead.
+    /// `draw` (the engine passes [`ImplicitDraw`]). Must consume the same
+    /// RNG stream and produce the same occupied *set* as
+    /// [`TypedState::step`]; every [`NeighborDraw`] makes
+    /// [`ImplicitDraw`]'s draws, so the default simply ignores `draw`.
+    /// Kernels whose inner loop is dominated by neighbor draws override
+    /// this to bind each active vertex once through `draw`, and may skip
+    /// materializing the [`StateView::occupied`] slice (leaving it stale)
+    /// when the state exposes a [`StateView::frontier`] — the drivers
+    /// read the frontier and [`StateView::support_size`] instead.
     fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
         let _ = draw;
         self.step(g, rng)
@@ -169,21 +171,20 @@ pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
     }
 }
 
-/// A strategy for drawing uniformly random neighbors.
+/// How a kernel draws uniformly random neighbors.
 ///
-/// All implementations are **stream-compatible**: on the same RNG state
-/// they make the same draws and consume the same number of `u64`s, so a
-/// kernel parameterized over `D: NeighborDraw` produces bit-identical runs
-/// whichever strategy drives it. [`ImplicitDraw`] resolves each neighbor
-/// arithmetically (the spawn-anywhere default, for any graph);
-/// [`cobra_graph::NeighborSampler`] is the table-driven CSR fast path
-/// built once per graph.
+/// [`ImplicitDraw`] is the draw: it decodes a vertex's adjacency once and
+/// indexes it with [`sample_index`], on CSR graphs and implicit families
+/// alike. Kernels stay generic over `D: NeighborDraw` so that a caller
+/// may pass another name for that draw; every implementation must make
+/// the same draws and consume the same `u64`s as [`ImplicitDraw`] on the
+/// same RNG state.
 ///
 /// Kernels call [`NeighborDraw::bind`] once per active vertex and draw
-/// repeatedly through the returned [`BoundDraw`], so per-vertex setup
-/// (slice bounds, table slot, threshold) is hoisted out of the draw loop
-/// for every strategy — including loops whose draws interleave with other
-/// randomness (SIS's per-contact transmission coins).
+/// repeatedly through the returned [`BoundDraw`], so the per-vertex
+/// decode is hoisted out of the draw loop — including loops whose draws
+/// interleave with other randomness (SIS's per-contact transmission
+/// coins).
 pub trait NeighborDraw<G: ?Sized = Graph> {
     /// The per-vertex resolved drawer.
     type Bound<'a>: BoundDraw
@@ -221,35 +222,19 @@ pub trait NeighborDraw<G: ?Sized = Graph> {
 }
 
 /// A [`NeighborDraw`] resolved to one vertex: repeated draws with no
-/// per-draw re-resolution, stream-compatible across strategies.
+/// per-draw re-resolution.
 pub trait BoundDraw {
     /// Draw one uniformly random neighbor of the bound vertex.
     fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Vertex;
 }
 
-impl NeighborDraw for cobra_graph::NeighborSampler {
-    type Bound<'a> = cobra_graph::sampler::BoundSample<'a>;
-
-    #[inline]
-    fn bind<'a>(&'a self, g: &'a Graph, v: Vertex) -> Self::Bound<'a> {
-        cobra_graph::NeighborSampler::bind(self, g, v)
-    }
-}
-
-impl BoundDraw for cobra_graph::sampler::BoundSample<'_> {
-    #[inline]
-    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Vertex {
-        cobra_graph::sampler::BoundSample::draw(self, rng)
-    }
-}
-
-/// The [`NeighborDraw`] for arithmetic graphs: decode each vertex once
-/// through [`ImplicitGraph::adjacency`], then index-address each draw into
-/// that adjacency — no sampler table is needed. Draws with
-/// [`sample_index`] (lazy rejection threshold), so for `G = Graph` this
-/// consumes the identical RNG stream as [`cobra_graph::NeighborSampler`]
-/// and `ns[sample_index(ns.len(), rng)]`, and resolves identical vertices
-/// (the implicit families enumerate neighbors in CSR order).
+/// The neighbor draw: decode each vertex once through
+/// [`ImplicitGraph::adjacency`], then index each draw into that adjacency
+/// with [`sample_index`]. On a CSR [`Graph`] the adjacency is the
+/// neighbor slice, so a draw is `ns[sample_index(ns.len(), rng)]`, which
+/// consumes the same `u64`s as `ns[random_range(0..ns.len())]`. The
+/// implicit families enumerate neighbors in CSR order, so the same seed
+/// resolves the same vertices on either representation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ImplicitDraw;
 
@@ -282,26 +267,15 @@ impl<G: ImplicitGraph + ?Sized> BoundDraw for ImplicitBound<'_, G> {
     }
 }
 
-/// Uniform index in `0..len` using Lemire-style rejection; unbiased and
-/// branch-light. Generic over the RNG so every kernel inlines the
-/// generator.
-#[inline]
-pub fn sample_index<R: Rng + ?Sized>(len: usize, rng: &mut R) -> usize {
-    debug_assert!(len > 0);
-    let len = len as u64;
-    // Widening-multiply rejection sampling.
-    let mut x = rng.next_u64();
-    let mut m = (x as u128).wrapping_mul(len as u128);
-    let mut lo = m as u64;
-    if lo < len {
-        let threshold = len.wrapping_neg() % len;
-        while lo < threshold {
-            x = rng.next_u64();
-            m = (x as u128).wrapping_mul(len as u128);
-            lo = m as u64;
-        }
+/// [`cobra_graph::NeighborSampler`] is a name for [`ImplicitDraw`] on
+/// CSR graphs.
+impl NeighborDraw for cobra_graph::NeighborSampler {
+    type Bound<'a> = ImplicitBound<'a, Graph>;
+
+    #[inline]
+    fn bind<'a>(&'a self, g: &'a Graph, v: Vertex) -> Self::Bound<'a> {
+        ImplicitDraw.bind(g, v)
     }
-    (m >> 64) as usize
 }
 
 /// A fair coin.
@@ -322,9 +296,140 @@ pub fn bernoulli<R: Rng + ?Sized>(p: f64, rng: &mut R) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_graph::generators::classic;
+    use cobra_graph::generators::{classic, gnp, grid, random_regular};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The reference draw every kernel's draws must reproduce.
+    fn reference_draw(g: &Graph, v: Vertex, rng: &mut StdRng) -> Vertex {
+        let ns = g.neighbors(v);
+        ns[rng.random_range(0usize..ns.len())]
+    }
+
+    fn zoo() -> Vec<(&'static str, Graph)> {
+        vec![
+            ("cycle-97", classic::cycle(97).unwrap()),
+            ("star-40", classic::star(40).unwrap()),
+            ("grid-9x9", grid::grid(&[8, 8])),
+            (
+                "rr-d3-64",
+                random_regular::random_regular(64, 3, &mut StdRng::seed_from_u64(9)).unwrap(),
+            ),
+            (
+                "gnp-120",
+                gnp::gnp_connected(120, 0.08, 200, &mut StdRng::seed_from_u64(10)).unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn draws_match_reference_on_shared_seeds() {
+        // Same seed, same vertex sequence ⇒ identical draws AND identical
+        // RNG positions afterwards (stream compatibility, not just
+        // distributional agreement).
+        for (name, g) in zoo() {
+            let mut a = StdRng::seed_from_u64(0xFEED);
+            let mut b = StdRng::seed_from_u64(0xFEED);
+            for round in 0..2000u32 {
+                let v = ((round as usize * 31) % g.num_vertices()) as Vertex;
+                let drawn = ImplicitDraw.draw_one(&g, v, &mut a);
+                assert_eq!(drawn, reference_draw(&g, v, &mut b), "{name} round {round}");
+            }
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "{name}: RNG streams diverged (different u64 consumption)"
+            );
+        }
+    }
+
+    #[test]
+    fn chi_square_uniform_per_degree_class() {
+        // For each degree class present in the zoo, pool draws from one
+        // representative vertex and check the empirical neighbor histogram
+        // against uniform with a chi-square statistic. Threshold: mean +
+        // 6σ of χ²(d−1), i.e. (d−1) + 6·√(2(d−1)) — loose enough to be
+        // deterministic-stable, tight enough to catch a biased draw.
+        for (name, g) in zoo() {
+            let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+            let mut seen_degrees = std::collections::HashSet::new();
+            for v in 0..g.num_vertices() as Vertex {
+                let d = g.degree(v);
+                if d < 2 || !seen_degrees.insert(d) {
+                    continue;
+                }
+                let draws = 2000 * d;
+                let mut counts = vec![0usize; d];
+                let ns = g.neighbors(v);
+                let bound = ImplicitDraw.bind(&g, v);
+                for _ in 0..draws {
+                    let u = bound.draw(&mut rng);
+                    let slot = ns.binary_search(&u).expect("draw must be adjacent");
+                    counts[slot] += 1;
+                }
+                let expect = draws as f64 / d as f64;
+                let chi2: f64 = counts
+                    .iter()
+                    .map(|&c| {
+                        let diff = c as f64 - expect;
+                        diff * diff / expect
+                    })
+                    .sum();
+                let df = (d - 1) as f64;
+                let bound = df + 6.0 * (2.0 * df).sqrt();
+                assert!(
+                    chi2 <= bound,
+                    "{name} degree {d}: χ² = {chi2:.1} > {bound:.1}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Draws are always adjacent to the queried vertex, on random
+        /// connected G(n,p) instances and random vertex/seed choices.
+        #[test]
+        fn draws_are_always_adjacent(
+            graph_seed in 0u64..1000,
+            rng_seed in 0u64..1000,
+            n in 10usize..80,
+        ) {
+            let mut grng = StdRng::seed_from_u64(graph_seed);
+            let g = gnp::gnp_connected(n, 0.15, 200, &mut grng).unwrap();
+            let mut rng = StdRng::seed_from_u64(rng_seed);
+            for i in 0..200usize {
+                let v = ((i * 17 + rng_seed as usize) % g.num_vertices()) as Vertex;
+                let u = ImplicitDraw.draw_one(&g, v, &mut rng);
+                prop_assert!(g.has_edge(v, u), "{v} -> {u} not an edge");
+            }
+        }
+
+        /// Stream compatibility on random graphs: [`ImplicitDraw`] and the
+        /// `random_range` reference make identical draws from identical
+        /// seeds and leave the RNG at the same position.
+        #[test]
+        fn stream_compatible_with_random_range(
+            graph_seed in 0u64..1000,
+            rng_seed in 0u64..1000,
+        ) {
+            let mut grng = StdRng::seed_from_u64(graph_seed);
+            let g = gnp::gnp_connected(40, 0.2, 200, &mut grng).unwrap();
+            let mut a = StdRng::seed_from_u64(rng_seed);
+            let mut b = StdRng::seed_from_u64(rng_seed);
+            for v in 0..g.num_vertices() as Vertex {
+                for _ in 0..4 {
+                    prop_assert_eq!(
+                        ImplicitDraw.draw_one(&g, v, &mut a),
+                        reference_draw(&g, v, &mut b)
+                    );
+                }
+            }
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
 
     #[test]
     fn sample_index_is_unbiased() {

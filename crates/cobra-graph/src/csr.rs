@@ -174,13 +174,6 @@ impl Graph {
     pub fn volume<I: IntoIterator<Item = Vertex>>(&self, set: I) -> usize {
         set.into_iter().map(|v| self.degree(v)).sum()
     }
-
-    /// Internal CSR views for `cobra-spectral` (kept crate-public via this
-    /// accessor so downstream crates can build matrices without re-walking
-    /// the adjacency).
-    pub fn csr_parts(&self) -> (&[usize], &[Vertex]) {
-        (&self.offsets, &self.neighbors)
-    }
 }
 
 /// Iterator over the neighbors of a vertex, yielded by value.

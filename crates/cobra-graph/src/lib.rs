@@ -21,10 +21,8 @@
 //!   connected components, conductance) used both by tests and by
 //!   the experiment harness to parameterize the paper's bounds (e.g. the
 //!   `Φ_G^{-2} log² n` bound of Theorem 8 needs the conductance `Φ_G`);
-//! * [`sampler`] — a per-graph [`NeighborSampler`] table that makes the
-//!   kernels' uniform-neighbor draws table-driven (precomputed Lemire
-//!   thresholds, regular-graph fast path) while consuming the exact same
-//!   RNG stream as the recompute-per-draw route.
+//! * [`sampler`] — [`sample_index`], the one uniform-index draw behind
+//!   every neighbor draw, stream-identical to `random_range`.
 //!
 //! ## Example
 //!
@@ -58,4 +56,4 @@ pub use implicit::{
     ImplicitComplete, ImplicitGraph, ImplicitGrid, ImplicitHypercube, ImplicitKaryTree,
     ImplicitTorus, Neighborhood,
 };
-pub use sampler::{BoundSample, NeighborSampler};
+pub use sampler::{sample_index, NeighborSampler};

@@ -8,20 +8,20 @@
 //! — the per-trial outcomes of its engine, indexed by global trial
 //! number and random-access — extended once for a fixed run, or batch by
 //! batch (resumable from any consumed prefix) for an adaptive run. The
-//! stream is generic over the graph, the [`cobra_core::NeighborDraw`]
-//! strategy, and a probe factory; the only engine choice is
-//! [`lane_cover_applies`], which sends small CSR cover cells to the
-//! bit-sliced 64-lane engine and everything else to the per-trial
+//! stream is generic over the graph and a probe factory, and both of its
+//! engines draw neighbors through [`ImplicitDraw`]. The only engine
+//! choice is [`lane_cover_applies`], which sends small CSR cover cells to
+//! the bit-sliced 64-lane engine and everything else to the per-trial
 //! scratch engine.
 
 use crate::convergence::{AdaptivePlan, StopRule};
 use crate::seeds::SeedSequence;
 use crate::stats::{EmptySummary, Summary};
 use cobra_core::{
-    run_lane_cover_probed, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch, NeighborDraw,
-    TrialScratch, TypedProcess, LANE_WIDTH,
+    run_lane_cover_probed, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch, TrialScratch,
+    TypedProcess, LANE_WIDTH,
 };
-use cobra_graph::{Graph, ImplicitGraph, NeighborSampler, Vertex};
+use cobra_graph::{Graph, ImplicitGraph, Vertex};
 use cobra_obs::{NoopProbe, Probe};
 use rayon::prelude::*;
 
@@ -107,36 +107,30 @@ pub const LANE_MAX_N: usize = 1024;
 /// (and with it the RNG stream) would depend on the data.
 ///
 /// The lane engine is **CSR-only by construction**: this gate takes
-/// `&Graph` (not a generic [`ImplicitGraph`]) because
-/// [`cobra_core::run_lane_cover`] shares draws through a materialized
-/// [`NeighborSampler`] table. Implicit families must not be squeezed
-/// through a CSR conversion just to reach the lanes — they route
-/// through [`run_cover_trials_implicit`], whose stream stays
-/// bit-compatible with the scratch engine. Keeping the `&Graph`
-/// signature here makes misrouting a compile error rather than a
-/// silent de-implicitization.
+/// `&Graph` (not a generic [`ImplicitGraph`]) because the lane kernel
+/// ([`cobra_core::run_lane_cover`]) takes a [`Graph`]: it pays only below
+/// [`LANE_MAX_N`] vertices, where a graph is cheap to hold as CSR.
+/// Implicit families must not be squeezed through a CSR conversion just
+/// to reach the lanes — they route through [`run_cover_trials_implicit`],
+/// whose stream stays bit-compatible with the scratch engine. Keeping
+/// the `&Graph` signature here makes misrouting a compile error rather
+/// than a silent de-implicitization.
 pub fn lane_cover_applies<P: TypedProcess>(g: &Graph, process: &P, trials: usize) -> bool {
     g.num_vertices() <= LANE_MAX_N && trials >= LANE_WIDTH && process.lane_branching().is_some()
 }
 
 /// The engine a [`TrialStream`] draws its outcomes from.
-enum Engine<'a, D> {
-    /// The per-trial scratch engine: one [`TrialScratch`] per worker,
-    /// neighbor draws through `D`, and trial `i` seeded from
-    /// `SeedSequence::rng_at(i)`.
-    Scratch(D),
+enum Engine<'a> {
+    /// The per-trial scratch engine: one [`TrialScratch`] per worker and
+    /// trial `i` seeded from `SeedSequence::rng_at(i)`.
+    Scratch,
     /// The bit-sliced lane engine for `k`-out-choice cover processes:
     /// batch `b` of [`LANE_WIDTH`] trials seeded from
-    /// `SeedSequence::rng_at(b)`, sharing draws through `sampler`. Trial
-    /// `i` is lane `i % 64` of batch `i / 64`, and every batch runs all
-    /// 64 lanes against the full mask — a narrower mask would change the
-    /// shared-draw stream — so a shorter run is a bitwise prefix of a
-    /// longer one.
-    Lanes {
-        g: &'a Graph,
-        sampler: NeighborSampler,
-        k: u32,
-    },
+    /// `SeedSequence::rng_at(b)`. Trial `i` is lane `i % 64` of batch
+    /// `i / 64`, and every batch runs all 64 lanes against the full mask
+    /// — a narrower mask would change the shared-draw stream — so a
+    /// shorter run is a bitwise prefix of a longer one.
+    Lanes { g: &'a Graph, k: u32 },
 }
 
 /// One cell's per-trial outcome stream: `Some(steps)` for a completed
@@ -147,10 +141,10 @@ enum Engine<'a, D> {
 /// partition into consecutive extensions — the property that makes a
 /// fixed run an adaptive run's prefix and lets a checkpointed prefix
 /// resume exactly.
-struct TrialStream<'a, G: ?Sized, P, D> {
+struct TrialStream<'a, G: ?Sized, P> {
     g: &'a G,
     process: &'a P,
-    engine: Engine<'a, D>,
+    engine: Engine<'a>,
     start: Vertex,
     /// `None` measures cover times, `Some(v)` hitting times of `v`.
     target: Option<Vertex>,
@@ -158,17 +152,15 @@ struct TrialStream<'a, G: ?Sized, P, D> {
     seq: SeedSequence,
 }
 
-impl<'a, G, P, D> TrialStream<'a, G, P, D>
+impl<'a, G, P> TrialStream<'a, G, P>
 where
     G: ImplicitGraph + ?Sized,
     P: TypedProcess<G> + Sync,
-    D: NeighborDraw<G> + Sync,
 {
-    /// The scratch engine drawing through `draw`.
+    /// The scratch engine.
     fn scratch(
         g: &'a G,
         process: &'a P,
-        draw: D,
         start: Vertex,
         target: Option<Vertex>,
         max_steps: usize,
@@ -177,7 +169,7 @@ where
         TrialStream {
             g,
             process,
-            engine: Engine::Scratch(draw),
+            engine: Engine::Scratch,
             start,
             target,
             max_steps,
@@ -198,7 +190,7 @@ where
         F: Fn(u64) -> Pb + Sync,
     {
         match &self.engine {
-            Engine::Scratch(draw) => {
+            Engine::Scratch => {
                 let pairs: Vec<(Option<usize>, Pb)> = (lo..hi)
                     .into_par_iter()
                     .map_init(
@@ -212,7 +204,7 @@ where
                                     let res = CoverDriver::new(self.g)
                                         .run_typed_in_probed(
                                             self.process,
-                                            draw,
+                                            &ImplicitDraw,
                                             scratch,
                                             self.start,
                                             self.max_steps,
@@ -225,7 +217,7 @@ where
                                 Some(target) => {
                                     let res = HittingDriver::new(self.g).run_typed_in(
                                         self.process,
-                                        draw,
+                                        &ImplicitDraw,
                                         scratch,
                                         self.start,
                                         target,
@@ -241,7 +233,7 @@ where
                     .collect();
                 pairs.into_iter().unzip()
             }
-            Engine::Lanes { g, sampler, k } => {
+            Engine::Lanes { g, k } => {
                 let first = lo / LANE_WIDTH;
                 let outs: Vec<_> = (first..hi.div_ceil(LANE_WIDTH))
                     .into_par_iter()
@@ -253,7 +245,7 @@ where
                             probe.on_trial_begin(b as u64);
                             let out = run_lane_cover_probed(
                                 g,
-                                sampler,
+                                &ImplicitDraw,
                                 *k,
                                 self.start,
                                 u64::MAX,
@@ -372,7 +364,7 @@ where
     }
 }
 
-impl<'a, P: TypedProcess + Sync> TrialStream<'a, Graph, P, NeighborSampler> {
+impl<'a, P: TypedProcess + Sync> TrialStream<'a, Graph, P> {
     /// The lane engine for a process with a lane-parallel form. Panics
     /// otherwise; eligibility is the caller's job ([`lane_cover_applies`]).
     fn lanes(g: &'a Graph, process: &'a P, start: Vertex, max_steps: usize, seed: u64) -> Self {
@@ -382,38 +374,13 @@ impl<'a, P: TypedProcess + Sync> TrialStream<'a, Graph, P, NeighborSampler> {
         TrialStream {
             g,
             process,
-            engine: Engine::Lanes {
-                g,
-                sampler: NeighborSampler::new(g),
-                k,
-            },
+            engine: Engine::Lanes { g, k },
             start,
             target: None,
             max_steps,
             seq: SeedSequence::new(seed),
         }
     }
-}
-
-/// The scratch engine on a CSR graph, drawing through a per-call
-/// [`NeighborSampler`] table.
-fn csr_stream<'a, P: TypedProcess + Sync>(
-    g: &'a Graph,
-    process: &'a P,
-    start: Vertex,
-    target: Option<Vertex>,
-    max_steps: usize,
-    seed: u64,
-) -> TrialStream<'a, Graph, P, NeighborSampler> {
-    TrialStream::scratch(
-        g,
-        process,
-        NeighborSampler::new(g),
-        start,
-        target,
-        max_steps,
-        seed,
-    )
 }
 
 /// The engine for a CSR cover cell planned for `trials` trials (an
@@ -428,19 +395,19 @@ fn cover_stream<'a, P: TypedProcess + Sync>(
     max_steps: usize,
     seed: u64,
     trials: usize,
-) -> TrialStream<'a, Graph, P, NeighborSampler> {
+) -> TrialStream<'a, Graph, P> {
     if lane_cover_applies(g, process, trials) {
         TrialStream::lanes(g, process, start, max_steps, seed)
     } else {
-        csr_stream(g, process, start, None, max_steps, seed)
+        TrialStream::scratch(g, process, start, None, max_steps, seed)
     }
 }
 
 /// Measure cover times of `process` from `start` over `plan.trials`
-/// independent runs on the batched scratch engine: a [`NeighborSampler`]
-/// built once per call, one [`TrialScratch`] per rayon worker, and
-/// [`CoverDriver::run_typed_in`] per trial, so the steady-state trial
-/// path allocates nothing and re-derives nothing. Trial `i` seeds from
+/// independent runs on the batched scratch engine: one [`TrialScratch`]
+/// per rayon worker and [`CoverDriver::run_typed_in`] with
+/// [`ImplicitDraw`] per trial, so the steady-state trial path allocates
+/// nothing and needs no per-graph setup. Trial `i` seeds from
 /// [`SeedSequence::seed_at`]`(i)`, so outcomes are bit-identical at any
 /// worker count and to a serial [`CoverDriver::run_typed`] loop.
 pub fn run_cover_trials_typed<P: TypedProcess + Sync>(
@@ -470,27 +437,22 @@ where
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
-    csr_stream(g, process, start, None, plan.max_steps, plan.master_seed)
-        .run_fixed(plan.trials, make_probe)
+    run_cover_trials_implicit_probed(g, process, start, plan, make_probe)
 }
 
 /// Cover trials for any [`ImplicitGraph`] family (grid, torus,
 /// hypercube, complete, k-ary tree — or a CSR [`Graph`], which is its
-/// own implicit view): the scratch engine with arithmetic
-/// [`ImplicitDraw`] neighbor draws, so no adjacency, offset array, or
-/// sampler table is ever materialized and the per-cell setup cost is
-/// O(1) in the graph size.
+/// own implicit view): the scratch engine with [`ImplicitDraw`] neighbor
+/// draws, so an implicit family never materializes an adjacency or
+/// offset array and the per-cell setup cost is O(1) in the graph size.
 ///
-/// Seeding and draw streams match [`run_cover_trials_typed`] exactly
-/// ([`ImplicitDraw`] and [`NeighborSampler`] are stream-compatible and,
-/// on a CSR graph, vertex-identical), so on `G = Graph` this runner is
-/// **bit-for-bit identical** to the typed runner — pinned by a test
-/// below and by `tests/engine_equivalence.rs` across representations.
+/// [`run_cover_trials_typed`] is this runner on `G = Graph`. The
+/// implicit families enumerate neighbors in CSR order, so each is
+/// **bit-for-bit identical** to its CSR twin on the same plan — pinned
+/// by a test below and by `tests/engine_equivalence.rs`.
 ///
-/// This runner never routes to the bit-sliced lane engine: the lane
-/// kernel shares draws through a CSR [`NeighborSampler`] table, which
-/// is exactly the materialization implicit families exist to avoid (see
-/// [`lane_cover_applies`]).
+/// This runner never routes to the bit-sliced lane engine, which runs on
+/// CSR graphs only (see [`lane_cover_applies`]).
 pub fn run_cover_trials_implicit<G, P>(
     g: &G,
     process: &P,
@@ -519,16 +481,8 @@ where
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
-    TrialStream::scratch(
-        g,
-        process,
-        ImplicitDraw,
-        start,
-        None,
-        plan.max_steps,
-        plan.master_seed,
-    )
-    .run_fixed(plan.trials, make_probe)
+    TrialStream::scratch(g, process, start, None, plan.max_steps, plan.master_seed)
+        .run_fixed(plan.trials, make_probe)
 }
 
 /// Measure cover times through the bit-sliced 64-lane engine: whole
@@ -571,9 +525,9 @@ where
 
 /// Measure hitting times `start → target` of `process` over
 /// `plan.trials` independent runs on the batched scratch engine
-/// ([`HittingDriver::run_typed_in`] with a shared [`NeighborSampler`]
-/// and per-worker [`TrialScratch`]); bit-identical outcomes on the same
-/// plan at any worker count.
+/// ([`HittingDriver::run_typed_in`] with [`ImplicitDraw`] and a
+/// per-worker [`TrialScratch`]); bit-identical outcomes on the same plan
+/// at any worker count.
 pub fn run_hitting_trials_typed<P: TypedProcess + Sync>(
     g: &Graph,
     process: &P,
@@ -581,7 +535,7 @@ pub fn run_hitting_trials_typed<P: TypedProcess + Sync>(
     target: Vertex,
     plan: &TrialPlan,
 ) -> TrialOutcome {
-    csr_stream(
+    TrialStream::scratch(
         g,
         process,
         start,
@@ -742,7 +696,7 @@ pub fn run_hitting_trials_adaptive_resumable<P: TypedProcess + Sync>(
     prior: Vec<Option<usize>>,
     on_batch: impl FnMut(&[Option<usize>]) -> BatchControl,
 ) -> ResumableOutcome {
-    csr_stream(
+    TrialStream::scratch(
         g,
         process,
         start,
@@ -774,8 +728,8 @@ mod tests {
         process: &'a P,
         max_steps: usize,
         seed: u64,
-    ) -> TrialStream<'a, Graph, P, NeighborSampler> {
-        csr_stream(g, process, 0, None, max_steps, seed)
+    ) -> TrialStream<'a, Graph, P> {
+        TrialStream::scratch(g, process, 0, None, max_steps, seed)
     }
 
     /// The lane engine's stream for a cover cell from vertex 0.
@@ -784,12 +738,12 @@ mod tests {
         process: &'a P,
         max_steps: usize,
         seed: u64,
-    ) -> TrialStream<'a, Graph, P, NeighborSampler> {
+    ) -> TrialStream<'a, Graph, P> {
         TrialStream::lanes(g, process, 0, max_steps, seed)
     }
 
     fn adaptive<P: TypedProcess + Sync>(
-        stream: &TrialStream<'_, Graph, P, NeighborSampler>,
+        stream: &TrialStream<'_, Graph, P>,
         plan: &AdaptivePlan,
     ) -> AdaptiveOutcome {
         stream.run_adaptive(plan, Vec::new(), go_on).outcome

@@ -4,8 +4,8 @@
 //! `HittingDriver::run_typed`, backed by the sparse/dense
 //! [`cobra_repro::walks::Frontier`] and [`ImplicitDraw`] neighbor draws)
 //! and the batched scratch path (`run_typed_in`, with state reuse via
-//! `respawn_typed` and table-driven draws via [`NeighborSampler`]) must
-//! produce **bit-for-bit identical** results on the same
+//! `respawn_typed`) must produce **bit-for-bit identical** results on the
+//! same
 //! [`SeedSequence`]-derived seeds — not just statistical agreement — and
 //! must reproduce the outputs the retired boxed-state dyn route recorded,
 //! pinned here as one 64-bit FNV-1a digest per (process, graph) cell. Any
@@ -115,16 +115,14 @@ fn cell_seeds(process_idx: u64, graph_idx: u64) -> Vec<u64> {
 /// Assert fresh path ≡ scratch path ≡ recorded dyn-route digest for cover
 /// and hitting on every graph (`pinned` is indexed like [`graphs`]). The
 /// fresh path is what `CoverDriver::run_typed` runs: a new
-/// [`TrialScratch`] and [`ImplicitDraw`] per seed. The scratch engine
-/// reuses one [`TrialScratch`] (and one per-graph [`NeighborSampler`])
-/// across all seeds of a cell, so the respawn-reuse path and the
-/// table-driven draws are exercised against the allocate-fresh route on
-/// identical RNG streams.
+/// [`TrialScratch`] per seed. The scratch engine reuses one
+/// [`TrialScratch`] across all seeds of a cell, so the respawn-reuse path
+/// is exercised against the allocate-fresh route on identical RNG
+/// streams.
 fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pinned: [u64; 4]) {
     for (graph_idx, (gname, g)) in graphs().into_iter().enumerate() {
         let n = g.num_vertices();
         let target = (n - 1) as u32;
-        let sampler = NeighborSampler::new(&g);
         let mut scratch = TrialScratch::new(&g);
         let mut digest = FNV_OFFSET;
         for seed in cell_seeds(process_idx, graph_idx as u64) {
@@ -133,7 +131,7 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
             let (typed_cover, typed_tr) =
                 traced_cover(&g, process, &ImplicitDraw, &mut TrialScratch::new(&g), seed);
             let (scratch_cover, scratch_tr) =
-                traced_cover(&g, process, &sampler, &mut scratch, seed);
+                traced_cover(&g, process, &ImplicitDraw, &mut scratch, seed);
             assert_eq!(
                 typed_cover, scratch_cover,
                 "cover divergence for {label}: typed {typed_cover:?} vs scratch {scratch_cover:?}"
@@ -149,7 +147,7 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
             );
             let scratch_hit = HittingDriver::new(&g).run_typed_in(
                 process,
-                &sampler,
+                &ImplicitDraw,
                 &mut scratch,
                 0,
                 target,
@@ -298,10 +296,11 @@ fn gossip_matches() {
 /// Assert the CSR representation and an arithmetic [`ImplicitGraph`]
 /// family drive **bit-for-bit identical** runs: same cover results and
 /// trajectories, same hitting results, on both the fresh typed path and
-/// the scratch path (CSR draws through the [`NeighborSampler`] table,
-/// implicit draws through [`ImplicitDraw`] — stream-compatible by
-/// construction). Any divergence means the implicit family's neighbor
-/// arithmetic disagrees with the materialized adjacency it mirrors.
+/// the scratch path. Any divergence means the implicit family's neighbor
+/// arithmetic disagrees with the materialized adjacency it mirrors. The
+/// CSR scratch run draws through [`NeighborSampler`], the name the
+/// benchmark package drives the engine with, which pins that name to
+/// [`ImplicitDraw`]'s draws.
 fn assert_csr_implicit_equivalence<G, P>(
     gname: &str,
     csr: &Graph,

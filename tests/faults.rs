@@ -244,7 +244,7 @@ fn faulty_plans_are_deterministic_across_worker_counts_and_reruns() {
         assert_outcomes_identical(
             &typed,
             &implicit,
-            &format!("{workers} workers, implicit draws vs sampler"),
+            &format!("{workers} workers, implicit runner vs typed runner"),
         );
     }
 }

@@ -51,10 +51,10 @@ fn two_cobra_grid_cover_scales_linearly_in_n() {
 /// Theorem 3 re-pinned an order of magnitude past the CSR sweep above:
 /// the implicit-grid runner needs no adjacency, so side extents that
 /// would make the materialized sweep memory- and setup-bound (512² ≈
-/// 263k vertices per cell, with the CSR edge arrays and sampler tables
-/// gone entirely) stay cheap. Debug builds (CI's ignored tier) scale
-/// the sides down — same code path, exponent window, and fit quality
-/// bar; the full 64…512 range is the release-profile local run.
+/// 263k vertices per cell, with the CSR edge arrays gone entirely) stay
+/// cheap. Debug builds (CI's ignored tier) scale the sides down — same
+/// code path, exponent window, and fit quality bar; the full 64…512
+/// range is the release-profile local run.
 #[test]
 #[ignore = "high-trial Monte-Carlo tier"]
 fn two_cobra_implicit_grid_cover_scales_linearly_at_large_sides() {

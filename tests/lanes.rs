@@ -23,7 +23,7 @@
 //!   selects.
 
 use cobra_repro::graph::generators::{classic, grid};
-use cobra_repro::graph::{Graph, NeighborSampler};
+use cobra_repro::graph::Graph;
 use cobra_repro::obs::NoopProbe;
 use cobra_repro::sim::runner::{
     lane_cover_applies, run_cover_trials_adaptive_auto_resumable, run_cover_trials_lanes_probed,
@@ -33,7 +33,9 @@ use cobra_repro::sim::{
     ks_distance, AdaptiveOutcome, AdaptivePlan, BatchControl, SeedSequence, StopRule, Summary,
     TrialOutcome,
 };
-use cobra_repro::walks::{run_lane_cover, CobraWalk, CoverDriver, LaneScratch, LANE_WIDTH};
+use cobra_repro::walks::{
+    run_lane_cover, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch, LANE_WIDTH,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,14 +60,13 @@ fn adaptive_auto(g: &Graph, cobra: &CobraWalk, plan: &AdaptivePlan) -> AdaptiveO
 /// exactly what the KS test's critical value assumes.
 fn lane_sample(g: &Graph, k: u32, batches: u64, master: u64) -> Vec<f64> {
     let seq = SeedSequence::new(master);
-    let sampler = NeighborSampler::new(g);
     let mut scratch = LaneScratch::new(g);
     (0..batches)
         .map(|b| {
             let mut rng = seq.rng_at(b);
             let out = run_lane_cover(
                 g,
-                &sampler,
+                &ImplicitDraw,
                 k,
                 0,
                 u64::MAX,
@@ -133,14 +134,13 @@ fn partial_batch_truncates_the_full_width_stream() {
 
     // Oracle: flatten both batches by hand and truncate.
     let seq = SeedSequence::new(plan.master_seed);
-    let sampler = NeighborSampler::new(&g);
     let mut scratch = LaneScratch::new(&g);
     let mut times = Vec::new();
     for b in 0..2u64 {
         let mut rng = seq.rng_at(b);
         let batch = run_lane_cover(
             &g,
-            &sampler,
+            &ImplicitDraw,
             2,
             0,
             u64::MAX,
@@ -172,13 +172,12 @@ fn censoring_is_per_lane_and_budget_monotone() {
     // identical step for step, so lanes under the budget must keep their
     // exact times and lanes over it must be censored — individually.
     let g = classic::cycle(96).unwrap();
-    let sampler = NeighborSampler::new(&g);
     let mut scratch = LaneScratch::new(&g);
     let seed = 0xCE2506;
 
     let full = run_lane_cover(
         &g,
-        &sampler,
+        &ImplicitDraw,
         2,
         0,
         u64::MAX,
@@ -194,7 +193,7 @@ fn censoring_is_per_lane_and_budget_monotone() {
 
     let cut = run_lane_cover(
         &g,
-        &sampler,
+        &ImplicitDraw,
         2,
         0,
         u64::MAX,

@@ -2,7 +2,7 @@
 //!
 //! The observability seam (`cobra_obs::Probe`) owes two guarantees:
 //!
-//! * **`NoopProbe` is free** — every engine route (scratch+sampler,
+//! * **`NoopProbe` is free** — every engine route (scratch on CSR,
 //!   scratch/implicit, bit-sliced lanes) gives the same outcome under a
 //!   `NoopProbe` factory as under a `CountingProbe` one (whose
 //!   `ENABLED = true` runs every hook), at every rayon worker count

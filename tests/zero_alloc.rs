@@ -1,8 +1,8 @@
 //! Steady-state allocation audit for the batched trial engine.
 //!
-//! ISSUE-3's acceptance bar: after warm-up, the scratch-borrowing trial
-//! path (`run_typed_in` with a reused [`TrialScratch`] and a per-graph
-//! [`NeighborSampler`]) performs **zero heap allocations per trial**. A
+//! After warm-up, the scratch-borrowing trial path (`run_typed_in` with a
+//! reused [`TrialScratch`] and [`ImplicitDraw`] neighbor draws, as the
+//! runners drive it) performs **zero heap allocations per trial**. A
 //! counting global allocator makes that a hard test rather than a code
 //! claim: warm the scratch with a few trials, snapshot the allocation
 //! counter, run many more trials, and require the counter to be exactly
@@ -18,11 +18,11 @@
 //! window, while harness noise is transient.
 
 use cobra_repro::graph::generators::{classic, grid};
-use cobra_repro::graph::{Graph, NeighborSampler};
+use cobra_repro::graph::Graph;
 use cobra_repro::obs::NoopProbe;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, HittingDriver, SimpleWalk, SisProcess, TrialScratch, TypedProcess,
-    WaltProcess,
+    CobraWalk, CoverDriver, HittingDriver, ImplicitDraw, SimpleWalk, SisProcess, TrialScratch,
+    TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,7 +72,6 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 fn allocations_for<P: TypedProcess>(
     g: &Graph,
     process: &P,
-    sampler: &NeighborSampler,
     scratch: &mut TrialScratch<P::State>,
     target: u32,
     trials: u64,
@@ -84,11 +83,19 @@ fn allocations_for<P: TypedProcess>(
     for i in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed_base ^ i);
         let res = cover
-            .run_typed_in(process, sampler, scratch, 0, 1_000_000, &mut rng)
+            .run_typed_in(process, &ImplicitDraw, scratch, 0, 1_000_000, &mut rng)
             .expect("non-empty graph");
         std::hint::black_box(res.steps);
         let mut rng = StdRng::seed_from_u64(seed_base ^ i ^ 0x5EED);
-        let res = hitting.run_typed_in(process, sampler, scratch, 0, target, 1_000_000, &mut rng);
+        let res = hitting.run_typed_in(
+            process,
+            &ImplicitDraw,
+            scratch,
+            0,
+            target,
+            1_000_000,
+            &mut rng,
+        );
         std::hint::black_box(res.steps);
     }
     ALLOCATIONS.load(Ordering::Relaxed) - before
@@ -100,7 +107,6 @@ fn allocations_for<P: TypedProcess>(
 fn allocations_for_probed<P: TypedProcess>(
     g: &Graph,
     process: &P,
-    sampler: &NeighborSampler,
     scratch: &mut TrialScratch<P::State>,
     trials: u64,
     seed_base: u64,
@@ -112,7 +118,7 @@ fn allocations_for_probed<P: TypedProcess>(
         let res = cover
             .run_typed_in_probed(
                 process,
-                sampler,
+                &ImplicitDraw,
                 scratch,
                 0,
                 1_000_000,
@@ -133,7 +139,6 @@ fn steady_state_trials_do_not_allocate() {
         ("complete-32", classic::complete(32).unwrap()),
     ];
     for (gname, g) in &graphs {
-        let sampler = NeighborSampler::new(g);
         let target = (g.num_vertices() - 1) as u32;
 
         macro_rules! audit {
@@ -142,14 +147,13 @@ fn steady_state_trials_do_not_allocate() {
                 let mut scratch = TrialScratch::new(g);
                 // Warm-up: first trials build the state and grow every
                 // buffer to its steady-state capacity.
-                let warm = allocations_for(g, &process, &sampler, &mut scratch, target, 4, 0xC0B7A);
+                let warm = allocations_for(g, &process, &mut scratch, target, 4, 0xC0B7A);
                 // Steady state: many more trials, zero allocations. An
                 // identically-seeded retry filters out off-thread
                 // harness allocations (see the module doc).
                 let mut steady = usize::MAX;
                 for _ in 0..3 {
-                    steady =
-                        allocations_for(g, &process, &sampler, &mut scratch, target, 32, 0xFACADE);
+                    steady = allocations_for(g, &process, &mut scratch, target, 32, 0xFACADE);
                     if steady == 0 {
                         break;
                     }
@@ -172,11 +176,10 @@ fn steady_state_trials_do_not_allocate() {
             ($pname:literal, $process:expr) => {{
                 let process = $process;
                 let mut scratch = TrialScratch::new(g);
-                let warm = allocations_for_probed(g, &process, &sampler, &mut scratch, 4, 0xC0B7A);
+                let warm = allocations_for_probed(g, &process, &mut scratch, 4, 0xC0B7A);
                 let mut steady = usize::MAX;
                 for _ in 0..3 {
-                    steady =
-                        allocations_for_probed(g, &process, &sampler, &mut scratch, 32, 0xFACADE);
+                    steady = allocations_for_probed(g, &process, &mut scratch, 32, 0xFACADE);
                     if steady == 0 {
                         break;
                     }
