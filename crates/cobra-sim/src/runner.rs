@@ -88,11 +88,15 @@ fn aggregate(times: Vec<Option<usize>>) -> TrialOutcome {
 }
 
 /// Largest vertex count for which the bit-sliced lane engine is the
-/// default. Below this the per-round lane overhead (three `n`-word
-/// bitset scans) is dwarfed by the 64-way draw sharing; above it the
-/// scans dominate and the per-trial scratch engine's sparse frontier
-/// wins. The crossover on this hardware sits well past 1024 for cover
-/// cells, but 1024 keeps a comfortable margin.
+/// default. It is a routing bound, not a measured crossover. In raw
+/// trials per second the lane engine still led the scratch engine at
+/// n = 4096: 17–35× on the cycle and the 64×64 grid and 4× on the star,
+/// for 640 2-cobra covers from vertex 0 on one worker of a 2-core
+/// x86-64 VM. Raw speed counts a batch's correlated lanes as
+/// independent trials, though; effective speed divides it by the cell's
+/// design effect, which is about 23 on the 256-vertex star already. A
+/// larger bound would trade effective samples for raw speed on such
+/// cells.
 pub const LANE_MAX_N: usize = 1024;
 
 /// Whether the bit-sliced lane engine applies to a cover cell: the graph

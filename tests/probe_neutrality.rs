@@ -94,6 +94,10 @@ fn noop_probe_is_bit_identical_on_all_four_routes_and_worker_counts() {
     let graphs: Vec<(&str, Graph)> = vec![
         ("grid 8x8", grid::grid(&[7, 7])),
         ("cycle 33", classic::cycle(33).unwrap()),
+        // Two of 48 vertices occupied in most lane rounds: the lane
+        // kernel's sparse traversal. Its digests were recorded with the
+        // full-scan kernel that preceded it.
+        ("star 48", classic::star(48).unwrap()),
     ];
     let implicit = ImplicitGrid::new(&[7, 7]).unwrap();
     // Recorded digests per k: [graph][scratch (= the dyn route), lanes],
@@ -103,6 +107,7 @@ fn noop_probe_is_bit_identical_on_all_four_routes_and_worker_counts() {
             [
                 [0x5cb1b983b0791581, 0xb06cc4608b05ec10],
                 [0x65cf6657c9f9d8ce, 0xa22f9d80062e9cfa],
+                [0xe0443a495d18ed89, 0xf281161ac81b1683],
             ],
             0x5cb1b983b0791581,
         ),
@@ -110,6 +115,7 @@ fn noop_probe_is_bit_identical_on_all_four_routes_and_worker_counts() {
             [
                 [0x281d339f841d7465, 0x2948f0cbf05067f6],
                 [0x4e81e49343e37c43, 0x37611f57e6d69ea6],
+                [0x32dd718eea4e24d4, 0x5b73bf7c14eebaa7],
             ],
             0x281d339f841d7465,
         ),

@@ -2,7 +2,9 @@
 //!
 //! After warm-up, the scratch-borrowing trial path (`run_typed_in` with a
 //! reused [`TrialScratch`] and [`ImplicitDraw`] neighbor draws, as the
-//! runners drive it) performs **zero heap allocations per trial**. A
+//! runners drive it) performs **zero heap allocations per trial**, and
+//! the 64-lane kernel (`run_lane_cover` on a reused [`LaneScratch`])
+//! performs zero per batch, on either of its traversals. A
 //! counting global allocator makes that a hard test rather than a code
 //! claim: warm the scratch with a few trials, snapshot the allocation
 //! counter, run many more trials, and require the counter to be exactly
@@ -21,8 +23,8 @@ use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::Graph;
 use cobra_repro::obs::NoopProbe;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, HittingDriver, ImplicitDraw, SimpleWalk, SisProcess, TrialScratch,
-    TypedProcess, WaltProcess,
+    run_lane_cover, CobraWalk, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch, SimpleWalk,
+    SisProcess, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,6 +133,25 @@ fn allocations_for_probed<P: TypedProcess>(
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// Run `batches` full-width lane batches of the `k`-cobra walk on `g`
+/// through a reused `LaneScratch` and return how many allocations they
+/// performed.
+fn allocations_for_lanes(
+    g: &Graph,
+    k: u32,
+    scratch: &mut LaneScratch,
+    batches: u64,
+    seed_base: u64,
+) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for b in 0..batches {
+        let mut rng = StdRng::seed_from_u64(seed_base ^ b);
+        let out = run_lane_cover(g, &ImplicitDraw, k, 0, u64::MAX, 5_000, scratch, &mut rng);
+        std::hint::black_box(out.completed);
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn steady_state_trials_do_not_allocate() {
     let graphs: Vec<(&str, Graph)> = vec![
@@ -195,5 +216,32 @@ fn steady_state_trials_do_not_allocate() {
 
         audit_probed!("cobra(k=2)", CobraWalk::standard());
         audit_probed!("walt(p=6)", WaltProcess::with_count(6).lazy(false));
+    }
+
+    // The lane kernel: the star keeps its rounds sparse, the complete
+    // graph dense, and the cycle crosses between the two. One scratch is
+    // sized for the first graph and regrown by warm-up on the others.
+    let lane_graphs: Vec<(&str, Graph)> = vec![
+        ("star-64", classic::star(64).unwrap()),
+        ("cycle-64", classic::cycle(64).unwrap()),
+        ("complete-32", classic::complete(32).unwrap()),
+    ];
+    let mut scratch = LaneScratch::new(&lane_graphs[0].1);
+    for (gname, g) in &lane_graphs {
+        for k in [1, 2] {
+            let warm = allocations_for_lanes(g, k, &mut scratch, 2, 0xC0B7A);
+            let mut steady = usize::MAX;
+            for _ in 0..3 {
+                steady = allocations_for_lanes(g, k, &mut scratch, 8, 0xFACADE);
+                if steady == 0 {
+                    break;
+                }
+            }
+            assert_eq!(
+                steady, 0,
+                "lanes (k={k}) on {gname}: {steady} allocations in steady state \
+                 (warm-up did {warm})"
+            );
+        }
     }
 }
