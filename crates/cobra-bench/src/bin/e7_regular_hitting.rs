@@ -198,7 +198,7 @@ fn main() {
             loop {
                 st.step(&g, &mut rng);
                 steps += 1;
-                if st.occupied()[0] == target {
+                if st.active().contains(target) {
                     break;
                 }
                 if steps > 10_000_000 {

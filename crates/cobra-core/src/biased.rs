@@ -21,8 +21,7 @@
 //!   `(d(v) + Σ_{x≠v} σ̂(x,v)·d(x)) / d(v)` bound.
 
 use crate::process::{
-    bernoulli, sample_index, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess,
-    TypedState,
+    bernoulli, sample_index, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{metrics, Graph, Vertex};
 use rand::Rng;
@@ -127,7 +126,13 @@ pub struct BiasedState {
 }
 
 impl TypedState for BiasedState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
+    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
+        &mut self,
+        g: &Graph,
+        draw: &D,
+        rng: &mut R,
+        _probe: &mut Pb,
+    ) {
         let v = self.pos[0];
         let bias = if v == self.controller.target() {
             0.0
@@ -139,14 +144,14 @@ impl TypedState for BiasedState {
             debug_assert!(g.has_edge(v, u), "controller must pick a neighbor");
             u
         } else {
-            ImplicitDraw.draw_one(g, v, rng)
+            draw.draw_one(g, v, rng)
         };
     }
 }
 
 impl StateView for BiasedState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.pos
+    fn active(&self) -> Active<'_> {
+        Active::Pebbles(&self.pos)
     }
 }
 
@@ -234,8 +239,9 @@ pub fn return_time_bound(g: &Graph, target: Vertex) -> f64 {
 pub struct MetropolisWalk {
     target: Vertex,
     /// Per-vertex cumulative transition probabilities aligned with the CSR
-    /// neighbor order; self-loops removed per Lemma 16's `P`.
-    cdf: Vec<Vec<f64>>,
+    /// neighbor order; self-loops removed per Lemma 16's `P`. Shared with
+    /// every spawned state.
+    cdf: Arc<Vec<Vec<f64>>>,
     /// Lemma 16's stationary distribution (normalized), for assertions and
     /// experiments.
     pi: Vec<f64>,
@@ -285,7 +291,11 @@ impl MetropolisWalk {
             }
             cdf.push(m);
         }
-        MetropolisWalk { target, cdf, pi }
+        MetropolisWalk {
+            target,
+            cdf: Arc::new(cdf),
+            pi,
+        }
     }
 
     /// Lemma 16's stationary distribution `π` (normalized).
@@ -326,21 +336,27 @@ impl TypedProcess for MetropolisWalk {
             "MetropolisWalk was built for a different graph"
         );
         MetropolisState {
-            cdf: self.cdf.clone(),
+            cdf: Arc::clone(&self.cdf),
             pos: [start],
         }
     }
 }
 
 /// Mutable state of a running Metropolis walk: one pebble position plus
-/// its own copy of the per-vertex transition CDFs.
+/// a handle on the walk's shared per-vertex transition CDFs.
 pub struct MetropolisState {
-    cdf: Vec<Vec<f64>>,
+    cdf: Arc<Vec<Vec<f64>>>,
     pos: [Vertex; 1],
 }
 
 impl TypedState for MetropolisState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
+    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
+        &mut self,
+        g: &Graph,
+        _draw: &D,
+        rng: &mut R,
+        _probe: &mut Pb,
+    ) {
         let v = self.pos[0];
         let c = &self.cdf[v as usize];
         let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
@@ -350,8 +366,8 @@ impl TypedState for MetropolisState {
 }
 
 impl StateView for MetropolisState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.pos
+    fn active(&self) -> Active<'_> {
+        Active::Pebbles(&self.pos)
     }
 }
 
@@ -487,7 +503,7 @@ mod tests {
         let mut prev = 8;
         for _ in 0..200 {
             st.step(&g, &mut rng);
-            let cur = st.occupied()[0];
+            let cur = st.active().to_vec()[0];
             assert!(g.has_edge(prev, cur));
             prev = cur;
         }
@@ -502,7 +518,7 @@ mod tests {
         let mut hit = None;
         for t in 1..100_000 {
             st.step(&g, &mut rng);
-            if st.occupied()[0] == 0 {
+            if st.active().contains(0) {
                 hit = Some(t);
                 break;
             }

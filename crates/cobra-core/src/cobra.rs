@@ -14,7 +14,7 @@
 //! `k = 2`.
 
 use crate::frontier::Frontier;
-use crate::process::{ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
 use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
@@ -62,7 +62,6 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for CobraWalk {
             k: self.branching_factor,
             cur,
             next: Frontier::new(g.num_vertices()),
-            occ: vec![start],
         }
     }
 
@@ -79,26 +78,18 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for CobraWalk {
         }
         assert!((start as usize) < n, "start vertex in range");
         state.k = self.branching_factor;
-        crate::frontier::reinit_frontier_run(
-            &mut state.cur,
-            &mut state.next,
-            &mut state.occ,
-            start,
-        );
+        crate::frontier::reinit_frontier_run(&mut state.cur, &mut state.next, start);
     }
 }
 
 /// Mutable state of a running cobra walk: the active set as a hybrid
 /// sparse/dense [`Frontier`].
 ///
-/// The step iterates the frontier in its native order — insertion order
+/// A round iterates the frontier in its native order — insertion order
 /// while sparse, ascending vertex order once dense (which streams the CSR
 /// adjacency arrays sequentially instead of hopping around them). The
-/// order is deterministic, and every step method shares this one body,
-/// so they consume identical RNG streams. `occ` is a materialized copy of
-/// the active set kept for [`StateView::occupied`]; the drawing
-/// [`TypedState::step_sampled`] skips maintaining it because the drivers
-/// read the frontier directly. No per-step allocation once warmed up.
+/// order is deterministic, so every route consumes identical RNG
+/// streams. No per-round allocation once warmed up.
 ///
 /// [`crate::fault::FaultyCobraState`] wraps one and runs its round when
 /// the fault plan is empty.
@@ -106,88 +97,23 @@ pub struct CobraState {
     pub(crate) k: u32,
     pub(crate) cur: Frontier,
     pub(crate) next: Frontier,
-    pub(crate) occ: Vec<Vertex>,
-}
-
-impl CobraState {
-    /// One round of the cobra dynamics: `k` uniform out-choices per active
-    /// vertex (through a [`NeighborDraw`] strategy — all strategies are
-    /// stream-compatible, so every route makes the same draws),
-    /// deduplicated into the next frontier through the branch-free
-    /// quiet-insert path. `MAINTAIN_OCC` is compile-time so
-    /// [`TypedState::step`] rematerializes its `occupied()` slice after the
-    /// round while the fast route drops that bookkeeping entirely — same
-    /// draws either way.
-    #[inline]
-    fn advance<const MAINTAIN_OCC: bool, G: ?Sized, D: NeighborDraw<G>, R: Rng + ?Sized>(
-        &mut self,
-        g: &G,
-        draw: &D,
-        rng: &mut R,
-    ) {
-        let CobraState { k, cur, next, occ } = self;
-        next.clear();
-        cur.for_each(|v| {
-            draw.draw_many(g, v, *k, rng, |u| next.insert_quiet(u));
-        });
-        next.finalize_len();
-        if MAINTAIN_OCC {
-            occ.clear();
-            next.for_each(|v| occ.push(v));
-        }
-        std::mem::swap(cur, next);
-    }
-
-    /// [`Self::advance`] with its draw accounting reported to `probe`.
-    /// Accounting costs two frontier-length reads (O(1) field loads),
-    /// never a kernel change: every active vertex makes exactly k draws,
-    /// and a draw "merged" iff it failed to open a new slot in the next
-    /// frontier. Under `NoopProbe` both reads and the hook are dead code
-    /// and the optimizer restores the exact unprobed body.
-    #[inline]
-    pub(crate) fn advance_probed<
-        const MAINTAIN_OCC: bool,
-        G: ?Sized,
-        D: NeighborDraw<G>,
-        R: Rng + ?Sized,
-        Pb: cobra_obs::Probe,
-    >(
-        &mut self,
-        g: &G,
-        draw: &D,
-        rng: &mut R,
-        probe: &mut Pb,
-    ) {
-        let senders = self.cur.len() as u64;
-        self.advance::<MAINTAIN_OCC, G, D, R>(g, draw, rng);
-        let draws = senders * u64::from(self.k);
-        probe.on_draws(draws, draws - self.cur.len() as u64);
-    }
 }
 
 impl StateView for CobraState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.occ
-    }
-
-    fn support_size(&self) -> usize {
-        self.cur.len()
-    }
-
-    fn frontier(&self) -> Option<&Frontier> {
-        Some(&self.cur)
+    fn active(&self) -> Active<'_> {
+        Active::Set(&self.cur)
     }
 }
 
 impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        self.advance::<true, G, _, R>(g, &ImplicitDraw, rng);
-    }
-
-    fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
-        self.advance::<false, G, D, R>(g, draw, rng);
-    }
-
+    /// One round of the cobra dynamics: `k` uniform out-choices per
+    /// active vertex, deduplicated into the next frontier through the
+    /// branch-free quiet-insert path. Accounting costs two
+    /// frontier-length reads (O(1) field loads), never a kernel change:
+    /// every active vertex makes exactly `k` draws, and a draw "merged"
+    /// iff it failed to open a new slot in the next frontier. Under
+    /// `NoopProbe` both reads and the hook are dead code.
+    #[inline]
     fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
         g: &G,
@@ -195,7 +121,15 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
         rng: &mut R,
         probe: &mut Pb,
     ) {
-        self.advance_probed::<false, G, D, R, Pb>(g, draw, rng, probe);
+        let CobraState { k, cur, next } = self;
+        let draws = cur.len() as u64 * u64::from(*k);
+        next.clear();
+        cur.for_each(|v| {
+            draw.draw_many(g, v, *k, rng, |u| next.insert_quiet(u));
+        });
+        next.finalize_len();
+        std::mem::swap(cur, next);
+        probe.on_draws(draws, draws - cur.len() as u64);
     }
 }
 
@@ -238,7 +172,7 @@ mod tests {
     fn initial_state_is_start_vertex() {
         let g = classic::cycle(5).unwrap();
         let st = CobraWalk::standard().spawn_typed(&g, 2);
-        assert_eq!(st.occupied(), &[2]);
+        assert_eq!(st.active().to_vec(), [2]);
         assert_eq!(st.support_size(), 1);
     }
 
@@ -246,8 +180,8 @@ mod tests {
     fn active_set_never_empty_and_in_range() {
         let g = grid::grid(&[5, 5]);
         let st = run_steps(&CobraWalk::standard(), &g, 0, 200, 7);
-        assert!(!st.occupied().is_empty());
-        for &v in st.occupied() {
+        assert!(!st.active().is_empty());
+        for v in st.active().to_vec() {
             assert!((v as usize) < g.num_vertices());
         }
     }
@@ -261,7 +195,7 @@ mod tests {
         for _ in 0..50 {
             st.step(&g, &mut rng);
             let mut seen = std::collections::HashSet::new();
-            for &v in st.occupied() {
+            for v in st.active().to_vec() {
                 assert!(seen.insert(v), "duplicate vertex {v} in active set");
             }
         }
@@ -273,10 +207,10 @@ mod tests {
         let spec = CobraWalk::new(2);
         let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(13);
-        let mut prev = st.occupied().len();
+        let mut prev = st.active().len();
         for _ in 0..60 {
             st.step(&g, &mut rng);
-            let cur = st.occupied().len();
+            let cur = st.active().len();
             assert!(
                 cur <= 2 * prev,
                 "|S_{{t+1}}| = {cur} > 2|S_t| = {}",
@@ -295,7 +229,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..40 {
             st.step(&g, &mut rng);
-            assert_eq!(st.occupied().len(), 1);
+            assert_eq!(st.active().len(), 1);
         }
     }
 
@@ -308,7 +242,7 @@ mod tests {
         let mut st = spec.spawn_typed(&g, 5);
         let mut rng = StdRng::seed_from_u64(19);
         st.step(&g, &mut rng);
-        for &v in st.occupied() {
+        for v in st.active().to_vec() {
             assert!(g.has_edge(5, v));
         }
     }
@@ -324,7 +258,7 @@ mod tests {
         }
         // After 10 doubling-ish rounds on K_64 the active set should be
         // well beyond a handful of vertices.
-        assert!(st.occupied().len() > 8);
+        assert!(st.active().len() > 8);
     }
 
     #[test]
@@ -332,8 +266,8 @@ mod tests {
         let g = grid::grid(&[6, 6]);
         let a = run_steps(&CobraWalk::standard(), &g, 0, 30, 99);
         let b = run_steps(&CobraWalk::standard(), &g, 0, 30, 99);
-        let mut av: Vec<_> = a.occupied().to_vec();
-        let mut bv: Vec<_> = b.occupied().to_vec();
+        let mut av: Vec<_> = a.active().to_vec();
+        let mut bv: Vec<_> = b.active().to_vec();
         av.sort_unstable();
         bv.sort_unstable();
         assert_eq!(av, bv);

@@ -15,6 +15,7 @@
 //! `tests/implicit_scale.rs`).
 
 use crate::frontier::Frontier;
+use crate::process::Active;
 use cobra_graph::Vertex;
 
 /// A coverage bitmap over vertex ids `0..n` with a running count: O(1)
@@ -104,6 +105,16 @@ impl SuccinctCoverage {
                 self.covered += added;
                 added
             }
+        }
+    }
+
+    /// Union a round's [`Active`] set in; returns how many vertices were
+    /// newly covered.
+    #[inline]
+    pub(crate) fn union_active(&mut self, active: Active<'_>) -> usize {
+        match active {
+            Active::Set(f) => self.union_from_frontier(f),
+            Active::Pebbles(p) => self.mark_slice(p),
         }
     }
 

@@ -55,12 +55,11 @@
 //! censor the trial at its step budget.
 
 use crate::cobra::{CobraState, CobraWalk};
-use crate::frontier::Frontier;
 use crate::process::{
-    bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+    bernoulli, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{ImplicitGraph, Vertex};
-use cobra_obs::{FaultKind, NoopProbe, Probe};
+use cobra_obs::{FaultKind, Probe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -392,39 +391,28 @@ impl FaultyCobraState {
     pub fn is_dead(&self) -> bool {
         self.walk.cur.is_empty() && self.in_flight.is_empty()
     }
+}
 
-    /// The shared round body. When the plan is fault-free this is the
-    /// cobra round itself — same draws, same stream, zero fault overhead
-    /// (the identity is pinned bit-for-bit in `tests/faults.rs`).
-    #[inline]
-    fn advance<const MAINTAIN_OCC: bool, G: ?Sized, D: NeighborDraw<G>, R: Rng + ?Sized>(
-        &mut self,
-        g: &G,
-        draw: &D,
-        rng: &mut R,
-    ) {
-        self.advance_probed::<MAINTAIN_OCC, G, D, R, NoopProbe>(g, draw, rng, &mut NoopProbe)
+impl StateView for FaultyCobraState {
+    fn active(&self) -> Active<'_> {
+        self.walk.active()
     }
+}
 
-    /// [`Self::advance`] with an observation seam. Emits
-    /// [`Probe::on_draws`] for the round's neighbor draws and one
-    /// [`Probe::on_fault`] per fault kind that fired this round:
-    /// [`FaultKind::PebbleLoss`] counts loss-coin hits plus bounded-queue
-    /// overflow drops, [`FaultKind::Delay`] counts pebbles buffered into
-    /// the in-flight queue, [`FaultKind::Outage`] counts down senders
-    /// skipped plus arrivals (drawn or in-flight) rejected by a down
-    /// destination, and [`FaultKind::Deletion`] counts waved senders
-    /// destroyed. The probe never touches either RNG stream, so a
-    /// `NoopProbe` call is bit-identical to the unprobed path — which is
-    /// how [`Self::advance`] is implemented.
-    #[inline]
-    fn advance_probed<
-        const MAINTAIN_OCC: bool,
-        G: ?Sized,
-        D: NeighborDraw<G>,
-        R: Rng + ?Sized,
-        Pb: Probe,
-    >(
+impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
+    /// One round under the plan. When the plan is fault-free this is the
+    /// wrapped [`CobraState`]'s round — same draws, same stream, zero
+    /// fault overhead (the identity is pinned bit-for-bit in
+    /// `tests/faults.rs`). Otherwise it emits [`Probe::on_draws`] for
+    /// the round's neighbor draws and one [`Probe::on_fault`] per fault
+    /// kind that fired this round: [`FaultKind::PebbleLoss`] counts
+    /// loss-coin hits plus bounded-queue overflow drops,
+    /// [`FaultKind::Delay`] counts pebbles buffered into the in-flight
+    /// queue, [`FaultKind::Outage`] counts down senders skipped plus
+    /// arrivals (drawn or in-flight) rejected by a down destination, and
+    /// [`FaultKind::Deletion`] counts waved senders destroyed. The probe
+    /// never touches either RNG stream.
+    fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: Probe>(
         &mut self,
         g: &G,
         draw: &D,
@@ -432,8 +420,7 @@ impl FaultyCobraState {
         probe: &mut Pb,
     ) {
         if self.plan.is_none() {
-            self.walk
-                .advance_probed::<MAINTAIN_OCC, G, D, R, Pb>(g, draw, rng, probe);
+            self.walk.step_probed(g, draw, rng, probe);
             return;
         }
 
@@ -482,7 +469,7 @@ impl FaultyCobraState {
             in_flight,
             ..
         } = self;
-        let CobraState { k, cur, next, occ } = walk;
+        let CobraState { k, cur, next } = walk;
         let frng = fault_rng.as_mut().expect("fault rng seeded above");
         let down = |v: Vertex| !crash_depth.is_empty() && crash_depth[v as usize] > 0;
         let waved = |v: Vertex| !wave_marks.is_empty() && wave_marks[v as usize];
@@ -545,10 +532,6 @@ impl FaultyCobraState {
             });
         });
         next.finalize_len();
-        if MAINTAIN_OCC {
-            occ.clear();
-            next.for_each(|v| occ.push(v));
-        }
         std::mem::swap(cur, next);
 
         // 5. Retire this round's wave marks.
@@ -573,40 +556,6 @@ impl FaultyCobraState {
     }
 }
 
-impl StateView for FaultyCobraState {
-    fn occupied(&self) -> &[Vertex] {
-        self.walk.occupied()
-    }
-
-    fn support_size(&self) -> usize {
-        self.walk.support_size()
-    }
-
-    fn frontier(&self) -> Option<&Frontier> {
-        self.walk.frontier()
-    }
-}
-
-impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        self.advance::<true, G, _, R>(g, &ImplicitDraw, rng);
-    }
-
-    fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
-        self.advance::<false, G, D, R>(g, draw, rng);
-    }
-
-    fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: Probe>(
-        &mut self,
-        g: &G,
-        draw: &D,
-        rng: &mut R,
-        probe: &mut Pb,
-    ) {
-        self.advance_probed::<false, G, D, R, Pb>(g, draw, rng, probe);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,15 +566,14 @@ mod tests {
     use rand::SeedableRng;
 
     fn sorted_occ(st: &impl StateView) -> Vec<Vertex> {
-        let mut v = st.occupied().to_vec();
+        let mut v = st.active().to_vec();
         v.sort_unstable();
         v
     }
 
     #[test]
     fn none_plan_is_bit_identical_to_cobra_dyn_route() {
-        // The occupied-slice `step` — the body the retired dyn route ran —
-        // must match the plain cobra walk round for round.
+        // `step` must match the plain cobra walk round for round.
         let g = grid::grid(&[6, 6]);
         let plain = CobraWalk::standard();
         let faulty = FaultyCobraWalk::new(2, FaultPlan::none());
@@ -769,7 +717,7 @@ mod tests {
             for _ in 0..40 {
                 TypedState::step(&mut st, &g, &mut rng);
             }
-            let mut occ = StateView::occupied(&st).to_vec();
+            let mut occ = StateView::active(&st).to_vec();
             occ.sort_unstable();
             runs.push((occ, rng.next_u64(), st.in_flight_len()));
         }
@@ -801,10 +749,7 @@ mod tests {
         for _ in 0..25 {
             TypedState::step(&mut fresh, &g, &mut rng3);
         }
-        assert_eq!(
-            StateView::frontier(&reused).unwrap().to_sorted_vec(),
-            StateView::frontier(&fresh).unwrap().to_sorted_vec()
-        );
+        assert_eq!(sorted_occ(&reused), sorted_occ(&fresh));
         assert_eq!(rng2.next_u64(), rng3.next_u64());
     }
 

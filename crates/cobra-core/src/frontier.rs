@@ -30,7 +30,7 @@
 //! throughout and the representation switch never changes which set is
 //! stored — only how it is traversed. Iteration order is insertion order
 //! while sparse and ascending once dense; it is deterministic either way,
-//! and every step method of a walk shares one body, so the
+//! and every route runs a walk's one round body, so the
 //! seed-equivalence harness holds bit-for-bit across the switch.
 
 use cobra_graph::Vertex;
@@ -245,23 +245,16 @@ impl Frontier {
     }
 }
 
-/// Reinitialize a frontier-pair walk state (cobra, scheduled cobra, SIS)
-/// for a new run from `start`: O(dirty) clears of both frontiers, the
-/// start re-seeded, the occupied slice rebuilt — exactly the observable
-/// state `spawn_typed` produces. One shared body so the three
-/// `respawn_typed` impls cannot drift from the spawn shape independently.
-/// Callers have already checked the capacity matches the graph.
-pub(crate) fn reinit_frontier_run(
-    cur: &mut Frontier,
-    next: &mut Frontier,
-    occ: &mut Vec<Vertex>,
-    start: Vertex,
-) {
+/// Reinitialize a frontier-pair walk state (cobra, scheduled cobra) for
+/// a new run from `start`: O(dirty) clears of both frontiers and the
+/// start re-seeded — exactly the observable state `spawn_typed`
+/// produces. One shared body so the `respawn_typed` impls cannot drift
+/// from the spawn shape independently. Callers have already checked the
+/// capacity matches the graph.
+pub(crate) fn reinit_frontier_run(cur: &mut Frontier, next: &mut Frontier, start: Vertex) {
     cur.clear();
     cur.insert(start);
     next.clear();
-    occ.clear();
-    occ.push(start);
 }
 
 #[cfg(test)]

@@ -7,11 +7,11 @@
 //! attained.
 //!
 //! Unlike walks, gossip states are monotone: an informed vertex stays
-//! informed. `occupied()` reports only the vertices informed in the last
+//! informed. `active()` reports only the vertices informed in the last
 //! round (plus the source initially), so the driver's union-over-time
 //! coverage matches the usual "all vertices informed" completion time.
 
-use crate::process::{ImplicitDraw, NeighborDraw, Process, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -80,12 +80,18 @@ impl GossipState {
 }
 
 impl TypedState for GossipState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
+    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
+        &mut self,
+        g: &Graph,
+        draw: &D,
+        rng: &mut R,
+        _probe: &mut Pb,
+    ) {
         let already = self.informed_list.len();
         self.fresh_from = already;
         // Every vertex informed *before* this round pushes once.
         for i in 0..already {
-            let u = ImplicitDraw.draw_one(g, self.informed_list[i], rng);
+            let u = draw.draw_one(g, self.informed_list[i], rng);
             if !self.informed[u as usize] {
                 self.informed[u as usize] = true;
                 self.informed_list.push(u);
@@ -94,9 +100,9 @@ impl TypedState for GossipState {
     }
 }
 
-impl crate::process::StateView for GossipState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.informed_list[self.fresh_from..]
+impl StateView for GossipState {
+    fn active(&self) -> Active<'_> {
+        Active::Pebbles(&self.informed_list[self.fresh_from..])
     }
 
     fn support_size(&self) -> usize {
@@ -107,7 +113,6 @@ impl crate::process::StateView for GossipState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::StateView;
     use cobra_graph::generators::classic;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -116,7 +121,7 @@ mod tests {
     fn initial_state() {
         let g = classic::complete(5).unwrap();
         let st = PushGossip.spawn_typed(&g, 0);
-        assert_eq!(st.occupied(), &[0]);
+        assert_eq!(st.active().to_vec(), [0]);
         assert_eq!(st.support_size(), 1);
     }
 
@@ -158,7 +163,7 @@ mod tests {
         seen.insert(0u32);
         for _ in 0..40 {
             st.step(&g, &mut rng);
-            for &v in st.occupied() {
+            for v in st.active().to_vec() {
                 assert!(seen.insert(v), "vertex {v} reported fresh twice");
             }
         }

@@ -64,7 +64,6 @@ pub mod queueing;
 pub mod schedule;
 pub mod scratch;
 pub mod simple;
-pub mod sis;
 pub mod trajectory;
 pub mod walt;
 
@@ -78,12 +77,11 @@ pub use lanes::{run_lane_cover, run_lane_cover_probed, LaneOutcome, LaneScratch,
 pub use measure::{run_cover_succinct, CoverDriver, CoverResult, HittingDriver, HittingResult};
 pub use parallel_walks::ParallelWalks;
 pub use process::{
-    BoundDraw, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+    Active, BoundDraw, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 pub use queueing::DriftChain;
 pub use schedule::{BranchingSchedule, ScheduledCobraWalk};
 pub use scratch::TrialScratch;
 pub use simple::SimpleWalk;
-pub use sis::SisProcess;
 pub use trajectory::{record_trajectory, Trajectory};
 pub use walt::WaltProcess;

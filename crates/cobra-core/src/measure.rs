@@ -49,7 +49,7 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     /// Run `process` from `start` until the graph is covered or
     /// `max_steps` rounds elapse. Returns `None` only if the graph has no
     /// vertices. Coverage is tracked in a [`SuccinctCoverage`] bitmap and
-    /// updated word-parallel whenever the process exposes a dense
+    /// updated word-parallel whenever the process's active set is a dense
     /// [`crate::frontier::Frontier`].
     ///
     /// This is [`CoverDriver::run_typed_in`] on a fresh [`TrialScratch`]
@@ -152,16 +152,13 @@ where
     R: Rng + ?Sized,
     Pb: Probe,
 {
-    let newly = covered.mark_slice(state.occupied());
+    let newly = covered.union_active(state.active());
     probe.on_coverage(newly as u64, covered.count() as u64);
     let mut steps = 0;
     while !covered.is_complete() && steps < max_steps {
         steps += 1;
         state.step_probed(g, draw, rng, probe);
-        let newly = match state.frontier() {
-            Some(f) => covered.union_from_frontier(f),
-            None => covered.mark_slice(state.occupied()),
-        };
+        let newly = covered.union_active(state.active());
         if Pb::ENABLED {
             probe.on_round(steps as u64, state.support_size() as u64);
         }
@@ -200,9 +197,9 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
 
     /// Run `process` from `start` until some pebble occupies `target` or
     /// `max_steps` rounds elapse. A run started *at* the target hits at
-    /// step 0. When the process exposes a [`crate::frontier::Frontier`],
-    /// the per-round hit test is an O(1)/O(log s) membership query
-    /// instead of a linear scan of the occupied slice.
+    /// step 0. When the process's active set is a
+    /// [`crate::frontier::Frontier`], the per-round hit test is an O(1)
+    /// membership query instead of a linear scan of the pebbles.
     ///
     /// This is [`HittingDriver::run_typed_in`] on a fresh
     /// [`TrialScratch`] with [`ImplicitDraw`] neighbor draws.
@@ -249,7 +246,7 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
             }
             None => scratch.state.insert(process.spawn_typed(self.g, start)),
         };
-        if state.occupied().contains(&target) {
+        if state.active().contains(target) {
             return HittingResult {
                 steps: 0,
                 hit: true,
@@ -257,11 +254,7 @@ impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
         }
         for t in 1..=max_steps {
             state.step_sampled(self.g, draw, rng);
-            let hit = match state.frontier() {
-                Some(f) => f.contains(target),
-                None => state.occupied().contains(&target),
-            };
-            if hit {
+            if state.active().contains(target) {
                 return HittingResult {
                     steps: t,
                     hit: true,

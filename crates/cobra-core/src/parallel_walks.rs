@@ -6,7 +6,7 @@
 //! makes parallel walks analyzable is exactly what breaks for cobra walks
 //! (§1.2), which is why the paper treats them as a distinct baseline.
 
-use crate::process::{ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -53,16 +53,22 @@ pub struct ParallelState {
 }
 
 impl TypedState for ParallelState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
+    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
+        &mut self,
+        g: &Graph,
+        draw: &D,
+        rng: &mut R,
+        _probe: &mut Pb,
+    ) {
         for pos in &mut self.positions {
-            *pos = ImplicitDraw.draw_one(g, *pos, rng);
+            *pos = draw.draw_one(g, *pos, rng);
         }
     }
 }
 
 impl StateView for ParallelState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.positions
+    fn active(&self) -> Active<'_> {
+        Active::Pebbles(&self.positions)
     }
 }
 
@@ -82,7 +88,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             st.step(&g, &mut rng);
-            assert_eq!(st.occupied().len(), 6);
+            assert_eq!(st.active().len(), 6);
         }
     }
 
@@ -92,13 +98,13 @@ mod tests {
         let spec = ParallelWalks::new(3);
         let mut st = spec.spawn_typed(&g, 4);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut prev = st.occupied().to_vec();
+        let mut prev = st.active().to_vec();
         for _ in 0..50 {
             st.step(&g, &mut rng);
-            for (i, &cur) in st.occupied().iter().enumerate() {
+            for (i, cur) in st.active().to_vec().into_iter().enumerate() {
                 assert!(g.has_edge(prev[i], cur));
             }
-            prev = st.occupied().to_vec();
+            prev = st.active().to_vec();
         }
     }
 
@@ -109,7 +115,7 @@ mod tests {
         let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(3);
         st.step(&g, &mut rng);
-        let distinct: std::collections::HashSet<_> = st.occupied().iter().collect();
+        let distinct: std::collections::HashSet<_> = st.active().to_vec().into_iter().collect();
         assert!(distinct.len() > 1, "4 walkers on K10 should scatter");
     }
 

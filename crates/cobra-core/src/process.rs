@@ -8,6 +8,7 @@
 //! and the RNG, so a trial's walk kernel, draws, and coverage bookkeeping
 //! inline into one loop with no virtual dispatch.
 
+use crate::frontier::Frontier;
 use cobra_graph::{Graph, ImplicitGraph, Neighborhood, Vertex};
 use rand::Rng;
 
@@ -24,27 +25,22 @@ pub trait Process: Sync {
     fn name(&self) -> String;
 }
 
-/// Blanket impl so `&T` specifications can be passed around cheaply.
-impl<T: Process + ?Sized> Process for &T {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-}
-
 /// A runnable process on graphs of type `G`.
 ///
 /// [`TypedProcess::spawn_typed`] returns the state by value, so drivers
 /// generic over `P: TypedProcess` step it with zero virtual dispatch.
 /// The driver contract is:
 ///
-/// 1. immediately after `spawn_typed`, [`StateView::occupied`] describes
-///    the initial configuration (typically `[start]`);
-/// 2. each call to [`TypedState::step`] advances the process one round;
-/// 3. after each step, [`StateView::occupied`] lists the vertices that
-///    are *active* in that round (duplicates allowed — e.g. Walt reports
-///    one entry per pebble). The driver unions these over time to compute
-///    coverage, matching the paper's definition of the cover time as the
-///    first `T` with `⋃_{t ≤ T} S_t = V`.
+/// 1. immediately after `spawn_typed`, [`StateView::active`] describes
+///    the initial configuration (typically `{start}`);
+/// 2. each call to [`TypedState::step_probed`] advances the process one
+///    round;
+/// 3. after each round, [`StateView::active`] gives the vertices that
+///    are *active* in that round: a set-valued process's [`Frontier`],
+///    or one entry per pebble (duplicates allowed — e.g. Walt reports
+///    one entry per pebble). The driver unions these over time to
+///    compute coverage, matching the paper's definition of the cover
+///    time as the first `T` with `⋃_{t ≤ T} S_t = V`.
 pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Process {
     /// The concrete per-run state.
     type State: TypedState<G> + 'static;
@@ -68,27 +64,65 @@ pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Process {
     /// the shape the bit-sliced lane kernel ([`crate::lanes`]) implements.
     /// Cobra walks report their branching factor; the non-lazy simple
     /// walk is the `k = 1` case. Everything else (laziness coins,
-    /// per-contact transmission coins, pebble counts) returns `None` and
+    /// scheduled branching, faults, pebble counts) returns `None` and
     /// stays on the per-trial engines.
     fn lane_branching(&self) -> Option<u32> {
         None
     }
 }
 
-/// Blanket impl so `&T` specifications keep the typed route too.
-impl<G: ImplicitGraph + ?Sized, T: TypedProcess<G>> TypedProcess<G> for &T {
-    type State = T::State;
+/// What a state reports as active after its last round (or its initial
+/// configuration before any round).
+#[derive(Clone, Copy, Debug)]
+pub enum Active<'a> {
+    /// The active set of a set-valued process (the cobra walks), as its
+    /// hybrid [`Frontier`]. Drivers union it into coverage word-parallel
+    /// once dense and test membership in O(1).
+    Set(&'a Frontier),
+    /// One vertex per pebble or walker, duplicates allowed (Walt reports
+    /// every pebble; push gossip reports the vertices it just informed).
+    Pebbles(&'a [Vertex]),
+}
 
-    fn spawn_typed(&self, g: &G, start: Vertex) -> Self::State {
-        (**self).spawn_typed(g, start)
+impl Active<'_> {
+    /// Number of entries: the members of a set, the pebbles of a slice.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            Active::Set(f) => f.len(),
+            Active::Pebbles(p) => p.len(),
+        }
     }
 
-    fn respawn_typed(&self, g: &G, start: Vertex, state: &mut Self::State) {
-        (**self).respawn_typed(g, start, state)
+    /// Whether nothing is active (a process that died out).
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn lane_branching(&self) -> Option<u32> {
-        TypedProcess::<G>::lane_branching(&**self)
+    /// Whether `v` is active: a bit test on a set, a scan of the pebbles.
+    #[inline]
+    pub fn contains(&self, v: Vertex) -> bool {
+        match self {
+            Active::Set(f) => f.contains(v),
+            Active::Pebbles(p) => p.contains(&v),
+        }
+    }
+
+    /// Visit every entry: in [`Frontier::for_each`] order for a set, in
+    /// slice order for pebbles.
+    pub fn for_each(&self, mut f: impl FnMut(Vertex)) {
+        match self {
+            Active::Set(s) => s.for_each(f),
+            Active::Pebbles(p) => p.iter().for_each(|&v| f(v)),
+        }
+    }
+
+    /// The entries in [`Active::for_each`] order.
+    pub fn to_vec(&self) -> Vec<Vertex> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each(|v| out.push(v));
+        out
     }
 }
 
@@ -96,78 +130,61 @@ impl<G: ImplicitGraph + ?Sized, T: TypedProcess<G>> TypedProcess<G> for &T {
 ///
 /// Split out of [`TypedState`] so that states implementing
 /// `TypedState<G>` for *every* implicit graph `G` still expose
-/// unambiguous introspection: `st.occupied()` needs no graph type to
+/// unambiguous introspection: `st.active()` needs no graph type to
 /// resolve, while the stepping methods (which mention `G` in their
 /// signatures) live on [`TypedState`] and infer `G` from the graph
 /// argument at the call site.
 pub trait StateView {
-    /// Vertices occupied after the last step (or the initial configuration
-    /// before any step). May contain duplicates.
-    fn occupied(&self) -> &[Vertex];
+    /// The active set after the last round, or the initial
+    /// configuration before any round.
+    fn active(&self) -> Active<'_>;
 
     /// Number of tokens the process currently maintains; used by
     /// experiments that track active-set growth (e.g. the exponential
-    /// growth phase on expanders). Defaults to `occupied().len()`.
+    /// growth phase on expanders). Defaults to `active().len()`.
     fn support_size(&self) -> usize {
-        self.occupied().len()
-    }
-
-    /// The hybrid sparse/dense frontier describing the occupied set, when
-    /// the process maintains one (set-valued processes: cobra, SIS).
-    /// Drivers use it for word-parallel coverage union and O(1)/O(log s)
-    /// hit tests; `None` falls back to the [`StateView::occupied`] slice.
-    fn frontier(&self) -> Option<&crate::frontier::Frontier> {
-        None
+        self.active().len()
     }
 }
 
 /// The mutable state of one run of a process, generic over the graph
 /// representation.
 ///
-/// [`TypedState::step`] is generic over the RNG, so a driver holding a
-/// concrete `StdRng` monomorphizes the whole step (no virtual call per
-/// random draw), and over the graph `G`, so the same kernel body serves
-/// both the materialized CSR [`Graph`] and the arithmetic
-/// [`ImplicitGraph`] families. See [`TypedProcess`] for the driver
-/// contract.
+/// A state implements one round, [`TypedState::step_probed`]; the other
+/// two methods forward to it. Every method is generic over the RNG, so a
+/// driver holding a concrete `StdRng` monomorphizes the whole round (no
+/// virtual call per random draw), and over the graph `G`, so the same
+/// kernel body serves both the materialized CSR [`Graph`] and the
+/// arithmetic [`ImplicitGraph`] families. See [`TypedProcess`] for the
+/// driver contract.
 pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
-    /// Advance one round, keeping [`StateView::occupied`] current.
-    fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R);
-
-    /// Advance one round on the fast path, drawing neighbors through
-    /// `draw` (the engine passes [`ImplicitDraw`]). Must consume the same
-    /// RNG stream and produce the same occupied *set* as
-    /// [`TypedState::step`]; every [`NeighborDraw`] makes
-    /// [`ImplicitDraw`]'s draws, so the default simply ignores `draw`.
-    /// Kernels whose inner loop is dominated by neighbor draws override
-    /// this to bind each active vertex once through `draw`, and may skip
-    /// materializing the [`StateView::occupied`] slice (leaving it stale)
-    /// when the state exposes a [`StateView::frontier`] — the drivers
-    /// read the frontier and [`StateView::support_size`] instead.
-    fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
-        let _ = draw;
-        self.step(g, rng)
-    }
-
-    /// Advance one round on the fast path with an observability probe
-    /// attached. Must consume the same RNG stream and reach the same
-    /// state as [`TypedState::step_sampled`] — the probe observes, it
-    /// never participates. The default ignores the probe entirely (so
-    /// every existing state is probe-transparent); kernels that can
+    /// Advance one round, drawing neighbors through `draw` (the engine
+    /// passes [`ImplicitDraw`]; every [`NeighborDraw`] makes its draws)
+    /// and reporting the round's work to `probe`. Kernels that can
     /// account for their own work (draw counts, coalesces, faults)
-    /// override this to report through `probe`. With
-    /// [`cobra_obs::NoopProbe`] every override must compile down to the
-    /// unprobed kernel — `tests/probe_neutrality.rs` pins the routes
-    /// bit-for-bit.
+    /// report it through `probe`; the rest ignore it. The probe
+    /// observes and never participates, so every probe leaves the same
+    /// RNG stream and the same state, and with [`cobra_obs::NoopProbe`]
+    /// the accounting compiles away — `tests/probe_neutrality.rs` pins
+    /// the routes bit-for-bit.
     fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
         g: &G,
         draw: &D,
         rng: &mut R,
         probe: &mut Pb,
-    ) {
-        let _ = probe;
-        self.step_sampled(g, draw, rng)
+    );
+
+    /// Advance one round with [`ImplicitDraw`] and no probe.
+    #[inline]
+    fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
+        self.step_probed(g, &ImplicitDraw, rng, &mut cobra_obs::NoopProbe)
+    }
+
+    /// Advance one round through `draw` with no probe.
+    #[inline]
+    fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
+        self.step_probed(g, draw, rng, &mut cobra_obs::NoopProbe)
     }
 }
 
@@ -183,8 +200,8 @@ pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
 /// Kernels call [`NeighborDraw::bind`] once per active vertex and draw
 /// repeatedly through the returned [`BoundDraw`], so the per-vertex
 /// decode is hoisted out of the draw loop — including loops whose draws
-/// interleave with other randomness (SIS's per-contact transmission
-/// coins).
+/// interleave with other randomness (the faulty cobra walk's per-pebble
+/// loss and delay coins, see [`crate::fault`]).
 pub trait NeighborDraw<G: ?Sized = Graph> {
     /// The per-vertex resolved drawer.
     type Bound<'a>: BoundDraw

@@ -11,7 +11,7 @@
 
 use crate::frontier::Frontier;
 use crate::process::{
-    bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+    bernoulli, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
@@ -152,7 +152,6 @@ impl TypedProcess for ScheduledCobraWalk {
             round: 0,
             cur,
             next: Frontier::new(g.num_vertices()),
-            occ: vec![start],
         }
     }
 
@@ -165,78 +164,57 @@ impl TypedProcess for ScheduledCobraWalk {
         assert!((start as usize) < n, "start vertex in range");
         state.schedule = self.schedule;
         state.round = 0;
-        crate::frontier::reinit_frontier_run(
-            &mut state.cur,
-            &mut state.next,
-            &mut state.occ,
-            start,
-        );
+        crate::frontier::reinit_frontier_run(&mut state.cur, &mut state.next, start);
     }
 }
 
 /// Mutable state of a scheduled cobra walk, stepped through the hybrid
 /// [`Frontier`] exactly like [`crate::cobra::CobraState`] — so a
-/// `Fixed(k)` schedule reproduces the plain `k`-cobra walk draw-for-draw.
+/// `Fixed(k)` schedule reproduces the plain `k`-cobra walk draw-for-draw,
+/// and reports the same draw accounting.
 pub struct ScheduledState {
     schedule: BranchingSchedule,
     round: usize,
     cur: Frontier,
     next: Frontier,
-    occ: Vec<Vertex>,
 }
 
-impl ScheduledState {
-    #[inline]
-    fn advance<const MAINTAIN_OCC: bool, D: NeighborDraw, R: Rng + ?Sized>(
+impl TypedState for ScheduledState {
+    /// One round: each active vertex draws its scheduled number of
+    /// uniform neighbors into the next frontier. Reports the round's
+    /// draws (the sum of the senders' branching factors) and merges
+    /// (draws that opened no new slot in the next frontier).
+    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
         g: &Graph,
         draw: &D,
         rng: &mut R,
+        probe: &mut Pb,
     ) {
         let ScheduledState {
             schedule,
             round,
             cur,
             next,
-            occ,
         } = self;
+        let mut draws = 0u64;
         next.clear();
         cur.for_each(|v| {
             debug_assert!(g.degree(v) > 0, "cobra walk requires min degree >= 1");
             let k = schedule.branches(*round, g, v, rng);
+            draws += u64::from(k);
             draw.draw_many(g, v, k, rng, |u| next.insert_quiet(u));
         });
         next.finalize_len();
-        if MAINTAIN_OCC {
-            occ.clear();
-            next.for_each(|v| occ.push(v));
-        }
-        self.round += 1;
-        std::mem::swap(&mut self.cur, &mut self.next);
-    }
-}
-
-impl TypedState for ScheduledState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
-        self.advance::<true, _, R>(g, &ImplicitDraw, rng);
-    }
-
-    fn step_sampled<D: NeighborDraw, R: Rng + ?Sized>(&mut self, g: &Graph, draw: &D, rng: &mut R) {
-        self.advance::<false, D, R>(g, draw, rng);
+        *round += 1;
+        std::mem::swap(cur, next);
+        probe.on_draws(draws, draws - cur.len() as u64);
     }
 }
 
 impl StateView for ScheduledState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.occ
-    }
-
-    fn support_size(&self) -> usize {
-        self.cur.len()
-    }
-
-    fn frontier(&self) -> Option<&Frontier> {
-        Some(&self.cur)
+    fn active(&self) -> Active<'_> {
+        Active::Set(&self.cur)
     }
 }
 
@@ -260,7 +238,7 @@ mod tests {
         for _ in 0..30 {
             a.step(&g, &mut ra);
             b.step(&g, &mut rb);
-            assert_eq!(a.occupied(), b.occupied());
+            assert_eq!(a.active().to_vec(), b.active().to_vec());
         }
     }
 
@@ -317,7 +295,7 @@ mod tests {
         let mut prev = 1usize;
         for t in 0..30 {
             st.step(&g, &mut rng);
-            let cur = st.occupied().len();
+            let cur = st.active().len();
             let cap = if t % 2 == 0 { 3 * prev } else { prev };
             assert!(cur <= cap, "round {t}: {cur} > {cap}");
             assert!(cur >= 1);

@@ -82,11 +82,11 @@ mod tests {
         assert!(scratch.state.is_none());
         {
             let st = scratch.prepare(&g, &spec, 5);
-            assert_eq!(st.occupied(), &[5]);
+            assert_eq!(st.active().to_vec(), [5]);
         }
         assert!(scratch.state.is_some());
         let st = scratch.prepare(&g, &spec, 9);
-        assert_eq!(st.occupied(), &[9], "respawn must relocate the start");
+        assert_eq!(st.active().to_vec(), [9], "respawn must relocate the start");
     }
 
     #[test]
@@ -98,7 +98,7 @@ mod tests {
         scratch.prepare(&small, &spec, 0);
         assert_eq!(scratch.covered.capacity(), 16);
         let st = scratch.prepare(&big, &spec, 3);
-        assert_eq!(st.occupied(), &[3]);
+        assert_eq!(st.active().to_vec(), [3]);
         assert_eq!(scratch.covered.capacity(), 64);
     }
 

@@ -5,7 +5,7 @@
 //! speedup measures against this process.
 
 use crate::process::{
-    bernoulli, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+    bernoulli, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
@@ -78,34 +78,24 @@ pub struct SimpleState {
     pos: [Vertex; 1],
 }
 
-impl SimpleState {
-    #[inline]
-    fn advance<G: ?Sized, D: NeighborDraw<G>, R: Rng + ?Sized>(
+impl StateView for SimpleState {
+    fn active(&self) -> Active<'_> {
+        Active::Pebbles(&self.pos)
+    }
+}
+
+impl<G: ImplicitGraph + ?Sized> TypedState<G> for SimpleState {
+    fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
         g: &G,
         draw: &D,
         rng: &mut R,
+        _probe: &mut Pb,
     ) {
         if self.laziness > 0.0 && bernoulli(self.laziness, rng) {
             return;
         }
         self.pos[0] = draw.draw_one(g, self.pos[0], rng);
-    }
-}
-
-impl StateView for SimpleState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.pos
-    }
-}
-
-impl<G: ImplicitGraph + ?Sized> TypedState<G> for SimpleState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &G, rng: &mut R) {
-        self.advance(g, &ImplicitDraw, rng);
-    }
-
-    fn step_sampled<D: NeighborDraw<G>, R: Rng + ?Sized>(&mut self, g: &G, draw: &D, rng: &mut R) {
-        self.advance(g, draw, rng);
     }
 }
 
@@ -138,7 +128,7 @@ mod tests {
         let mut prev = 3;
         for _ in 0..100 {
             st.step(&g, &mut rng);
-            let cur = st.occupied()[0];
+            let cur = st.active().to_vec()[0];
             assert!(g.has_edge(prev, cur), "{prev} -> {cur} not an edge");
             prev = cur;
         }
@@ -155,7 +145,7 @@ mod tests {
         let steps = 400;
         for _ in 0..steps {
             st.step(&g, &mut rng);
-            let cur = st.occupied()[0];
+            let cur = st.active().to_vec()[0];
             if cur == prev {
                 holds += 1;
             }
@@ -174,7 +164,7 @@ mod tests {
         let mut prev = 0;
         for _ in 0..100 {
             st.step(&g, &mut rng);
-            let cur = st.occupied()[0];
+            let cur = st.active().to_vec()[0];
             assert_ne!(cur, prev);
             prev = cur;
         }

@@ -18,7 +18,7 @@ use rand::Rng;
 /// Per-round record of a process run.
 #[derive(Clone, Debug, Default)]
 pub struct Trajectory {
-    /// `active[t]` = number of occupied entries reported after round `t+1`.
+    /// `active[t]` = the state's support size after round `t+1`.
     pub active: Vec<usize>,
     /// `covered[t]` = cumulative distinct vertices covered after round `t+1`.
     pub covered: Vec<usize>,

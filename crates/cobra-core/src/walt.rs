@@ -14,7 +14,9 @@
 //! 1/2 all pebbles hold. Both the laziness and the three-pebble threshold
 //! are configurable here so experiment E13 can ablate them.
 
-use crate::process::{coin, sample_index, Process, StateView, TypedProcess, TypedState};
+use crate::process::{
+    coin, Active, BoundDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -171,7 +173,13 @@ impl WaltState {
 }
 
 impl TypedState for WaltState {
-    fn step<R: Rng + ?Sized>(&mut self, g: &Graph, rng: &mut R) {
+    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
+        &mut self,
+        g: &Graph,
+        draw: &D,
+        rng: &mut R,
+        _probe: &mut Pb,
+    ) {
         if self.lazy && coin(rng) {
             return; // all pebbles hold this round
         }
@@ -205,18 +213,17 @@ impl TypedState for WaltState {
             if size == 0 {
                 continue;
             }
-            let ns = g.neighbors(v as Vertex);
-            debug_assert!(!ns.is_empty(), "Walt requires min degree >= 1");
+            let bound = draw.bind(g, v as Vertex);
             if size < self.threshold {
                 // Rule 1: each pebble walks independently.
                 for &id in &self.grouped[lo..hi] {
-                    self.positions[id as usize] = ns[sample_index(ns.len(), rng)];
+                    self.positions[id as usize] = bound.draw(rng);
                 }
             } else {
                 // Rule 2: two lowest-order pebbles lead; the rest follow a
                 // fair coin between the leaders' destinations.
-                let u = ns[sample_index(ns.len(), rng)];
-                let w = ns[sample_index(ns.len(), rng)];
+                let u = bound.draw(rng);
+                let w = bound.draw(rng);
                 self.positions[self.grouped[lo] as usize] = u;
                 self.positions[self.grouped[lo + 1] as usize] = w;
                 for &id in &self.grouped[lo + 2..hi] {
@@ -228,8 +235,8 @@ impl TypedState for WaltState {
 }
 
 impl StateView for WaltState {
-    fn occupied(&self) -> &[Vertex] {
-        &self.positions
+    fn active(&self) -> Active<'_> {
+        Active::Pebbles(&self.positions)
     }
 
     fn support_size(&self) -> usize {
@@ -281,7 +288,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
             st.step(&g, &mut rng);
-            assert_eq!(st.occupied().len(), expected);
+            assert_eq!(st.active().len(), expected);
         }
     }
 
@@ -291,17 +298,17 @@ mod tests {
         let spec = WaltProcess::with_count(5).lazy(false);
         let mut st = spec.spawn_typed(&g, 4);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut prev = st.occupied().to_vec();
+        let mut prev = st.active().to_vec();
         for _ in 0..100 {
             st.step(&g, &mut rng);
-            for (i, &cur) in st.occupied().iter().enumerate() {
+            for (i, cur) in st.active().to_vec().into_iter().enumerate() {
                 assert!(
                     g.has_edge(prev[i], cur),
                     "pebble {i} jumped {} -> {cur}",
                     prev[i]
                 );
             }
-            prev = st.occupied().to_vec();
+            prev = st.active().to_vec();
         }
     }
 
@@ -313,16 +320,16 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut holds = 0;
         let steps = 600;
-        let mut prev = st.occupied().to_vec();
+        let mut prev = st.active().to_vec();
         for _ in 0..steps {
             st.step(&g, &mut rng);
             // On an odd cycle with 3 pebbles, a non-lazy round moves every
             // pebble to an adjacent vertex, so "all identical to previous"
             // only happens on holds.
-            if st.occupied() == prev.as_slice() {
+            if st.active().to_vec() == prev {
                 holds += 1;
             }
-            prev = st.occupied().to_vec();
+            prev = st.active().to_vec();
         }
         let frac = holds as f64 / steps as f64;
         assert!((frac - 0.5).abs() < 0.1, "hold fraction {frac}");
@@ -338,7 +345,7 @@ mod tests {
         let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(5);
         st.step(&g, &mut rng);
-        let mut dests: Vec<Vertex> = st.occupied().to_vec();
+        let mut dests: Vec<Vertex> = st.active().to_vec();
         dests.sort_unstable();
         dests.dedup();
         assert!(
@@ -358,7 +365,7 @@ mod tests {
         let mut st = spec.spawn_typed(&g, 0);
         let mut rng = StdRng::seed_from_u64(6);
         st.step(&g, &mut rng);
-        let mut dests: Vec<Vertex> = st.occupied().to_vec();
+        let mut dests: Vec<Vertex> = st.active().to_vec();
         dests.sort_unstable();
         dests.dedup();
         assert!(dests.len() <= 2);
@@ -369,7 +376,7 @@ mod tests {
         let g = classic::path(5).unwrap();
         let spec = WaltProcess::with_count(3).lazy(false);
         let st = spec.spawn_at_positions(&g, vec![0, 2, 4]);
-        assert_eq!(st.occupied(), &[0, 2, 4]);
+        assert_eq!(st.active().to_vec(), [0, 2, 4]);
         assert_eq!(st.support_size(), 3);
     }
 
@@ -385,7 +392,7 @@ mod tests {
         let g = classic::path(5).unwrap();
         let spec = WaltProcess::with_count(4).lazy(false);
         let st = spec.spawn_at_positions(&g, vec![1, 1, 2, 2]);
-        assert_eq!(st.occupied().len(), 4);
+        assert_eq!(st.active().len(), 4);
         assert_eq!(st.support_size(), 2);
     }
 
@@ -400,7 +407,7 @@ mod tests {
         for _ in 0..50 {
             let mut st = spec.spawn_typed(&g, 0);
             st.step(&g, &mut rng);
-            let occ = st.occupied();
+            let occ = st.active().to_vec();
             if occ[0] != occ[1] {
                 diverged = true;
                 break;

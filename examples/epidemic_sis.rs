@@ -51,14 +51,14 @@ fn main() {
         while exposed_count < g.num_vertices() && day < max_days {
             state.step(&g, &mut rng);
             day += 1;
-            for &v in state.occupied() {
+            state.active().for_each(|v| {
                 if !exposed[v as usize] {
                     exposed[v as usize] = true;
                     exposed_count += 1;
                 }
-            }
+            });
             if day.is_power_of_two() {
-                prevalence_samples.push((day, state.occupied().len(), exposed_count));
+                prevalence_samples.push((day, state.active().len(), exposed_count));
             }
         }
         println!("k = {contacts_per_day} infectious contact(s) per day:");

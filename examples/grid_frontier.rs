@@ -33,7 +33,8 @@ fn main() {
     while covered_count < n && round < 100_000 {
         state.step(&g, &mut rng);
         round += 1;
-        for &v in state.occupied() {
+        let active = state.active().to_vec();
+        for &v in &active {
             if !covered[v as usize] {
                 covered[v as usize] = true;
                 covered_count += 1;
@@ -42,9 +43,9 @@ fn main() {
         if frames.contains(&round) {
             println!(
                 "--- round {round}: {covered_count}/{n} covered, {} active ---",
-                state.occupied().len()
+                active.len()
             );
-            render(&shape, extent, &covered, state.occupied());
+            render(&shape, extent, &covered, &active);
         }
     }
     println!(

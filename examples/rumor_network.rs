@@ -50,16 +50,16 @@ fn run_protocol<P: TypedProcess>(
         messages += if push_semantics {
             state.support_size() as u64
         } else {
-            2 * state.occupied().len() as u64 // cobra: k = 2 copies per holder
+            2 * state.active().len() as u64 // cobra: k = 2 copies per holder
         };
         state.step(g, rng);
         rounds += 1;
-        for &v in state.occupied() {
+        state.active().for_each(|v| {
             if !covered[v as usize] {
                 covered[v as usize] = true;
                 covered_count += 1;
             }
-        }
+        });
         assert!(rounds < 100_000_000, "protocol failed to disseminate");
     }
     (rounds, messages)

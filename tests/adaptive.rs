@@ -16,7 +16,9 @@ use cobra_repro::sim::runner::{
 };
 use cobra_repro::sim::seeds::SeedSequence;
 use cobra_repro::sim::sweep::{SweepCell, SweepTable};
-use cobra_repro::walks::{CobraWalk, CoverDriver, SimpleWalk, SisProcess, TypedProcess};
+use cobra_repro::walks::{
+    CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, SimpleWalk, TypedProcess,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,7 +74,8 @@ fn adaptive_engine_is_worker_and_batch_independent() {
     )
     .unwrap();
     let cobra = CobraWalk::standard();
-    let sis = SisProcess::new(2, 0.7);
+    // Draws extra randomness (a private fault stream) and can die out.
+    let lossy = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(0.3));
     let rule = StopRule::new(12, 300, 0.05);
     // A cap below the lane width keeps the cobra cover cell on scratch.
     let cover_rule = StopRule::new(12, 63, 0.05);
@@ -89,7 +92,11 @@ fn adaptive_engine_is_worker_and_batch_independent() {
                     &cobra,
                     &AdaptivePlan::new(cover_rule, batch, 1_000_000, 0xC0B7A),
                 ),
-                cover(&g, &sis, &AdaptivePlan::new(rule, batch, 1_000_000, 0x5E5)),
+                cover(
+                    &g,
+                    &lossy,
+                    &AdaptivePlan::new(rule, batch, 1_000_000, 0x5E5),
+                ),
                 hitting(
                     &g,
                     &cobra,
@@ -107,7 +114,7 @@ fn adaptive_engine_is_worker_and_batch_independent() {
             let other = run(workers, batch);
             let label = format!("workers={workers} batch={batch}");
             assert_adaptive_identical(&base.0, &other.0, &format!("cobra cover, {label}"));
-            assert_adaptive_identical(&base.1, &other.1, &format!("sis cover, {label}"));
+            assert_adaptive_identical(&base.1, &other.1, &format!("lossy cover, {label}"));
             assert_adaptive_identical(&base.2, &other.2, &format!("cobra hitting, {label}"));
         }
     }

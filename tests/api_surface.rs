@@ -15,7 +15,7 @@ use cobra_repro::spectral::tensor::TensorChain;
 use cobra_repro::walks::{
     BiasedWalk, BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk,
     HittingDriver, MetropolisWalk, ParallelWalks, PushGossip, ScheduledCobraWalk, SimpleWalk,
-    SisProcess, StateView, TypedProcess, TypedState, WaltProcess,
+    StateView, TypedProcess, TypedState, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,7 +57,7 @@ fn run_ten_rounds<P: TypedProcess>(p: &P, g: &Graph, rng: &mut StdRng) {
     for _ in 0..10 {
         st.step(g, rng);
     }
-    assert!(!st.occupied().is_empty(), "{} lost its tokens", p.name());
+    assert!(!st.active().is_empty(), "{} lost its tokens", p.name());
 }
 
 #[test]
@@ -70,7 +70,6 @@ fn every_process_type_is_constructible_and_runnable() {
     run_ten_rounds(&ParallelWalks::new(4), &g, &mut rng);
     run_ten_rounds(&WaltProcess::standard(0.25), &g, &mut rng);
     run_ten_rounds(&PushGossip, &g, &mut rng);
-    run_ten_rounds(&SisProcess::new(2, 1.0), &g, &mut rng);
     let fixed = ScheduledCobraWalk::new(BranchingSchedule::Fixed(2));
     run_ten_rounds(&fixed, &g, &mut rng);
     run_ten_rounds(&FaultyCobraWalk::new(2, FaultPlan::none()), &g, &mut rng);

@@ -104,7 +104,7 @@ fn empirical_distribution_matches_exact_evolution() {
         for _ in 0..t {
             st.step(&g, &mut rng);
         }
-        counts[st.occupied()[0] as usize] += 1;
+        st.active().for_each(|v| counts[v as usize] += 1);
     }
     let empirical: Vec<f64> = counts.iter().map(|&c| c as f64 / trials as f64).collect();
     let tv = tv_distance(&empirical, &exact_dist);

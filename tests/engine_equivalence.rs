@@ -13,7 +13,7 @@
 //! fast.
 //!
 //! Matrix: every process family of the paper (cobra k ∈ {1,2,3}, simple
-//! walk, Walt, SIS, push gossip) × four graph shapes (grid, cycle, star,
+//! walk, Walt, push gossip) × four graph shapes (grid, cycle, star,
 //! Chung-Lu power-law) × three derived seeds, for both cover and hitting
 //! measurements, with a [`Trajectory`] probe attached so the per-round
 //! support sizes are compared too.
@@ -26,7 +26,7 @@ use cobra_repro::graph::{
 use cobra_repro::sim::SeedSequence;
 use cobra_repro::walks::{
     CobraWalk, CoverDriver, CoverResult, HittingDriver, HittingResult, ImplicitDraw, NeighborDraw,
-    PushGossip, SimpleWalk, SisProcess, Trajectory, TrialScratch, TypedProcess, WaltProcess,
+    PushGossip, SimpleWalk, Trajectory, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -240,41 +240,6 @@ fn walt_matches() {
             0x9dd65168b359dcf5,
             0x97500b181f1aa723,
             0xc9c2445bceff1b8b,
-        ],
-    );
-}
-
-#[test]
-fn sis_matches() {
-    // Exactly-cobra (p = 1), supercritical, and critical-ish.
-    assert_engine_equivalence(
-        30,
-        &SisProcess::new(2, 1.0),
-        [
-            0x7529229c3292c396,
-            0xcec05a85c016652b,
-            0x6e05c528e9bb54e3,
-            0x2457ab1c6aa850b1,
-        ],
-    );
-    assert_engine_equivalence(
-        31,
-        &SisProcess::new(2, 0.8),
-        [
-            0x6e0dc6277eeeb783,
-            0xa89054b399d9f1c2,
-            0x2afd80d74fda0668,
-            0x731c1c8a118449fd,
-        ],
-    );
-    assert_engine_equivalence(
-        32,
-        &SisProcess::new(3, 0.4),
-        [
-            0xfc9a2ca35260a68d,
-            0xb8146fb6caa8be0a,
-            0xc90750356c1d9eb1,
-            0xe9188d87834b8ebc,
         ],
     );
 }

@@ -103,7 +103,7 @@ fn giant_implicit_cover_run_stays_under_the_memory_budget() {
     assert_eq!(covered.count(), n, "coverage structure must agree");
 
     // The hard bar: everything the run touched — coverage (~16 MB at
-    // Q27), two frontiers (~50 MB), occupied list, RNG — in under
+    // Q27), two frontiers (~50 MB), RNG — in under
     // 256 MB total allocation volume. CSR adjacency alone would be
     // ~56× that budget.
     const BUDGET: usize = 256 << 20;

@@ -27,7 +27,8 @@ use cobra_repro::sim::runner::{
 };
 use cobra_repro::sim::TrialOutcome;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, ImplicitDraw, TrialScratch,
+    BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, ImplicitDraw,
+    ScheduledCobraWalk, TrialScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,9 +167,9 @@ fn noop_probe_is_bit_identical_on_all_four_routes_and_worker_counts() {
 
 #[test]
 fn noop_probe_is_bit_identical_through_the_fault_seam() {
-    // The faulty kernel has its own probed body (`advance_probed`); the
-    // NoopProbe route must not perturb either the plan-none fast path or
-    // a plan exercising every fault dimension.
+    // The faulty kernel's round reports its own faults; the NoopProbe
+    // route must not perturb either the plan-none fast path or a plan
+    // exercising every fault dimension.
     let g = grid::grid(&[7, 7]);
     // Recorded typed-route digests for each plan.
     let plans = [
@@ -338,5 +339,31 @@ fn trace_probe_round_draws_equal_k_times_frontier() {
             }
         }
         assert!(rounds_seen > 0, "trace recorded no rounds");
+    }
+}
+
+#[test]
+fn fixed_schedule_counts_like_the_cobra_walk() {
+    // A `Fixed(k)` schedule is the k-cobra walk draw for draw, so its
+    // kernel must report the same draws and merges, trial by trial.
+    let graphs: Vec<(&str, Graph)> = vec![
+        ("grid 8x8", grid::grid(&[7, 7])),
+        ("cycle 33", classic::cycle(33).unwrap()),
+        ("star 48", classic::star(48).unwrap()),
+    ];
+    for (name, g) in &graphs {
+        for k in [1u32, 2, 3] {
+            let plan = TrialPlan::new(24, MAX_STEPS, 0x5C4E + u64::from(k));
+            let scheduled = ScheduledCobraWalk::new(BranchingSchedule::Fixed(k));
+            let (a, pa) = run_cover_trials_typed_probed(g, &CobraWalk::new(k), 0, &plan, counting);
+            let (b, pb) = run_cover_trials_typed_probed(g, &scheduled, 0, &plan, counting);
+            let label = format!("{name}, k={k}");
+            assert_outcomes_identical(&a, &b, &label);
+            let trials = |ps: &[CountingProbe]| -> Vec<_> {
+                ps.iter().flat_map(|p| p.trials().to_vec()).collect()
+            };
+            assert_eq!(trials(&pa), trials(&pb), "{label}: per-trial counters");
+            assert!(pb.iter().all(|p| p.totals().draws > 0), "{label}: no draws");
+        }
     }
 }

@@ -114,14 +114,14 @@ proptest! {
         let g = gnp::gnp_connected(30, 0.2, 100, &mut rng).unwrap();
         let spec = CobraWalk::new(k);
         let mut st = spec.spawn_typed(&g, 0);
-        let mut prev = st.occupied().len();
+        let mut prev = st.active().len();
         for _ in 0..40 {
             st.step(&g, &mut rng);
-            let cur = st.occupied().len();
+            let cur = st.active().len();
             prop_assert!(cur >= 1);
             prop_assert!(cur <= (k as usize) * prev);
             let mut seen = std::collections::HashSet::new();
-            for &v in st.occupied() {
+            for v in st.active().to_vec() {
                 prop_assert!((v as usize) < g.num_vertices());
                 prop_assert!(seen.insert(v), "duplicate in active set");
             }
@@ -137,8 +137,8 @@ proptest! {
         let mut st = spec.spawn_typed(&g, 3);
         for _ in 0..60 {
             st.step(&g, &mut rng);
-            prop_assert_eq!(st.occupied().len(), 9);
-            for &v in st.occupied() {
+            prop_assert_eq!(st.active().len(), 9);
+            for v in st.active().to_vec() {
                 prop_assert!((v as usize) < g.num_vertices());
             }
         }

@@ -23,8 +23,8 @@ use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::Graph;
 use cobra_repro::obs::NoopProbe;
 use cobra_repro::walks::{
-    run_lane_cover, CobraWalk, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch, SimpleWalk,
-    SisProcess, TrialScratch, TypedProcess, WaltProcess,
+    run_lane_cover, BranchingSchedule, CobraWalk, CoverDriver, HittingDriver, ImplicitDraw,
+    LaneScratch, ScheduledCobraWalk, SimpleWalk, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -190,7 +190,13 @@ fn steady_state_trials_do_not_allocate() {
         audit!("cobra(k=2)", CobraWalk::standard());
         audit!("cobra(k=3)", CobraWalk::new(3));
         audit!("simple-rw", SimpleWalk::new());
-        audit!("sis(2,0.8)", SisProcess::new(2, 0.8));
+        audit!(
+            "cobra[bern(1+0.5)]",
+            ScheduledCobraWalk::new(BranchingSchedule::Bernoulli {
+                base: 1,
+                extra_prob: 0.5
+            })
+        );
         audit!("walt(p=6)", WaltProcess::with_count(6).lazy(false));
 
         macro_rules! audit_probed {
