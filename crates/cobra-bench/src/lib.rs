@@ -50,5 +50,5 @@ pub use checkpoint::{checkpoint_path_for, CellCheckpoint, CellStatus, Checkpoint
 pub use cli::ExpConfig;
 pub use families::Family;
 pub use json::Json;
-pub use orchestrator::{CellOutcome, ExperimentSpec, Interrupted, Orchestrator, SweepError};
+pub use orchestrator::{CellOutcome, ExperimentSpec, Interrupted, Orchestrator};
 pub use stages::{stage_seed, stage_sequence, StageBlock};

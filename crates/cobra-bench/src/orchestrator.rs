@@ -217,22 +217,6 @@ impl Interrupted {
     }
 }
 
-/// Why a robust sweep could not produce a table.
-#[derive(Debug)]
-pub enum SweepError {
-    /// A cell completed zero trials (step-budget starvation) — the same
-    /// condition the non-robust sweeps report.
-    Empty(EmptySummary),
-    /// The run was halted at a checkpoint boundary.
-    Interrupted(Interrupted),
-}
-
-impl From<Interrupted> for SweepError {
-    fn from(i: Interrupted) -> Self {
-        SweepError::Interrupted(i)
-    }
-}
-
 enum HaltReason {
     /// `--halt-after-checkpoints` budget reached.
     External,
@@ -294,6 +278,18 @@ pub struct Orchestrator {
 fn fatal(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
+}
+
+/// A finished cell's outcome; a quarantined cell or a halt exits the
+/// process (codes 1 and 3).
+fn done_or_exit(sweep: &str, scale: f64, run: Result<CellOutcome, Interrupted>) -> AdaptiveOutcome {
+    match run {
+        Ok(CellOutcome::Done(out)) => out,
+        Ok(CellOutcome::Failed(e)) => {
+            fatal(&format!("cell \"{sweep}@{scale}\" failed permanently: {e}"))
+        }
+        Err(i) => i.exit(),
+    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -417,11 +413,12 @@ impl Orchestrator {
     }
 
     /// Run a whole cover sweep adaptively (each cell under its own step
-    /// budget; per-cell seeds derive from `master_seed` via [`cell_seed`])
-    /// and record every cell in the manifest.
-    /// Quarantined cells are recorded `failed` and lose their table row;
-    /// a halt exits with code 3 (use [`Orchestrator::try_cover_sweep`] to
-    /// handle it yourself).
+    /// budget) and record every cell in the manifest. Cell `i` is seeded
+    /// with `cell_seed(master_seed, i)` ([`cell_seed`]), so its stream is
+    /// a plain [`run_cover_trials_adaptive_auto_resumable`] run's and
+    /// pre-existing manifests keep their numbers. Quarantined cells stay
+    /// in the manifest as `failed` but produce no table row; a halt exits
+    /// with code 3.
     pub fn cover_sweep(
         &mut self,
         label: impl Into<String>,
@@ -430,50 +427,27 @@ impl Orchestrator {
         process: &(impl TypedProcess + Sync),
         master_seed: u64,
     ) -> Result<SweepTable, EmptySummary> {
-        match self.try_cover_sweep(label, scale_name, cells, process, master_seed) {
-            Ok(t) => Ok(t),
-            Err(SweepError::Empty(e)) => Err(e),
-            Err(SweepError::Interrupted(i)) => i.exit(),
-        }
-    }
-
-    /// Fault-aware cover sweep: one robust cell run per [`SweepCell`],
-    /// seeded with `cell_seed(master_seed, index)` — identical streams
-    /// to a plain [`run_cover_trials_adaptive_auto_resumable`] run of
-    /// each cell, so pre-existing manifests keep their numbers.
-    /// Quarantined cells stay in the manifest as `failed` but produce no
-    /// table row.
-    pub fn try_cover_sweep(
-        &mut self,
-        label: impl Into<String>,
-        scale_name: impl Into<String>,
-        cells: impl IntoIterator<Item = SweepCell>,
-        process: &(impl TypedProcess + Sync),
-        master_seed: u64,
-    ) -> Result<SweepTable, SweepError> {
         let label = label.into();
         let mut table = SweepTable::new(label.clone(), scale_name);
         for (cell_idx, cell) in cells.into_iter().enumerate() {
             let seed = cell_seed(master_seed, cell_idx);
-            match self.try_cover_cell(
-                &label,
-                cell.scale,
-                &cell.graph,
-                process,
-                cell.start,
-                cell.max_steps,
-                seed,
-            )? {
-                CellOutcome::Done(out) => {
-                    table.push(
-                        SweepRow::try_from_summary(cell.scale, &out.summary, out.censored)
-                            .map_err(SweepError::Empty)?,
-                    );
-                }
-                CellOutcome::Failed(_) => {
-                    // The quarantine is already in the manifest; the
-                    // table simply lacks this scale point.
-                }
+            let outcome = self
+                .try_cover_cell(
+                    &label,
+                    cell.scale,
+                    &cell.graph,
+                    process,
+                    cell.start,
+                    cell.max_steps,
+                    seed,
+                )
+                .unwrap_or_else(|i| i.exit());
+            if let CellOutcome::Done(out) = outcome {
+                table.push(SweepRow::try_from_summary(
+                    cell.scale,
+                    &out.summary,
+                    out.censored,
+                )?);
             }
         }
         Ok(table)
@@ -495,13 +469,8 @@ impl Orchestrator {
         max_steps: usize,
         master_seed: u64,
     ) -> AdaptiveOutcome {
-        match self.try_cover_cell(sweep, scale, g, process, start, max_steps, master_seed) {
-            Ok(CellOutcome::Done(out)) => out,
-            Ok(CellOutcome::Failed(e)) => {
-                fatal(&format!("cell \"{sweep}@{scale}\" failed permanently: {e}"))
-            }
-            Err(i) => i.exit(),
-        }
+        let run = self.try_cover_cell(sweep, scale, g, process, start, max_steps, master_seed);
+        done_or_exit(sweep, scale, run)
     }
 
     /// Fault-aware cover cell: checkpointed at batch boundaries,
@@ -524,8 +493,9 @@ impl Orchestrator {
         })
     }
 
-    /// Measure one hitting cell adaptively and record it. Same exit
-    /// behavior as [`Orchestrator::cover_cell`].
+    /// Measure one hitting cell adaptively and record it, with the
+    /// robustness of [`Orchestrator::try_cover_cell`] and the exit
+    /// behavior of [`Orchestrator::cover_cell`].
     #[allow(clippy::too_many_arguments)] // mirrors the runners' cell shape
     pub fn hitting_cell(
         &mut self,
@@ -538,41 +508,11 @@ impl Orchestrator {
         max_steps: usize,
         master_seed: u64,
     ) -> AdaptiveOutcome {
-        match self.try_hitting_cell(
-            sweep,
-            scale,
-            g,
-            process,
-            start,
-            target,
-            max_steps,
-            master_seed,
-        ) {
-            Ok(CellOutcome::Done(out)) => out,
-            Ok(CellOutcome::Failed(e)) => {
-                fatal(&format!("cell \"{sweep}@{scale}\" failed permanently: {e}"))
-            }
-            Err(i) => i.exit(),
-        }
-    }
-
-    /// Fault-aware hitting cell; see [`Orchestrator::try_cover_cell`].
-    #[allow(clippy::too_many_arguments)] // mirrors the runners' cell shape
-    pub fn try_hitting_cell(
-        &mut self,
-        sweep: &str,
-        scale: f64,
-        g: &Graph,
-        process: &(impl TypedProcess + Sync),
-        start: Vertex,
-        target: Vertex,
-        max_steps: usize,
-        master_seed: u64,
-    ) -> Result<CellOutcome, Interrupted> {
         let plan = self.spec.plan(max_steps, master_seed);
-        self.run_cell_robust(sweep, scale, &|prior, on_batch| {
+        let run = self.run_cell_robust(sweep, scale, &|prior, on_batch| {
             run_hitting_trials_adaptive_resumable(g, process, start, target, &plan, prior, on_batch)
-        })
+        });
+        done_or_exit(sweep, scale, run)
     }
 
     /// The robust per-cell core: resume, checkpoint, watchdog, retry,
@@ -1139,7 +1079,7 @@ mod tests {
         let cells = [8usize, 12, 16]
             .map(|n| SweepCell::new(n as f64, classic::cycle(n).unwrap(), 0u32, 50_000));
         let t = orch
-            .try_cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3)
+            .cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3)
             .unwrap();
         // The poisoned middle cell lost its row; the others survived.
         assert_eq!(t.scales(), vec![8.0, 16.0]);

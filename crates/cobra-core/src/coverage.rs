@@ -125,6 +125,18 @@ impl SuccinctCoverage {
             self.covered = 0;
         }
     }
+
+    /// Cover every vertex but `v`, in one pass: what is left to cover is
+    /// `{v}`, so a cover run from here completes when it hits `v`.
+    pub fn cover_all_but(&mut self, v: Vertex) {
+        let i = v as usize;
+        assert!(i < self.n, "vertex {v} out of range");
+        self.words.fill(!0);
+        // The bits past `n` in the last word stay clear.
+        *self.words.last_mut().expect("n > 0") = !0u64 >> (self.n.wrapping_neg() % 64);
+        self.words[i >> 6] &= !(1u64 << (i & 63));
+        self.covered = self.n - 1;
+    }
 }
 
 #[cfg(test)]
@@ -184,6 +196,24 @@ mod tests {
         assert!(f.is_dense());
         assert_eq!(c.union_from_frontier(&f), 198);
         assert!(c.is_complete());
+    }
+
+    #[test]
+    fn cover_all_but_leaves_exactly_the_target() {
+        for (n, v) in [(1usize, 0u32), (64, 63), (65, 64), (200, 0), (200, 130)] {
+            let mut c = SuccinctCoverage::new(n);
+            c.mark(0);
+            c.cover_all_but(v);
+            assert_eq!(c.count(), n - 1, "n = {n}");
+            assert!(!c.is_complete());
+            for u in 0..n as Vertex {
+                assert_eq!(c.contains(u), u != v, "n = {n}, vertex {u}");
+            }
+            assert!(c.mark(v));
+            assert!(c.is_complete());
+            c.reset();
+            assert_eq!(c.count(), 0);
+        }
     }
 
     #[test]

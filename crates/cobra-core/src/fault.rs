@@ -50,9 +50,11 @@
 //!    `max_in_flight`, the pebble is dropped — bounded-buffer loss, the
 //!    same back-pressure a real gossip transport exhibits.
 //!
-//! A trial whose frontier and in-flight queue both empty out is *dead*;
-//! the measurement drivers observe an empty frontier forever after and
-//! censor the trial at its step budget.
+//! A trial whose frontier and in-flight queue both empty out is *dead*:
+//! no later round can deliver a pebble. [`FaultyCobraState`] reports it
+//! through [`StateView::is_extinct`], and the driver stops the trial in
+//! the round it dies and reports it censored, with `steps` the rounds it
+//! ran, instead of stepping an empty frontier to its budget.
 
 use crate::cobra::{CobraState, CobraWalk};
 use crate::process::{
@@ -397,6 +399,10 @@ impl StateView for FaultyCobraState {
     fn active(&self) -> Active<'_> {
         self.walk.active()
     }
+
+    fn is_extinct(&self) -> bool {
+        self.is_dead()
+    }
 }
 
 impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
@@ -606,10 +612,44 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         TypedState::step(&mut st, &g, &mut rng);
         assert!(st.is_dead());
+        assert!(st.is_extinct());
         assert_eq!(StateView::support_size(&st), 0);
-        // Dead processes keep stepping without panicking (drivers censor).
+        // A dead process may still be stepped without panicking.
         TypedState::step(&mut st, &g, &mut rng);
         assert!(st.is_dead());
+    }
+
+    #[test]
+    fn a_dead_trial_is_censored_in_the_round_it_dies() {
+        use crate::measure::CoverDriver;
+        use crate::scratch::TrialScratch;
+        use cobra_obs::CountingProbe;
+        // Every pebble is lost in round 1, so the walk is dead after one
+        // round; the driver must not step it to the 100,000-round budget.
+        let g = classic::cycle(12).unwrap();
+        let spec = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(1.0));
+        let mut probe = CountingProbe::new();
+        probe.on_trial_begin(0);
+        let res = CoverDriver::new(&g)
+            .run_typed_in_probed(
+                &spec,
+                &crate::ImplicitDraw,
+                &mut TrialScratch::new(&g),
+                0,
+                None,
+                100_000,
+                &mut StdRng::seed_from_u64(3),
+                &mut probe,
+            )
+            .unwrap();
+        assert!(!res.completed);
+        assert_eq!((res.steps, res.covered), (1, 1));
+        let t = probe.trials()[0];
+        assert_eq!((t.rounds, t.steps, t.completed), (1, 1, false));
+        // The hitting entry stops the same way.
+        let hit =
+            CoverDriver::new(&g).hit_typed(&spec, 0, 6, 100_000, &mut StdRng::seed_from_u64(3));
+        assert_eq!((hit.steps, hit.hit), (1, false));
     }
 
     #[test]

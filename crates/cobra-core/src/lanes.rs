@@ -280,7 +280,7 @@ fn rank_parity_mask(m: u64) -> u64 {
 }
 
 /// Run up to 64 cover trials of the `k`-out-choice frontier process (the
-/// `k`-cobra walk; `k = 1` is the non-lazy simple walk) simultaneously,
+/// `k`-cobra walk; `k = 1` is the simple walk) simultaneously,
 /// all starting at `start`, for the lanes set in `lane_mask`.
 ///
 /// Neighbors are drawn through `draw` (the runner passes

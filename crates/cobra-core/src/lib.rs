@@ -12,8 +12,8 @@
 //!   threshold, whose cover time stochastically dominates the cobra walk's
 //!   (Lemma 10) and is analyzable through the directed tensor chain
 //!   D(G×G) (Lemma 11).
-//! * [`SimpleWalk`] / lazy variant — classic baseline (Feige's
-//!   Θ(log n)…O(n³) cover-time range, §1.2).
+//! * [`SimpleWalk`] — classic baseline (Feige's Θ(log n)…O(n³)
+//!   cover-time range, §1.2).
 //! * [`ParallelWalks`] — `k` independent walks (Alon et al., §1.2).
 //! * [`PushGossip`] — push rumor spreading (Feige et al.), the
 //!   O(n log n) process cobra walks are conjectured to match.
@@ -24,12 +24,14 @@
 //! * [`queueing`] — the multi-dimensional drift chain from the proof of
 //!   Theorem 3 (§3), a.k.a. the paper's "discrete time queueing system".
 //!
-//! Every process implements [`TypedProcess`]; measurement drivers
-//! ([`CoverDriver`], [`HittingDriver`], h_max estimation and the
-//! Matthews-bound check of Theorem 1) live in [`measure`] and run any of
-//! them with no virtual dispatch. Every per-trial cover run — the
-//! driver, the giant [`run_cover_succinct`] and [`record_trajectory`] —
-//! goes through one loop over one [`SuccinctCoverage`] bitmap; the
+//! Every process implements [`TypedProcess`]; measurement (the
+//! [`CoverDriver`], h_max estimation and the Matthews-bound check of
+//! Theorem 1) lives in [`measure`] and runs any of them with no virtual
+//! dispatch. Every per-trial run — cover and hitting runs of the driver
+//! (a hitting time of `v` is the cover time of `{v}`), the giant
+//! [`run_cover_succinct`] and [`record_trajectory`] — goes through one
+//! loop over one [`SuccinctCoverage`] bitmap. That loop also stops a
+//! trial whose process has died out ([`StateView::is_extinct`]). The
 //! bit-sliced 64-lane engine in [`lanes`] is the one separate engine.
 //!
 //! ## Example: cover a hypercube with a 2-cobra walk
@@ -74,7 +76,7 @@ pub use fault::{DeletionWave, FaultPlan, FaultyCobraState, FaultyCobraWalk, Vert
 pub use frontier::Frontier;
 pub use gossip::PushGossip;
 pub use lanes::{run_lane_cover, run_lane_cover_probed, LaneOutcome, LaneScratch, LANE_WIDTH};
-pub use measure::{run_cover_succinct, CoverDriver, CoverResult, HittingDriver, HittingResult};
+pub use measure::{run_cover_succinct, CoverDriver, CoverResult, HittingResult};
 pub use parallel_walks::ParallelWalks;
 pub use process::{
     Active, BoundDraw, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,

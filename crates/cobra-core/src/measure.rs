@@ -4,14 +4,15 @@
 //! * **Cover time**: the first `T` such that every vertex belonged to some
 //!   active set `S_t`, `t ≤ T`;
 //! * **Hitting time `H(u, v)`**: the first time any pebble of a walk
-//!   started at `u` reaches `v`;
+//!   started at `u` reaches `v` — the cover time of the set `{v}`, which
+//!   is how [`CoverDriver`] measures it;
 //! * **`h_max`**: `max_{u,v} H(u, v)`, estimated by sampling pairs;
 //! * **Theorem 1** (Matthews extension, proved in the prior cobra paper):
 //!   cover time `= O(h_max · log n)` — checked empirically by
 //!   [`matthews_ratio`].
 
 use crate::coverage::SuccinctCoverage;
-use crate::process::{ImplicitDraw, NeighborDraw, StateView, TypedProcess, TypedState};
+use crate::process::{ImplicitDraw, NeighborDraw, TypedProcess, TypedState};
 use crate::scratch::TrialScratch;
 use cobra_graph::{Graph, ImplicitGraph, Vertex};
 use cobra_obs::{NoopProbe, Probe};
@@ -20,7 +21,8 @@ use rand::Rng;
 /// Outcome of a cover-time run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoverResult {
-    /// Rounds taken to cover the graph (valid when `completed`).
+    /// Rounds taken to cover the graph when `completed`; otherwise the
+    /// rounds run before the budget ran out or the process died out.
     pub steps: usize,
     /// Number of distinct vertices covered when the run ended.
     pub covered: usize,
@@ -28,13 +30,26 @@ pub struct CoverResult {
     pub completed: bool,
 }
 
-/// Drives a process on a graph until coverage or a step budget.
+/// Outcome of a hitting-time run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HittingResult {
+    /// Rounds until the target was first occupied when `hit`; otherwise
+    /// the rounds run before the budget ran out or the process died out.
+    pub steps: usize,
+    /// Whether the target was reached within the budget.
+    pub hit: bool,
+}
+
+/// Drives a process on a graph until it covers the graph (or hits a
+/// target vertex) or a step budget runs out.
 ///
 /// Generic over the graph representation: `G = Graph` (the CSR default)
 /// and every [`ImplicitGraph`] family run the same monomorphized kernels,
-/// the latter without materializing adjacency. All three entry points
-/// share one body, [`CoverDriver::run_typed_in_probed`], whose loop is
-/// also the one [`run_cover_succinct`] and
+/// the latter without materializing adjacency. Cover and hitting runs
+/// share one body, [`CoverDriver::run_typed_in_probed`]: a hitting time
+/// `H(u, v)` is the cover time of the set `{v}` (paper §2), so a hitting
+/// run is a cover run whose coverage starts with every other vertex
+/// already covered. Its loop is also the one [`run_cover_succinct`] and
 /// [`crate::trajectory::record_trajectory`] run.
 pub struct CoverDriver<'g, G: ?Sized = Graph> {
     g: &'g G,
@@ -88,28 +103,98 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
             draw,
             scratch,
             start,
+            None,
             max_steps,
             rng,
             &mut NoopProbe,
         )
     }
 
-    /// [`CoverDriver::run_typed_in`] with an observability [`Probe`]
-    /// attached: the driver reports rounds, frontier occupancy, and
-    /// coverage deltas; the process kernel reports its own draw
-    /// accounting through [`TypedState::step_probed`]. The probe never
-    /// touches the RNG, so results are bit-identical to the unprobed
-    /// driver on the same seed; with [`NoopProbe`] every hook is dead
-    /// code. Allocation-free once warm for probes that don't allocate.
-    /// A [`crate::trajectory::Trajectory`] probe records the per-round
+    /// Run `process` from `start` until some pebble occupies `target` or
+    /// `max_steps` rounds elapse. A run started *at* the target hits at
+    /// step 0.
+    ///
+    /// This is [`CoverDriver::hit_typed_in`] on a fresh [`TrialScratch`]
+    /// with [`ImplicitDraw`] neighbor draws.
+    pub fn hit_typed<P: TypedProcess<G>, R: Rng + ?Sized>(
+        &self,
+        process: &P,
+        start: Vertex,
+        target: Vertex,
+        max_steps: usize,
+        rng: &mut R,
+    ) -> HittingResult {
+        let mut scratch = TrialScratch::new(self.g);
+        self.hit_typed_in(
+            process,
+            &ImplicitDraw,
+            &mut scratch,
+            start,
+            target,
+            max_steps,
+            rng,
+        )
+    }
+
+    /// Scratch-borrowing variant of [`CoverDriver::hit_typed`], exactly
+    /// as [`CoverDriver::run_typed_in`] is to [`CoverDriver::run_typed`]:
+    /// bit-for-bit identical to it on the same seed.
+    #[allow(clippy::too_many_arguments)] // mirrors hit_typed + (draw, scratch)
+    pub fn hit_typed_in<P: TypedProcess<G>, D: NeighborDraw<G>, R: Rng + ?Sized>(
+        &self,
+        process: &P,
+        draw: &D,
+        scratch: &mut TrialScratch<P::State>,
+        start: Vertex,
+        target: Vertex,
+        max_steps: usize,
+        rng: &mut R,
+    ) -> HittingResult {
+        let res = self
+            .run_typed_in_probed(
+                process,
+                draw,
+                scratch,
+                start,
+                Some(target),
+                max_steps,
+                rng,
+                &mut NoopProbe,
+            )
+            .expect("a target vertex implies a non-empty graph");
+        HittingResult {
+            steps: res.steps,
+            hit: res.completed,
+        }
+    }
+
+    /// The one trial body, with an observability [`Probe`] attached.
+    /// With `target = None` it measures the cover time; with
+    /// `Some(v)` it covers only `{v}`, so `completed` means "hit" and
+    /// `steps` is the hitting time. Returns `None` only if the graph has
+    /// no vertices.
+    ///
+    /// The driver reports rounds, frontier occupancy, and coverage
+    /// deltas (on a hitting run, 1 when the target is hit); the process
+    /// kernel reports its own draw accounting through
+    /// [`TypedState::step_probed`]. The probe never touches the RNG, so
+    /// results are bit-identical to the unprobed entry points on the
+    /// same seed; with [`NoopProbe`] every hook is dead code.
+    /// Allocation-free once warm for probes that don't allocate. A
+    /// [`crate::trajectory::Trajectory`] probe records the per-round
     /// active-set sizes and coverage curve.
-    #[allow(clippy::too_many_arguments)] // mirrors run_typed_in + probe
+    ///
+    /// A trial whose process dies out
+    /// ([`crate::StateView::is_extinct`]) stops in that round and is
+    /// reported censored, with `steps` the rounds it ran.
+    #[allow(clippy::too_many_arguments)] // mirrors run_typed_in + target + probe
     pub fn run_typed_in_probed<P, D, R, Pb>(
         &self,
         process: &P,
         draw: &D,
         scratch: &mut TrialScratch<P::State>,
         start: Vertex,
+        target: Option<Vertex>,
         max_steps: usize,
         rng: &mut R,
         probe: &mut Pb,
@@ -123,7 +208,7 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
         if self.g.num_vertices() == 0 {
             return None;
         }
-        scratch.prepare(self.g, process, start);
+        scratch.prepare(self.g, process, start, target);
         let TrialScratch { state, covered } = scratch;
         let state = state.as_mut().expect("prepare populated the state");
         Some(cover_loop(
@@ -132,10 +217,11 @@ impl<'g, G: ImplicitGraph + ?Sized> CoverDriver<'g, G> {
     }
 }
 
-/// The per-trial cover loop: mark the initial configuration, then step
-/// `state` and union each round's active set into `covered` until every
-/// vertex is covered or `max_steps` rounds elapse. `covered` must be
-/// empty and sized for `g`.
+/// The per-trial loop: mark the initial configuration, then step `state`
+/// and union each round's active set into `covered` until every vertex
+/// is covered, `max_steps` rounds elapse, or the state dies out.
+/// `covered` must be sized for `g`; the vertices it already holds are
+/// the ones the run need not reach.
 fn cover_loop<G, S, D, R, Pb>(
     g: &G,
     state: &mut S,
@@ -155,7 +241,7 @@ where
     let newly = covered.union_active(state.active());
     probe.on_coverage(newly as u64, covered.count() as u64);
     let mut steps = 0;
-    while !covered.is_complete() && steps < max_steps {
+    while !covered.is_complete() && steps < max_steps && !state.is_extinct() {
         steps += 1;
         state.step_probed(g, draw, rng, probe);
         let newly = covered.union_active(state.active());
@@ -170,101 +256,6 @@ where
         steps,
         covered: covered.count(),
         completed,
-    }
-}
-
-/// Outcome of a hitting-time run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HittingResult {
-    /// Rounds until the target was first occupied (valid when `hit`).
-    pub steps: usize,
-    /// Whether the target was reached within the budget.
-    pub hit: bool,
-}
-
-/// Drives a process until a target vertex is occupied.
-///
-/// Generic over the graph representation exactly like [`CoverDriver`].
-pub struct HittingDriver<'g, G: ?Sized = Graph> {
-    g: &'g G,
-}
-
-impl<'g, G: ImplicitGraph + ?Sized> HittingDriver<'g, G> {
-    /// Driver for graph `g`.
-    pub fn new(g: &'g G) -> Self {
-        HittingDriver { g }
-    }
-
-    /// Run `process` from `start` until some pebble occupies `target` or
-    /// `max_steps` rounds elapse. A run started *at* the target hits at
-    /// step 0. When the process's active set is a
-    /// [`crate::frontier::Frontier`], the per-round hit test is an O(1)
-    /// membership query instead of a linear scan of the pebbles.
-    ///
-    /// This is [`HittingDriver::run_typed_in`] on a fresh
-    /// [`TrialScratch`] with [`ImplicitDraw`] neighbor draws.
-    pub fn run_typed<P: TypedProcess<G>, R: Rng + ?Sized>(
-        &self,
-        process: &P,
-        start: Vertex,
-        target: Vertex,
-        max_steps: usize,
-        rng: &mut R,
-    ) -> HittingResult {
-        let mut scratch = TrialScratch::new(self.g);
-        self.run_typed_in(
-            process,
-            &ImplicitDraw,
-            &mut scratch,
-            start,
-            target,
-            max_steps,
-            rng,
-        )
-    }
-
-    /// Scratch-borrowing variant of [`HittingDriver::run_typed`] for the
-    /// batched trial engine: reuses the process state in `scratch` and
-    /// draws neighbors through `draw`. Bit-for-bit identical to
-    /// [`HittingDriver::run_typed`] on the same seed (the scratch's
-    /// coverage bitmap is untouched — hitting runs only need the state).
-    #[allow(clippy::too_many_arguments)] // mirrors run_typed + (draw, scratch)
-    pub fn run_typed_in<P: TypedProcess<G>, D: NeighborDraw<G>, R: Rng + ?Sized>(
-        &self,
-        process: &P,
-        draw: &D,
-        scratch: &mut TrialScratch<P::State>,
-        start: Vertex,
-        target: Vertex,
-        max_steps: usize,
-        rng: &mut R,
-    ) -> HittingResult {
-        let state = match scratch.state {
-            Some(ref mut state) => {
-                process.respawn_typed(self.g, start, state);
-                state
-            }
-            None => scratch.state.insert(process.spawn_typed(self.g, start)),
-        };
-        if state.active().contains(target) {
-            return HittingResult {
-                steps: 0,
-                hit: true,
-            };
-        }
-        for t in 1..=max_steps {
-            state.step_sampled(self.g, draw, rng);
-            if state.active().contains(target) {
-                return HittingResult {
-                    steps: t,
-                    hit: true,
-                };
-            }
-        }
-        HittingResult {
-            steps: max_steps,
-            hit: false,
-        }
     }
 }
 
@@ -318,9 +309,10 @@ where
 /// the largest mean observed. For small graphs, pass `pairs >= n²` to make
 /// the pair sample exhaustive-ish.
 ///
-/// Runs that exhaust `max_steps` count as `max_steps` (an underestimate —
-/// acceptable because the Matthews experiment only needs the right order
-/// of magnitude and reports censoring separately).
+/// Runs that miss the target (the budget ran out, or the process died
+/// out) count as `max_steps` (an underestimate — acceptable because the
+/// Matthews experiment only needs the right order of magnitude and
+/// reports censoring separately). All trials share one [`TrialScratch`].
 pub fn estimate_hmax<P: TypedProcess, R: Rng + ?Sized>(
     g: &Graph,
     process: &P,
@@ -332,7 +324,8 @@ pub fn estimate_hmax<P: TypedProcess, R: Rng + ?Sized>(
     use crate::process::sample_index;
     let n = g.num_vertices();
     assert!(n >= 2, "hitting times need at least two vertices");
-    let driver = HittingDriver::new(g);
+    let driver = CoverDriver::new(g);
+    let mut scratch = TrialScratch::new(g);
     let mut worst = 0.0f64;
     for _ in 0..pairs {
         let u = sample_index(n, rng) as Vertex;
@@ -342,7 +335,9 @@ pub fn estimate_hmax<P: TypedProcess, R: Rng + ?Sized>(
         }
         let mut total = 0usize;
         for _ in 0..trials {
-            total += driver.run_typed(process, u, v, max_steps, rng).steps;
+            let res =
+                driver.hit_typed_in(process, &ImplicitDraw, &mut scratch, u, v, max_steps, rng);
+            total += if res.hit { res.steps } else { max_steps };
         }
         let mean = total as f64 / trials as f64;
         worst = worst.max(mean);
@@ -424,6 +419,7 @@ mod tests {
                 &ImplicitDraw,
                 &mut TrialScratch::new(&g),
                 0,
+                None,
                 10_000,
                 &mut rng,
                 &mut tr,
@@ -439,7 +435,7 @@ mod tests {
     fn hitting_at_start_is_zero() {
         let g = classic::cycle(5).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let res = HittingDriver::new(&g).run_typed(&SimpleWalk::new(), 3, 3, 100, &mut rng);
+        let res = CoverDriver::new(&g).hit_typed(&SimpleWalk::new(), 3, 3, 100, &mut rng);
         assert!(res.hit);
         assert_eq!(res.steps, 0);
     }
@@ -448,7 +444,7 @@ mod tests {
     fn hitting_adjacent_takes_at_least_one_step() {
         let g = classic::complete(4).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let res = HittingDriver::new(&g).run_typed(&CobraWalk::standard(), 0, 1, 1000, &mut rng);
+        let res = CoverDriver::new(&g).hit_typed(&CobraWalk::standard(), 0, 1, 1000, &mut rng);
         assert!(res.hit);
         assert!(res.steps >= 1);
     }
@@ -457,7 +453,7 @@ mod tests {
     fn hitting_budget_exhaustion() {
         let g = classic::path(100).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
-        let res = HittingDriver::new(&g).run_typed(&SimpleWalk::new(), 0, 99, 5, &mut rng);
+        let res = CoverDriver::new(&g).hit_typed(&SimpleWalk::new(), 0, 99, 5, &mut rng);
         assert!(!res.hit);
         assert_eq!(res.steps, 5);
     }

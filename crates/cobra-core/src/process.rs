@@ -40,7 +40,10 @@ pub trait Process: Sync {
 ///    or one entry per pebble (duplicates allowed — e.g. Walt reports
 ///    one entry per pebble). The driver unions these over time to
 ///    compute coverage, matching the paper's definition of the cover
-///    time as the first `T` with `⋃_{t ≤ T} S_t = V`.
+///    time as the first `T` with `⋃_{t ≤ T} S_t = V`; a hitting time of
+///    `v` is the first `t` with `v ∈ S_t`;
+/// 4. once [`StateView::is_extinct`] holds, the driver steps the state
+///    no more.
 pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Process {
     /// The concrete per-run state.
     type State: TypedState<G> + 'static;
@@ -62,10 +65,9 @@ pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Process {
     /// `Some(k)` when one round of this process from frontier `S` is
     /// exactly the union of `k` iid uniform out-draws per vertex of `S` —
     /// the shape the bit-sliced lane kernel ([`crate::lanes`]) implements.
-    /// Cobra walks report their branching factor; the non-lazy simple
-    /// walk is the `k = 1` case. Everything else (laziness coins,
-    /// scheduled branching, faults, pebble counts) returns `None` and
-    /// stays on the per-trial engines.
+    /// Cobra walks report their branching factor; the simple walk is the
+    /// `k = 1` case. Everything else (scheduled branching, faults, pebble
+    /// counts) returns `None` and stays on the per-trial engines.
     fn lane_branching(&self) -> Option<u32> {
         None
     }
@@ -94,7 +96,8 @@ impl Active<'_> {
         }
     }
 
-    /// Whether nothing is active (a process that died out).
+    /// Whether nothing is active. That alone is no sign of extinction:
+    /// see [`StateView::is_extinct`].
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -144,6 +147,14 @@ pub trait StateView {
     /// growth phase on expanders). Defaults to `active().len()`.
     fn support_size(&self) -> usize {
         self.active().len()
+    }
+
+    /// Whether the process has died out: no later round can make any
+    /// vertex active. The driver stops such a trial in the round it
+    /// dies and reports it censored, instead of stepping it to its
+    /// budget. Defaults to `false`, for processes that never die out.
+    fn is_extinct(&self) -> bool {
+        false
     }
 }
 

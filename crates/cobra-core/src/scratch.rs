@@ -5,14 +5,15 @@
 //! frontiers, a coverage bitmap, and the process state — was the dominant
 //! waste once the step kernel itself got fast. A [`TrialScratch`] owns
 //! all of that mutable state for one worker; the scratch-borrowing
-//! drivers ([`crate::CoverDriver::run_typed_in`] /
-//! [`crate::HittingDriver::run_typed_in`]) reinitialize it per trial:
+//! driver entries ([`crate::CoverDriver::run_typed_in`] and its hitting
+//! twin [`crate::CoverDriver::hit_typed_in`]) reinitialize it per trial:
 //!
 //! * the typed process state is rebuilt in place by
 //!   [`TypedProcess::respawn_typed`] (frontier clears are O(members), see
 //!   `Frontier::clear`);
-//! * the coverage bitmap's [`SuccinctCoverage::reset`] is one zeroing
-//!   pass, no more than a completed cover already paid to fill it.
+//! * the coverage bitmap is one pass: [`SuccinctCoverage::reset`] for a
+//!   cover run, no more than a completed cover already paid to fill it,
+//!   or [`SuccinctCoverage::cover_all_but`] the target for a hitting run.
 //!
 //! After the first trial warms the buffers up, the steady-state trial
 //! path performs **zero heap allocations** (pinned by
@@ -47,17 +48,26 @@ impl<S> TrialScratch<S> {
     }
 
     /// Reinitialize for a trial of `process` from `start` on `g`: respawn
-    /// (or lazily spawn) the state and reset the coverage bitmap. Returns
-    /// the ready state; allocation-free once warm.
-    pub(crate) fn prepare<'a, G, P>(&'a mut self, g: &G, process: &P, start: Vertex) -> &'a mut S
+    /// (or lazily spawn) the state and reset the coverage bitmap to empty
+    /// (`target = None`, a cover run) or to every vertex but `target` (a
+    /// hitting run). Returns the ready state; allocation-free once warm.
+    pub(crate) fn prepare<'a, G, P>(
+        &'a mut self,
+        g: &G,
+        process: &P,
+        start: Vertex,
+        target: Option<Vertex>,
+    ) -> &'a mut S
     where
         G: ImplicitGraph + ?Sized,
         P: TypedProcess<G, State = S>,
     {
         if self.covered.capacity() != g.num_vertices() {
             self.covered = SuccinctCoverage::new(g.num_vertices());
-        } else {
-            self.covered.reset();
+        }
+        match target {
+            None => self.covered.reset(),
+            Some(v) => self.covered.cover_all_but(v),
         }
         match self.state {
             Some(ref mut state) => process.respawn_typed(g, start, state),
@@ -81,11 +91,11 @@ mod tests {
         let mut scratch = TrialScratch::new(&g);
         assert!(scratch.state.is_none());
         {
-            let st = scratch.prepare(&g, &spec, 5);
+            let st = scratch.prepare(&g, &spec, 5, None);
             assert_eq!(st.active().to_vec(), [5]);
         }
         assert!(scratch.state.is_some());
-        let st = scratch.prepare(&g, &spec, 9);
+        let st = scratch.prepare(&g, &spec, 9, None);
         assert_eq!(st.active().to_vec(), [9], "respawn must relocate the start");
     }
 
@@ -95,9 +105,9 @@ mod tests {
         let big = classic::cycle(64).unwrap();
         let spec = CobraWalk::standard();
         let mut scratch = TrialScratch::new(&small);
-        scratch.prepare(&small, &spec, 0);
+        scratch.prepare(&small, &spec, 0, None);
         assert_eq!(scratch.covered.capacity(), 16);
-        let st = scratch.prepare(&big, &spec, 3);
+        let st = scratch.prepare(&big, &spec, 3, None);
         assert_eq!(st.active().to_vec(), [3]);
         assert_eq!(scratch.covered.capacity(), 64);
     }
@@ -107,10 +117,17 @@ mod tests {
         let g = classic::complete(10).unwrap();
         let spec = CobraWalk::standard();
         let mut scratch = TrialScratch::new(&g);
-        scratch.prepare(&g, &spec, 0);
+        scratch.prepare(&g, &spec, 0, None);
         scratch.covered.mark_slice(&[0, 1, 2]);
         assert_eq!(scratch.covered.count(), 3);
-        scratch.prepare(&g, &spec, 0);
+        scratch.prepare(&g, &spec, 0, Some(4));
+        assert_eq!(
+            scratch.covered.count(),
+            9,
+            "a hitting run covers all but its target"
+        );
+        assert!(!scratch.covered.contains(4));
+        scratch.prepare(&g, &spec, 0, None);
         assert_eq!(scratch.covered.count(), 0, "prepare must reset coverage");
     }
 }

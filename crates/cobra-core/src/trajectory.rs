@@ -109,6 +109,7 @@ pub fn record_trajectory<P: TypedProcess, R: Rng + ?Sized>(
             &ImplicitDraw,
             &mut TrialScratch::new(g),
             start,
+            None,
             max_steps,
             rng,
             &mut tr,

@@ -19,6 +19,7 @@ use crate::process::{
 };
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
+use std::cell::Cell;
 
 /// How many pebbles a [`WaltProcess`] starts with.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -156,6 +157,9 @@ pub struct WaltState {
     counts: Vec<u32>,
     grouped: Vec<u32>,
     cursors: Vec<u32>,
+    // One mark per vertex for `support_size`, which counts distinct
+    // positions through `&self`; every mark is clear between calls.
+    seen: Vec<Cell<bool>>,
 }
 
 impl WaltState {
@@ -168,6 +172,7 @@ impl WaltState {
             counts: vec![0; n + 1],
             grouped: vec![0; p],
             cursors: Vec::with_capacity(n),
+            seen: vec![Cell::new(false); n],
         }
     }
 }
@@ -239,12 +244,18 @@ impl StateView for WaltState {
         Active::Pebbles(&self.positions)
     }
 
+    /// Number of distinct occupied vertices: two passes over the pebbles
+    /// and no allocation.
     fn support_size(&self) -> usize {
-        // Number of distinct occupied vertices.
-        let mut sorted: Vec<Vertex> = self.positions.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
+        let distinct = self
+            .positions
+            .iter()
+            .filter(|&&v| !self.seen[v as usize].replace(true))
+            .count();
+        for &v in &self.positions {
+            self.seen[v as usize].set(false);
+        }
+        distinct
     }
 }
 

@@ -1,8 +1,8 @@
 //! Implicit (arithmetic) graph families — adjacency computed, never stored.
 //!
-//! The paper's structured families (§3 grids, hypercubes, trees; §4's
-//! regular examples) all have closed-form adjacency: the `i`-th neighbor of
-//! vertex `v` is an arithmetic function of `(v, i)`. Materializing them as
+//! The paper's structured families (§3 grids and hypercubes, the complete
+//! graph) have closed-form adjacency: the `i`-th neighbor of vertex `v` is
+//! an arithmetic function of `(v, i)`. Materializing them as
 //! CSR costs `Θ(Σ deg)` memory — 14.5 GB for the 27-dimensional Boolean
 //! hypercube — while the walk kernels only ever ask two questions per
 //! draw: `degree(v)` and `neighbor(v, i)`. [`ImplicitGraph`] answers both
@@ -21,7 +21,6 @@
 use crate::csr::{Graph, Vertex};
 use crate::error::{GraphError, Result};
 use crate::generators::grid::GridShape;
-use crate::generators::trees::kary_tree_size;
 
 /// One vertex's neighborhood, decoded once by [`ImplicitGraph::adjacency`].
 pub trait Neighborhood {
@@ -304,104 +303,6 @@ impl ImplicitGraph for ImplicitGrid {
     }
 }
 
-/// Dimension cap for [`ImplicitTorus`], sized so neighbor candidates fit a
-/// stack array (`2 × 16` ids). Tori beyond 16 dimensions are outside every
-/// experiment in the reproduction.
-pub const MAX_TORUS_DIMS: usize = 16;
-
-/// The wrap-around grid (torus) with `extents[i] + 1` points per dimension,
-/// `2d`-regular; the paper's convenient `d`-regular family for Theorem 8.
-///
-/// Wrap-around breaks the stride monotonicity that lets the plain grid
-/// enumerate in order directly, so each adjacency materializes the `2d`
-/// candidate ids into a stack array and sorts it — `d ≤ 16` keeps that
-/// array at 32 words.
-#[derive(Clone, Debug)]
-pub struct ImplicitTorus {
-    shape: GridShape,
-}
-
-impl ImplicitTorus {
-    /// The torus over `[0, extents[i]]` per dimension. Requires at least
-    /// 3 points per dimension (as [`crate::generators::grid::try_torus`]:
-    /// wrap edges would duplicate grid edges otherwise, and with ≥ 3 the
-    /// degree is exactly `2d`) and at most [`MAX_TORUS_DIMS`] dimensions.
-    pub fn new(extents: &[usize]) -> Result<Self> {
-        let shape = GridShape::new(extents)?;
-        if shape.dims() > MAX_TORUS_DIMS {
-            return Err(GraphError::InvalidParameter {
-                reason: format!(
-                    "implicit torus supports at most {MAX_TORUS_DIMS} dimensions, got {}",
-                    shape.dims()
-                ),
-            });
-        }
-        for i in 0..shape.dims() {
-            if shape.points_in_dim(i) < 3 {
-                return Err(GraphError::InvalidParameter {
-                    reason: format!(
-                        "torus dimension {i} has {} points; need >= 3",
-                        shape.points_in_dim(i)
-                    ),
-                });
-            }
-        }
-        Ok(ImplicitTorus { shape })
-    }
-
-    /// The coordinate addressing of this torus.
-    pub fn shape(&self) -> &GridShape {
-        &self.shape
-    }
-}
-
-/// An [`ImplicitTorus`] vertex's neighborhood: its `2d` neighbor ids,
-/// sorted.
-#[derive(Clone, Copy, Debug)]
-pub struct TorusAdjacency {
-    sorted: [Vertex; 2 * MAX_TORUS_DIMS],
-    len: usize,
-}
-
-impl Neighborhood for TorusAdjacency {
-    #[inline]
-    fn degree(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn neighbor(&self, i: usize) -> Vertex {
-        self.sorted[..self.len][i]
-    }
-}
-
-impl ImplicitGraph for ImplicitTorus {
-    type Adjacency<'a> = TorusAdjacency;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.shape.num_vertices()
-    }
-
-    fn adjacency(&self, v: Vertex) -> TorusAdjacency {
-        let vu = v as usize;
-        let d = self.shape.dims();
-        let mut sorted = [0 as Vertex; 2 * MAX_TORUS_DIMS];
-        for dim in 0..d {
-            let s = self.shape.stride_in_dim(dim);
-            let pts = self.shape.points_in_dim(dim);
-            let c = (vu / s) % pts;
-            let down = if c == 0 { pts - 1 } else { c - 1 };
-            let up = if c + 1 == pts { 0 } else { c + 1 };
-            let base = vu - c * s;
-            sorted[2 * dim] = (base + down * s) as Vertex;
-            sorted[2 * dim + 1] = (base + up * s) as Vertex;
-        }
-        sorted[..2 * d].sort_unstable();
-        TorusAdjacency { sorted, len: 2 * d }
-    }
-}
-
 /// The Boolean hypercube `Q_dim` on `2^dim` vertices — the paper's §3
 /// headline expander-adjacent family, and (as the grid `[0,1]^dim`) the
 /// shape of the large-scale implicit cover runs.
@@ -545,84 +446,10 @@ impl ImplicitGraph for ImplicitComplete {
     }
 }
 
-/// The complete `k`-ary tree in level order (root 0, children of `v` at
-/// `k·v + 1 ..= k·v + k`), matching
-/// [`crate::generators::trees::kary_tree`]. The §3 remark's
-/// diameter-proportional cover family.
-#[derive(Clone, Copy, Debug)]
-pub struct ImplicitKaryTree {
-    k: u64,
-    n: u64,
-}
-
-impl ImplicitKaryTree {
-    /// The complete `k`-ary tree of the given `depth` (`k ≥ 1`); same
-    /// shape and numbering as the materialized generator.
-    pub fn new(k: usize, depth: u32) -> Result<Self> {
-        if k == 0 {
-            return Err(GraphError::InvalidParameter {
-                reason: "k-ary tree needs k >= 1".into(),
-            });
-        }
-        let n = kary_tree_size(k, depth);
-        crate::error::check_vertex_count(n)?;
-        Ok(ImplicitKaryTree { k: k as u64, n })
-    }
-}
-
-/// An [`ImplicitKaryTree`] vertex's neighborhood: its parent (below `v`)
-/// first, then its children ascending.
-#[derive(Clone, Copy, Debug)]
-pub struct KaryTreeAdjacency {
-    parent: Option<Vertex>,
-    first_child: u64,
-    children: usize,
-}
-
-impl Neighborhood for KaryTreeAdjacency {
-    #[inline]
-    fn degree(&self) -> usize {
-        self.parent.is_some() as usize + self.children
-    }
-
-    #[inline]
-    fn neighbor(&self, i: usize) -> Vertex {
-        match (self.parent, i) {
-            (Some(p), 0) => p,
-            _ => {
-                let child = i - self.parent.is_some() as usize;
-                debug_assert!(child < self.children);
-                (self.first_child + child as u64) as Vertex
-            }
-        }
-    }
-}
-
-impl ImplicitGraph for ImplicitKaryTree {
-    type Adjacency<'a> = KaryTreeAdjacency;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.n as usize
-    }
-
-    /// `k` children for internal vertices, fewer on the boundary level,
-    /// none for leaves.
-    #[inline]
-    fn adjacency(&self, v: Vertex) -> KaryTreeAdjacency {
-        let first_child = v as u64 * self.k + 1;
-        KaryTreeAdjacency {
-            parent: (v != 0).then(|| ((v as u64 - 1) / self.k) as Vertex),
-            first_child,
-            children: self.n.saturating_sub(first_child).min(self.k) as usize,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{classic, grid, hypercube, trees};
+    use crate::generators::{classic, grid, hypercube};
     use proptest::prelude::*;
 
     /// Assert an implicit family agrees with its CSR counterpart on vertex
@@ -761,22 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_matches_csr() {
-        for extents in [&[4][..], &[47], &[2, 2], &[4, 3, 2]] {
-            let implicit = ImplicitTorus::new(extents).unwrap();
-            let csr = grid::try_torus(extents).unwrap();
-            assert_matches_csr(&implicit, &csr, &format!("torus {extents:?}"));
-        }
-    }
-
-    #[test]
-    fn torus_rejects_what_csr_rejects() {
-        assert!(ImplicitTorus::new(&[1, 3]).is_err());
-        assert!(ImplicitTorus::new(&[]).is_err());
-        assert!(ImplicitTorus::new(&[2; MAX_TORUS_DIMS + 1]).is_err());
-    }
-
-    #[test]
     fn hypercube_matches_csr() {
         for dim in 1..=6u32 {
             let implicit = ImplicitHypercube::new(dim).unwrap();
@@ -826,16 +637,6 @@ mod tests {
         assert_eq!(k.neighbor(u32::MAX, 0), 0);
         assert_eq!(k.neighbor(u32::MAX, n - 2), u32::MAX - 1);
         assert!(ImplicitComplete::new(n + 1).is_err());
-    }
-
-    #[test]
-    fn kary_tree_matches_csr() {
-        for (k, depth) in [(1usize, 4u32), (2, 3), (3, 2), (5, 1), (3, 0)] {
-            let implicit = ImplicitKaryTree::new(k, depth).unwrap();
-            let csr = trees::kary_tree(k, depth).unwrap();
-            assert_matches_csr(&implicit, &csr, &format!("{k}-ary depth {depth}"));
-        }
-        assert!(ImplicitKaryTree::new(0, 2).is_err());
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub use builder::GraphBuilder;
 pub use csr::{Graph, NeighborIter, Vertex};
 pub use error::{check_vertex_count, GraphError, Result};
 pub use implicit::{
-    ImplicitComplete, ImplicitGraph, ImplicitGrid, ImplicitHypercube, ImplicitKaryTree,
-    ImplicitTorus, Neighborhood,
+    ImplicitComplete, ImplicitGraph, ImplicitGrid, ImplicitHypercube, Neighborhood,
 };
 pub use sampler::{sample_index, NeighborSampler};

@@ -18,8 +18,8 @@ use crate::convergence::{AdaptivePlan, StopRule};
 use crate::seeds::SeedSequence;
 use crate::stats::{EmptySummary, Summary};
 use cobra_core::{
-    run_lane_cover_probed, CoverDriver, HittingDriver, ImplicitDraw, LaneScratch, TrialScratch,
-    TypedProcess, LANE_WIDTH,
+    run_lane_cover_probed, CoverDriver, ImplicitDraw, LaneScratch, TrialScratch, TypedProcess,
+    LANE_WIDTH,
 };
 use cobra_graph::{Graph, ImplicitGraph, Vertex};
 use cobra_obs::{NoopProbe, Probe};
@@ -103,8 +103,8 @@ pub const LANE_MAX_N: usize = 1024;
 /// must be small (`n ≤` [`LANE_MAX_N`]), the workload wide enough to
 /// fill lanes (`trials ≥` [`LANE_WIDTH`]), and the process must have a
 /// lane-parallel form ([`TypedProcess::lane_branching`] — `k`-cobra
-/// walks and the non-lazy simple walk do; processes with per-pebble
-/// auxiliary state do not).
+/// walks and the simple walk do; processes with per-pebble auxiliary
+/// state or faults do not).
 ///
 /// For adaptive runs pass the rule's `max_trials`: eligibility must not
 /// depend on how many trials end up consumed, or the engine choice
@@ -203,35 +203,19 @@ where
                             let mut rng = self.seq.rng_at(i as u64);
                             let mut probe = make_probe(i as u64);
                             probe.on_trial_begin(i as u64);
-                            let t = match self.target {
-                                None => {
-                                    let res = CoverDriver::new(self.g)
-                                        .run_typed_in_probed(
-                                            self.process,
-                                            &ImplicitDraw,
-                                            scratch,
-                                            self.start,
-                                            self.max_steps,
-                                            &mut rng,
-                                            &mut probe,
-                                        )
-                                        .expect("non-empty graph");
-                                    res.completed.then_some(res.steps)
-                                }
-                                Some(target) => {
-                                    let res = HittingDriver::new(self.g).run_typed_in(
-                                        self.process,
-                                        &ImplicitDraw,
-                                        scratch,
-                                        self.start,
-                                        target,
-                                        self.max_steps,
-                                        &mut rng,
-                                    );
-                                    res.hit.then_some(res.steps)
-                                }
-                            };
-                            (t, probe)
+                            let res = CoverDriver::new(self.g)
+                                .run_typed_in_probed(
+                                    self.process,
+                                    &ImplicitDraw,
+                                    scratch,
+                                    self.start,
+                                    self.target,
+                                    self.max_steps,
+                                    &mut rng,
+                                    &mut probe,
+                                )
+                                .expect("non-empty graph");
+                            (res.completed.then_some(res.steps), probe)
                         },
                     )
                     .collect();
@@ -444,9 +428,8 @@ where
     run_cover_trials_implicit_probed(g, process, start, plan, make_probe)
 }
 
-/// Cover trials for any [`ImplicitGraph`] family (grid, torus,
-/// hypercube, complete, k-ary tree — or a CSR [`Graph`], which is its
-/// own implicit view): the scratch engine with [`ImplicitDraw`] neighbor
+/// Cover trials for any [`ImplicitGraph`] family (grid, hypercube,
+/// complete — or a CSR [`Graph`], which is its own implicit view): the scratch engine with [`ImplicitDraw`] neighbor
 /// draws, so an implicit family never materializes an adjacency or
 /// offset array and the per-cell setup cost is O(1) in the graph size.
 ///
@@ -529,7 +512,7 @@ where
 
 /// Measure hitting times `start → target` of `process` over
 /// `plan.trials` independent runs on the batched scratch engine
-/// ([`HittingDriver::run_typed_in`] with [`ImplicitDraw`] and a
+/// ([`CoverDriver::hit_typed_in`]'s body with [`ImplicitDraw`] and a
 /// per-worker [`TrialScratch`]); bit-identical outcomes on the same plan
 /// at any worker count.
 pub fn run_hitting_trials_typed<P: TypedProcess + Sync>(
@@ -714,8 +697,8 @@ pub fn run_hitting_trials_adaptive_resumable<P: TypedProcess + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_core::{CobraWalk, SimpleWalk};
-    use cobra_graph::generators::classic;
+    use cobra_core::{CobraWalk, FaultPlan, FaultyCobraWalk, SimpleWalk};
+    use cobra_graph::generators::{classic, grid};
 
     fn noop(_: u64) -> NoopProbe {
         NoopProbe
@@ -990,9 +973,10 @@ mod tests {
         // Too large a graph.
         let big = classic::cycle(LANE_MAX_N + 1).unwrap();
         assert!(!lane_cover_applies(&big, &cobra, 1000));
-        // Non-lazy simple walk has a lane form; a lazy one does not.
+        // The simple walk has a lane form; a lossy faulty walk does not.
         assert!(lane_cover_applies(&small, &SimpleWalk::new(), 64));
-        assert!(!lane_cover_applies(&small, &SimpleWalk::lazy(0.3), 64));
+        let lossy = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(0.1));
+        assert!(!lane_cover_applies(&small, &lossy, 64));
     }
 
     #[test]
@@ -1029,14 +1013,14 @@ mod tests {
     #[test]
     fn implicit_runner_accepts_implicit_families() {
         // The same lane-shaped plan on an actual implicit family (a
-        // 24-cycle as a 1-d torus) runs through the arithmetic path and
-        // produces the same cover-time stream as the CSR cycle, since
+        // 24-point path as a 1-d grid) runs through the arithmetic path
+        // and produces the same cover-time stream as the CSR grid, since
         // both expose identical ascending adjacency.
-        let torus = cobra_graph::ImplicitTorus::new(&[23]).unwrap();
-        let csr = classic::cycle(24).unwrap();
+        let implicit = cobra_graph::ImplicitGrid::new(&[23]).unwrap();
+        let csr = grid::grid(&[23]);
         let cobra = CobraWalk::standard();
         let plan = TrialPlan::new(96, 100_000, 13);
-        let a = run_cover_trials_implicit(&torus, &cobra, 0, &plan);
+        let a = run_cover_trials_implicit(&implicit, &cobra, 0, &plan);
         let b = run_cover_trials_implicit(&csr, &cobra, 0, &plan);
         assert_eq!(a.summary.count(), b.summary.count());
         assert_eq!(a.summary.mean(), b.summary.mean());

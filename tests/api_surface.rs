@@ -14,8 +14,8 @@ use cobra_repro::spectral::laplacian::spectral_gap;
 use cobra_repro::spectral::tensor::TensorChain;
 use cobra_repro::walks::{
     BiasedWalk, BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk,
-    HittingDriver, MetropolisWalk, ParallelWalks, PushGossip, ScheduledCobraWalk, SimpleWalk,
-    StateView, TypedProcess, TypedState, WaltProcess,
+    MetropolisWalk, ParallelWalks, PushGossip, ScheduledCobraWalk, SimpleWalk, StateView,
+    TypedProcess, TypedState, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,7 +66,6 @@ fn every_process_type_is_constructible_and_runnable() {
     let mut rng = StdRng::seed_from_u64(0);
     run_ten_rounds(&CobraWalk::standard(), &g, &mut rng);
     run_ten_rounds(&SimpleWalk::new(), &g, &mut rng);
-    run_ten_rounds(&SimpleWalk::lazy(0.5), &g, &mut rng);
     run_ten_rounds(&ParallelWalks::new(4), &g, &mut rng);
     run_ten_rounds(&WaltProcess::standard(0.25), &g, &mut rng);
     run_ten_rounds(&PushGossip, &g, &mut rng);
@@ -85,7 +84,7 @@ fn drivers_work_against_any_process() {
         .run_typed(&CobraWalk::standard(), 0, 1_000_000, &mut rng)
         .unwrap();
     assert!(cover.completed);
-    let hit = HittingDriver::new(&g).run_typed(&SimpleWalk::new(), 0, 7, 1_000_000, &mut rng);
+    let hit = CoverDriver::new(&g).hit_typed(&SimpleWalk::new(), 0, 7, 1_000_000, &mut rng);
     assert!(hit.hit);
 }
 

@@ -5,9 +5,7 @@ use cobra_repro::graph::generators::{classic, gnp, random_regular};
 use cobra_repro::sim::runner::{run_cover_trials_typed, run_hitting_trials_typed, TrialPlan};
 use cobra_repro::sim::seeds::SeedSequence;
 use cobra_repro::sim::TrialOutcome;
-use cobra_repro::walks::{
-    CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, HittingDriver, WaltProcess,
-};
+use cobra_repro::walks::{CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, WaltProcess};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -151,7 +149,7 @@ fn scratch_engine_matches_pre_scratch_path() {
     let mut hit_oracle = Vec::new();
     for i in 0..plan.trials {
         let mut rng = StdRng::seed_from_u64(seq.seed_at(i as u64));
-        let res = HittingDriver::new(&g).run_typed(&cobra, 0, target, plan.max_steps, &mut rng);
+        let res = CoverDriver::new(&g).hit_typed(&cobra, 0, target, plan.max_steps, &mut rng);
         assert!(res.hit);
         hit_oracle.push(res.steps as f64);
     }

@@ -1,9 +1,10 @@
 //! Seed-equivalence harness for the hybrid frontier engine.
 //!
 //! The fresh-state path (`CoverDriver::run_typed` /
-//! `HittingDriver::run_typed`, backed by the sparse/dense
+//! `CoverDriver::hit_typed`, backed by the sparse/dense
 //! [`cobra_repro::walks::Frontier`] and [`ImplicitDraw`] neighbor draws)
-//! and the batched scratch path (`run_typed_in`, with state reuse via
+//! and the batched scratch path (`run_typed_in` / `hit_typed_in`, with
+//! state reuse via
 //! `respawn_typed`) must produce **bit-for-bit identical** results on the
 //! same
 //! [`SeedSequence`]-derived seeds — not just statistical agreement — and
@@ -18,15 +19,14 @@
 //! measurements, with a [`Trajectory`] probe attached so the per-round
 //! support sizes are compared too.
 
-use cobra_repro::graph::generators::{chung_lu, classic, grid, hypercube, trees};
+use cobra_repro::graph::generators::{chung_lu, classic, grid, hypercube};
 use cobra_repro::graph::{
-    Graph, ImplicitComplete, ImplicitGraph, ImplicitGrid, ImplicitHypercube, ImplicitKaryTree,
-    ImplicitTorus, NeighborSampler,
+    Graph, ImplicitComplete, ImplicitGraph, ImplicitGrid, ImplicitHypercube, NeighborSampler,
 };
 use cobra_repro::sim::SeedSequence;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, CoverResult, HittingDriver, HittingResult, ImplicitDraw, NeighborDraw,
-    PushGossip, SimpleWalk, Trajectory, TrialScratch, TypedProcess, WaltProcess,
+    CobraWalk, CoverDriver, CoverResult, HittingResult, ImplicitDraw, NeighborDraw, PushGossip,
+    SimpleWalk, Trajectory, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,6 +61,7 @@ where
             draw,
             scratch,
             0,
+            None,
             MAX_STEPS,
             &mut StdRng::seed_from_u64(seed),
             &mut tr,
@@ -138,14 +139,14 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
             );
             assert_eq!(typed_tr, scratch_tr, "trajectory divergence for {label}");
 
-            let typed_hit = HittingDriver::new(&g).run_typed(
+            let typed_hit = CoverDriver::new(&g).hit_typed(
                 process,
                 0,
                 target,
                 MAX_STEPS,
                 &mut StdRng::seed_from_u64(seed),
             );
-            let scratch_hit = HittingDriver::new(&g).run_typed_in(
+            let scratch_hit = CoverDriver::new(&g).hit_typed_in(
                 process,
                 &ImplicitDraw,
                 &mut scratch,
@@ -206,16 +207,6 @@ fn simple_walk_matches() {
             0xab45ff1bfe2b5b2f,
             0xc1fd2f39f73dcb6e,
             0x8288ed68e641476f,
-        ],
-    );
-    assert_engine_equivalence(
-        11,
-        &SimpleWalk::lazy(0.3),
-        [
-            0x0318d1f1f61fee6d,
-            0x4fb803077a55ca1a,
-            0x7998a9d4c74a16aa,
-            0x3be75702daa65059,
         ],
     );
 }
@@ -337,14 +328,14 @@ fn assert_csr_implicit_equivalence<G, P>(
             "typed vs scratch divergence for {label}"
         );
 
-        let csr_hit = HittingDriver::new(csr).run_typed(
+        let csr_hit = CoverDriver::new(csr).hit_typed(
             process,
             0,
             target,
             MAX_STEPS,
             &mut StdRng::seed_from_u64(seed),
         );
-        let imp_hit = HittingDriver::new(implicit).run_typed(
+        let imp_hit = CoverDriver::new(implicit).hit_typed(
             process,
             0,
             target,
@@ -381,16 +372,6 @@ fn implicit_grid_matches_csr() {
 }
 
 #[test]
-fn implicit_torus_matches_csr_cycle() {
-    // A 1-d torus over {0..47} is exactly the 48-cycle.
-    assert_family_pins(
-        "cycle-48",
-        &classic::cycle(48).unwrap(),
-        &ImplicitTorus::new(&[47]).unwrap(),
-    );
-}
-
-#[test]
 fn implicit_hypercube_matches_csr() {
     assert_family_pins(
         "hypercube-6",
@@ -405,14 +386,5 @@ fn implicit_complete_matches_csr() {
         "complete-24",
         &classic::complete(24).unwrap(),
         &ImplicitComplete::new(24).unwrap(),
-    );
-}
-
-#[test]
-fn implicit_kary_tree_matches_csr() {
-    assert_family_pins(
-        "tree-3ary-d4",
-        &trees::kary_tree(3, 4).unwrap(),
-        &ImplicitKaryTree::new(3, 4).unwrap(),
     );
 }

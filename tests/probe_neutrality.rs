@@ -15,8 +15,9 @@
 //!   validated against independent oracles: draws consumed equals the
 //!   RNG stream position (on cycle graphs every neighbor draw costs
 //!   exactly one `u64` — degree 2 is a power of two, so the widening
-//!   Lemire sampler never rejects), coverage deltas sum to `n` on a
-//!   completed cover, and per-round draws equal `k·|frontier|`.
+//!   Lemire sampler never rejects), on cover and hitting runs alike,
+//!   coverage deltas sum to `n` on a completed cover, and per-round
+//!   draws equal `k·|frontier|`.
 
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, ImplicitGrid};
@@ -243,6 +244,7 @@ fn counting_probe_draws_equal_the_rng_stream_position() {
                         &ImplicitDraw,
                         &mut TrialScratch::new(&g),
                         0,
+                        None,
                         MAX_STEPS,
                         &mut rng,
                         &mut probe,
@@ -260,6 +262,72 @@ fn counting_probe_draws_equal_the_rng_stream_position() {
                 assert_eq!(
                     totals.covered as usize, n,
                     "cycle {n}, k={k}, seed {seed:#x}: coverage deltas must sum to n"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn hitting_runs_are_probe_neutral_and_count_their_draws() {
+    // A hitting run is a cover run of its target through the same trial
+    // body, so its probe sees every round. Under a `CountingProbe` the
+    // outcome must equal the `NoopProbe` hitting entry's bit for bit, the
+    // draw total must equal the RNG words consumed (the cycle oracle
+    // above), and the only coverage delta is the target's.
+    for n in [16usize, 33, 64] {
+        let g = classic::cycle(n).unwrap();
+        let driver = CoverDriver::new(&g);
+        let target = (n / 2) as u32;
+        for k in [1u32, 2, 3] {
+            let process = CobraWalk::new(k);
+            let mut scratch = TrialScratch::new(&g);
+            for seed in 0..4u64 {
+                let seed = 0x41A7 + seed * 7919 + u64::from(k);
+                let label = format!("cycle {n}, k={k}, seed {seed:#x}");
+                let noop = driver.hit_typed_in(
+                    &process,
+                    &ImplicitDraw,
+                    &mut scratch,
+                    0,
+                    target,
+                    MAX_STEPS,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                assert!(noop.hit, "{label}: the target must be hit");
+                let mut rng = TallyRng {
+                    inner: StdRng::seed_from_u64(seed),
+                    words: 0,
+                };
+                let mut probe = CountingProbe::new();
+                probe.on_trial_begin(0);
+                let counted = driver
+                    .run_typed_in_probed(
+                        &process,
+                        &ImplicitDraw,
+                        &mut scratch,
+                        0,
+                        Some(target),
+                        MAX_STEPS,
+                        &mut rng,
+                        &mut probe,
+                    )
+                    .expect("non-empty graph");
+                assert_eq!(
+                    (counted.steps, counted.completed),
+                    (noop.steps, noop.hit),
+                    "{label}: the probe changed the hitting outcome"
+                );
+                let totals = probe.totals();
+                assert_eq!(
+                    totals.draws, rng.words,
+                    "{label}: probe counted {} draws but the RNG stream advanced {} words",
+                    totals.draws, rng.words
+                );
+                assert_eq!(
+                    (totals.rounds, totals.steps, totals.covered),
+                    (noop.steps as u64, noop.steps as u64, 1),
+                    "{label}: rounds, steps and the target's coverage delta"
                 );
             }
         }
@@ -309,6 +377,7 @@ fn trace_probe_round_draws_equal_k_times_frontier() {
                 &ImplicitDraw,
                 &mut TrialScratch::new(&g),
                 0,
+                None,
                 MAX_STEPS,
                 &mut rng,
                 &mut probe,

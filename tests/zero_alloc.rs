@@ -4,7 +4,9 @@
 //! reused [`TrialScratch`] and [`ImplicitDraw`] neighbor draws, as the
 //! runners drive it) performs **zero heap allocations per trial**, and
 //! the 64-lane kernel (`run_lane_cover` on a reused [`LaneScratch`])
-//! performs zero per batch, on either of its traversals. A
+//! performs zero per batch, on either of its traversals. Probed cover
+//! trials allocate nothing either, with a `NoopProbe` or a
+//! `CountingProbe`, whose rounds ask the state for its support size. A
 //! counting global allocator makes that a hard test rather than a code
 //! claim: warm the scratch with a few trials, snapshot the allocation
 //! counter, run many more trials, and require the counter to be exactly
@@ -21,10 +23,10 @@
 
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::Graph;
-use cobra_repro::obs::NoopProbe;
+use cobra_repro::obs::{CountingProbe, NoopProbe, Probe};
 use cobra_repro::walks::{
-    run_lane_cover, BranchingSchedule, CobraWalk, CoverDriver, HittingDriver, ImplicitDraw,
-    LaneScratch, ScheduledCobraWalk, SimpleWalk, TrialScratch, TypedProcess, WaltProcess,
+    run_lane_cover, BranchingSchedule, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch,
+    ScheduledCobraWalk, SimpleWalk, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,17 +81,16 @@ fn allocations_for<P: TypedProcess>(
     trials: u64,
     seed_base: u64,
 ) -> usize {
-    let cover = CoverDriver::new(g);
-    let hitting = HittingDriver::new(g);
+    let driver = CoverDriver::new(g);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..trials {
         let mut rng = StdRng::seed_from_u64(seed_base ^ i);
-        let res = cover
+        let res = driver
             .run_typed_in(process, &ImplicitDraw, scratch, 0, 1_000_000, &mut rng)
             .expect("non-empty graph");
         std::hint::black_box(res.steps);
         let mut rng = StdRng::seed_from_u64(seed_base ^ i ^ 0x5EED);
-        let res = hitting.run_typed_in(
+        let res = driver.hit_typed_in(
             process,
             &ImplicitDraw,
             scratch,
@@ -103,34 +104,48 @@ fn allocations_for<P: TypedProcess>(
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// Same, through the explicitly probed scratch path with a `NoopProbe`
-/// — the route the unprobed entry points now delegate to. The probe
-/// seam's zero-cost claim includes zero allocations.
-fn allocations_for_probed<P: TypedProcess>(
+/// Cover trials through the probed trial body with a probe from
+/// `make_probe`: `NoopProbe` is the route the unprobed entry points
+/// delegate to, so the probe seam's zero-cost claim includes zero
+/// allocations; `CountingProbe` runs every hook, including the
+/// per-round `support_size` query. Every probe is built before the
+/// window opens, so the window counts the engine's allocations only.
+fn allocations_for_probed<P: TypedProcess, Pb: Probe>(
     g: &Graph,
     process: &P,
     scratch: &mut TrialScratch<P::State>,
+    make_probe: fn() -> Pb,
     trials: u64,
     seed_base: u64,
 ) -> usize {
-    let cover = CoverDriver::new(g);
+    let driver = CoverDriver::new(g);
+    let mut probes: Vec<Pb> = (0..trials).map(|_| make_probe()).collect();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..trials {
+    for (i, probe) in (0..trials).zip(&mut probes) {
         let mut rng = StdRng::seed_from_u64(seed_base ^ i);
-        let res = cover
+        let res = driver
             .run_typed_in_probed(
                 process,
                 &ImplicitDraw,
                 scratch,
                 0,
+                None,
                 1_000_000,
                 &mut rng,
-                &mut NoopProbe,
+                probe,
             )
             .expect("non-empty graph");
         std::hint::black_box(res.steps);
     }
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// A `CountingProbe` whose list of finished trial blocks already has
+/// room for the next one.
+fn roomy_counting_probe() -> CountingProbe {
+    let mut probe = CountingProbe::new();
+    probe.on_trial_end(0, true);
+    probe
 }
 
 /// Run `batches` full-width lane batches of the `k`-cobra walk on `g`
@@ -200,28 +215,48 @@ fn steady_state_trials_do_not_allocate() {
         audit!("walt(p=6)", WaltProcess::with_count(6).lazy(false));
 
         macro_rules! audit_probed {
-            ($pname:literal, $process:expr) => {{
+            ($pname:literal, $process:expr, $probe:literal, $make_probe:expr) => {{
                 let process = $process;
                 let mut scratch = TrialScratch::new(g);
-                let warm = allocations_for_probed(g, &process, &mut scratch, 4, 0xC0B7A);
+                let warm =
+                    allocations_for_probed(g, &process, &mut scratch, $make_probe, 4, 0xC0B7A);
                 let mut steady = usize::MAX;
                 for _ in 0..3 {
-                    steady = allocations_for_probed(g, &process, &mut scratch, 32, 0xFACADE);
+                    steady = allocations_for_probed(
+                        g,
+                        &process,
+                        &mut scratch,
+                        $make_probe,
+                        32,
+                        0xFACADE,
+                    );
                     if steady == 0 {
                         break;
                     }
                 }
                 assert_eq!(
                     steady, 0,
-                    "{} (NoopProbe route) on {gname}: {steady} allocations in steady state \
+                    "{} ({} route) on {gname}: {steady} allocations in steady state \
                      (warm-up did {warm})",
-                    $pname
+                    $pname, $probe
                 );
             }};
         }
 
-        audit_probed!("cobra(k=2)", CobraWalk::standard());
-        audit_probed!("walt(p=6)", WaltProcess::with_count(6).lazy(false));
+        let noop = || NoopProbe;
+        audit_probed!("cobra(k=2)", CobraWalk::standard(), "NoopProbe", noop);
+        audit_probed!(
+            "walt(p=6)",
+            WaltProcess::with_count(6).lazy(false),
+            "NoopProbe",
+            noop
+        );
+        audit_probed!(
+            "walt(p=6)",
+            WaltProcess::with_count(6).lazy(false),
+            "CountingProbe",
+            roomy_counting_probe
+        );
     }
 
     // The lane kernel: the star keeps its rounds sparse, the complete
