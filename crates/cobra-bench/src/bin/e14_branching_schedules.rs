@@ -12,7 +12,7 @@
 use cobra_bench::report::{banner, verdict};
 use cobra_bench::stages::stage_seed;
 use cobra_bench::{ExpConfig, Family};
-use cobra_core::{BranchingSchedule, Process, ScheduledCobraWalk};
+use cobra_core::{BranchingSchedule, ScheduledCobraWalk};
 use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
                 0,
                 "{} {}: raise budget",
                 fam.name(),
-                process.name()
+                sched.name()
             );
             means.push(out.summary.mean());
             println!(

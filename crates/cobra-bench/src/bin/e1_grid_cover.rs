@@ -19,7 +19,7 @@ use cobra_sim::sweep::{SweepCell, SweepTable};
 /// each carrying its own `budget_for(scale)` step budget, with per-cell
 /// seeds derived from the sweep master and per-cell trial counts decided
 /// by the run's stopping rule.
-fn sweep_cover<P: TypedProcess + Sync>(
+fn sweep_cover<P: TypedProcess>(
     orch: &mut Orchestrator,
     cfg: &ExpConfig,
     family: Family,

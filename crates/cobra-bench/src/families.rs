@@ -125,37 +125,6 @@ impl Family {
         }
     }
 
-    /// A generous per-trial step budget for a **2-cobra cover** trial on
-    /// an instance built at `scale` with `n` vertices — a multiple of the
-    /// paper's bound for the family plus slack, so trials complete (and
-    /// censoring stays an anomaly signal, not an expected outcome).
-    /// Sweep binaries with calibrated per-cell budgets keep their own;
-    /// this is the shared default for harness code (smoke cells) that
-    /// sweeps across families.
-    pub fn cobra_cover_budget(&self, scale: usize, n: usize) -> usize {
-        let nf = n as f64;
-        let logn = nf.max(2.0).ln();
-        match self {
-            // Theorem 3: O(side extent), constants growing with d.
-            Family::Grid { d } | Family::Torus { d } => 4_000 + 500 * (d + 1) * scale,
-            // Corollary 9 / Theorem 8 territory: O(log²n) with
-            // family-dependent constants.
-            Family::Hypercube | Family::RandomRegular { .. } | Family::Gnp => {
-                10_000 + (400.0 * logn * logn) as usize
-            }
-            Family::Cycle | Family::Path => 4_000 + 400 * scale,
-            Family::Complete | Family::Star => 2_000 + 100 * scale,
-            // Theorem 20's general-graph witness: O(n^{11/4} log n); use
-            // the e8 calibration (4 n² ln n + slack) which covers it at
-            // the scales measured here.
-            Family::Lollipop => (4.0 * nf * nf * logn) as usize + 100_000,
-            // Φ = Θ(1/(cliques·size)) ⇒ Φ⁻² log²n = Θ(n² log²n).
-            Family::RingOfCliques { .. } => (10.0 * nf * nf * logn) as usize + 20_000,
-            // §3: cover ∝ diameter (= 2·depth), k-dependent constant.
-            Family::KaryTree { k } => 3_000 * 2 * scale * (k + 1) + 200_000,
-        }
-    }
-
     /// Closed-form conductance when known exactly: hypercube `1/dim`.
     pub fn exact_conductance(&self, scale: usize) -> Option<f64> {
         match self {
@@ -213,35 +182,6 @@ mod tests {
         ];
         let names: std::collections::HashSet<_> = fams.iter().map(|f| f.name()).collect();
         assert_eq!(names.len(), fams.len());
-    }
-
-    #[test]
-    fn cover_budgets_complete_cobra_trials() {
-        use cobra_core::CobraWalk;
-        use cobra_sim::{run_cover_trials_typed, TrialPlan};
-        // The budget hint must be generous enough that a 2-cobra cover
-        // completes without censoring on every family at smoke scale.
-        let cases: Vec<(Family, usize)> = vec![
-            (Family::Grid { d: 2 }, 6),
-            (Family::Hypercube, 5),
-            (Family::Cycle, 32),
-            (Family::Lollipop, 24),
-            (Family::RingOfCliques { size: 4 }, 4),
-            (Family::KaryTree { k: 2 }, 4),
-        ];
-        for (fam, scale) in cases {
-            let g = fam.build(scale, 3);
-            let budget = fam.cobra_cover_budget(scale, g.num_vertices());
-            let start = fam.adversarial_start(&g);
-            let plan = TrialPlan::new(10, budget, 11);
-            let out = run_cover_trials_typed(&g, &CobraWalk::standard(), start, &plan);
-            assert_eq!(
-                out.censored,
-                0,
-                "{} censored with budget {budget}",
-                fam.name()
-            );
-        }
     }
 
     #[test]

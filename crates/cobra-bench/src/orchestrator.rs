@@ -384,11 +384,6 @@ impl Orchestrator {
         self.recovery.poisoned.insert(key.into());
     }
 
-    /// The run's spec (mode, rule, seed).
-    pub fn spec(&self) -> &ExperimentSpec {
-        &self.spec
-    }
-
     /// Milliseconds since the run started — the span timestamp base.
     fn elapsed_ms(&self) -> u64 {
         self.run_started.elapsed().as_millis() as u64
@@ -424,7 +419,7 @@ impl Orchestrator {
         label: impl Into<String>,
         scale_name: impl Into<String>,
         cells: impl IntoIterator<Item = SweepCell>,
-        process: &(impl TypedProcess + Sync),
+        process: &impl TypedProcess,
         master_seed: u64,
     ) -> Result<SweepTable, EmptySummary> {
         let label = label.into();
@@ -464,7 +459,7 @@ impl Orchestrator {
         sweep: &str,
         scale: f64,
         g: &Graph,
-        process: &(impl TypedProcess + Sync),
+        process: &impl TypedProcess,
         start: Vertex,
         max_steps: usize,
         master_seed: u64,
@@ -482,7 +477,7 @@ impl Orchestrator {
         sweep: &str,
         scale: f64,
         g: &Graph,
-        process: &(impl TypedProcess + Sync),
+        process: &impl TypedProcess,
         start: Vertex,
         max_steps: usize,
         master_seed: u64,
@@ -502,7 +497,7 @@ impl Orchestrator {
         sweep: &str,
         scale: f64,
         g: &Graph,
-        process: &(impl TypedProcess + Sync),
+        process: &impl TypedProcess,
         start: Vertex,
         target: Vertex,
         max_steps: usize,

@@ -21,7 +21,7 @@
 //!   `(d(v) + Σ_{x≠v} σ̂(x,v)·d(x)) / d(v)` bound.
 
 use crate::process::{
-    bernoulli, sample_index, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+    bernoulli, sample_index, Active, NeighborDraw, StateView, TypedProcess, TypedState,
 };
 use cobra_graph::{metrics, Graph, Vertex};
 use rand::Rng;
@@ -48,11 +48,6 @@ impl TowardTarget {
     /// The target vertex.
     pub fn target(&self) -> Vertex {
         self.target
-    }
-
-    /// Short name for reporting.
-    pub fn name(&self) -> String {
-        format!("toward({})", self.target)
     }
 
     /// Choose the next vertex from `v`'s neighborhood.
@@ -93,16 +88,6 @@ impl BiasedWalk {
         BiasedWalk {
             controller: Arc::new(TowardTarget::new(g, target)),
         }
-    }
-}
-
-impl Process for BiasedWalk {
-    fn name(&self) -> String {
-        format!(
-            "inv-degree-biased(target={},{})",
-            self.controller.target(),
-            self.controller.name()
-        )
     }
 }
 
@@ -319,12 +304,6 @@ impl MetropolisWalk {
     }
 }
 
-impl Process for MetropolisWalk {
-    fn name(&self) -> String {
-        format!("metropolis(target={})", self.target)
-    }
-}
-
 impl TypedProcess for MetropolisWalk {
     type State = MetropolisState;
 
@@ -524,15 +503,5 @@ mod tests {
             }
         }
         assert!(hit.is_some(), "never hit the target");
-    }
-
-    #[test]
-    fn names() {
-        let g = classic::path(4).unwrap();
-        assert_eq!(
-            BiasedWalk::inverse_degree_toward(&g, 0).name(),
-            "inv-degree-biased(target=0,toward(0))"
-        );
-        assert!(MetropolisWalk::new(&g, 2).name().contains("target=2"));
     }
 }

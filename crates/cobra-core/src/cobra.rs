@@ -14,7 +14,7 @@
 //! `k = 2`.
 
 use crate::frontier::Frontier;
-use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
@@ -37,17 +37,6 @@ impl CobraWalk {
     /// The paper's default: the 2-cobra walk.
     pub fn standard() -> Self {
         CobraWalk::new(2)
-    }
-
-    /// The branching factor `k`.
-    pub fn branching_factor(&self) -> u32 {
-        self.branching_factor
-    }
-}
-
-impl Process for CobraWalk {
-    fn name(&self) -> String {
-        format!("cobra(k={})", self.branching_factor)
     }
 }
 
@@ -160,12 +149,6 @@ mod tests {
     #[should_panic(expected = "branching factor")]
     fn rejects_zero_branching() {
         CobraWalk::new(0);
-    }
-
-    #[test]
-    fn name_includes_k() {
-        assert_eq!(CobraWalk::new(3).name(), "cobra(k=3)");
-        assert_eq!(CobraWalk::standard().branching_factor(), 2);
     }
 
     #[test]

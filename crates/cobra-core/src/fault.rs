@@ -37,7 +37,7 @@
 //!    deliveries due at it are dropped. Recovery is implicit — after
 //!    `until_round` the vertex participates again as soon as a pebble
 //!    reaches it. Overlapping windows nest (depth-counted).
-//! 2. **Deletion waves.** A [`DeletionWave`] with `round == r` destroys
+//! 2. **Deletion waves.** A deletion wave with `round == r` destroys
 //!    the pebbles sitting on its vertices at the start of the round
 //!    (they do not send). One-shot, adversarial, no randomness.
 //! 3. **Delivery.** In-flight pebbles due this round are delivered first
@@ -57,9 +57,7 @@
 //! ran, instead of stepping an empty frontier to its budget.
 
 use crate::cobra::{CobraState, CobraWalk};
-use crate::process::{
-    bernoulli, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
-};
+use crate::process::{bernoulli, Active, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{ImplicitGraph, Vertex};
 use cobra_obs::{FaultKind, Probe};
 use rand::rngs::StdRng;
@@ -69,23 +67,18 @@ use std::collections::VecDeque;
 /// One per-vertex crash window: the vertex is down during rounds
 /// `from_round ≤ r < until_round` (half-open, 1-indexed rounds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VertexOutage {
-    /// The crashed vertex.
-    pub vertex: Vertex,
-    /// First round (inclusive) the vertex is down.
-    pub from_round: usize,
-    /// First round (exclusive) the vertex is back up.
-    pub until_round: usize,
+struct VertexOutage {
+    vertex: Vertex,
+    from_round: usize,
+    until_round: usize,
 }
 
 /// One adversarial deletion wave: at the start of round `round`, every
 /// pebble sitting on one of `vertices` is destroyed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeletionWave {
-    /// The 1-indexed round the wave strikes.
-    pub round: usize,
-    /// The vertices whose pebbles are destroyed.
-    pub vertices: Vec<Vertex>,
+struct DeletionWave {
+    round: usize,
+    vertices: Vec<Vertex>,
 }
 
 /// A deterministic, round-synchronous fault environment for
@@ -167,31 +160,6 @@ impl FaultPlan {
         self
     }
 
-    /// Per-pebble loss probability.
-    pub fn pebble_loss(&self) -> f64 {
-        self.pebble_loss
-    }
-
-    /// Per-pebble delay probability.
-    pub fn delay_prob(&self) -> f64 {
-        self.delay_prob
-    }
-
-    /// Capacity of the delayed-pebble in-flight queue.
-    pub fn max_in_flight(&self) -> usize {
-        self.max_in_flight
-    }
-
-    /// The configured crash windows.
-    pub fn outages(&self) -> &[VertexOutage] {
-        &self.outages
-    }
-
-    /// The configured deletion waves.
-    pub fn deletion_waves(&self) -> &[DeletionWave] {
-        &self.deletion_waves
-    }
-
     /// Largest vertex id referenced by outages or deletion waves, if any
     /// — used to validate the plan against a graph at spawn.
     fn max_vertex(&self) -> Option<Vertex> {
@@ -234,33 +202,6 @@ impl FaultyCobraWalk {
         FaultyCobraWalk {
             branching_factor,
             plan,
-        }
-    }
-
-    /// The branching factor `k`.
-    pub fn branching_factor(&self) -> u32 {
-        self.branching_factor
-    }
-
-    /// The fault environment.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl Process for FaultyCobraWalk {
-    fn name(&self) -> String {
-        if self.plan.is_none() {
-            format!("faulty-cobra(k={}, none)", self.branching_factor)
-        } else {
-            format!(
-                "faulty-cobra(k={}, loss={}, delay={}, outages={}, waves={})",
-                self.branching_factor,
-                self.plan.pebble_loss,
-                self.plan.delay_prob,
-                self.plan.outages.len(),
-                self.plan.deletion_waves.len(),
-            )
         }
     }
 }
@@ -378,11 +319,6 @@ pub struct FaultyCobraState {
 }
 
 impl FaultyCobraState {
-    /// Rounds stepped so far.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
     /// Delayed pebbles currently buffered.
     pub fn in_flight_len(&self) -> usize {
         self.in_flight.len()

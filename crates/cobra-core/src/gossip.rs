@@ -11,7 +11,7 @@
 //! round (plus the source initially), so the driver's union-over-time
 //! coverage matches the usual "all vertices informed" completion time.
 
-use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -19,12 +19,6 @@ use rand::Rng;
 /// neighbor each round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PushGossip;
-
-impl Process for PushGossip {
-    fn name(&self) -> String {
-        "gossip-push".into()
-    }
-}
 
 impl TypedProcess for PushGossip {
     type State = GossipState;
@@ -168,10 +162,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 32);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(PushGossip.name(), "gossip-push");
     }
 }

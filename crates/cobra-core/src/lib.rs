@@ -24,9 +24,13 @@
 //! * [`queueing`] — the multi-dimensional drift chain from the proof of
 //!   Theorem 3 (§3), a.k.a. the paper's "discrete time queueing system".
 //!
-//! Every process implements [`TypedProcess`]; measurement (the
+//! A process is its spawn and its round. The seam is three traits: a
+//! [`TypedProcess`] (which requires `Sync`, so the parallel runners share
+//! one specification across workers) spawns a per-trial state, the
+//! state's [`StateView`] reports its active set, and its
+//! [`TypedState::step_probed`] runs one round. Measurement (the
 //! [`CoverDriver`], h_max estimation and the Matthews-bound check of
-//! Theorem 1) lives in [`measure`] and runs any of them with no virtual
+//! Theorem 1) lives in [`measure`] and runs any process with no virtual
 //! dispatch. Every per-trial run — cover and hitting runs of the driver
 //! (a hitting time of `v` is the cover time of `{v}`), the giant
 //! [`run_cover_succinct`] and [`record_trajectory`] — goes through one
@@ -72,14 +76,14 @@ pub mod walt;
 pub use biased::{BiasedWalk, MetropolisWalk, TowardTarget};
 pub use cobra::CobraWalk;
 pub use coverage::SuccinctCoverage;
-pub use fault::{DeletionWave, FaultPlan, FaultyCobraState, FaultyCobraWalk, VertexOutage};
+pub use fault::{FaultPlan, FaultyCobraState, FaultyCobraWalk};
 pub use frontier::Frontier;
 pub use gossip::PushGossip;
 pub use lanes::{run_lane_cover, run_lane_cover_probed, LaneOutcome, LaneScratch, LANE_WIDTH};
 pub use measure::{run_cover_succinct, CoverDriver, CoverResult, HittingResult};
 pub use parallel_walks::ParallelWalks;
 pub use process::{
-    Active, BoundDraw, ImplicitDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
+    Active, BoundDraw, ImplicitDraw, NeighborDraw, StateView, TypedProcess, TypedState,
 };
 pub use queueing::DriftChain;
 pub use schedule::{BranchingSchedule, ScheduledCobraWalk};

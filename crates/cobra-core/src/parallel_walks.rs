@@ -6,7 +6,7 @@
 //! makes parallel walks analyzable is exactly what breaks for cobra walks
 //! (§1.2), which is why the paper treats them as a distinct baseline.
 
-use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -27,12 +27,6 @@ impl ParallelWalks {
     /// Number of walkers.
     pub fn walkers(&self) -> usize {
         self.walkers
-    }
-}
-
-impl Process for ParallelWalks {
-    fn name(&self) -> String {
-        format!("parallel-rw(k={})", self.walkers)
     }
 }
 
@@ -123,10 +117,5 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn rejects_zero_walkers() {
         ParallelWalks::new(0);
-    }
-
-    #[test]
-    fn name_contains_count() {
-        assert_eq!(ParallelWalks::new(5).name(), "parallel-rw(k=5)");
     }
 }

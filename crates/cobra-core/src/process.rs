@@ -1,12 +1,19 @@
 //! The process abstraction shared by every walk variant.
 //!
-//! A process is an immutable *specification* (e.g. "the 2-cobra walk");
-//! [`TypedProcess::spawn_typed`] creates the mutable per-run
-//! [`TypedState`]. The split exists so the Monte-Carlo engine can share
-//! one specification across rayon worker threads while each trial owns
-//! its own state. Every driver is generic over the process, the graph,
-//! and the RNG, so a trial's walk kernel, draws, and coverage bookkeeping
-//! inline into one loop with no virtual dispatch.
+//! A process is its spawn and its round (paper §2). The seam is three
+//! traits:
+//!
+//! * [`TypedProcess`] (which requires `Sync`) is the immutable
+//!   *specification*, e.g. "the 2-cobra walk". The Monte-Carlo engine
+//!   shares one across rayon worker threads, and
+//!   [`TypedProcess::spawn_typed`] creates each trial's own state.
+//! * [`StateView`] is that state's read side: the active set after the
+//!   last round.
+//! * [`TypedState`] runs the round, [`TypedState::step_probed`].
+//!
+//! Every driver is generic over the process, the graph, and the RNG, so
+//! a trial's walk kernel, draws, and coverage bookkeeping inline into one
+//! loop with no virtual dispatch.
 
 use crate::frontier::Frontier;
 use cobra_graph::{Graph, ImplicitGraph, Neighborhood, Vertex};
@@ -14,19 +21,10 @@ use rand::Rng;
 
 pub use cobra_graph::sample_index;
 
-/// The graph-independent part of a process specification.
-///
-/// [`TypedProcess`] is generic over the graph type, and most processes
-/// implement it for *every* [`ImplicitGraph`]; a `name()` declared there
-/// would be ambiguous at call sites that do not pin `G`. This non-generic
-/// supertrait keeps it unambiguous, as [`StateView`] does for states.
-pub trait Process: Sync {
-    /// Human-readable name used in result tables (e.g. `"cobra(k=2)"`).
-    fn name(&self) -> String;
-}
-
 /// A runnable process on graphs of type `G`.
 ///
+/// `Sync` is a supertrait because the parallel runners share one
+/// specification across their workers.
 /// [`TypedProcess::spawn_typed`] returns the state by value, so drivers
 /// generic over `P: TypedProcess` step it with zero virtual dispatch.
 /// The driver contract is:
@@ -44,7 +42,7 @@ pub trait Process: Sync {
 ///    `v` is the first `t` with `v ∈ S_t`;
 /// 4. once [`StateView::is_extinct`] holds, the driver steps the state
 ///    no more.
-pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Process {
+pub trait TypedProcess<G: ImplicitGraph + ?Sized = Graph>: Sync {
     /// The concrete per-run state.
     type State: TypedState<G> + 'static;
 

@@ -10,9 +10,7 @@
 //! whether E\[k\] is the quantity that matters.
 
 use crate::frontier::Frontier;
-use crate::process::{
-    bernoulli, Active, NeighborDraw, Process, StateView, TypedProcess, TypedState,
-};
+use crate::process::{bernoulli, Active, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -126,17 +124,6 @@ impl ScheduledCobraWalk {
     pub fn new(schedule: BranchingSchedule) -> Self {
         schedule.validate();
         ScheduledCobraWalk { schedule }
-    }
-
-    /// The schedule.
-    pub fn schedule(&self) -> BranchingSchedule {
-        self.schedule
-    }
-}
-
-impl Process for ScheduledCobraWalk {
-    fn name(&self) -> String {
-        format!("cobra[{}]", self.schedule.name())
     }
 }
 
@@ -305,10 +292,6 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(
-            ScheduledCobraWalk::new(BranchingSchedule::Fixed(2)).name(),
-            "cobra[fixed(2)]"
-        );
         assert!(BranchingSchedule::Bernoulli {
             base: 1,
             extra_prob: 0.5

@@ -4,7 +4,7 @@
 //! Θ(n log n) and Θ(n³) (§1.2); every experiment that claims a cobra-walk
 //! speedup measures against this process.
 
-use crate::process::{Active, NeighborDraw, Process, StateView, TypedProcess, TypedState};
+use crate::process::{Active, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
@@ -17,12 +17,6 @@ impl SimpleWalk {
     /// The simple random walk.
     pub fn new() -> Self {
         SimpleWalk
-    }
-}
-
-impl Process for SimpleWalk {
-    fn name(&self) -> String {
-        "simple-rw".to_string()
     }
 }
 
@@ -69,11 +63,6 @@ mod tests {
     use cobra_graph::generators::classic;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn names() {
-        assert_eq!(SimpleWalk::new().name(), "simple-rw");
-    }
 
     #[test]
     fn walk_moves_along_edges() {

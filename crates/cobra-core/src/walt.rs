@@ -14,9 +14,7 @@
 //! 1/2 all pebbles hold. Both the laziness and the three-pebble threshold
 //! are configurable here so experiment E13 can ablate them.
 
-use crate::process::{
-    coin, Active, BoundDraw, NeighborDraw, Process, StateView, TypedProcess, TypedState,
-};
+use crate::process::{coin, Active, BoundDraw, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 use std::cell::Cell;
@@ -97,24 +95,6 @@ impl WaltProcess {
             assert!((v as usize) < g.num_vertices(), "pebble position in range");
         }
         WaltState::new(positions, g.num_vertices(), self.lazy, self.threshold)
-    }
-}
-
-impl Process for WaltProcess {
-    fn name(&self) -> String {
-        let pop = match self.population {
-            PebblePopulation::Count(c) => format!("p={c}"),
-            PebblePopulation::Fraction(d) => format!("δ={d}"),
-        };
-        format!(
-            "walt({pop}{}{})",
-            if self.lazy { ",lazy" } else { "" },
-            if self.threshold != 3 {
-                format!(",thr={}", self.threshold)
-            } else {
-                String::new()
-            }
-        )
     }
 }
 
@@ -279,15 +259,6 @@ mod tests {
     #[should_panic(expected = "δ")]
     fn rejects_large_delta() {
         WaltProcess::standard(0.9);
-    }
-
-    #[test]
-    fn names_reflect_configuration() {
-        assert_eq!(WaltProcess::standard(0.5).name(), "walt(δ=0.5,lazy)");
-        assert_eq!(
-            WaltProcess::with_count(4).lazy(false).threshold(2).name(),
-            "walt(p=4,thr=2)"
-        );
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! draws) followed by `on_round` and `on_coverage` (from the measure
 //! driver), with `on_fault` interleaved by fault-injecting processes,
 //! and finally `on_trial_end`. Probes must not assume every hook fires:
-//! only the cobra kernels (plain and fault-injected) account their
-//! draws, the cover driver alone does not call `on_trial_begin` (the
+//! only the cobra kernels (plain, scheduled and fault-injected) account
+//! their draws, the cover driver alone does not call `on_trial_begin` (the
 //! runners do), and the lane engine reports per-batch (64 fused trials)
 //! rather than per-trial.
 

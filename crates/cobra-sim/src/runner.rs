@@ -159,7 +159,7 @@ struct TrialStream<'a, G: ?Sized, P> {
 impl<'a, G, P> TrialStream<'a, G, P>
 where
     G: ImplicitGraph + ?Sized,
-    P: TypedProcess<G> + Sync,
+    P: TypedProcess<G>,
 {
     /// The scratch engine.
     fn scratch(
@@ -352,7 +352,7 @@ where
     }
 }
 
-impl<'a, P: TypedProcess + Sync> TrialStream<'a, Graph, P> {
+impl<'a, P: TypedProcess> TrialStream<'a, Graph, P> {
     /// The lane engine for a process with a lane-parallel form. Panics
     /// otherwise; eligibility is the caller's job ([`lane_cover_applies`]).
     fn lanes(g: &'a Graph, process: &'a P, start: Vertex, max_steps: usize, seed: u64) -> Self {
@@ -376,7 +376,7 @@ impl<'a, P: TypedProcess + Sync> TrialStream<'a, Graph, P> {
 /// else scratch. This is the one engine choice; it depends only on the
 /// cell shape and plan, never on outcomes, so a cell always uses the
 /// same engine and stays reproducible.
-fn cover_stream<'a, P: TypedProcess + Sync>(
+fn cover_stream<'a, P: TypedProcess>(
     g: &'a Graph,
     process: &'a P,
     start: Vertex,
@@ -398,7 +398,7 @@ fn cover_stream<'a, P: TypedProcess + Sync>(
 /// nothing and needs no per-graph setup. Trial `i` seeds from
 /// [`SeedSequence::seed_at`]`(i)`, so outcomes are bit-identical at any
 /// worker count and to a serial [`CoverDriver::run_typed`] loop.
-pub fn run_cover_trials_typed<P: TypedProcess + Sync>(
+pub fn run_cover_trials_typed<P: TypedProcess>(
     g: &Graph,
     process: &P,
     start: Vertex,
@@ -421,7 +421,7 @@ pub fn run_cover_trials_typed_probed<P, Pb, F>(
     make_probe: F,
 ) -> (TrialOutcome, Vec<Pb>)
 where
-    P: TypedProcess + Sync,
+    P: TypedProcess,
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
@@ -448,7 +448,7 @@ pub fn run_cover_trials_implicit<G, P>(
 ) -> TrialOutcome
 where
     G: ImplicitGraph + ?Sized,
-    P: TypedProcess<G> + Sync,
+    P: TypedProcess<G>,
 {
     run_cover_trials_implicit_probed(g, process, start, plan, |_| NoopProbe).0
 }
@@ -464,7 +464,7 @@ pub fn run_cover_trials_implicit_probed<G, P, Pb, F>(
 ) -> (TrialOutcome, Vec<Pb>)
 where
     G: ImplicitGraph + ?Sized,
-    P: TypedProcess<G> + Sync,
+    P: TypedProcess<G>,
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
@@ -502,7 +502,7 @@ pub fn run_cover_trials_lanes_probed<P, Pb, F>(
     make_probe: F,
 ) -> (TrialOutcome, Vec<Pb>)
 where
-    P: TypedProcess + Sync,
+    P: TypedProcess,
     Pb: Probe + Send,
     F: Fn(u64) -> Pb + Sync,
 {
@@ -515,7 +515,7 @@ where
 /// ([`CoverDriver::hit_typed_in`]'s body with [`ImplicitDraw`] and a
 /// per-worker [`TrialScratch`]); bit-identical outcomes on the same plan
 /// at any worker count.
-pub fn run_hitting_trials_typed<P: TypedProcess + Sync>(
+pub fn run_hitting_trials_typed<P: TypedProcess>(
     g: &Graph,
     process: &P,
     start: Vertex,
@@ -652,7 +652,7 @@ pub fn replay_outcomes(rule: &StopRule, times: &[Option<usize>]) -> AdaptiveOutc
 /// any consumed prefix is bit-identical to the uninterrupted run (the
 /// lane stream is random-access by batch, so a prior ending mid-batch
 /// recomputes only that batch and discards its consumed lanes).
-pub fn run_cover_trials_adaptive_auto_resumable<P: TypedProcess + Sync>(
+pub fn run_cover_trials_adaptive_auto_resumable<P: TypedProcess>(
     g: &Graph,
     process: &P,
     start: Vertex,
@@ -674,7 +674,7 @@ pub fn run_cover_trials_adaptive_auto_resumable<P: TypedProcess + Sync>(
 /// Adaptive hitting trials on the scratch engine, resumable at batch
 /// boundaries; same seeding and resume invariants as
 /// [`run_cover_trials_adaptive_auto_resumable`].
-pub fn run_hitting_trials_adaptive_resumable<P: TypedProcess + Sync>(
+pub fn run_hitting_trials_adaptive_resumable<P: TypedProcess>(
     g: &Graph,
     process: &P,
     start: Vertex,
@@ -710,7 +710,7 @@ mod tests {
 
     /// The scratch engine's stream for a cover cell from vertex 0,
     /// whatever the router would pick for it.
-    fn scratch<'a, P: TypedProcess + Sync>(
+    fn scratch<'a, P: TypedProcess>(
         g: &'a Graph,
         process: &'a P,
         max_steps: usize,
@@ -720,7 +720,7 @@ mod tests {
     }
 
     /// The lane engine's stream for a cover cell from vertex 0.
-    fn lanes<'a, P: TypedProcess + Sync>(
+    fn lanes<'a, P: TypedProcess>(
         g: &'a Graph,
         process: &'a P,
         max_steps: usize,
@@ -729,7 +729,7 @@ mod tests {
         TrialStream::lanes(g, process, 0, max_steps, seed)
     }
 
-    fn adaptive<P: TypedProcess + Sync>(
+    fn adaptive<P: TypedProcess>(
         stream: &TrialStream<'_, Graph, P>,
         plan: &AdaptivePlan,
     ) -> AdaptiveOutcome {

@@ -29,13 +29,14 @@ use cobra_repro::walks::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Run a process to full coverage; return (rounds, total messages), where
-/// per-round messages = tokens sent = occupied-set size for walk-style
-/// processes and informed-count for push gossip.
+/// Run a process to full coverage; return (rounds, total messages).
+/// Each round every holder sends `fanout` messages, and the holders are
+/// the state's support: the cobra frontier, push gossip's informed set,
+/// or one entry per parallel walker.
 fn run_protocol<P: TypedProcess>(
     g: &Graph,
     process: &P,
-    push_semantics: bool,
+    fanout: u64,
     rng: &mut StdRng,
 ) -> (usize, u64) {
     let n = g.num_vertices();
@@ -47,11 +48,7 @@ fn run_protocol<P: TypedProcess>(
     let mut messages = 0u64;
     while covered_count < n {
         // Message accounting BEFORE the step: every current holder sends.
-        messages += if push_semantics {
-            state.support_size() as u64
-        } else {
-            2 * state.active().len() as u64 // cobra: k = 2 copies per holder
-        };
+        messages += fanout * state.support_size() as u64;
         state.step(g, rng);
         rounds += 1;
         state.active().for_each(|v| {
@@ -70,14 +67,14 @@ fn report<P: TypedProcess>(
     name: &str,
     g: &Graph,
     process: &P,
-    push_semantics: bool,
+    fanout: u64,
     trials: usize,
     rng: &mut StdRng,
 ) {
     let mut total_rounds = 0usize;
     let mut total_msgs = 0u64;
     for _ in 0..trials {
-        let (r, m) = run_protocol(g, process, push_semantics, rng);
+        let (r, m) = run_protocol(g, process, fanout, rng);
         total_rounds += r;
         total_msgs += m;
     }
@@ -106,10 +103,10 @@ fn main() {
     println!("|----------|------------------|----------------|----------|");
 
     let cobra = CobraWalk::standard();
-    report("cobra(k=2)", &g, &cobra, false, trials, &mut rng);
-    report("push gossip", &g, &PushGossip, true, trials, &mut rng);
+    report("cobra(k=2)", &g, &cobra, 2, trials, &mut rng);
+    report("push gossip", &g, &PushGossip, 1, trials, &mut rng);
     let pwalks = ParallelWalks::new(8);
-    report("8 parallel walks", &g, &pwalks, false, trials, &mut rng);
+    report("8 parallel walks", &g, &pwalks, 1, trials, &mut rng);
     println!();
     println!(
         "parallel walks are frugal in messages but very slow in rounds. Push\n\

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// An uninterrupted adaptive cover run from vertex 0.
-fn cover<P: TypedProcess + Sync>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
+fn cover<P: TypedProcess>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
     run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
         BatchControl::Continue
     })
@@ -32,7 +32,7 @@ fn cover<P: TypedProcess + Sync>(g: &Graph, process: &P, plan: &AdaptivePlan) ->
 }
 
 /// An uninterrupted adaptive hitting run `0 → target`.
-fn hitting<P: TypedProcess + Sync>(
+fn hitting<P: TypedProcess>(
     g: &Graph,
     process: &P,
     target: Vertex,

@@ -57,7 +57,8 @@ fn run_ten_rounds<P: TypedProcess>(p: &P, g: &Graph, rng: &mut StdRng) {
     for _ in 0..10 {
         st.step(g, rng);
     }
-    assert!(!st.active().is_empty(), "{} lost its tokens", p.name());
+    let name = std::any::type_name::<P>();
+    assert!(!st.active().is_empty(), "{name} lost its tokens");
 }
 
 #[test]

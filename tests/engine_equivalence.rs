@@ -30,6 +30,7 @@ use cobra_repro::walks::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::type_name;
 
 const MAX_STEPS: usize = 20_000;
 
@@ -127,7 +128,7 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
         let mut scratch = TrialScratch::new(&g);
         let mut digest = FNV_OFFSET;
         for seed in cell_seeds(process_idx, graph_idx as u64) {
-            let label = format!("{} on {gname} (seed {seed:#x})", process.name());
+            let label = format!("{} on {gname} (seed {seed:#x})", type_name::<P>());
 
             let (typed_cover, typed_tr) =
                 traced_cover(&g, process, &ImplicitDraw, &mut TrialScratch::new(&g), seed);
@@ -165,7 +166,7 @@ fn assert_engine_equivalence<P: TypedProcess>(process_idx: u64, process: &P, pin
             digest,
             pinned[graph_idx],
             "{} on {gname}: digest {digest:#018x} differs from the recorded dyn-route output",
-            process.name()
+            type_name::<P>()
         );
     }
 }
@@ -278,7 +279,7 @@ fn assert_csr_implicit_equivalence<G, P>(
     let mut csr_scratch = TrialScratch::new(csr);
     let mut imp_scratch = TrialScratch::new(implicit);
     for seed in cell_seeds(0xC5, cell) {
-        let label = format!("{} on {gname} (seed {seed:#x})", process.name());
+        let label = format!("{} on {gname} (seed {seed:#x})", type_name::<P>());
 
         let (csr_cover, csr_tr) = traced_cover(
             csr,

@@ -48,15 +48,11 @@ fn in_pool<T: Send>(workers: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-fn lanes_fixed<P: TypedProcess + Sync>(g: &Graph, process: &P, plan: &TrialPlan) -> TrialOutcome {
+fn lanes_fixed<P: TypedProcess>(g: &Graph, process: &P, plan: &TrialPlan) -> TrialOutcome {
     run_cover_trials_lanes_probed(g, process, 0, plan, |_| NoopProbe).0
 }
 
-fn adaptive_auto<P: TypedProcess + Sync>(
-    g: &Graph,
-    process: &P,
-    plan: &AdaptivePlan,
-) -> AdaptiveOutcome {
+fn adaptive_auto<P: TypedProcess>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
     run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
         BatchControl::Continue
     })
