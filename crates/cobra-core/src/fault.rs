@@ -4,7 +4,7 @@
 //! module makes that robustness measurable. A [`FaultPlan`] describes a
 //! round-synchronous fault environment — per-pebble loss, per-vertex
 //! crash/recovery windows, one-shot adversarial deletion waves, and
-//! delayed delivery through a bounded in-flight queue — and
+//! delayed delivery through a bounded in-flight buffer — and
 //! [`FaultyCobraWalk`] runs the `k`-cobra walk inside it, on any
 //! [`ImplicitGraph`], through the same [`TypedProcess`]/[`TypedState`]
 //! seam every engine already drives.
@@ -12,13 +12,14 @@
 //! ## Determinism contract
 //!
 //! Fault randomness is drawn from a **dedicated stream**: on the first
-//! step of each trial (and only when the plan actually has probabilistic
-//! faults) one `u64` is taken from the trial's main RNG to seed a private
-//! `StdRng`. All loss and delay coins come from that private stream, so
-//! the *walk's* neighbor draws consume exactly the same main-stream
-//! values as the fault-free kernel, and a faulty run is bit-identical
-//! across worker counts and batch sizes — each trial's streams depend
-//! only on its global trial index.
+//! step of each trial, any plan other than [`FaultPlan::none()`] takes
+//! one `u64` from the trial's main RNG to seed a private `StdRng` —
+//! outage-only and wave-only plans too, though they flip no coins. The
+//! walk's neighbor draws follow that seeding word on the main stream,
+//! and every loss and delay coin comes from the private stream, so the
+//! coins never touch the main stream. A faulty run is therefore
+//! bit-identical across worker counts and batch sizes — each trial's
+//! streams depend only on its global trial index.
 //!
 //! [`FaultPlan::none()`] consumes **zero** extra randomness: no seeding
 //! draw, no coins, and the step runs the wrapped [`CobraState`]'s own
@@ -29,28 +30,31 @@
 //! ## Fault semantics (round-synchronous)
 //!
 //! Rounds are 1-indexed: the step producing `S_1` from `S_0` is round 1.
-//! During round `r`:
+//! Each round reads the plan directly. During round `r`:
 //!
-//! 1. **Crashes.** A vertex with an outage window `from_round ≤ r <
-//!    until_round` is *down*: pebbles on it are destroyed (it does not
-//!    send), newly drawn arrivals to it are rejected, and in-flight
-//!    deliveries due at it are dropped. Recovery is implicit — after
-//!    `until_round` the vertex participates again as soon as a pebble
-//!    reaches it. Overlapping windows nest (depth-counted).
-//! 2. **Deletion waves.** A deletion wave with `round == r` destroys
-//!    the pebbles sitting on its vertices at the start of the round
-//!    (they do not send). One-shot, adversarial, no randomness.
-//! 3. **Delivery.** In-flight pebbles due this round are delivered first
-//!    (into `S_r`), then every surviving active vertex makes its `k`
-//!    neighbor draws from the main stream. Each drawn pebble is lost
-//!    with probability `pebble_loss` (one fault coin), rejected if its
-//!    destination is down (no coin), else delayed with probability
-//!    `delay_prob` (one fault coin). A delayed pebble enters the bounded
-//!    in-flight queue due next round; if the queue is at
-//!    `max_in_flight`, the pebble is dropped — bounded-buffer loss, the
-//!    same back-pressure a real gossip transport exhibits.
+//! 1. **Crashes.** A vertex is *down* while any of its outage windows
+//!    `from_round ≤ r < until_round` covers `r`, so overlapping windows
+//!    on one vertex act as their union. Pebbles on a down vertex are
+//!    destroyed (it does not send), newly drawn arrivals to it are
+//!    rejected, and delayed pebbles arriving at it are dropped. Recovery
+//!    is implicit — after its last window the vertex participates again
+//!    as soon as a pebble reaches it.
+//! 2. **Deletion waves.** The waves with `round == r` destroy the
+//!    pebbles sitting on their vertices at the start of the round (they
+//!    do not send); several waves in one round strike the union of their
+//!    vertex lists. One-shot, adversarial, no randomness.
+//! 3. **Delivery.** Every delay lasts exactly one round, so last round's
+//!    delayed pebbles are delivered first (into `S_r`); then every
+//!    surviving active vertex makes its `k` neighbor draws from the main
+//!    stream. Each drawn pebble is lost with probability `pebble_loss`
+//!    (one fault coin), rejected if its destination is down (no coin),
+//!    else delayed with probability `delay_prob` (one fault coin). A
+//!    delayed pebble is buffered and arrives next round; if
+//!    `max_in_flight` pebbles are already buffered, it is dropped —
+//!    bounded-buffer loss, the same back-pressure a real gossip
+//!    transport exhibits.
 //!
-//! A trial whose frontier and in-flight queue both empty out is *dead*:
+//! A trial whose frontier and in-flight buffer both empty out is *dead*:
 //! no later round can deliver a pebble. [`FaultyCobraState`] reports it
 //! through [`StateView::is_extinct`], and the driver stops the trial in
 //! the round it dies and reports it censored, with `steps` the rounds it
@@ -62,7 +66,6 @@ use cobra_graph::{ImplicitGraph, Vertex};
 use cobra_obs::{FaultKind, Probe};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// One per-vertex crash window: the vertex is down during rounds
 /// `from_round ≤ r < until_round` (half-open, 1-indexed rounds).
@@ -128,9 +131,9 @@ impl FaultPlan {
         self
     }
 
-    /// Delay each surviving pebble independently with probability `p`,
-    /// buffering at most `max_in_flight` delayed pebbles at a time
-    /// (overflow is dropped — bounded-buffer loss).
+    /// Delay each surviving pebble by one round independently with
+    /// probability `p`, buffering at most `max_in_flight` delayed pebbles
+    /// at a time (overflow is dropped — bounded-buffer loss).
     pub fn with_delay(mut self, p: f64, max_in_flight: usize) -> Self {
         assert!((0.0..=1.0).contains(&p), "delay_prob must be in [0,1]");
         self.delay_prob = p;
@@ -172,15 +175,6 @@ impl FaultPlan {
     }
 }
 
-/// A crash-bitmap edit: at `round`, raise (`down`) or lower the crash
-/// depth of `vertex`. Depth-counted so overlapping windows nest.
-#[derive(Clone, Copy, Debug)]
-struct CrashEvent {
-    round: usize,
-    vertex: Vertex,
-    down: bool,
-}
-
 /// The `k`-cobra walk running inside a [`FaultPlan`].
 ///
 /// Under [`FaultPlan::none()`] this is bit-identical to
@@ -211,53 +205,18 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
 
     fn spawn_typed(&self, g: &G, start: Vertex) -> FaultyCobraState {
         let n = g.num_vertices();
-        assert!((start as usize) < n, "start vertex in range");
         if let Some(v) = self.plan.max_vertex() {
             assert!(
                 (v as usize) < n,
                 "fault plan references vertex {v} but the graph has {n} vertices"
             );
         }
-        // Depth-counted crash edits, sorted by round; within a round the
-        // order is irrelevant because depths add.
-        let mut crash_events = Vec::with_capacity(self.plan.outages.len() * 2);
-        for o in &self.plan.outages {
-            crash_events.push(CrashEvent {
-                round: o.from_round,
-                vertex: o.vertex,
-                down: true,
-            });
-            crash_events.push(CrashEvent {
-                round: o.until_round,
-                vertex: o.vertex,
-                down: false,
-            });
-        }
-        crash_events.sort_by_key(|e| e.round);
-        let mut waves = self.plan.deletion_waves.clone();
-        waves.sort_by_key(|w| w.round);
-
         FaultyCobraState {
             walk: CobraWalk::new(self.branching_factor).spawn_typed(g, start),
             plan: self.plan.clone(),
             round: 0,
             fault_rng: None,
-            crash_events,
-            crash_cursor: 0,
-            crash_depth: if self.plan.outages.is_empty() {
-                Vec::new()
-            } else {
-                vec![0u32; n]
-            },
-            waves,
-            wave_cursor: 0,
-            wave_marks: if self.plan.deletion_waves.is_empty() {
-                Vec::new()
-            } else {
-                vec![false; n]
-            },
-            wave_marked: Vec::new(),
-            in_flight: VecDeque::new(),
+            in_flight: Vec::new(),
         }
     }
 
@@ -272,8 +231,7 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
     }
 
     fn respawn_typed(&self, g: &G, start: Vertex, state: &mut FaultyCobraState) {
-        let n = g.num_vertices();
-        if state.walk.cur.capacity() != n || state.plan != self.plan {
+        if state.walk.cur.capacity() != g.num_vertices() || state.plan != self.plan {
             *state = self.spawn_typed(g, start);
             return;
         }
@@ -283,39 +241,23 @@ impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for FaultyCobraWalk {
         // stream — this is what keeps batched trials bit-identical
         // across worker counts.
         state.fault_rng = None;
-        state.crash_cursor = 0;
-        if !state.crash_depth.is_empty() {
-            state.crash_depth.fill(0);
-        }
-        state.wave_cursor = 0;
-        for &v in &state.wave_marked {
-            state.wave_marks[v as usize] = false;
-        }
-        state.wave_marked.clear();
         state.in_flight.clear();
     }
 }
 
 /// Mutable state of a running faulty cobra walk.
 ///
-/// The walk itself is a [`CobraState`], which runs the round whenever
-/// the plan is fault-free; the rest is the fault machinery: the
-/// lazily-seeded private fault RNG, the crash-edit cursor + depth map,
-/// the deletion-wave cursor + scratch marks, and the bounded in-flight
-/// queue of `(due_round, destination)` pebbles.
+/// Five fields: the walk itself, a [`CobraState`] that runs the round
+/// whenever the plan is fault-free; the [`FaultPlan`] it was spawned
+/// with, which every faulty round reads directly; the round counter;
+/// the private fault RNG, seeded lazily on the trial's first step; and
+/// the pebbles delayed last round, which the next round delivers first.
 pub struct FaultyCobraState {
     walk: CobraState,
     plan: FaultPlan,
     round: usize,
     fault_rng: Option<StdRng>,
-    crash_events: Vec<CrashEvent>,
-    crash_cursor: usize,
-    crash_depth: Vec<u32>,
-    waves: Vec<DeletionWave>,
-    wave_cursor: usize,
-    wave_marks: Vec<bool>,
-    wave_marked: Vec<Vertex>,
-    in_flight: VecDeque<(usize, Vertex)>,
+    in_flight: Vec<Vertex>,
 }
 
 impl FaultyCobraState {
@@ -325,7 +267,7 @@ impl FaultyCobraState {
     }
 
     /// Whether the process can ever deliver another pebble: dead means
-    /// both the frontier and the in-flight queue are empty.
+    /// both the frontier and the in-flight buffer are empty.
     pub fn is_dead(&self) -> bool {
         self.walk.cur.is_empty() && self.in_flight.is_empty()
     }
@@ -346,14 +288,16 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
     /// wrapped [`CobraState`]'s round — same draws, same stream, zero
     /// fault overhead (the identity is pinned bit-for-bit in
     /// `tests/faults.rs`). Otherwise it emits [`Probe::on_draws`] for
-    /// the round's neighbor draws and one [`Probe::on_fault`] per fault
-    /// kind that fired this round: [`FaultKind::PebbleLoss`] counts
-    /// loss-coin hits plus bounded-queue overflow drops,
-    /// [`FaultKind::Delay`] counts pebbles buffered into the in-flight
-    /// queue, [`FaultKind::Outage`] counts down senders skipped plus
-    /// arrivals (drawn or in-flight) rejected by a down destination, and
-    /// [`FaultKind::Deletion`] counts waved senders destroyed. The probe
-    /// never touches either RNG stream.
+    /// the round's neighbor draws, of which a draw merged when it landed
+    /// in the next frontier on a vertex already there (lost, rejected
+    /// and delayed draws never merge, and delivered in-flight pebbles
+    /// are not draws), and one [`Probe::on_fault`] per fault kind that
+    /// fired this round: [`FaultKind::PebbleLoss`] counts loss-coin hits
+    /// plus in-flight overflow drops, [`FaultKind::Delay`] counts
+    /// pebbles buffered for the next round, [`FaultKind::Outage`] counts
+    /// down senders skipped plus arrivals (drawn or delayed) rejected by
+    /// a down destination, and [`FaultKind::Deletion`] counts waved
+    /// senders destroyed. The probe never touches either RNG stream.
     fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: Probe>(
         &mut self,
         g: &G,
@@ -365,83 +309,61 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
             self.walk.step_probed(g, draw, rng, probe);
             return;
         }
-
-        // Seed the private fault stream on the trial's first faulty
-        // step: one u64 from the main stream, then the two streams never
-        // touch again.
-        if self.fault_rng.is_none() {
-            self.fault_rng = Some(StdRng::seed_from_u64(rng.next_u64()));
-        }
-        self.round += 1;
-        let r = self.round;
-
-        // 1. Crash edits due through round r.
-        while self.crash_cursor < self.crash_events.len()
-            && self.crash_events[self.crash_cursor].round <= r
-        {
-            let e = self.crash_events[self.crash_cursor];
-            let d = &mut self.crash_depth[e.vertex as usize];
-            if e.down {
-                *d += 1;
-            } else {
-                *d -= 1;
-            }
-            self.crash_cursor += 1;
-        }
-
-        // 2. Deletion waves striking this round.
-        while self.wave_cursor < self.waves.len() && self.waves[self.wave_cursor].round <= r {
-            if self.waves[self.wave_cursor].round == r {
-                for &v in &self.waves[self.wave_cursor].vertices {
-                    if !self.wave_marks[v as usize] {
-                        self.wave_marks[v as usize] = true;
-                        self.wave_marked.push(v);
-                    }
-                }
-            }
-            self.wave_cursor += 1;
-        }
-
         let FaultyCobraState {
             walk,
             plan,
+            round,
             fault_rng,
-            crash_depth,
-            wave_marks,
             in_flight,
-            ..
         } = self;
         let CobraState { k, cur, next } = walk;
-        let frng = fault_rng.as_mut().expect("fault rng seeded above");
-        let down = |v: Vertex| !crash_depth.is_empty() && crash_depth[v as usize] > 0;
-        let waved = |v: Vertex| !wave_marks.is_empty() && wave_marks[v as usize];
+        // Seed the private fault stream on the trial's first faulty
+        // step: one u64 from the main stream, then the two streams never
+        // touch again.
+        let frng = fault_rng.get_or_insert_with(|| StdRng::seed_from_u64(rng.next_u64()));
+        *round += 1;
+        let r = *round;
+        // The outage scan runs per draw, so only rounds that a window
+        // covers pay for it.
+        let (outages, waves) = (&plan.outages, &plan.deletion_waves);
+        let covers = move |o: &VertexOutage| o.from_round <= r && r < o.until_round;
+        let outage_round = outages.iter().any(covers);
+        let down =
+            move |v: Vertex| outage_round && outages.iter().any(|o| o.vertex == v && covers(o));
+        let waved = move |v: Vertex| {
+            waves
+                .iter()
+                .any(|w| w.round == r && w.vertices.contains(&v))
+        };
 
-        // Fault tallies feed only the probe; under `NoopProbe` they are
-        // dead locals the optimizer strips.
+        // Fault and merge tallies feed only the probe; under `NoopProbe`
+        // they are dead locals the optimizer strips.
         let mut loss_hits = 0u64;
         let mut delay_hits = 0u64;
         let mut outage_hits = 0u64;
         let mut deletion_hits = 0u64;
         let mut draws_made = 0u64;
+        // Each draw that lands in `next` opens a slot or merges, so a round
+        // merges `landed + arrived - |S_{t+1}|` draws, where `arrived`, read
+        // only by an enabled probe, counts the slots delayed pebbles opened.
+        let mut landed = 0u64;
+        let mut arrived = 0u64;
 
         next.clear();
 
-        // 3. Deliver in-flight pebbles due this round (dropped if the
+        // Last round's delayed pebbles arrive first (dropped if the
         // destination is down).
-        while let Some(&(due, u)) = in_flight.front() {
-            if due > r {
-                break;
-            }
-            in_flight.pop_front();
-            if !down(u) {
-                next.insert_quiet(u);
-            } else {
+        for u in in_flight.drain(..) {
+            if down(u) {
                 outage_hits += 1;
+                continue;
             }
+            arrived += u64::from(Pb::ENABLED && !next.contains(u));
+            next.insert_quiet(u);
         }
 
-        // 4. Surviving senders make their k draws from the main stream;
-        // the sink applies loss → crash → delay from the fault stream.
+        // Surviving senders make their k draws from the main stream; the
+        // sink applies loss → crash → delay from the fault stream.
         cur.for_each(|v| {
             if down(v) {
                 outage_hits += 1;
@@ -463,26 +385,23 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
                 }
                 if plan.delay_prob > 0.0 && bernoulli(plan.delay_prob, frng) {
                     if in_flight.len() < plan.max_in_flight {
-                        in_flight.push_back((r + 1, u));
+                        in_flight.push(u);
                         delay_hits += 1;
                     } else {
                         loss_hits += 1;
                     }
                     return;
                 }
+                landed += 1;
                 next.insert_quiet(u);
             });
         });
         next.finalize_len();
         std::mem::swap(cur, next);
 
-        // 5. Retire this round's wave marks.
-        for &v in self.wave_marked.iter() {
-            self.wave_marks[v as usize] = false;
+        if Pb::ENABLED {
+            probe.on_draws(draws_made, landed + arrived - cur.len() as u64);
         }
-        self.wave_marked.clear();
-
-        probe.on_draws(draws_made, 0);
         if loss_hits > 0 {
             probe.on_fault(FaultKind::PebbleLoss, loss_hits);
         }

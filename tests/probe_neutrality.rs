@@ -16,12 +16,13 @@
 //!   RNG stream position (on cycle graphs every neighbor draw costs
 //!   exactly one `u64` — degree 2 is a power of two, so the widening
 //!   Lemire sampler never rejects), on cover and hitting runs alike,
-//!   coverage deltas sum to `n` on a completed cover, and per-round
-//!   draws equal `k·|frontier|`.
+//!   coverage deltas sum to `n` on a completed cover, and per round,
+//!   draws equal `k·|frontier|` and split into lost draws, the next
+//!   frontier and merges, for the faulty walk too.
 
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, ImplicitGrid};
-use cobra_repro::obs::{CountingProbe, NoopProbe, Probe, TraceEvent, TraceProbe};
+use cobra_repro::obs::{CountingProbe, FaultKind, NoopProbe, Probe, TraceEvent, TraceProbe};
 use cobra_repro::sim::runner::{
     run_cover_trials_implicit_probed, run_cover_trials_lanes_probed, run_cover_trials_typed_probed,
     TrialPlan,
@@ -29,7 +30,7 @@ use cobra_repro::sim::runner::{
 use cobra_repro::sim::TrialOutcome;
 use cobra_repro::walks::{
     BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, ImplicitDraw,
-    ScheduledCobraWalk, TrialScratch,
+    ScheduledCobraWalk, TrialScratch, TypedProcess,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,6 +184,23 @@ fn noop_probe_is_bit_identical_through_the_fault_seam() {
                 .with_outage(5, 3, 11)
                 .with_deletion_wave(7, vec![0, 1, 2]),
             0x1e7cff1947a92f14,
+        ),
+        // Two overlapping outage windows on vertex 9 and two deletion
+        // waves in round 6: a vertex is down while any of its windows
+        // covers the round, and a round's waves strike the union of
+        // their vertices. Dropping the second window or the second wave
+        // changes the digest.
+        (
+            "nested",
+            FaultPlan::none()
+                .with_pebble_loss(0.05)
+                .with_delay(0.3, 16)
+                .with_outage(9, 2, 6)
+                .with_outage(9, 4, 12)
+                .with_outage(27, 3, 9)
+                .with_deletion_wave(6, vec![0, 1])
+                .with_deletion_wave(6, vec![1, 8, 10]),
+            0x593d5327292346db,
         ),
     ];
     for (pname, fault_plan, pin) in plans {
@@ -359,55 +377,85 @@ fn counting_probe_coverage_sums_to_n_across_parallel_trials() {
     }
 }
 
+/// One traced cover trial of `process` on the 33-cycle, seed `0x7ACE`.
+fn cycle_trace<P: TypedProcess>(process: &P) -> TraceProbe {
+    let g = classic::cycle(33).unwrap();
+    let mut probe = TraceProbe::new(8192);
+    probe.on_trial_begin(0);
+    CoverDriver::new(&g)
+        .run_typed_in_probed(
+            process,
+            &ImplicitDraw,
+            &mut TrialScratch::new(&g),
+            0,
+            None,
+            MAX_STEPS,
+            &mut StdRng::seed_from_u64(0x7ACE),
+            &mut probe,
+        )
+        .expect("non-empty graph");
+    assert_eq!(probe.dropped(), 0, "the trace ring overflowed");
+    probe
+}
+
 #[test]
 fn trace_probe_round_draws_equal_k_times_frontier() {
     // Per round t: the k-cobra frontier S_t sends k·|S_t| pebbles, and
-    // the merged count is draws minus the coalesced frontier |S_{t+1}|.
-    // The trace's Round events carry exactly those numbers.
-    let g = classic::cycle(33).unwrap();
-    let driver = CoverDriver::new(&g);
-    for k in [2u32, 3] {
-        let process = CobraWalk::new(k);
-        let mut probe = TraceProbe::new(8192);
-        probe.on_trial_begin(0);
-        let mut rng = StdRng::seed_from_u64(0x7ACE);
-        driver
-            .run_typed_in_probed(
-                &process,
-                &ImplicitDraw,
-                &mut TrialScratch::new(&g),
-                0,
-                None,
-                MAX_STEPS,
-                &mut rng,
-                &mut probe,
-            )
-            .expect("non-empty graph");
+    // each draw is lost, opens a slot in S_{t+1} or merges, so draws =
+    // lost + |S_{t+1}| + merged. The trace's Round events carry draws,
+    // merges and |S_{t+1}|; the round's PebbleLoss events, which precede
+    // its Round event, carry the losses. A faulty walk whose plan never
+    // fires (its one outage window opens at round 10⁶) loses nothing and
+    // reads the plain walk's identity; under pebble loss alone every
+    // sender still draws k pebbles. No other trace may carry a fault.
+    let quiet = FaultyCobraWalk::new(2, FaultPlan::none().with_outage(0, 1_000_000, 1_000_001));
+    let lossy = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(0.2));
+    let traces = [
+        ("cobra k=2", 2, false, cycle_trace(&CobraWalk::new(2))),
+        ("cobra k=3", 3, false, cycle_trace(&CobraWalk::new(3))),
+        ("faulty k=2, quiet plan", 2, false, cycle_trace(&quiet)),
+        ("faulty k=2, 20% loss", 2, true, cycle_trace(&lossy)),
+    ];
+    for (label, k, may_lose, probe) in traces {
         let mut prev_frontier = 1u64; // the lone start vertex
+        let mut lost = 0u64;
         let mut rounds_seen = 0usize;
+        let mut merged_total = 0u64;
         for ev in probe.events() {
-            if let TraceEvent::Round {
-                frontier,
-                draws,
-                merged,
-                ..
-            } = *ev
-            {
-                assert_eq!(
+            match *ev {
+                TraceEvent::Fault { kind, count } => {
+                    assert!(
+                        may_lose && kind == FaultKind::PebbleLoss,
+                        "{label}: unexpected {kind:?} fault"
+                    );
+                    lost += count;
+                }
+                TraceEvent::Round {
+                    frontier,
                     draws,
-                    u64::from(k) * prev_frontier,
-                    "k={k}: round draws must be k times the sending frontier"
-                );
-                assert_eq!(
                     merged,
-                    draws - frontier,
-                    "k={k}: merged must be draws minus the surviving frontier"
-                );
-                prev_frontier = frontier;
-                rounds_seen += 1;
+                    ..
+                } => {
+                    assert_eq!(
+                        draws,
+                        k * prev_frontier,
+                        "{label}: round draws must be k times the sending frontier"
+                    );
+                    assert_eq!(
+                        lost + frontier + merged,
+                        draws,
+                        "{label}: every draw is lost, opens a slot or merges"
+                    );
+                    merged_total += merged;
+                    prev_frontier = frontier;
+                    lost = 0;
+                    rounds_seen += 1;
+                }
+                _ => {}
             }
         }
-        assert!(rounds_seen > 0, "trace recorded no rounds");
+        assert!(rounds_seen > 0, "{label}: trace recorded no rounds");
+        assert!(merged_total > 0, "{label}: the trial coalesced nothing");
     }
 }
 

@@ -25,8 +25,9 @@ use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::Graph;
 use cobra_repro::obs::{CountingProbe, NoopProbe, Probe};
 use cobra_repro::walks::{
-    run_lane_cover, BranchingSchedule, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch,
-    ScheduledCobraWalk, SimpleWalk, TrialScratch, TypedProcess, WaltProcess,
+    run_lane_cover, BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk,
+    ImplicitDraw, LaneScratch, ScheduledCobraWalk, SimpleWalk, TrialScratch, TypedProcess,
+    WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -213,6 +214,17 @@ fn steady_state_trials_do_not_allocate() {
             })
         );
         audit!("walt(p=6)", WaltProcess::with_count(6).lazy(false));
+        audit!(
+            "faulty(loss, delay)",
+            FaultyCobraWalk::new(
+                2,
+                FaultPlan::none()
+                    .with_pebble_loss(0.1)
+                    .with_delay(0.25, 8)
+                    .with_outage(3, 2, 40)
+                    .with_deletion_wave(5, vec![1, 2])
+            )
+        );
 
         macro_rules! audit_probed {
             ($pname:literal, $process:expr, $probe:literal, $make_probe:expr) => {{
