@@ -137,7 +137,8 @@ impl CellStatus {
     }
 }
 
-/// One cell's persisted adaptive state.
+/// One cell's persisted adaptive state: the cell's only record. The
+/// orchestrator renders the run manifest from these records.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellCheckpoint {
     /// Position of the cell in run order — the primary resume key (cell

@@ -5,8 +5,8 @@
 //! `cobra-sim` and the experiment binaries: it owns the run-wide
 //! [`StopRule`] envelope (scaled by `--quick` / default / `--full`),
 //! runs whole sweeps or single cells through the batched adaptive
-//! runners, accumulates a per-cell audit trail, and at the end writes a
-//! JSON **run manifest** next to the CSV/Markdown output: per cell, the
+//! runners, keeps one record per cell, and at the end writes a JSON
+//! **run manifest** next to the CSV/Markdown output: per cell, the
 //! trials actually consumed, the censored count, the achieved CI
 //! half-width, and whether the precision target was met. The manifest is
 //! what makes an adaptive run auditable — a fixed-trial sweep's cost is
@@ -14,6 +14,11 @@
 //!
 //! ## Crash safety and fault tolerance
 //!
+//! A cell's record is its [`CellCheckpoint`]: key, status, consumed
+//! per-trial outcome stream, error, and timing. Checkpoints persist the
+//! records, and the manifest is rendered from them: a done cell's line
+//! comes from its stream replayed through the stop rule
+//! ([`replay_outcomes`]) on a fresh run exactly as on a resumed one.
 //! Every cell runs through the resumable adaptive runners with a
 //! checkpoint observer at each batch boundary:
 //!
@@ -63,14 +68,13 @@ use cobra_core::TypedProcess;
 use cobra_graph::{Graph, Vertex};
 use cobra_obs::TraceDoc;
 use cobra_sim::runner::AdaptiveOutcome;
-use cobra_sim::sweep::AdaptiveCellReport;
 use cobra_sim::{
     cell_seed, replay_outcomes, run_cover_trials_adaptive_auto_resumable,
     run_hitting_trials_adaptive_resumable, AdaptivePlan, BatchControl, EmptySummary,
     ResumableOutcome, StopRule, SweepCell, SweepRow, SweepTable,
 };
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// One attempt of a cell's resumable adaptive runner: takes the consumed
@@ -146,33 +150,6 @@ impl ExperimentSpec {
     }
 }
 
-/// One manifest line: a measured (or quarantined) cell and how much it
-/// cost.
-#[derive(Clone, Debug)]
-struct ManifestCell {
-    sweep: String,
-    report: AdaptiveCellReport,
-    mean: f64,
-    status: CellStatus,
-    error: Option<String>,
-    timing: CellTiming,
-}
-
-/// Wall-clock accounting for one cell, summed across attempts — the
-/// numbers the watchdog already measures, now kept instead of dropped.
-/// Carried through checkpoints so a resumed cell's totals include its
-/// pre-interruption attempts.
-#[derive(Clone, Debug, Default)]
-struct CellTiming {
-    /// Milliseconds spent inside the cell's adaptive runner, all
-    /// attempts summed.
-    wall_ms: u64,
-    /// Attempts beyond the first (panic or watchdog retries).
-    retries: u64,
-    /// Backoff sleeps (ms) taken before each retry, in order.
-    backoff_ms: Vec<u64>,
-}
-
 /// How a robustly-run cell ended (when the run itself was not halted).
 #[derive(Clone, Debug)]
 pub enum CellOutcome {
@@ -225,14 +202,16 @@ enum HaltReason {
 }
 
 /// Crash-safety state of one run: checkpoint destination, resume data,
-/// accumulated per-cell records, and the fault-handling knobs.
+/// the per-cell records, and the fault-handling knobs.
 #[derive(Debug)]
 struct Recovery {
     checkpoint_path: Option<PathBuf>,
     manifest_hint: Option<PathBuf>,
     prior: Vec<CellCheckpoint>,
+    /// One record per finished cell, in run order: the only record of a
+    /// cell. Checkpoints persist these, and the manifest is rendered
+    /// from them.
     records: Vec<CellCheckpoint>,
-    next_index: usize,
     checkpoints_written: usize,
     halt_after: Option<usize>,
     watchdog_budget: Duration,
@@ -247,7 +226,6 @@ impl Default for Recovery {
             manifest_hint: None,
             prior: Vec::new(),
             records: Vec::new(),
-            next_index: 0,
             checkpoints_written: 0,
             halt_after: None,
             // Generous per-attempt default: experiment cells run seconds
@@ -261,12 +239,11 @@ impl Default for Recovery {
     }
 }
 
-/// Runs adaptive sweeps/cells for one experiment and accumulates the
-/// per-cell audit trail; [`Orchestrator::finish`] writes the manifest.
+/// Runs adaptive sweeps/cells for one experiment and keeps one record
+/// per cell; [`Orchestrator::finish`] renders the manifest from them.
 #[derive(Debug)]
 pub struct Orchestrator {
     spec: ExperimentSpec,
-    cells: Vec<ManifestCell>,
     recovery: Recovery,
     /// Zero point for span timestamps (milliseconds since run start).
     run_started: Instant,
@@ -292,6 +269,21 @@ fn done_or_exit(sweep: &str, scale: f64, run: Result<CellOutcome, Interrupted>) 
     }
 }
 
+/// Write a run artifact atomically, creating its parent directory; a
+/// failure exits nonzero naming the file.
+fn write_artifact(what: &str, path: &Path, text: &str) {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            if let Err(e) = std::fs::create_dir_all(parent) {
+                fatal(&format!("cannot create {}: {e}", parent.display()));
+            }
+        }
+    }
+    if let Err(e) = cobra_sim::write_atomic_str(path, text) {
+        fatal(&format!("failed to write {what} {}: {e}", path.display()));
+    }
+}
+
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -309,7 +301,6 @@ impl Orchestrator {
     pub fn new(spec: ExperimentSpec) -> Self {
         Orchestrator {
             spec,
-            cells: Vec::new(),
             recovery: Recovery::default(),
             run_started: Instant::now(),
             trace: None,
@@ -519,127 +510,116 @@ impl Orchestrator {
         scale: f64,
         run: CellAttempt<'_>,
     ) -> Result<CellOutcome, Interrupted> {
-        let index = self.recovery.next_index;
-        self.recovery.next_index += 1;
+        // Records are kept in run order and a run stops at an interrupted
+        // cell, so the records reached so far number this cell.
+        let index = self.recovery.records.len();
         let key = format!("{sweep}@{scale}");
         let cell_start_ms = self.elapsed_ms();
-        let mut timing = CellTiming::default();
 
-        // Resume: replay a done cell without re-simulation; continue a
-        // running (or retry a failed) cell from its recorded prefix.
-        // Either way the checkpoint's timing carries forward so the
-        // manifest totals cover the pre-interruption attempts too.
-        let mut prior_times: Vec<Option<usize>> = Vec::new();
-        if let Some(rec) = self.recovery.prior.get(index) {
-            if rec.key != key {
-                fatal(&format!(
-                    "resume mismatch at cell {index}: checkpoint recorded {:?}, this run \
-                     produced {:?} — the checkpoint belongs to a different run",
-                    rec.key, key
-                ));
+        // The cell's record. Resume replays a done cell without
+        // re-simulation and continues a running (or retries a failed)
+        // cell from its recorded prefix; either way the recorded timing
+        // carries forward so the manifest totals cover the
+        // pre-interruption attempts too.
+        let mut record = match self.recovery.prior.get(index).cloned() {
+            Some(rec) if rec.key != key => fatal(&format!(
+                "resume mismatch at cell {index}: checkpoint recorded {:?}, this run \
+                 produced {key:?} — the checkpoint belongs to a different run",
+                rec.key
+            )),
+            Some(rec) if rec.status == CellStatus::Done => {
+                let outcome = replay_outcomes(&self.spec.rule, &rec.times);
+                self.recovery.records.push(rec);
+                self.record_span("cell", &key, cell_start_ms);
+                return Ok(CellOutcome::Done(outcome));
             }
-            timing = CellTiming {
-                wall_ms: rec.wall_ms,
-                retries: rec.retries,
-                backoff_ms: rec.backoff_ms.clone(),
-            };
-            match rec.status {
-                CellStatus::Done => {
-                    let outcome = replay_outcomes(&self.spec.rule, &rec.times);
-                    let times = rec.times.clone();
-                    self.record_span("cell", &key, cell_start_ms);
-                    self.push_done(index, sweep, scale, &outcome, times, timing);
-                    return Ok(CellOutcome::Done(outcome));
-                }
-                CellStatus::Running | CellStatus::Failed => prior_times = rec.times.clone(),
-            }
-        }
+            Some(rec) => CellCheckpoint {
+                status: CellStatus::Running,
+                error: None,
+                ..rec
+            },
+            None => CellCheckpoint {
+                index,
+                key: key.clone(),
+                status: CellStatus::Running,
+                times: Vec::new(),
+                error: None,
+                wall_ms: 0,
+                retries: 0,
+                backoff_ms: Vec::new(),
+            },
+        };
 
         let fingerprint = self.fingerprint();
         let poisoned = self.recovery.poisoned.contains(&key);
         let retries = self.recovery.watchdog_retries;
         let mut budget = self.recovery.watchdog_budget;
-        let mut last_prefix = prior_times;
         let mut attempt = 0usize;
 
         loop {
-            let prior_attempt = last_prefix.clone();
+            let prior = record.times.clone();
             let started = Instant::now();
             let mut halt_reason: Option<HaltReason> = None;
-            let result = {
-                let recovery = &mut self.recovery;
-                let trace_slot = &mut self.trace;
-                let run_started = self.run_started;
-                let mut batch_start_ms = run_started.elapsed().as_millis() as u64;
-                let halt_slot = &mut halt_reason;
-                let prefix_slot = &mut last_prefix;
-                let key_ref = &key;
-                let fingerprint = &fingerprint;
-                let wall_base = timing.wall_ms;
-                let retries_base = timing.retries;
-                let backoff_ref = &timing.backoff_ms;
-                let mut on_batch = |times: &[Option<usize>]| -> BatchControl {
-                    // Keep the consumed prefix in memory regardless of a
-                    // checkpoint destination: watchdog/panic retries
-                    // resume from it even without a file.
-                    *prefix_slot = times.to_vec();
-                    if let Some(tr) = trace_slot.as_mut() {
-                        let now = run_started.elapsed().as_millis() as u64;
-                        tr.push_span("batch", key_ref, batch_start_ms, now);
-                        batch_start_ms = now;
+            let mut batch_start_ms = self.elapsed_ms();
+            let mut on_batch = |times: &[Option<usize>]| -> BatchControl {
+                // Keep the consumed prefix in the record regardless of a
+                // checkpoint destination: watchdog/panic retries resume
+                // from it even without a file.
+                record.times = times.to_vec();
+                if let Some(tr) = self.trace.as_mut() {
+                    let now = self.run_started.elapsed().as_millis() as u64;
+                    tr.push_span("batch", &key, batch_start_ms, now);
+                    batch_start_ms = now;
+                }
+                if let Some(path) = &self.recovery.checkpoint_path {
+                    let mut cells = self.recovery.records.clone();
+                    cells.push(CellCheckpoint {
+                        wall_ms: record.wall_ms + started.elapsed().as_millis() as u64,
+                        ..record.clone()
+                    });
+                    let ckpt = Checkpoint {
+                        fingerprint: fingerprint.clone(),
+                        cells,
+                    };
+                    if let Err(e) = ckpt.write(path) {
+                        fatal(&format!(
+                            "cannot write checkpoint {} while running cell {key:?}: {e}",
+                            path.display()
+                        ));
                     }
-                    if let Some(path) = recovery.checkpoint_path.clone() {
-                        let mut cells = recovery.records.clone();
-                        cells.push(CellCheckpoint {
-                            index,
-                            key: key_ref.clone(),
-                            status: CellStatus::Running,
-                            times: times.to_vec(),
-                            error: None,
-                            wall_ms: wall_base + started.elapsed().as_millis() as u64,
-                            retries: retries_base,
-                            backoff_ms: backoff_ref.clone(),
-                        });
-                        let ckpt = Checkpoint {
-                            fingerprint: fingerprint.clone(),
-                            cells,
-                        };
-                        if let Err(e) = ckpt.write(&path) {
-                            fatal(&format!(
-                                "cannot write checkpoint {} while running cell {key_ref:?}: {e}",
-                                path.display()
-                            ));
-                        }
-                        recovery.checkpoints_written += 1;
-                        if let Some(n) = recovery.halt_after {
-                            if recovery.checkpoints_written >= n {
-                                *halt_slot = Some(HaltReason::External);
-                                return BatchControl::Halt;
-                            }
+                    self.recovery.checkpoints_written += 1;
+                    if let Some(n) = self.recovery.halt_after {
+                        if self.recovery.checkpoints_written >= n {
+                            halt_reason = Some(HaltReason::External);
+                            return BatchControl::Halt;
                         }
                     }
-                    if started.elapsed() > budget {
-                        *halt_slot = Some(HaltReason::Watchdog);
-                        return BatchControl::Halt;
-                    }
-                    BatchControl::Continue
-                };
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if poisoned {
-                        panic!("injected fault: cell {key_ref:?} poisoned via --poison-cell");
-                    }
-                    run(prior_attempt, &mut on_batch)
-                }))
+                }
+                if started.elapsed() > budget {
+                    halt_reason = Some(HaltReason::Watchdog);
+                    return BatchControl::Halt;
+                }
+                BatchControl::Continue
             };
-            timing.wall_ms += started.elapsed().as_millis() as u64;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if poisoned {
+                    panic!("injected fault: cell {key:?} poisoned via --poison-cell");
+                }
+                run(prior, &mut on_batch)
+            }));
+            record.wall_ms += started.elapsed().as_millis() as u64;
 
-            match result {
+            // A halted or panicked attempt leaves its last consumed prefix
+            // in the record, and the retry resumes from it.
+            let error = match result {
                 Ok(out) if !out.halted => {
+                    record.times = out.times;
+                    record.status = CellStatus::Done;
+                    self.recovery.records.push(record);
                     self.record_span("cell", &key, cell_start_ms);
-                    self.push_done(index, sweep, scale, &out.outcome, out.times, timing);
                     return Ok(CellOutcome::Done(out.outcome));
                 }
-                Ok(out) => match halt_reason {
+                Ok(_) => match halt_reason {
                     Some(HaltReason::External) | None => {
                         self.record_span("cell", &key, cell_start_ms);
                         return Err(Interrupted {
@@ -654,138 +634,79 @@ impl Orchestrator {
                         });
                     }
                     Some(HaltReason::Watchdog) => {
-                        // Progress is preserved: the retry resumes from
-                        // the timed-out attempt's consumed prefix.
-                        last_prefix = out.times;
-                        if attempt >= retries {
-                            let msg = format!(
-                                "watchdog: cell exceeded its {:.3}s attempt budget after {} \
-                                 attempt(s)",
-                                budget.as_secs_f64(),
-                                attempt + 1
-                            );
-                            self.record_span("cell", &key, cell_start_ms);
-                            self.push_failed(index, sweep, scale, &key, last_prefix, &msg, timing);
-                            return Ok(CellOutcome::Failed(msg));
-                        }
+                        let msg = format!(
+                            "watchdog: cell exceeded its {:.3}s attempt budget after {} \
+                             attempt(s)",
+                            budget.as_secs_f64(),
+                            attempt + 1
+                        );
                         budget *= 2;
+                        msg
                     }
                 },
-                Err(payload) => {
-                    let msg = format!("panicked: {}", panic_message(payload));
-                    if attempt >= retries {
-                        self.record_span("cell", &key, cell_start_ms);
-                        self.push_failed(index, sweep, scale, &key, last_prefix, &msg, timing);
-                        return Ok(CellOutcome::Failed(msg));
-                    }
-                }
+                Err(payload) => format!("panicked: {}", panic_message(payload)),
+            };
+            if attempt >= retries {
+                self.record_span("cell", &key, cell_start_ms);
+                eprintln!("cell {key:?} quarantined: {error}");
+                // The consumed prefix is kept so a later --resume retries
+                // the cell from where it stood, not from scratch.
+                record.status = CellStatus::Failed;
+                record.error = Some(error.clone());
+                self.recovery.records.push(record);
+                return Ok(CellOutcome::Failed(error));
             }
             attempt += 1;
-            timing.retries += 1;
+            record.retries += 1;
             // Bounded backoff between attempts, recorded in the timing
             // block (and as a retry span when tracing).
             let backoff = Duration::from_millis(25u64 << attempt.min(6));
-            timing.backoff_ms.push(backoff.as_millis() as u64);
+            record.backoff_ms.push(backoff.as_millis() as u64);
             let retry_start_ms = self.elapsed_ms();
             std::thread::sleep(backoff);
             self.record_span("retry", &key, retry_start_ms);
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal record sink
-    fn push_done(
-        &mut self,
-        index: usize,
-        sweep: &str,
-        scale: f64,
-        out: &AdaptiveOutcome,
-        times: Vec<Option<usize>>,
-        timing: CellTiming,
-    ) {
-        let report = AdaptiveCellReport::from_outcome(scale, out, self.spec.rule.confidence);
-        let mean = out.summary.try_mean().unwrap_or(f64::NAN);
-        self.cells.push(ManifestCell {
-            sweep: sweep.to_string(),
-            report,
-            mean,
-            status: CellStatus::Done,
-            error: None,
-            timing: timing.clone(),
-        });
-        self.recovery.records.push(CellCheckpoint {
-            index,
-            key: format!("{sweep}@{scale}"),
-            status: CellStatus::Done,
-            times,
-            error: None,
-            wall_ms: timing.wall_ms,
-            retries: timing.retries,
-            backoff_ms: timing.backoff_ms,
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal record sink
-    fn push_failed(
-        &mut self,
-        index: usize,
-        sweep: &str,
-        scale: f64,
-        key: &str,
-        times: Vec<Option<usize>>,
-        error: &str,
-        timing: CellTiming,
-    ) {
-        eprintln!("cell {key:?} quarantined: {error}");
-        self.cells.push(ManifestCell {
-            sweep: sweep.to_string(),
-            report: AdaptiveCellReport {
-                scale,
-                trials_used: 0,
-                completed: 0,
-                censored: 0,
-                ci_half_width: 0.0,
-                rel_half_width: 0.0,
-                precision_met: false,
-            },
-            mean: f64::NAN,
-            status: CellStatus::Failed,
-            error: Some(error.to_string()),
-            timing: timing.clone(),
-        });
-        // The consumed prefix is kept so a later --resume retries the
-        // cell from where it stood, not from scratch.
-        self.recovery.records.push(CellCheckpoint {
-            index,
-            key: key.to_string(),
-            status: CellStatus::Failed,
-            times,
-            error: Some(error.to_string()),
-            wall_ms: timing.wall_ms,
-            retries: timing.retries,
-            backoff_ms: timing.backoff_ms,
-        });
+    /// Every recorded cell with its adaptive outcome: a done cell's
+    /// stream replayed through the rule, exactly as `--resume` replays
+    /// it, and a failed cell's as an empty stream.
+    fn outcomes(&self) -> impl Iterator<Item = (&CellCheckpoint, AdaptiveOutcome)> + '_ {
+        self.recovery.records.iter().map(|rec| {
+            let times: &[Option<usize>] = match rec.status {
+                CellStatus::Done => &rec.times,
+                CellStatus::Failed | CellStatus::Running => &[],
+            };
+            (rec, replay_outcomes(&self.spec.rule, times))
+        })
     }
 
     /// Total trials consumed so far across all recorded cells.
     pub fn total_trials(&self) -> usize {
-        self.cells.iter().map(|c| c.report.trials_used).sum()
+        self.recovery
+            .records
+            .iter()
+            .filter(|r| r.status == CellStatus::Done)
+            .map(|r| r.times.len())
+            .sum()
     }
 
     /// Cells that met the precision target so far.
     pub fn precise_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.report.precision_met).count()
+        self.outcomes().filter(|(_, out)| out.precision_met).count()
     }
 
     /// Cells quarantined as failed so far.
     pub fn failed_cells(&self) -> usize {
-        self.cells
+        self.recovery
+            .records
             .iter()
-            .filter(|c| c.status == CellStatus::Failed)
+            .filter(|r| r.status == CellStatus::Failed)
             .count()
     }
 
     /// Render the run manifest as JSON (hand-rolled, like the bench
-    /// baselines — no serde in the workspace).
+    /// baselines — no serde in the workspace), one line per cell record.
     pub fn render_manifest(&self) -> String {
         let r = &self.spec.rule;
         let mut out = String::new();
@@ -804,9 +725,26 @@ impl Orchestrator {
             r.min_trials, r.max_trials, r.rel_precision, r.confidence, self.spec.batch
         ));
         out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let rep = &c.report;
-            let error = match &c.error {
+        let cells = self.recovery.records.len();
+        let mut censored = 0;
+        for (i, (rec, cell)) in self.outcomes().enumerate() {
+            // A key is "{sweep}@{scale}", the scale printed as the
+            // manifest prints it, and a scale never contains '@'.
+            let (sweep, scale) = rec
+                .key
+                .rsplit_once('@')
+                .expect("a cell key is \"{sweep}@{scale}\"");
+            // Half-widths are 0 when no trial completed or the mean is 0.
+            let (mean, half, rel) = match cell.summary.try_mean() {
+                Ok(m) if m != 0.0 => {
+                    let half = cell.summary.ci_half_width(r.confidence);
+                    (format!("{m:.4}"), half, half / m.abs())
+                }
+                Ok(m) => (format!("{m:.4}"), 0.0, 0.0),
+                Err(EmptySummary) => ("null".to_string(), 0.0, 0.0),
+            };
+            censored += cell.censored;
+            let error = match &rec.error {
                 Some(e) => format!(", \"error\": \"{}\"", escape_str(e)),
                 None => String::new(),
             };
@@ -814,43 +752,38 @@ impl Orchestrator {
             // live on separate lines: the bit-identity checks (resume
             // test, CI manifest `cmp`) strip lines containing "timing"
             // before comparing.
-            let backoff: Vec<String> = c.timing.backoff_ms.iter().map(|b| b.to_string()).collect();
+            let backoff: Vec<String> = rec.backoff_ms.iter().map(|b| b.to_string()).collect();
             out.push_str(&format!(
                 "    {{\"sweep\": \"{}\", \"scale\": {}, \"status\": \"{}\", \
                  \"trials_used\": {}, \"completed\": {}, \"censored\": {}, \"mean\": {}, \
                  \"ci_half_width\": {:.6}, \"rel_half_width\": {:.6}, \
                  \"precision_met\": {}{},\n",
-                escape_str(&c.sweep),
-                rep.scale,
-                c.status.as_str(),
-                rep.trials_used,
-                rep.completed,
-                rep.censored,
-                if c.mean.is_finite() {
-                    format!("{:.4}", c.mean)
-                } else {
-                    "null".to_string()
-                },
-                rep.ci_half_width,
-                rep.rel_half_width,
-                rep.precision_met,
+                escape_str(sweep),
+                scale,
+                rec.status.as_str(),
+                cell.trials_run(),
+                cell.summary.count(),
+                cell.censored,
+                mean,
+                half,
+                rel,
+                cell.precision_met,
                 error
             ));
             out.push_str(&format!(
                 "     \"timing\": {{\"wall_ms\": {}, \"retries\": {}, \
                  \"backoff_ms\": [{}]}}}}{}\n",
-                c.timing.wall_ms,
-                c.timing.retries,
+                rec.wall_ms,
+                rec.retries,
                 backoff.join(", "),
-                if i + 1 < self.cells.len() { "," } else { "" }
+                if i + 1 < cells { "," } else { "" }
             ));
         }
         out.push_str("  ],\n");
-        let censored: usize = self.cells.iter().map(|c| c.report.censored).sum();
         out.push_str(&format!(
             "  \"totals\": {{\"cells\": {}, \"trials_used\": {}, \"censored\": {}, \
              \"precision_met_cells\": {}, \"failed_cells\": {}}}\n",
-            self.cells.len(),
+            cells,
             self.total_trials(),
             censored,
             self.precise_cells(),
@@ -878,13 +811,14 @@ impl Orchestrator {
     /// left to resume); a run with quarantined cells writes a final
     /// checkpoint instead so `--resume` can retry them.
     pub fn finish(self, cfg: &ExpConfig) {
+        let cells = self.recovery.records.len();
         println!(
             "adaptive run: {} cells, {} trials consumed, {}/{} cells met \
              the {:.1}% half-width target",
-            self.cells.len(),
+            cells,
             self.total_trials(),
             self.precise_cells(),
-            self.cells.len(),
+            cells,
             self.spec.rule.rel_precision * 100.0
         );
         let failed = self.failed_cells();
@@ -892,29 +826,11 @@ impl Orchestrator {
             eprintln!("{failed} cell(s) quarantined as failed — see the manifest");
         }
         if let (Some(path), Some(trace)) = (&self.trace_path, &self.trace) {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    if let Err(e) = std::fs::create_dir_all(parent) {
-                        fatal(&format!("cannot create {}: {e}", parent.display()));
-                    }
-                }
-            }
-            if let Err(e) = cobra_sim::write_atomic_str(path, &trace.render()) {
-                fatal(&format!("failed to write trace {}: {e}", path.display()));
-            }
+            write_artifact("trace", path, &trace.render());
             println!("(span timeline written to {})", path.display());
         }
         if let Some(path) = self.manifest_path(cfg) {
-            if let Some(parent) = path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    if let Err(e) = std::fs::create_dir_all(parent) {
-                        fatal(&format!("cannot create {}: {e}", parent.display()));
-                    }
-                }
-            }
-            if let Err(e) = cobra_sim::write_atomic_str(&path, &self.render_manifest()) {
-                fatal(&format!("failed to write manifest {}: {e}", path.display()));
-            }
+            write_artifact("manifest", &path, &self.render_manifest());
             println!("(run manifest written to {})", path.display());
             if let Some(ckpt_path) = &self.recovery.checkpoint_path {
                 if failed == 0 {
@@ -924,7 +840,7 @@ impl Orchestrator {
                 } else {
                     let ckpt = Checkpoint {
                         fingerprint: self.fingerprint(),
-                        cells: self.recovery.records.clone(),
+                        cells: self.recovery.records,
                     };
                     if let Err(e) = ckpt.write(ckpt_path) {
                         fatal(&format!(
@@ -945,7 +861,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cobra_core::CobraWalk;
+    use cobra_core::{CobraWalk, FaultPlan, FaultyCobraWalk, SimpleWalk};
     use cobra_graph::generators::classic;
 
     fn ci_cfg() -> ExpConfig {
@@ -987,7 +903,7 @@ mod tests {
         let g = classic::complete(12).unwrap();
         let out = orch.cover_cell("k12", 12.0, &g, &CobraWalk::standard(), 0, 10_000, 7);
         assert!(out.precision_met);
-        assert_eq!(orch.cells.len(), 1);
+        assert_eq!(orch.recovery.records.len(), 1);
         assert_eq!(orch.total_trials(), out.trials_run());
         assert_eq!(orch.precise_cells(), 1);
         let json = orch.render_manifest();
@@ -1012,11 +928,11 @@ mod tests {
             .cover_sweep("cobra on cycle", "n", cells, &CobraWalk::standard(), 3)
             .unwrap();
         assert_eq!(t.rows.len(), 2);
-        assert_eq!(orch.cells.len(), 2);
+        assert_eq!(orch.recovery.records.len(), 2);
         // Adaptive trial counts land inside the envelope.
-        for c in &orch.cells {
-            assert!(c.report.trials_used >= orch.spec.rule.min_trials);
-            assert!(c.report.trials_used <= orch.spec.rule.max_trials);
+        for c in &orch.recovery.records {
+            assert!(c.times.len() >= orch.spec.rule.min_trials);
+            assert!(c.times.len() <= orch.spec.rule.max_trials);
         }
     }
 
@@ -1078,7 +994,7 @@ mod tests {
             .unwrap();
         // The poisoned middle cell lost its row; the others survived.
         assert_eq!(t.scales(), vec![8.0, 16.0]);
-        assert_eq!(orch.cells.len(), 3);
+        assert_eq!(orch.recovery.records.len(), 3);
         assert_eq!(orch.failed_cells(), 1);
         let json = orch.render_manifest();
         assert!(json.contains("\"status\": \"failed\""));
@@ -1108,10 +1024,11 @@ mod tests {
 
     #[test]
     fn watchdog_retry_preserves_progress_and_stays_bit_identical() {
-        // Start with a 1ns budget so the first attempts time out, but
-        // enough retries that the doubled budget eventually lets the
-        // cell finish; the result must equal an undisturbed run's.
-        let rule = StopRule::new(10, 200, 0.0001);
+        // A 1ns budget halts every attempt at its first batch boundary
+        // (10, then 26 trials), so the third attempt reaches the 40-trial
+        // cap only if each retry resumes from the consumed prefix; the
+        // result must equal an undisturbed run's.
+        let rule = StopRule::new(10, 40, 0.0001);
         let spec = ExperimentSpec::from_config("eR", "retry", &ci_cfg()).with_rule(rule);
         let g = classic::cycle(16).unwrap();
         let mut plain = Orchestrator::new(spec.clone());
@@ -1128,6 +1045,9 @@ mod tests {
             }
             CellOutcome::Failed(e) => panic!("retries should have completed the cell: {e}"),
         }
+        let record = &retried.recovery.records[0];
+        assert_eq!(record.retries, 2);
+        assert_eq!(record.backoff_ms, vec![50, 100]);
     }
 
     #[test]
@@ -1183,6 +1103,48 @@ mod tests {
             .filter(|l| !l.contains("\"timing\""))
             .flat_map(|l| [l, "\n"])
             .collect()
+    }
+
+    #[test]
+    fn manifest_numbers_are_pinned() {
+        // One cell of every kind the manifest records: a lane-routed
+        // cover that meets precision, a faulty scratch cover with
+        // extinctions, a fully censored cover, a hitting cell, and a
+        // quarantined cell.
+        let spec = ExperimentSpec::from_config("eM", "manifest pin", &ci_cfg());
+        let mut orch = Orchestrator::new(spec).with_watchdog(Duration::from_secs(600), 0);
+        orch.poison_cell("poisoned@4");
+        let complete = classic::complete(32).unwrap();
+        orch.cover_cell("lanes", 32.0, &complete, &CobraWalk::new(2), 0, 10_000, 1);
+        let faulty = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(0.1));
+        let cycle = classic::cycle(16).unwrap();
+        orch.cover_cell("faulty", 16.0, &cycle, &faulty, 0, 10_000, 2);
+        let path = classic::path(60).unwrap();
+        orch.cover_cell("starved", 60.0, &path, &SimpleWalk::new(), 0, 5, 3);
+        let k8 = classic::complete(8).unwrap();
+        orch.hitting_cell("hit", 0.5, &k8, &CobraWalk::new(2), 0, 3, 10_000, 4);
+        let poisoned = orch
+            .try_cover_cell("poisoned", 4.0, &k8, &CobraWalk::new(2), 0, 10_000, 5)
+            .unwrap();
+        assert!(matches!(poisoned, CellOutcome::Failed(_)));
+        let want = r#"{
+  "schema": "cobra-bench/run-manifest-v3",
+  "experiment": "eM",
+  "claim": "manifest pin",
+  "mode": "ci",
+  "seed": 789370,
+  "rule": {"min_trials": 10, "max_trials": 120, "rel_precision": 0.04, "confidence": 0.95, "batch": 16},
+  "cells": [
+    {"sweep": "lanes", "scale": 32, "status": "done", "trials_used": 55, "completed": 55, "censored": 0, "mean": 7.4364, "ci_half_width": 0.295541, "rel_half_width": 0.039743, "precision_met": true,
+    {"sweep": "faulty", "scale": 16, "status": "done", "trials_used": 120, "completed": 116, "censored": 4, "mean": 19.1379, "ci_half_width": 1.235633, "rel_half_width": 0.064565, "precision_met": false,
+    {"sweep": "starved", "scale": 60, "status": "done", "trials_used": 120, "completed": 0, "censored": 120, "mean": null, "ci_half_width": 0.000000, "rel_half_width": 0.000000, "precision_met": false,
+    {"sweep": "hit", "scale": 0.5, "status": "done", "trials_used": 120, "completed": 120, "censored": 0, "mean": 2.5083, "ci_half_width": 0.207463, "rel_half_width": 0.082710, "precision_met": false,
+    {"sweep": "poisoned", "scale": 4, "status": "failed", "trials_used": 0, "completed": 0, "censored": 0, "mean": null, "ci_half_width": 0.000000, "rel_half_width": 0.000000, "precision_met": false, "error": "panicked: injected fault: cell \"poisoned@4\" poisoned via --poison-cell",
+  ],
+  "totals": {"cells": 5, "trials_used": 415, "censored": 124, "precision_met_cells": 1, "failed_cells": 1}
+}
+"#;
+        assert_eq!(strip_timing(&orch.render_manifest()), want);
     }
 
     #[test]

@@ -87,8 +87,13 @@ fn kill_and_resume_produces_a_byte_identical_manifest() {
 #[test]
 fn poisoned_cell_is_quarantined_and_resume_retries_it() {
     let dir = fresh_dir("poison");
+    let clean = dir.join("clean.json");
     let manifest = dir.join("m.json");
     let ckpt = dir.join("m.ckpt.json");
+
+    // The same run without the poison: what the resumed run must equal.
+    let out = run(&["--quick", "--manifest", clean.to_str().unwrap()]);
+    assert!(out.status.success(), "clean run failed");
 
     // The poisoned cell panics on every attempt; the run must survive,
     // record the cell as failed, and keep its checkpoint for a retry.
@@ -113,12 +118,18 @@ fn poisoned_cell_is_quarantined_and_resume_retries_it() {
     );
 
     // Resuming without the poison flag retries only the failed cell and
-    // ends with a fully clean manifest.
+    // ends with the clean run's manifest.
     let out = run(&["--quick", "--resume", manifest.to_str().unwrap()]);
     assert!(out.status.success(), "resume after quarantine failed");
     let json = read(&manifest);
     assert!(!json.contains("\"status\": \"failed\""), "{json}");
     assert!(json.contains("\"failed_cells\": 0"), "{json}");
+    assert_eq!(
+        strip_timing(&json),
+        strip_timing(&read(&clean)),
+        "resumed manifest must equal the unpoisoned run's \
+         (modulo the wall-clock timing lines)"
+    );
     assert!(!ckpt.exists(), "clean completion removes the checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -44,5 +44,5 @@ pub use runner::{
 };
 pub use seeds::SeedSequence;
 pub use stats::{ks_distance, quantile_sorted, z_for_level, EmptySummary, Summary};
-pub use sweep::{cell_seed, AdaptiveCellReport, SweepCell, SweepRow, SweepTable};
+pub use sweep::{cell_seed, SweepCell, SweepRow, SweepTable};
 pub use table::{render_csv, render_markdown};

@@ -326,15 +326,7 @@ where
                 times.extend(more);
             }
             while consumed < hi && !outcome.precision_met {
-                match times[consumed] {
-                    Some(steps) => {
-                        outcome.summary.push(steps as f64);
-                        if rule.satisfied(&outcome.summary) {
-                            outcome.precision_met = true;
-                        }
-                    }
-                    None => outcome.censored += 1,
-                }
+                outcome.consume(&rule, times[consumed]);
                 consumed += 1;
             }
             if !outcome.precision_met && consumed < rule.max_trials {
@@ -574,6 +566,19 @@ impl AdaptiveOutcome {
             censored: self.censored,
         }
     }
+
+    /// Consume the stream's next trial under `rule`: a completed time
+    /// enters the summary and the rule is consulted, a censored trial is
+    /// only counted.
+    fn consume(&mut self, rule: &StopRule, t: Option<usize>) {
+        match t {
+            Some(steps) => {
+                self.summary.push(steps as f64);
+                self.precision_met = rule.satisfied(&self.summary);
+            }
+            None => self.censored += 1,
+        }
+    }
 }
 
 /// Control decision returned by an adaptive batch observer: keep
@@ -608,32 +613,23 @@ pub struct ResumableOutcome {
 /// reconstructing the summary/censoring/precision state an uninterrupted
 /// adaptive run had after those trials. Stopping decisions are made
 /// per-trial in global order, so entries past the stopping index (or the
-/// trial cap) are ignored. `--resume` uses this to render completed
-/// cells into the final manifest byte-identically without recomputing a
-/// single trial.
+/// trial cap) are ignored. The orchestrator renders every completed
+/// cell's manifest line from this replay, on a fresh run as on
+/// `--resume`, so a resumed manifest is byte-identical without
+/// recomputing a single trial.
 pub fn replay_outcomes(rule: &StopRule, times: &[Option<usize>]) -> AdaptiveOutcome {
-    let mut summary = Summary::new();
-    let mut censored = 0usize;
-    let mut met = false;
-    for &t in times {
-        if met || summary.count() + censored >= rule.max_trials {
+    let mut outcome = AdaptiveOutcome {
+        summary: Summary::new(),
+        censored: 0,
+        precision_met: false,
+    };
+    for &t in times.iter().take(rule.max_trials) {
+        if outcome.precision_met {
             break;
         }
-        match t {
-            Some(steps) => {
-                summary.push(steps as f64);
-                if rule.satisfied(&summary) {
-                    met = true;
-                }
-            }
-            None => censored += 1,
-        }
+        outcome.consume(rule, t);
     }
-    AdaptiveOutcome {
-        summary,
-        censored,
-        precision_met: met,
-    }
+    outcome
 }
 
 /// Adaptive cover trials, resumable at batch boundaries: runs until

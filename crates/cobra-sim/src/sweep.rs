@@ -5,7 +5,6 @@
 //! `(scale, statistics…)` pairs that render straight into CSV/Markdown
 //! (see [`crate::table`]) and feed the fitters in `cobra-analysis`.
 
-use crate::runner::AdaptiveOutcome;
 use crate::stats::{EmptySummary, Summary};
 use cobra_graph::{Graph, Vertex};
 
@@ -147,52 +146,6 @@ impl SweepCell {
             graph,
             start,
             max_steps,
-        }
-    }
-}
-
-/// Adaptive-stopping record for one sweep cell, alongside its
-/// [`SweepRow`] — what per-run manifests persist so a sweep's cost and
-/// precision are auditable after the fact.
-#[derive(Clone, Debug)]
-pub struct AdaptiveCellReport {
-    /// The cell's scale (same value as the corresponding row).
-    pub scale: f64,
-    /// Trials consumed (completed + censored).
-    pub trials_used: usize,
-    /// Completed trials.
-    pub completed: usize,
-    /// Censored trials.
-    pub censored: usize,
-    /// Absolute CI half-width of the mean at the rule's confidence
-    /// level (0 when the cell completed no trials).
-    pub ci_half_width: f64,
-    /// `ci_half_width / mean` — the quantity the stop rule targets
-    /// (0 when the cell completed no trials).
-    pub rel_half_width: f64,
-    /// Whether the rule's precision target was met before the trial cap.
-    pub precision_met: bool,
-}
-
-impl AdaptiveCellReport {
-    /// Build the report from a cell's outcome under the plan's rule.
-    pub fn from_outcome(scale: f64, out: &AdaptiveOutcome, confidence: f64) -> Self {
-        let (half, rel) = match out.summary.try_mean() {
-            Ok(mean) if mean != 0.0 => {
-                let half = out.summary.ci_half_width(confidence);
-                (half, half / mean.abs())
-            }
-            Ok(_) => (0.0, 0.0),
-            Err(_) => (0.0, 0.0),
-        };
-        AdaptiveCellReport {
-            scale,
-            trials_used: out.trials_run(),
-            completed: out.summary.count(),
-            censored: out.censored,
-            ci_half_width: half,
-            rel_half_width: rel,
-            precision_met: out.precision_met,
         }
     }
 }
