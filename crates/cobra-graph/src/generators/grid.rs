@@ -29,10 +29,14 @@ impl GridShape {
                 reason: "grid must have at least one dimension".into(),
             });
         }
-        let points: Vec<usize> = extents.iter().map(|&e| e + 1).collect();
+        let mut points = Vec::with_capacity(extents.len());
         let mut total: u64 = 1;
-        for &p in &points {
+        for &e in extents {
+            let p = e.checked_add(1).ok_or(GraphError::TooManyVertices {
+                requested: u64::MAX,
+            })?;
             total = total.saturating_mul(p as u64);
+            points.push(p);
         }
         crate::error::check_vertex_count(total)?;
         let d = points.len();
@@ -196,6 +200,12 @@ mod tests {
     fn shape_rejects_empty_and_huge() {
         assert!(GridShape::new(&[]).is_err());
         assert!(GridShape::new(&[1 << 20, 1 << 20]).is_err());
+        // An extent whose point count overflows usize.
+        let overflow = GraphError::TooManyVertices {
+            requested: u64::MAX,
+        };
+        assert_eq!(GridShape::new(&[usize::MAX]).unwrap_err(), overflow);
+        assert_eq!(try_grid(&[usize::MAX, 3]).unwrap_err(), overflow);
     }
 
     #[test]

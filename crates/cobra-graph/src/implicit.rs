@@ -11,6 +11,13 @@
 //! lookup into it. The typed walk engine in `cobra-core` runs on either
 //! representation through this one generic seam.
 //!
+//! A decode carries only what the draws read. A grid vertex keeps its
+//! move mask and the move count its decode loop counted; an interior
+//! vertex has every move, so its `i`-th neighbor is move `i`, and only a
+//! boundary vertex selects the `i`-th set bit of its mask. A hypercube
+//! vertex ranks its set bits once and takes its unset bits' ranks from
+//! them: they are the graph's all-ones ranks less the set ones.
+//!
 //! **Order contract.** Every implementation enumerates neighbors in
 //! *strictly ascending vertex order*, matching the sorted-CSR invariant of
 //! [`Graph`]. This is what makes the CSR and implicit routes bit-for-bit
@@ -197,7 +204,7 @@ impl RankedWord {
 /// exactly the sorted order the CSR builder produces.
 #[derive(Clone, Debug)]
 pub struct ImplicitGrid {
-    shape: GridShape,
+    n: usize,
     /// The dimensions with at least 2 points, in dimension order (a
     /// one-point dimension has no moves).
     axes: Vec<Axis>,
@@ -216,6 +223,10 @@ struct Axis {
     /// `⌊x / points⌋` for every `x < 2³²` (Lemire, Kaser & Kurz, *Faster
     /// remainder by direct computation*, 2019).
     recip: u64,
+    /// The bit of this axis's minus move in a move mask.
+    minus: u64,
+    /// The bit of this axis's plus move in a move mask.
+    plus: u64,
 }
 
 impl ImplicitGrid {
@@ -240,36 +251,45 @@ impl ImplicitGrid {
             axes.push(Axis {
                 points,
                 recip: u64::MAX / points + 1,
+                minus: 1 << a,
+                plus: 1 << (2 * d - 1 - a),
             });
         }
-        Ok(ImplicitGrid { shape, axes, steps })
-    }
-
-    /// The coordinate addressing of this grid.
-    pub fn shape(&self) -> &GridShape {
-        &self.shape
+        Ok(ImplicitGrid {
+            n: shape.num_vertices(),
+            axes,
+            steps,
+        })
     }
 }
 
-/// An [`ImplicitGrid`] vertex's neighborhood: the vertex and a mask of
-/// its valid moves in CSR order.
+/// An [`ImplicitGrid`] vertex's neighborhood: the vertex, a mask of its
+/// valid moves in CSR order, and their count.
+///
+/// An interior vertex has every move, so its `i`-th neighbor is move `i`.
+/// Only a boundary vertex ranks its mask and selects the `i`-th set bit.
 #[derive(Clone, Copy, Debug)]
 pub struct GridAdjacency<'a> {
     v: Vertex,
-    moves: RankedWord,
+    moves: u64,
+    degree: usize,
     steps: &'a [u32],
 }
 
 impl Neighborhood for GridAdjacency<'_> {
     #[inline]
     fn degree(&self) -> usize {
-        self.moves.count()
+        self.degree
     }
 
     #[inline]
     fn neighbor(&self, i: usize) -> Vertex {
-        self.v
-            .wrapping_add(self.steps[self.moves.select(i) as usize])
+        let slot = if self.degree == self.steps.len() {
+            i
+        } else {
+            RankedWord::new(self.moves).select(i) as usize
+        };
+        self.v.wrapping_add(self.steps[slot])
     }
 }
 
@@ -278,26 +298,35 @@ impl ImplicitGraph for ImplicitGrid {
 
     #[inline]
     fn num_vertices(&self) -> usize {
-        self.shape.num_vertices()
+        self.n
     }
 
-    /// Peels the coordinates off from the last axis, one multiply each: a
-    /// coordinate above 0 enables the axis's minus move, one below its
-    /// last point the plus move.
+    /// Peels the coordinates off from the last axis, one multiply each,
+    /// until what is left is the first axis's coordinate. A coordinate
+    /// above 0 enables the axis's minus move, one below its last point the
+    /// plus move, and the loop counts the moves it enables.
     #[inline]
     fn adjacency(&self, v: Vertex) -> GridAdjacency<'_> {
-        let d = self.axes.len();
-        let mut rest = v as u64;
-        let mut moves = 0u64;
-        for (a, axis) in self.axes.iter().enumerate().rev() {
-            let q = ((rest as u128 * axis.recip as u128) >> 64) as u64;
-            let c = rest - q * axis.points;
-            moves |= ((c > 0) as u64) << a | ((c + 1 < axis.points) as u64) << (2 * d - 1 - a);
-            rest = q;
+        let (mut moves, mut degree) = (0u64, 0usize);
+        let mut enable = |axis: &Axis, c: u64| {
+            let (minus, plus) = (c > 0, c + 1 < axis.points);
+            moves |= (minus as u64).wrapping_neg() & axis.minus
+                | (plus as u64).wrapping_neg() & axis.plus;
+            degree += minus as usize + plus as usize;
+        };
+        if let Some((first, others)) = self.axes.split_first() {
+            let mut rest = v as u64;
+            for axis in others.iter().rev() {
+                let q = ((rest as u128 * axis.recip as u128) >> 64) as u64;
+                enable(axis, rest - q * axis.points);
+                rest = q;
+            }
+            enable(first, rest);
         }
         GridAdjacency {
             v,
-            moves: RankedWord::new(moves),
+            moves,
+            degree,
             steps: &self.steps,
         }
     }
@@ -319,6 +348,10 @@ impl ImplicitGraph for ImplicitGrid {
 pub struct ImplicitHypercube {
     dim: u32,
     mask: u64,
+    /// The byte prefix sums of `mask`: the unset bits of a vertex `v` are
+    /// `mask` less the set ones, and so are their prefix sums, byte by
+    /// byte with no borrow.
+    mask_sums: u64,
 }
 
 impl ImplicitHypercube {
@@ -329,9 +362,11 @@ impl ImplicitHypercube {
                 reason: format!("implicit hypercube dimension {dim} must be in 1..=32"),
             });
         }
+        let mask = (1u64 << dim) - 1;
         Ok(ImplicitHypercube {
             dim,
-            mask: (1u64 << dim) - 1,
+            mask,
+            mask_sums: RankedWord::new(mask).sums,
         })
     }
 
@@ -342,17 +377,20 @@ impl ImplicitHypercube {
 }
 
 /// An [`ImplicitHypercube`] vertex's neighborhood: its set bits (the
-/// vertex itself) and its unset bits below `dim`.
+/// vertex itself) and its unset bits below `dim`, whose byte prefix sums
+/// are the graph's mask sums less the set bits' sums. Every vertex has
+/// degree `dim`.
 #[derive(Clone, Copy, Debug)]
 pub struct HypercubeAdjacency {
     set: RankedWord,
     unset: RankedWord,
+    degree: usize,
 }
 
 impl Neighborhood for HypercubeAdjacency {
     #[inline]
     fn degree(&self) -> usize {
-        self.set.count() + self.unset.count()
+        self.degree
     }
 
     /// The first `set` neighbors clear a set bit, highest first; the rest
@@ -379,10 +417,14 @@ impl ImplicitGraph for ImplicitHypercube {
 
     #[inline]
     fn adjacency(&self, v: Vertex) -> HypercubeAdjacency {
-        let v = v as u64;
+        let set = RankedWord::new(v as u64);
         HypercubeAdjacency {
-            set: RankedWord::new(v),
-            unset: RankedWord::new(!v & self.mask),
+            set,
+            unset: RankedWord {
+                bits: !set.bits & self.mask,
+                sums: self.mask_sums - set.sums,
+            },
+            degree: self.dim as usize,
         }
     }
 }
@@ -542,6 +584,8 @@ mod tests {
             &[0, 4],
             &[3, 0, 2],
             &[0, 0, 5, 0],
+            &[40, 40],
+            &[4, 0, 3, 0, 2],
         ] {
             let implicit = ImplicitGrid::new(extents).unwrap();
             let csr = grid::try_grid(extents).unwrap();
@@ -585,11 +629,17 @@ mod tests {
         assert_eq!(square.degree(right), 3);
         let ns: Vec<Vertex> = (0..3).map(|i| square.neighbor(right, i)).collect();
         assert_eq!(ns, [right - side, right - 1, right + side]);
+
+        // One point past usize: the extent itself overflows.
+        assert!(matches!(
+            ImplicitGrid::new(&[usize::MAX]),
+            Err(GraphError::TooManyVertices { .. })
+        ));
     }
 
     #[test]
     fn hypercube_matches_csr() {
-        for dim in 1..=6u32 {
+        for dim in 1..=12u32 {
             let implicit = ImplicitHypercube::new(dim).unwrap();
             let csr = hypercube::hypercube(dim);
             assert_matches_csr(&implicit, &csr, &format!("Q{dim}"));
@@ -673,9 +723,9 @@ mod tests {
             }
         }
 
-        /// Past the CSR-checked Q1–Q6: at random vertices of Q7–Q32 the
-        /// neighbors ascend strictly, each differs from `v` in one bit,
-        /// and together they flip all `dim` bits.
+        /// At random vertices of Q7–Q32, most of them past the
+        /// CSR-checked Q1–Q12, the neighbors ascend strictly, each differs
+        /// from `v` in one bit, and together they flip all `dim` bits.
         #[test]
         fn hypercube_neighbors_flip_every_bit_once_in_order(
             dim in 7u32..33,

@@ -53,8 +53,8 @@ fn two_cobra_grid_cover_scales_linearly_in_n() {
 /// would make the materialized sweep memory- and setup-bound (512² ≈
 /// 263k vertices per cell, with the CSR edge arrays gone entirely) stay
 /// cheap. Debug builds (CI's ignored tier) scale the sides down — same
-/// code path, exponent window, and fit quality bar; the full 64…512
-/// range is the release-profile local run.
+/// code path, exponent window, and fit quality bar; CI's release-profile
+/// step runs the full 64…512 range.
 #[test]
 #[ignore = "high-trial Monte-Carlo tier"]
 fn two_cobra_implicit_grid_cover_scales_linearly_at_large_sides() {

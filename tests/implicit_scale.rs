@@ -14,9 +14,10 @@
 //!
 //! This file deliberately contains a single `#[test]` (integration test
 //! files run as their own process): the byte counter is global. The test
-//! is `#[ignore]`-tier (release-profile minutes); CI's ignored tier runs
+//! is `#[ignore]`-tier (release-profile minutes). CI's ignored tier runs
 //! it in debug, where a smaller dimension keeps the runtime sane while
-//! still exercising the same code path at ~4M vertices.
+//! still exercising the same code path at ~4M vertices, and a
+//! release-profile step runs it at Q27.
 
 use cobra_repro::walks::{run_cover_succinct, CobraWalk, SuccinctCoverage};
 use rand::rngs::StdRng;

@@ -2,7 +2,9 @@
 //!
 //! After warm-up, the scratch-borrowing trial path (`run_typed_in` with a
 //! reused [`TrialScratch`] and [`ImplicitDraw`] neighbor draws, as the
-//! runners drive it) performs **zero heap allocations per trial**, and
+//! runners drive it) performs **zero heap allocations per trial**, on
+//! CSR graphs and on implicit grids and hypercubes, whose adjacency is
+//! decoded per vertex rather than stored, and
 //! the 64-lane kernel (`run_lane_cover` on a reused [`LaneScratch`])
 //! performs zero per batch, on either of its traversals. Probed cover
 //! trials allocate nothing either, with a `NoopProbe` or a
@@ -22,7 +24,7 @@
 //! window, while harness noise is transient.
 
 use cobra_repro::graph::generators::{classic, grid};
-use cobra_repro::graph::Graph;
+use cobra_repro::graph::{Graph, ImplicitGraph, ImplicitGrid, ImplicitHypercube};
 use cobra_repro::obs::{CountingProbe, NoopProbe, Probe};
 use cobra_repro::walks::{
     run_lane_cover, BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk,
@@ -74,8 +76,8 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Run `trials` cover + hitting trials of `process` on `g` through the
 /// scratch engine and return how many allocations they performed.
-fn allocations_for<P: TypedProcess>(
-    g: &Graph,
+fn allocations_for<G: ImplicitGraph, P: TypedProcess<G>>(
+    g: &G,
     process: &P,
     scratch: &mut TrialScratch<P::State>,
     target: u32,
@@ -103,6 +105,30 @@ fn allocations_for<P: TypedProcess>(
         std::hint::black_box(res.steps);
     }
     ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// Assert that `process`'s cover and hitting trials on `g` allocate
+/// nothing once a scratch is warm.
+fn audit<G: ImplicitGraph, P: TypedProcess<G>>(g: &G, gname: &str, pname: &str, process: P) {
+    let target = (g.num_vertices() - 1) as u32;
+    let mut scratch = TrialScratch::new(g);
+    // Warm-up: first trials build the state and grow every buffer to
+    // its steady-state capacity.
+    let warm = allocations_for(g, &process, &mut scratch, target, 4, 0xC0B7A);
+    // Steady state: many more trials, zero allocations. An
+    // identically-seeded retry filters out off-thread harness
+    // allocations (see the module doc).
+    let mut steady = usize::MAX;
+    for _ in 0..3 {
+        steady = allocations_for(g, &process, &mut scratch, target, 32, 0xFACADE);
+        if steady == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        steady, 0,
+        "{pname} on {gname}: {steady} allocations in steady state (warm-up did {warm})"
+    );
 }
 
 /// Cover trials through the probed trial body with a probe from
@@ -176,45 +202,27 @@ fn steady_state_trials_do_not_allocate() {
         ("complete-32", classic::complete(32).unwrap()),
     ];
     for (gname, g) in &graphs {
-        let target = (g.num_vertices() - 1) as u32;
-
-        macro_rules! audit {
-            ($pname:literal, $process:expr) => {{
-                let process = $process;
-                let mut scratch = TrialScratch::new(g);
-                // Warm-up: first trials build the state and grow every
-                // buffer to its steady-state capacity.
-                let warm = allocations_for(g, &process, &mut scratch, target, 4, 0xC0B7A);
-                // Steady state: many more trials, zero allocations. An
-                // identically-seeded retry filters out off-thread
-                // harness allocations (see the module doc).
-                let mut steady = usize::MAX;
-                for _ in 0..3 {
-                    steady = allocations_for(g, &process, &mut scratch, target, 32, 0xFACADE);
-                    if steady == 0 {
-                        break;
-                    }
-                }
-                assert_eq!(
-                    steady, 0,
-                    "{} on {gname}: {steady} allocations in steady state (warm-up did {warm})",
-                    $pname
-                );
-            }};
-        }
-
-        audit!("cobra(k=2)", CobraWalk::standard());
-        audit!("cobra(k=3)", CobraWalk::new(3));
-        audit!("simple-rw", SimpleWalk::new());
-        audit!(
+        audit(g, gname, "cobra(k=2)", CobraWalk::standard());
+        audit(g, gname, "cobra(k=3)", CobraWalk::new(3));
+        audit(g, gname, "simple-rw", SimpleWalk::new());
+        audit(
+            g,
+            gname,
             "cobra[bern(1+0.5)]",
             ScheduledCobraWalk::new(BranchingSchedule::Bernoulli {
                 base: 1,
-                extra_prob: 0.5
-            })
+                extra_prob: 0.5,
+            }),
         );
-        audit!("walt(p=6)", WaltProcess::with_count(6).lazy(false));
-        audit!(
+        audit(
+            g,
+            gname,
+            "walt(p=6)",
+            WaltProcess::with_count(6).lazy(false),
+        );
+        audit(
+            g,
+            gname,
             "faulty(loss, delay)",
             FaultyCobraWalk::new(
                 2,
@@ -222,8 +230,8 @@ fn steady_state_trials_do_not_allocate() {
                     .with_pebble_loss(0.1)
                     .with_delay(0.25, 8)
                     .with_outage(3, 2, 40)
-                    .with_deletion_wave(5, vec![1, 2])
-            )
+                    .with_deletion_wave(5, vec![1, 2]),
+            ),
         );
 
         macro_rules! audit_probed {
@@ -270,6 +278,24 @@ fn steady_state_trials_do_not_allocate() {
             roomy_counting_probe
         );
     }
+
+    // The implicit route: each vertex's adjacency is decoded on the
+    // stack, on a grid with boundary and interior vertices and on a
+    // hypercube.
+    let implicit_grid = ImplicitGrid::new(&[11, 11]).expect("valid grid");
+    audit(
+        &implicit_grid,
+        "implicit grid-12x12",
+        "cobra(k=2)",
+        CobraWalk::standard(),
+    );
+    let implicit_cube = ImplicitHypercube::new(7).expect("valid dimension");
+    audit(
+        &implicit_cube,
+        "implicit Q7",
+        "cobra(k=2)",
+        CobraWalk::standard(),
+    );
 
     // The lane kernel: the star keeps its rounds sparse, the complete
     // graph dense, and the cycle crosses between the two. One scratch is
