@@ -16,11 +16,12 @@
 //! * `--manifest <path>` — write the per-run JSON manifest (per-cell
 //!   trials used, censoring, achieved CI half-width, precision flag);
 //! * `--resume <manifest>` — continue an interrupted run bit-identically
-//!   from its checkpoint (written atomically next to the manifest at
-//!   every batch boundary);
+//!   from its checkpoint, a journal next to the manifest that takes one
+//!   synced append per batch boundary after the run's first, atomic
+//!   snapshot (see [`checkpoint`]);
 //! * `--halt-after-checkpoints <n>` — deterministic fault injection:
-//!   stop with exit code 3 after the n-th checkpoint write (used by the
-//!   kill-and-resume tests and the CI resume-smoke step);
+//!   stop with exit code 3 after the n-th synced checkpoint boundary
+//!   (used by the kill-and-resume tests and the CI resume-smoke steps);
 //! * `--trace <path>` — write the run's span timeline (one JSONL span
 //!   per cell attempt, batch boundary, and retry backoff; schema
 //!   `cobra-obs/trace-v1`) for the `trace_view` binary to validate and

@@ -24,13 +24,16 @@
 //!
 //! * **checkpointing** — when the run has a manifest destination, the
 //!   per-cell adaptive state (the consumed per-trial outcome stream) is
-//!   written to a sibling `.ckpt.json` file atomically at every batch
-//!   boundary; `--resume` replays completed cells from the checkpoint
-//!   without re-simulation and continues the interrupted cell
-//!   **bit-identically** from its last recorded boundary (per-trial
-//!   outcomes depend only on the global trial index and the cell seed,
-//!   and stop decisions are replayed per trial, so a resumed run's
-//!   manifest is byte-identical to an uninterrupted one);
+//!   journaled to a sibling `.ckpt.json` file at every batch boundary
+//!   with one flush: the run's first boundary publishes a snapshot
+//!   atomically, and each later one appends only the lines of the
+//!   records that changed since (see [`crate::checkpoint`]). `--resume`
+//!   replays completed cells from the checkpoint without re-simulation
+//!   and continues the interrupted cell **bit-identically** from its last
+//!   synced boundary (per-trial outcomes depend only on the global trial
+//!   index and the cell seed, and stop decisions are replayed per trial,
+//!   so a resumed run's manifest is byte-identical to an uninterrupted
+//!   one);
 //! * **watchdog + retry** — each cell attempt has a wall-clock budget,
 //!   checked at batch boundaries; a timed-out attempt keeps its consumed
 //!   prefix and retries from it with a doubled budget, a bounded number
@@ -42,7 +45,7 @@
 //!   retry budget recorded as `failed` in the manifest instead of
 //!   killing the whole run;
 //! * **deterministic fault injection** — `--halt-after-checkpoints <n>`
-//!   stops the run (exit code 3) right after the n-th checkpoint write,
+//!   stops the run (exit code 3) right after the n-th synced boundary,
 //!   which is how the kill-and-resume tests and the CI resume-smoke step
 //!   exercise the recovery path without real `kill -9` races.
 //!
@@ -60,7 +63,7 @@
 //! as a waterfall.
 
 use crate::checkpoint::{
-    checkpoint_path_for, CellCheckpoint, CellStatus, Checkpoint, CheckpointFingerprint,
+    checkpoint_path_for, CellCheckpoint, CellStatus, Checkpoint, CheckpointFingerprint, Journal,
 };
 use crate::cli::ExpConfig;
 use crate::json::escape_str;
@@ -165,7 +168,7 @@ pub enum CellOutcome {
 /// checkpoint left on disk resumes it bit-identically.
 #[derive(Clone, Debug)]
 pub struct Interrupted {
-    /// Checkpoint writes performed before halting.
+    /// Checkpoint boundaries synced before halting.
     pub checkpoints: usize,
     /// Key (`"{sweep}@{scale}"`) of the cell that was in flight.
     pub cell: String,
@@ -201,11 +204,12 @@ enum HaltReason {
     Watchdog,
 }
 
-/// Crash-safety state of one run: checkpoint destination, resume data,
-/// the per-cell records, and the fault-handling knobs.
+/// Crash-safety state of one run: checkpoint journal, resume data, the
+/// per-cell records, and the fault-handling knobs.
 #[derive(Debug)]
 struct Recovery {
-    checkpoint_path: Option<PathBuf>,
+    /// The checkpoint journal, when the run has a manifest destination.
+    journal: Option<Journal>,
     manifest_hint: Option<PathBuf>,
     prior: Vec<CellCheckpoint>,
     /// One record per finished cell, in run order: the only record of a
@@ -222,7 +226,7 @@ struct Recovery {
 impl Default for Recovery {
     fn default() -> Self {
         Recovery {
-            checkpoint_path: None,
+            journal: None,
             manifest_hint: None,
             prior: Vec::new(),
             records: Vec::new(),
@@ -326,18 +330,19 @@ impl Orchestrator {
     /// [`Orchestrator::for_run`] returning errors instead of exiting.
     pub fn try_for_run(spec: ExperimentSpec, cfg: &ExpConfig) -> Result<Self, String> {
         let mut orch = Orchestrator::new(spec);
+        let fingerprint = orch.fingerprint();
         orch.recovery.manifest_hint = orch.manifest_path(cfg);
-        orch.recovery.checkpoint_path = orch
+        orch.recovery.journal = orch
             .recovery
             .manifest_hint
             .as_ref()
-            .map(|m| checkpoint_path_for(m));
+            .map(|m| Journal::new(checkpoint_path_for(m), fingerprint.clone()));
         orch.recovery.halt_after = cfg.halt_after_checkpoints;
         if let Some(trace) = &cfg.trace {
             orch.trace_path = Some(trace.clone());
             orch.trace = Some(TraceDoc::new());
         }
-        if cfg.halt_after_checkpoints.is_some() && orch.recovery.checkpoint_path.is_none() {
+        if cfg.halt_after_checkpoints.is_some() && orch.recovery.journal.is_none() {
             return Err("--halt-after-checkpoints needs a checkpoint destination; \
                  pass --manifest <path> or --csv <dir>"
                 .to_string());
@@ -346,7 +351,7 @@ impl Orchestrator {
             let ckpt_path = checkpoint_path_for(resume);
             let ckpt = Checkpoint::load(&ckpt_path)?;
             ckpt.fingerprint
-                .ensure_matches(&orch.fingerprint())
+                .ensure_matches(&fingerprint)
                 .map_err(|e| format!("cannot resume from {}: {e}", ckpt_path.display()))?;
             println!(
                 "resuming from {} ({} cell record(s))",
@@ -550,7 +555,6 @@ impl Orchestrator {
             },
         };
 
-        let fingerprint = self.fingerprint();
         let poisoned = self.recovery.poisoned.contains(&key);
         let retries = self.recovery.watchdog_retries;
         let mut budget = self.recovery.watchdog_budget;
@@ -559,32 +563,28 @@ impl Orchestrator {
         loop {
             let prior = record.times.clone();
             let started = Instant::now();
+            let wall_before = record.wall_ms;
             let mut halt_reason: Option<HaltReason> = None;
             let mut batch_start_ms = self.elapsed_ms();
             let mut on_batch = |times: &[Option<usize>]| -> BatchControl {
                 // Keep the consumed prefix in the record regardless of a
                 // checkpoint destination: watchdog/panic retries resume
-                // from it even without a file.
-                record.times = times.to_vec();
+                // from it even without a file. The runner passes the
+                // whole prefix, which starts with what the record holds.
+                debug_assert!(times.starts_with(&record.times));
+                let have = record.times.len();
+                record.times.extend_from_slice(&times[have..]);
+                record.wall_ms = wall_before + started.elapsed().as_millis() as u64;
                 if let Some(tr) = self.trace.as_mut() {
                     let now = self.run_started.elapsed().as_millis() as u64;
                     tr.push_span("batch", &key, batch_start_ms, now);
                     batch_start_ms = now;
                 }
-                if let Some(path) = &self.recovery.checkpoint_path {
-                    let mut cells = self.recovery.records.clone();
-                    cells.push(CellCheckpoint {
-                        wall_ms: record.wall_ms + started.elapsed().as_millis() as u64,
-                        ..record.clone()
-                    });
-                    let ckpt = Checkpoint {
-                        fingerprint: fingerprint.clone(),
-                        cells,
-                    };
-                    if let Err(e) = ckpt.write(path) {
+                if let Some(journal) = self.recovery.journal.as_mut() {
+                    if let Err(e) = journal.sync(&self.recovery.records, Some(&record)) {
                         fatal(&format!(
                             "cannot write checkpoint {} while running cell {key:?}: {e}",
-                            path.display()
+                            journal.path().display()
                         ));
                     }
                     self.recovery.checkpoints_written += 1;
@@ -607,7 +607,7 @@ impl Orchestrator {
                 }
                 run(prior, &mut on_batch)
             }));
-            record.wall_ms += started.elapsed().as_millis() as u64;
+            record.wall_ms = wall_before + started.elapsed().as_millis() as u64;
 
             // A halted or panicked attempt leaves its last consumed prefix
             // in the record, and the retry resumes from it.
@@ -622,15 +622,16 @@ impl Orchestrator {
                 Ok(_) => match halt_reason {
                     Some(HaltReason::External) | None => {
                         self.record_span("cell", &key, cell_start_ms);
+                        let checkpoint = self
+                            .recovery
+                            .journal
+                            .as_ref()
+                            .map(|j| j.path().to_path_buf());
                         return Err(Interrupted {
                             checkpoints: self.recovery.checkpoints_written,
                             cell: key,
-                            checkpoint: self.recovery.checkpoint_path.clone(),
-                            resume_from: self
-                                .recovery
-                                .manifest_hint
-                                .clone()
-                                .or_else(|| self.recovery.checkpoint_path.clone()),
+                            resume_from: self.recovery.manifest_hint.clone().or(checkpoint.clone()),
+                            checkpoint,
                         });
                     }
                     Some(HaltReason::Watchdog) => {
@@ -708,6 +709,12 @@ impl Orchestrator {
     /// Render the run manifest as JSON (hand-rolled, like the bench
     /// baselines — no serde in the workspace), one line per cell record.
     pub fn render_manifest(&self) -> String {
+        self.manifest_and_precise().0
+    }
+
+    /// The run manifest and its count of cells that met the precision
+    /// target, from one replay of each done cell's stream.
+    fn manifest_and_precise(&self) -> (String, usize) {
         let r = &self.spec.rule;
         let mut out = String::new();
         out.push_str("{\n");
@@ -726,7 +733,7 @@ impl Orchestrator {
         ));
         out.push_str("  \"cells\": [\n");
         let cells = self.recovery.records.len();
-        let mut censored = 0;
+        let (mut censored, mut precise) = (0, 0);
         for (i, (rec, cell)) in self.outcomes().enumerate() {
             // A key is "{sweep}@{scale}", the scale printed as the
             // manifest prints it, and a scale never contains '@'.
@@ -744,6 +751,7 @@ impl Orchestrator {
                 Err(EmptySummary) => ("null".to_string(), 0.0, 0.0),
             };
             censored += cell.censored;
+            precise += usize::from(cell.precision_met);
             let error = match &rec.error {
                 Some(e) => format!(", \"error\": \"{}\"", escape_str(e)),
                 None => String::new(),
@@ -786,11 +794,11 @@ impl Orchestrator {
             cells,
             self.total_trials(),
             censored,
-            self.precise_cells(),
+            precise,
             self.failed_cells()
         ));
         out.push_str("}\n");
-        out
+        (out, precise)
     }
 
     /// Where the manifest goes for a config: the explicit `--manifest`
@@ -808,16 +816,17 @@ impl Orchestrator {
     ///
     /// Manifest writes are atomic; a write failure exits nonzero naming
     /// the file. A fully successful run deletes its checkpoint (nothing
-    /// left to resume); a run with quarantined cells writes a final
-    /// checkpoint instead so `--resume` can retry them.
-    pub fn finish(self, cfg: &ExpConfig) {
+    /// left to resume); a run with quarantined cells brings its checkpoint
+    /// up to its last record instead so `--resume` can retry them.
+    pub fn finish(mut self, cfg: &ExpConfig) {
         let cells = self.recovery.records.len();
+        let (manifest, precise) = self.manifest_and_precise();
         println!(
             "adaptive run: {} cells, {} trials consumed, {}/{} cells met \
              the {:.1}% half-width target",
             cells,
             self.total_trials(),
-            self.precise_cells(),
+            precise,
             cells,
             self.spec.rule.rel_precision * 100.0
         );
@@ -830,27 +839,23 @@ impl Orchestrator {
             println!("(span timeline written to {})", path.display());
         }
         if let Some(path) = self.manifest_path(cfg) {
-            write_artifact("manifest", &path, &self.render_manifest());
+            write_artifact("manifest", &path, &manifest);
             println!("(run manifest written to {})", path.display());
-            if let Some(ckpt_path) = &self.recovery.checkpoint_path {
+            if let Some(journal) = self.recovery.journal.as_mut() {
                 if failed == 0 {
                     // A completed run has nothing to resume; a stale
                     // checkpoint would only confuse the next invocation.
-                    std::fs::remove_file(ckpt_path).ok();
+                    std::fs::remove_file(journal.path()).ok();
                 } else {
-                    let ckpt = Checkpoint {
-                        fingerprint: self.fingerprint(),
-                        cells: self.recovery.records,
-                    };
-                    if let Err(e) = ckpt.write(ckpt_path) {
+                    if let Err(e) = journal.sync(&self.recovery.records, None) {
                         fatal(&format!(
                             "failed to write final checkpoint {}: {e}",
-                            ckpt_path.display()
+                            journal.path().display()
                         ));
                     }
                     eprintln!(
                         "(checkpoint kept at {} — --resume retries the failed cell(s))",
-                        ckpt_path.display()
+                        journal.path().display()
                     );
                 }
             }
@@ -1211,6 +1216,70 @@ mod tests {
         );
         // The completed resume cleaned up its checkpoint.
         assert!(!ckpt_path.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_at_every_boundary_holds_the_run_so_far() {
+        // Halting after each boundary in turn and loading the journal
+        // must give what a whole snapshot written there holds: finished
+        // cells with their whole streams (a quarantined one with its
+        // error), and the in-flight cell `running` with the prefix its
+        // last boundary consumed.
+        let dir = std::env::temp_dir().join(format!("cobra-orch-every-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.json");
+        let rule = StopRule::new(10, 60, 0.0001);
+        let spec = ExperimentSpec::from_config("eJ", "journal", &ci_cfg()).with_rule(rule);
+        let start = |cfg: &ExpConfig| {
+            let mut orch = Orchestrator::try_for_run(spec.clone(), cfg)
+                .unwrap()
+                .with_watchdog(Duration::from_secs(600), 0);
+            orch.poison_cell("p@8");
+            orch
+        };
+        let (cycle, k8) = (classic::cycle(24).unwrap(), classic::complete(8).unwrap());
+        let run = |orch: &mut Orchestrator| -> Result<(), Interrupted> {
+            let walk = CobraWalk::standard();
+            orch.try_cover_cell("c", 24.0, &cycle, &walk, 0, 50_000, 3)?;
+            orch.try_cover_cell("p", 8.0, &k8, &walk, 0, 50_000, 4)?;
+            orch.try_cover_cell("d", 24.0, &cycle, &walk, 0, 50_000, 5)?;
+            Ok(())
+        };
+        let mut reference = start(&ci_cfg());
+        run(&mut reference).unwrap();
+        let want = &reference.recovery.records;
+        assert_eq!(want[1].status, CellStatus::Failed);
+        // Cells c and d run to the 60-trial cap with boundaries after 10,
+        // 26, 42 and 58 trials; the poisoned cell fails before any.
+        let prefixes = [10, 26, 42, 58];
+        for n in 1..=8 {
+            let cfg = ExpConfig {
+                manifest: Some(manifest.clone()),
+                halt_after_checkpoints: Some(n),
+                ..ExpConfig::default()
+            };
+            let halted = run(&mut start(&cfg)).unwrap_err();
+            assert_eq!(halted.checkpoints, n);
+            let got = Checkpoint::load(&checkpoint_path_for(&manifest)).unwrap();
+            let in_flight = if n <= 4 { 0 } else { 2 };
+            assert_eq!(got.cells.len(), in_flight + 1, "boundary {n}");
+            for (g, w) in got.cells[..in_flight].iter().zip(want) {
+                assert_eq!(
+                    (g.index, &g.key, g.status, &g.times, &g.error),
+                    (w.index, &w.key, w.status, &w.times, &w.error),
+                    "boundary {n}"
+                );
+            }
+            let last = &got.cells[in_flight];
+            assert_eq!(last.status, CellStatus::Running, "boundary {n}");
+            assert_eq!(
+                last.times[..],
+                want[in_flight].times[..prefixes[(n - 1) % 4]],
+                "boundary {n}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

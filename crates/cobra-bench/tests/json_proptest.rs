@@ -107,8 +107,11 @@ proptest! {
         prop_assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(n));
     }
 
-    /// No strict prefix of a rendered compound document parses —
-    /// truncated checkpoints must be detected, never half-read.
+    /// No strict prefix of a rendered compound document parses — a
+    /// manifest or a checkpoint line cut short must be detected, never
+    /// half-read. (A checkpoint journal drops a final line without its
+    /// newline before parsing, and rejects any complete line that does
+    /// not parse.)
     #[test]
     fn truncated_compound_documents_error(doc in ArbJson) {
         let text = Json::Arr(vec![doc]).render();

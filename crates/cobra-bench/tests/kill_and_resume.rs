@@ -1,9 +1,10 @@
 //! Crash-safety integration tests for the experiment harness, driven
 //! through the real `e16_fault_degradation` binary: deterministic
 //! interruption (`--halt-after-checkpoints`), bit-identical resume
-//! (`--resume`), panic quarantine (`--poison-cell`), and fingerprint
-//! validation — all at the process boundary, where exit codes and
-//! on-disk artifacts are what a user actually sees.
+//! (`--resume`), resume from a checkpoint whose last append was torn,
+//! panic quarantine (`--poison-cell`), and fingerprint validation — all
+//! at the process boundary, where exit codes and on-disk artifacts are
+//! what a user actually sees.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -78,6 +79,57 @@ fn kill_and_resume_produces_a_byte_identical_manifest() {
         strip_timing(&read(&manifest)),
         strip_timing(&read(&reference)),
         "resumed manifest must be byte-identical to the uninterrupted run \
+         (modulo the wall-clock timing lines)"
+    );
+    assert!(!ckpt.exists(), "completed resume cleans up its checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_from_a_torn_checkpoint_tail_matches_the_uninterrupted_run() {
+    let dir = fresh_dir("torn");
+    let reference = dir.join("ref.json");
+    let manifest = dir.join("m.json");
+    let ckpt = dir.join("m.ckpt.json");
+
+    let out = run(&["--quick", "--manifest", reference.to_str().unwrap()]);
+    assert!(out.status.success(), "reference run failed");
+
+    // The second boundary falls after the first cell with a boundary has
+    // completed, so its append carries that cell's `done` line (continuing
+    // its stream) and a later cell's `running` line.
+    let out = run(&[
+        "--quick",
+        "--manifest",
+        manifest.to_str().unwrap(),
+        "--halt-after-checkpoints",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(3), "halt must exit with code 3");
+    let whole = cobra_bench::Checkpoint::load(&ckpt).expect("the halted run's checkpoint loads");
+    let text = read(&ckpt);
+    let last = text.lines().last().unwrap();
+    assert!(last.contains("\"status\": \"running\""), "{last}");
+    assert!(
+        text.lines()
+            .any(|l| l.contains("\"status\": \"done\"") && !l.contains("\"from\": 0,")),
+        "the last append continues a cell that turned done: {text}"
+    );
+
+    // A crash mid-append: the last few bytes never reached the disk. The
+    // torn running line is dropped and its cell reruns from its first trial.
+    let file = std::fs::OpenOptions::new().write(true).open(&ckpt).unwrap();
+    file.set_len(text.len() as u64 - 5).unwrap();
+    drop(file);
+    let torn = cobra_bench::Checkpoint::load(&ckpt).expect("a torn tail still loads");
+    assert_eq!(torn.cells[..], whole.cells[..whole.cells.len() - 1]);
+
+    let out = run(&["--quick", "--resume", manifest.to_str().unwrap()]);
+    assert!(out.status.success(), "resume from a torn tail failed");
+    assert_eq!(
+        strip_timing(&read(&manifest)),
+        strip_timing(&read(&reference)),
+        "a resume from a torn tail must reproduce the uninterrupted manifest \
          (modulo the wall-clock timing lines)"
     );
     assert!(!ckpt.exists(), "completed resume cleans up its checkpoint");

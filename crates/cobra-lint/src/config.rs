@@ -84,8 +84,9 @@ impl<'a> PathScope<'a> {
     }
 
     /// atomic-artifacts: artifact writes go through an `fsio.rs`
-    /// (write-temp-fsync-rename); raw `fs::write` / `File::create` are
-    /// banned everywhere else outside test code.
+    /// (write-temp-fsync-rename, or the durable append); raw `fs::write`
+    /// / `File::create` / `OpenOptions::new` are banned everywhere else
+    /// outside test code.
     pub fn check_atomic_artifacts(&self) -> bool {
         !self.is_test_code && self.file_name != "fsio.rs"
     }

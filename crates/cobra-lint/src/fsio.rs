@@ -4,7 +4,7 @@
 //! rename) — duplicated rather than imported because cobra-lint is
 //! deliberately dependency-free so it can gate CI before the rest of
 //! the workspace builds. Files named `fsio.rs` are the one place the
-//! atomic-artifacts rule permits raw `File::create`.
+//! atomic-artifacts rule permits raw `File::create` and `OpenOptions`.
 
 use std::fs::File;
 use std::io::{Error, ErrorKind, Write};

@@ -28,7 +28,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "atomic-artifacts",
-        summary: "no raw fs::write/File::create outside fsio.rs — artifacts go through write-temp-fsync-rename",
+        summary: "no raw fs::write/File::create/OpenOptions::new outside fsio.rs — artifacts go through write-temp-fsync-rename or the durable append",
     },
     RuleInfo {
         name: "no-wall-clock",
@@ -316,7 +316,9 @@ pub fn ordered_iteration(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 /// atomic-artifacts: raw writes bypass the crash-safety contract that
-/// every artifact is either the old complete file or the new one.
+/// every artifact is either the old complete file or the new one, and
+/// that a journal grows only by synced appends (`OpenOptions` opens a
+/// file for appending or in-place writes).
 pub fn atomic_artifacts(ctx: &FileCtx, out: &mut Vec<Finding>) {
     for i in 0..ctx.toks.len() {
         if ctx.in_test[i] {
@@ -325,14 +327,17 @@ pub fn atomic_artifacts(ctx: &FileCtx, out: &mut Vec<Finding>) {
         let seq3 = |a: &str, b: &str, c: &str| {
             ctx.is_ident(i, a) && ctx.is_punct(i + 1, b) && ctx.is_ident(i + 2, c)
         };
-        if seq3("fs", "::", "write") || seq3("File", "::", "create") {
+        if seq3("fs", "::", "write")
+            || seq3("File", "::", "create")
+            || seq3("OpenOptions", "::", "new")
+        {
             push(
                 out,
                 "atomic-artifacts",
                 ctx,
                 i,
                 "raw file write — route artifacts through the fsio write-temp-fsync-rename \
-                 helpers so an interrupted run never leaves a truncated file"
+                 or durable-append helpers so an interrupted run never leaves a truncated file"
                     .to_string(),
             );
         }

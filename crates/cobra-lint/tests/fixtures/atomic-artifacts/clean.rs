@@ -2,12 +2,17 @@
 // non-write fs calls stay untouched. Linted under a virtual
 // crates/cobra-bench/src/ path.
 
-use cobra_sim::fsio::write_atomic_str;
+use cobra_sim::fsio::{append_durable, write_atomic_str};
 
 fn persist_manifest(path: &std::path::Path, body: &str) -> std::io::Result<()> {
     // write-temp-fsync-rename: old complete file or new complete file,
     // never a prefix.
     write_atomic_str(path, body)
+}
+
+fn append_checkpoint_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
+    // One write and one fdatasync, in the helper module.
+    append_durable(path, line.as_bytes())
 }
 
 fn load_manifest(path: &std::path::Path) -> std::io::Result<String> {

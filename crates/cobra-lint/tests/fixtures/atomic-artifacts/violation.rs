@@ -18,3 +18,10 @@ fn persist_csv(path: &std::path::Path, rows: &[String]) -> std::io::Result<()> {
     }
     Ok(())
 }
+
+fn append_checkpoint_line(path: &std::path::Path, line: &str) -> std::io::Result<()> {
+    // An append with no flush: a crash can lose a boundary the run
+    // already counted, and nothing marks the journal's synced end.
+    let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
+    f.write_all(line.as_bytes())
+}

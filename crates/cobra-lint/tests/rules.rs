@@ -82,11 +82,11 @@ fn ordered_iteration_triple() {
 #[test]
 fn atomic_artifacts_triple() {
     // One raw fs::write (the manifest form from the acceptance
-    // criterion) and one File::create.
+    // criterion), one File::create, and one OpenOptions append.
     assert_triple(
         "atomic-artifacts",
         "crates/cobra-sim/src/runner_fixture.rs",
-        2,
+        3,
     );
 }
 
@@ -99,7 +99,7 @@ fn atomic_artifacts_exempts_fsio() {
     );
     assert!(
         report.findings.iter().all(|f| f.rule != "atomic-artifacts"),
-        "files named fsio.rs implement the atomic write and are exempt"
+        "files named fsio.rs implement the atomic write and the durable append and are exempt"
     );
 }
 

@@ -1,12 +1,16 @@
-//! Crash-safe file output: atomic write-temp-fsync-rename.
+//! Crash-safe file output: atomic write-temp-fsync-rename, and durable
+//! appends for journals.
 //!
 //! Every artifact a run persists (CSV tables, run manifests, adaptive
-//! checkpoints, bench JSON) goes through [`write_atomic`], so an
+//! checkpoints, bench JSON) is published through [`write_atomic`], so an
 //! interrupted run can never leave a truncated file behind — a later
 //! `--resume` or CI artifact step sees either the previous complete
-//! version or the new complete version, nothing in between.
+//! version or the new complete version, nothing in between. A journal
+//! (the adaptive checkpoint) then grows through [`append_durable`], and
+//! its reader drops a final line without its newline: what a write cut
+//! short by a crash leaves.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{Error, ErrorKind, Write};
 use std::path::Path;
 
@@ -45,6 +49,18 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
 /// [`write_atomic`] for string contents.
 pub fn write_atomic_str(path: &Path, contents: &str) -> std::io::Result<()> {
     write_atomic(path, contents.as_bytes())
+}
+
+/// Append `contents` to the file at `path` with one write, then flush
+/// its data to disk (`fdatasync`) before returning. The file must exist:
+/// a journal is first published whole by [`write_atomic`], so a missing
+/// file is an error rather than a journal without its head. A crash
+/// before the flush completes can leave only part of `contents` at the
+/// end of the file.
+pub fn append_durable(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    let mut f = OpenOptions::new().append(true).open(path)?;
+    f.write_all(contents)?;
+    f.sync_data()
 }
 
 #[cfg(test)]
@@ -88,6 +104,21 @@ mod tests {
         let p = dir.join("no-such-subdir").join("out.json");
         assert!(write_atomic_str(&p, "x").is_err());
         assert!(!p.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_extend_the_published_file() {
+        let dir = temp_dir("append");
+        let p = dir.join("journal.jsonl");
+        write_atomic_str(&p, "head\n").unwrap();
+        append_durable(&p, b"one\n").unwrap();
+        append_durable(&p, b"two\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "head\none\ntwo\n");
+        // An append never creates the journal it extends.
+        let missing = dir.join("absent.jsonl");
+        assert!(append_durable(&missing, b"x").is_err());
+        assert!(!missing.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,7 +20,8 @@
 //!   [`convergence::StopRule`] and [`convergence::AdaptivePlan`] behind
 //!   the resumable adaptive runners in [`runner`];
 //! * [`fsio`] — atomic (temp + fsync + rename) artifact writes, so an
-//!   interrupted run never leaves a truncated CSV/manifest/checkpoint.
+//!   interrupted run never leaves a truncated CSV/manifest, and the
+//!   durable append (write + fdatasync) that grows a checkpoint journal.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,7 +35,7 @@ pub mod sweep;
 pub mod table;
 
 pub use convergence::{run_until_precise, AdaptivePlan, StopRule};
-pub use fsio::{write_atomic, write_atomic_str};
+pub use fsio::{append_durable, write_atomic, write_atomic_str};
 pub use runner::{
     lane_cover_applies, replay_outcomes, run_cover_trials_adaptive_auto_resumable,
     run_cover_trials_implicit, run_cover_trials_implicit_probed, run_cover_trials_lanes_probed,
