@@ -23,14 +23,16 @@
 //! A run's first batch boundary publishes a snapshot (the header and one
 //! line per cell from offset 0, as [`Checkpoint::render`] writes it) with
 //! the atomic temp-file + rename writer, which also replaces any stale
-//! checkpoint at that path. Every later boundary appends only the lines
-//! of the cells that changed since the previous one, with one write and
-//! one `fdatasync` ([`cobra_sim::append_durable`]). A crash mid-append
-//! can leave a final line without its newline; that append was never
-//! synced, so [`Checkpoint::parse`] drops it and returns the state of the
-//! last synced boundary. A complete line that does not parse, or that
-//! breaks the index or `from` order, is an error: a checkpoint is never
-//! half-read.
+//! checkpoint at that path. A resumed run publishes it at the first
+//! boundary whose records reach the loaded checkpoint's count, so retrying
+//! a quarantined cell never drops the done records after it. Every later
+//! boundary appends only the lines of the cells that changed since the
+//! previous one, with one write and one `fdatasync`
+//! ([`cobra_sim::append_durable`]). A crash mid-append can leave a final
+//! line without its newline; that append was never synced, so
+//! [`Checkpoint::parse`] drops it and returns the state of the last synced
+//! boundary. A complete line that does not parse, or that breaks the index
+//! or `from` order, is an error: a checkpoint is never half-read.
 
 use crate::json::{escape_str, Json};
 use cobra_sim::StopRule;
@@ -460,16 +462,22 @@ pub(crate) struct Journal {
     /// cells the file holds in their final state, and how many outcomes
     /// it holds of the cell after them.
     synced: Option<(usize, usize)>,
+    /// How many records the checkpoint this run resumed from holds (0 for
+    /// a fresh run). The snapshot that replaces it waits until it holds
+    /// as many, so no loaded record leaves the file.
+    loaded: usize,
 }
 
 impl Journal {
-    /// A journal at `path` for the run `fingerprint` names. Nothing is
-    /// written until the first [`Journal::sync`].
-    pub(crate) fn new(path: PathBuf, fingerprint: CheckpointFingerprint) -> Self {
+    /// A journal at `path` for the run `fingerprint` names, resuming from
+    /// a checkpoint of `loaded` records. Nothing is written until the
+    /// first [`Journal::sync`] that holds them all.
+    pub(crate) fn new(path: PathBuf, fingerprint: CheckpointFingerprint, loaded: usize) -> Self {
         Journal {
             path,
             fingerprint,
             synced: None,
+            loaded,
         }
     }
 
@@ -480,16 +488,26 @@ impl Journal {
 
     /// Make the file hold `finished` (final records, in run order)
     /// followed by `in_flight` (the running cell, numbered
-    /// `finished.len()`), with one flush. The first sync publishes a
-    /// snapshot; later ones append one line per record that changed since
-    /// the previous sync. Records must only move forward between syncs:
-    /// a synced final record never changes, and a running cell's stream
-    /// only grows.
+    /// `finished.len()`), with one flush, and say whether it wrote. The
+    /// first sync publishes a snapshot; later ones append one line per
+    /// record that changed since the previous sync. Records must only move
+    /// forward between syncs: a synced final record never changes, and a
+    /// running cell's stream only grows.
+    ///
+    /// A snapshot that would hold fewer records than the loaded checkpoint
+    /// is deferred: nothing is written and the sync returns `false`. A
+    /// resumed run that retries a quarantined cell thus leaves the file as
+    /// it was, with the done records after that cell, until its own
+    /// records reach them.
     pub(crate) fn sync(
         &mut self,
         finished: &[CellCheckpoint],
         in_flight: Option<&CellCheckpoint>,
-    ) -> std::io::Result<()> {
+    ) -> std::io::Result<bool> {
+        if self.synced.is_none() && finished.len() + usize::from(in_flight.is_some()) < self.loaded
+        {
+            return Ok(false);
+        }
         let mut lines = String::new();
         let (settled, mut from) = match self.synced {
             Some(synced) => synced,
@@ -515,7 +533,7 @@ impl Journal {
             None => cobra_sim::write_atomic_str(&self.path, &lines)?,
         }
         self.synced = Some((finished.len(), in_flight.map_or(0, |c| c.times.len())));
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -671,7 +689,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.ckpt.json");
         let fingerprint = sample().fingerprint;
-        let mut journal = Journal::new(path.clone(), fingerprint.clone());
+        let mut journal = Journal::new(path.clone(), fingerprint.clone(), 0);
         let state = |cells: &[CellCheckpoint]| Checkpoint {
             fingerprint: fingerprint.clone(),
             cells: cells.to_vec(),
@@ -735,7 +753,7 @@ mod tests {
                 .iter()
                 .filter(|c| c.status != CellStatus::Running)
                 .count();
-            journal.sync(finished, in_flight.as_ref()).unwrap();
+            assert!(journal.sync(finished, in_flight.as_ref()).unwrap());
             let now = std::fs::read_to_string(&path).unwrap();
             assert!(now.starts_with(&text), "a sync after the first appends");
             // One line per record that changed: the final records past

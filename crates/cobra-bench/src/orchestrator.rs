@@ -27,7 +27,11 @@
 //!   journaled to a sibling `.ckpt.json` file at every batch boundary
 //!   with one flush: the run's first boundary publishes a snapshot
 //!   atomically, and each later one appends only the lines of the
-//!   records that changed since (see [`crate::checkpoint`]). `--resume`
+//!   records that changed since (see [`crate::checkpoint`]). A resumed
+//!   run publishes its snapshot only once its records reach the loaded
+//!   checkpoint's count, so retrying a quarantined cell keeps the done
+//!   records after it on disk; the boundaries before that write nothing
+//!   and `--halt-after-checkpoints` does not count them. `--resume`
 //!   replays completed cells from the checkpoint without re-simulation
 //!   and continues the interrupted cell **bit-identically** from its last
 //!   synced boundary (per-trial outcomes depend only on the global trial
@@ -332,17 +336,12 @@ impl Orchestrator {
         let mut orch = Orchestrator::new(spec);
         let fingerprint = orch.fingerprint();
         orch.recovery.manifest_hint = orch.manifest_path(cfg);
-        orch.recovery.journal = orch
-            .recovery
-            .manifest_hint
-            .as_ref()
-            .map(|m| Journal::new(checkpoint_path_for(m), fingerprint.clone()));
         orch.recovery.halt_after = cfg.halt_after_checkpoints;
         if let Some(trace) = &cfg.trace {
             orch.trace_path = Some(trace.clone());
             orch.trace = Some(TraceDoc::new());
         }
-        if cfg.halt_after_checkpoints.is_some() && orch.recovery.journal.is_none() {
+        if cfg.halt_after_checkpoints.is_some() && orch.recovery.manifest_hint.is_none() {
             return Err("--halt-after-checkpoints needs a checkpoint destination; \
                  pass --manifest <path> or --csv <dir>"
                 .to_string());
@@ -360,6 +359,12 @@ impl Orchestrator {
             );
             orch.recovery.prior = ckpt.cells;
         }
+        let loaded = orch.recovery.prior.len();
+        orch.recovery.journal = orch
+            .recovery
+            .manifest_hint
+            .as_ref()
+            .map(|m| Journal::new(checkpoint_path_for(m), fingerprint, loaded));
         Ok(orch)
     }
 
@@ -581,17 +586,22 @@ impl Orchestrator {
                     batch_start_ms = now;
                 }
                 if let Some(journal) = self.recovery.journal.as_mut() {
-                    if let Err(e) = journal.sync(&self.recovery.records, Some(&record)) {
-                        fatal(&format!(
+                    let synced = match journal.sync(&self.recovery.records, Some(&record)) {
+                        Ok(synced) => synced,
+                        Err(e) => fatal(&format!(
                             "cannot write checkpoint {} while running cell {key:?}: {e}",
                             journal.path().display()
-                        ));
-                    }
-                    self.recovery.checkpoints_written += 1;
-                    if let Some(n) = self.recovery.halt_after {
-                        if self.recovery.checkpoints_written >= n {
-                            halt_reason = Some(HaltReason::External);
-                            return BatchControl::Halt;
+                        )),
+                    };
+                    // A deferred boundary (a resumed run short of its
+                    // loaded records) writes nothing and is not counted.
+                    if synced {
+                        self.recovery.checkpoints_written += 1;
+                        if let Some(n) = self.recovery.halt_after {
+                            if self.recovery.checkpoints_written >= n {
+                                halt_reason = Some(HaltReason::External);
+                                return BatchControl::Halt;
+                            }
                         }
                     }
                 }
@@ -1280,6 +1290,61 @@ mod tests {
                 "boundary {n}"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resumed_retry_keeps_the_loaded_records_after_it() {
+        // A run quarantines its middle cell and keeps a three-record
+        // checkpoint. Resuming retries that cell, whose four boundaries
+        // fall while the run holds fewer records than the file: they
+        // write nothing and the halt after one checkpoint never fires, so
+        // the file keeps the done record after the retried cell.
+        let dir = std::env::temp_dir().join(format!("cobra-orch-retry-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("m.json");
+        let ckpt = checkpoint_path_for(&manifest);
+        let rule = StopRule::new(10, 60, 0.0001);
+        let spec = ExperimentSpec::from_config("eQ", "retry", &ci_cfg()).with_rule(rule);
+        let cycle = classic::cycle(24).unwrap();
+        let cell = |orch: &mut Orchestrator, key: &str, seed: u64| {
+            orch.try_cover_cell(key, 24.0, &cycle, &CobraWalk::standard(), 0, 50_000, seed)
+                .unwrap()
+        };
+        let cfg = ExpConfig {
+            manifest: Some(manifest.clone()),
+            ..ExpConfig::default()
+        };
+        let mut poisoned = Orchestrator::try_for_run(spec.clone(), &cfg)
+            .unwrap()
+            .with_watchdog(Duration::from_secs(600), 0);
+        poisoned.poison_cell("p@24");
+        for (key, seed) in [("c", 3), ("p", 4), ("d", 5)] {
+            cell(&mut poisoned, key, seed);
+        }
+        poisoned.finish(&cfg);
+        let loaded = Checkpoint::load(&ckpt).unwrap();
+        let status: Vec<_> = loaded.cells.iter().map(|c| c.status).collect();
+        assert_eq!(
+            status,
+            [CellStatus::Done, CellStatus::Failed, CellStatus::Done]
+        );
+
+        let resume_cfg = ExpConfig {
+            resume: Some(manifest.clone()),
+            halt_after_checkpoints: Some(1),
+            ..cfg
+        };
+        let mut resumed = Orchestrator::try_for_run(spec, &resume_cfg).unwrap();
+        cell(&mut resumed, "c", 3);
+        assert!(matches!(cell(&mut resumed, "p", 4), CellOutcome::Done(_)));
+        assert_eq!(resumed.recovery.records[1].times.len(), 60);
+        assert_eq!(Checkpoint::load(&ckpt).unwrap(), loaded);
+        cell(&mut resumed, "d", 5);
+        assert_eq!(resumed.recovery.checkpoints_written, 0);
+        resumed.finish(&resume_cfg);
+        assert!(!ckpt.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

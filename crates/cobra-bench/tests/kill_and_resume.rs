@@ -2,7 +2,8 @@
 //! through the real `e16_fault_degradation` binary: deterministic
 //! interruption (`--halt-after-checkpoints`), bit-identical resume
 //! (`--resume`), resume from a checkpoint whose last append was torn,
-//! panic quarantine (`--poison-cell`), and fingerprint validation — all
+//! panic quarantine (`--poison-cell`), a resumed retry that keeps the
+//! records after the retried cell, and fingerprint validation — all
 //! at the process boundary, where exit codes and on-disk artifacts are
 //! what a user actually sees.
 
@@ -180,6 +181,61 @@ fn poisoned_cell_is_quarantined_and_resume_retries_it() {
         strip_timing(&json),
         strip_timing(&read(&clean)),
         "resumed manifest must equal the unpoisoned run's \
+         (modulo the wall-clock timing lines)"
+    );
+    assert!(!ckpt.exists(), "clean completion removes the checkpoint");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resuming_a_quarantined_cell_keeps_the_records_after_it() {
+    let dir = fresh_dir("retry");
+    let clean = dir.join("clean.json");
+    let manifest = dir.join("m.json");
+    let ckpt = dir.join("m.ckpt.json");
+
+    let out = run(&["--quick", "--manifest", clean.to_str().unwrap()]);
+    assert!(out.status.success(), "clean run failed");
+
+    // Cell 6 is the first cell with a batch boundary. Quarantined, it
+    // leaves a checkpoint with all 18 records, the 11 after it done.
+    let out = run(&[
+        "--quick",
+        "--manifest",
+        manifest.to_str().unwrap(),
+        "--poison-cell",
+        "cobra(k=2) loss=0.05 on grid d=2@6",
+    ]);
+    assert!(
+        out.status.success(),
+        "a quarantined cell must not kill the run"
+    );
+    let loaded = cobra_bench::Checkpoint::load(&ckpt).expect("the checkpoint is kept");
+    assert_eq!(loaded.cells.len(), 18);
+    assert_eq!(loaded.cells[6].status, cobra_bench::CellStatus::Failed);
+
+    // The retry's boundaries fall while the run holds 7 records against
+    // the file's 18. Publishing one would drop cells 7–17 from the file,
+    // so none is written or counted: the halt never fires, cells 7–17 are
+    // replayed from the checkpoint, and the run ends as the clean one.
+    let out = run(&[
+        "--quick",
+        "--resume",
+        manifest.to_str().unwrap(),
+        "--halt-after-checkpoints",
+        "1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "the retried cell's boundaries must not halt the run: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("(18 cell record(s))"), "{stdout}");
+    assert_eq!(
+        strip_timing(&read(&manifest)),
+        strip_timing(&read(&clean)),
+        "the resumed manifest must equal the unpoisoned run's \
          (modulo the wall-clock timing lines)"
     );
     assert!(!ckpt.exists(), "clean completion removes the checkpoint");

@@ -7,9 +7,13 @@
 //!   trials are independent across rayon workers;
 //! * [`runner`] — parallel trial execution for cover/hitting
 //!   measurements: one trial-stream body behind eight short runners,
-//!   routing small-graph cover cells to the bit-sliced 64-lane engine
+//!   routing small-graph cover cells of branching processes (`k ≥ 2`) to
+//!   the bit-sliced 64-lane engine
 //!   ([`runner::run_cover_trials_lanes_probed`]) and everything else to
-//!   the per-trial scratch engine;
+//!   the per-trial scratch engine. The simple walk (`k = 1`) runs on
+//!   scratch: its lanes share almost no draws and took 1.6–4.4× the
+//!   scratch engine's wall on paths, grids, cycles and complete graphs
+//!   up to n = 1024 (see [`runner::lane_cover_applies`]);
 //! * [`stats`] — online summary statistics (Welford) with quantiles and
 //!   normal-approximation confidence intervals;
 //! * [`sweep`] — sweep cells, result rows and tables (the orchestrator in

@@ -10,9 +10,10 @@
 //! batch (resumable from any consumed prefix) for an adaptive run. The
 //! stream is generic over the graph and a probe factory, and both of its
 //! engines draw neighbors through [`ImplicitDraw`]. The only engine
-//! choice is [`lane_cover_applies`], which sends small CSR cover cells to
-//! the bit-sliced 64-lane engine and everything else to the per-trial
-//! scratch engine.
+//! choice is [`lane_cover_applies`], which sends small CSR cover cells of
+//! branching processes (`k ≥ 2`) to the bit-sliced 64-lane engine and
+//! everything else, the simple walk included, to the per-trial scratch
+//! engine.
 
 use crate::convergence::{AdaptivePlan, StopRule};
 use crate::seeds::SeedSequence;
@@ -88,23 +89,39 @@ fn aggregate(times: Vec<Option<usize>>) -> TrialOutcome {
 }
 
 /// Largest vertex count for which the bit-sliced lane engine is the
-/// default. It is a routing bound, not a measured crossover. In raw
-/// trials per second the lane engine still led the scratch engine at
-/// n = 4096: 17–35× on the cycle and the 64×64 grid and 4× on the star,
-/// for 640 2-cobra covers from vertex 0 on one worker of a 2-core
-/// x86-64 VM. Raw speed counts a batch's correlated lanes as
-/// independent trials, though; effective speed divides it by the cell's
-/// design effect, which is about 23 on the 256-vertex star already. A
-/// larger bound would trade effective samples for raw speed on such
-/// cells.
+/// default for branching (`k ≥ 2`) cover cells. It is a routing bound,
+/// not a measured crossover. In raw trials per second the lane engine
+/// still led the scratch engine at n = 4096: 17–35× on the cycle and the
+/// 64×64 grid and 4× on the star, for 640 2-cobra covers from vertex 0
+/// on one worker of a 2-core x86-64 VM. Raw speed counts a batch's
+/// correlated lanes as independent trials, though; effective speed
+/// divides it by the cell's design effect, which is about 23 on the
+/// 256-vertex star already. A larger bound would trade effective samples
+/// for raw speed on such cells. The bound does not apply to the simple
+/// walk (`k = 1`): [`lane_cover_applies`] keeps it on the scratch engine
+/// at every `n`, since its lanes ran 1.6–4.4× slower than scratch on
+/// every cell measured up to n = 1024.
 pub const LANE_MAX_N: usize = 1024;
 
 /// Whether the bit-sliced lane engine applies to a cover cell: the graph
 /// must be small (`n ≤` [`LANE_MAX_N`]), the workload wide enough to
-/// fill lanes (`trials ≥` [`LANE_WIDTH`]), and the process must have a
-/// lane-parallel form ([`TypedProcess::lane_branching`] — `k`-cobra
-/// walks and the simple walk do; processes with per-pebble auxiliary
-/// state or faults do not).
+/// fill lanes (`trials ≥` [`LANE_WIDTH`]), and the process must branch:
+/// its lane-parallel form ([`TypedProcess::lane_branching`]) must be
+/// `Some(k)` with `k ≥ 2`. Processes with per-pebble auxiliary state or
+/// faults have no lane form.
+///
+/// The simple walk and the 1-cobra walk have the `k = 1` lane form, and
+/// they stay on the scratch engine. With one pebble per lane a batch shares
+/// almost no draws, yet it still walks or scans its n-word frontier every
+/// round and runs until its slowest lane covers. On one worker of a 2-core
+/// x86-64 VM (best of 7 alternating runs) lanes took 1.6× the scratch
+/// engine's wall on the 33-vertex path, 2.4× on the 65-vertex path, 2.7× on
+/// complete_64, 3.7× on the 12×12 grid, 3.8× on cycle_256 and 4.4× on the
+/// 16×16 and 32×32 grids, and their design effect read 1.2–2.3 on the
+/// paths. At `k = 2` the same machine read lanes 10–30× ahead of scratch:
+/// 10× on the 7×7×7 grid, 13× on star_256, 18× on cycle_256 and 29× on the
+/// 513-vertex path. [`run_cover_trials_lanes_probed`] still runs a `k = 1`
+/// process for callers that ask for lanes by name.
 ///
 /// For adaptive runs pass the rule's `max_trials`: eligibility must not
 /// depend on how many trials end up consumed, or the engine choice
@@ -120,7 +137,9 @@ pub const LANE_MAX_N: usize = 1024;
 /// the `&Graph` signature here makes misrouting a compile error rather
 /// than a silent de-implicitization.
 pub fn lane_cover_applies<P: TypedProcess>(g: &Graph, process: &P, trials: usize) -> bool {
-    g.num_vertices() <= LANE_MAX_N && trials >= LANE_WIDTH && process.lane_branching().is_some()
+    g.num_vertices() <= LANE_MAX_N
+        && trials >= LANE_WIDTH
+        && process.lane_branching().is_some_and(|k| k >= 2)
 }
 
 /// The engine a [`TrialStream`] draws its outcomes from.
@@ -969,8 +988,12 @@ mod tests {
         // Too large a graph.
         let big = classic::cycle(LANE_MAX_N + 1).unwrap();
         assert!(!lane_cover_applies(&big, &cobra, 1000));
-        // The simple walk has a lane form; a lossy faulty walk does not.
-        assert!(lane_cover_applies(&small, &SimpleWalk::new(), 64));
+        // Only branching processes take lanes: the simple walk and the
+        // 1-cobra walk have a k = 1 lane form and stay on scratch; a
+        // lossy faulty walk has no lane form.
+        assert!(!lane_cover_applies(&small, &SimpleWalk::new(), 64));
+        assert!(!lane_cover_applies(&small, &CobraWalk::new(1), 1000));
+        assert!(lane_cover_applies(&small, &CobraWalk::new(3), 64));
         let lossy = FaultyCobraWalk::new(2, FaultPlan::none().with_pebble_loss(0.1));
         assert!(!lane_cover_applies(&small, &lossy, 64));
     }

@@ -20,21 +20,22 @@
 //!   (batch seeds are positional, collection is order-preserving), for
 //!   both fixed-plan and adaptive lane runs;
 //! * the adaptive auto router runs the engine [`lane_cover_applies`]
-//!   selects.
+//!   selects, and that is the scratch engine for the simple walk.
 
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::Graph;
 use cobra_repro::obs::NoopProbe;
 use cobra_repro::sim::runner::{
     lane_cover_applies, run_cover_trials_adaptive_auto_resumable, run_cover_trials_lanes_probed,
-    TrialPlan,
+    run_cover_trials_typed, TrialPlan,
 };
 use cobra_repro::sim::{
     ks_distance, AdaptiveOutcome, AdaptivePlan, BatchControl, SeedSequence, StopRule, Summary,
     TrialOutcome,
 };
 use cobra_repro::walks::{
-    run_lane_cover, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch, LANE_WIDTH,
+    run_lane_cover, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch, SimpleWalk, TypedProcess,
+    LANE_WIDTH,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,8 +48,8 @@ fn lanes_fixed(g: &Graph, cobra: &CobraWalk, plan: &TrialPlan) -> TrialOutcome {
 }
 
 /// An uninterrupted adaptive run from vertex 0 through the auto router.
-fn adaptive_auto(g: &Graph, cobra: &CobraWalk, plan: &AdaptivePlan) -> AdaptiveOutcome {
-    run_cover_trials_adaptive_auto_resumable(g, cobra, 0, plan, Vec::new(), |_| {
+fn adaptive_auto<P: TypedProcess>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
+    run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
         BatchControl::Continue
     })
     .outcome
@@ -328,5 +329,20 @@ fn auto_routers_match_the_engine_they_select() {
         &auto.to_trial_outcome(),
         &lanes_fixed(&small, &cobra, &prefix),
         "adaptive auto, eligible cell",
+    );
+
+    // The simple walk's lane form has k = 1, which is never eligible: an
+    // auto-routed simple-walk cell with a lane-sized cap runs on the
+    // scratch engine, so its consumed prefix is the scratch runner's.
+    let walk = SimpleWalk::new();
+    assert!(!lane_cover_applies(&small, &walk, rule.max_trials));
+    let adaptive = AdaptivePlan::new(rule, 32, MAX_STEPS, 12);
+    let auto = adaptive_auto(&small, &walk, &adaptive);
+    assert!(auto.precision_met && auto.trials_run() < rule.max_trials);
+    let prefix = TrialPlan::new(auto.trials_run(), MAX_STEPS, 12);
+    assert_outcomes_identical(
+        &auto.to_trial_outcome(),
+        &run_cover_trials_typed(&small, &walk, 0, &prefix),
+        "adaptive auto, simple walk",
     );
 }
