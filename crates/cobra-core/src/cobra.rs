@@ -13,8 +13,8 @@
 //! this is exactly the simple random walk; the paper's results are for
 //! `k = 2`.
 
-use crate::frontier::Frontier;
-use crate::process::{Active, NeighborDraw, StateView, TypedProcess, TypedState};
+use crate::frontier::{for_each_member, Frontier};
+use crate::process::{Active, BoundDraw, NeighborDraw, StateView, TypedProcess, TypedState};
 use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
@@ -97,11 +97,15 @@ impl StateView for CobraState {
 impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
     /// One round of the cobra dynamics: `k` uniform out-choices per
     /// active vertex, deduplicated into the next frontier through the
-    /// branch-free quiet-insert path. Accounting costs two
-    /// frontier-length reads (O(1) field loads), never a kernel change:
-    /// every active vertex makes exactly `k` draws, and a draw "merged"
-    /// iff it failed to open a new slot in the next frontier. Under
-    /// `NoopProbe` both reads and the hook are dead code.
+    /// branch-free quiet-insert path. The draws run inside the frontier
+    /// traversal, `for_each_member!`, which pastes this body into its
+    /// sparse and dense loops; behind a closure the body would not be
+    /// inlined, and every active vertex would pay a call (see the
+    /// [`crate::frontier`] docs). Accounting costs two frontier-length
+    /// reads (O(1) field loads), never a kernel change: every active
+    /// vertex makes exactly `k` draws, and a draw "merged" iff it failed
+    /// to open a new slot in the next frontier. Under `NoopProbe` both
+    /// reads and the hook are dead code.
     #[inline]
     fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
@@ -111,10 +115,14 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
         probe: &mut Pb,
     ) {
         let CobraState { k, cur, next } = self;
-        let draws = cur.len() as u64 * u64::from(*k);
+        let k = *k;
+        let draws = cur.len() as u64 * u64::from(k);
         next.clear();
-        cur.for_each(|v| {
-            draw.draw_many(g, v, *k, rng, |u| next.insert_quiet(u));
+        for_each_member!(v in cur => {
+            let bound = draw.bind(g, v);
+            for _ in 0..k {
+                next.insert_quiet(bound.draw(rng));
+            }
         });
         next.finalize_len();
         std::mem::swap(cur, next);

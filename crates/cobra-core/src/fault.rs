@@ -61,7 +61,10 @@
 //! ran, instead of stepping an empty frontier to its budget.
 
 use crate::cobra::{CobraState, CobraWalk};
-use crate::process::{bernoulli, Active, NeighborDraw, StateView, TypedProcess, TypedState};
+use crate::frontier::for_each_member;
+use crate::process::{
+    bernoulli, Active, BoundDraw, NeighborDraw, StateView, TypedProcess, TypedState,
+};
 use cobra_graph::{ImplicitGraph, Vertex};
 use cobra_obs::{FaultKind, Probe};
 use rand::rngs::StdRng;
@@ -298,6 +301,11 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
     /// down senders skipped plus arrivals (drawn or delayed) rejected by
     /// a down destination, and [`FaultKind::Deletion`] counts waved
     /// senders destroyed. The probe never touches either RNG stream.
+    ///
+    /// The senders' draws and fault coins run inside the frontier
+    /// traversal, `for_each_member!`, as the cobra round's draws do;
+    /// behind a closure the body would not be inlined, and every active
+    /// vertex would pay a call (see the [`crate::frontier`] docs).
     fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: Probe>(
         &mut self,
         g: &G,
@@ -362,26 +370,28 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
             next.insert_quiet(u);
         }
 
-        // Surviving senders make their k draws from the main stream; the
-        // sink applies loss → crash → delay from the fault stream.
-        cur.for_each(|v| {
+        // Surviving senders make their k draws from the main stream, and
+        // each draw meets loss → crash → delay from the fault stream.
+        for_each_member!(v in cur => {
             if down(v) {
                 outage_hits += 1;
-                return;
+                continue;
             }
             if waved(v) {
                 deletion_hits += 1;
-                return;
+                continue;
             }
             draws_made += u64::from(*k);
-            draw.draw_many(g, v, *k, rng, |u| {
+            let bound = draw.bind(g, v);
+            for _ in 0..*k {
+                let u = bound.draw(rng);
                 if plan.pebble_loss > 0.0 && bernoulli(plan.pebble_loss, frng) {
                     loss_hits += 1;
-                    return;
+                    continue;
                 }
                 if down(u) {
                     outage_hits += 1;
-                    return;
+                    continue;
                 }
                 if plan.delay_prob > 0.0 && bernoulli(plan.delay_prob, frng) {
                     if in_flight.len() < plan.max_in_flight {
@@ -390,11 +400,11 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
                     } else {
                         loss_hits += 1;
                     }
-                    return;
+                    continue;
                 }
                 landed += 1;
                 next.insert_quiet(u);
-            });
+            }
         });
         next.finalize_len();
         std::mem::swap(cur, next);

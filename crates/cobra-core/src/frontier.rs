@@ -32,6 +32,18 @@
 //! while sparse and ascending once dense; it is deterministic either way,
 //! and every route runs a walk's one round body, so the
 //! seed-equivalence harness holds bit-for-bit across the switch.
+//!
+//! **Traversal.** The crate-private `for_each_member!` macro is the one
+//! traversal: it pastes a per-member body into both loops, the sparse
+//! member list and the dense word scan, and `continue` in the body skips
+//! a member. [`Frontier::for_each`] is that macro with a closure call as
+//! its body. The cobra, faulty-cobra and scheduled rounds write their
+//! draws in the body itself, not in a closure: called from two loops, a
+//! round's closure is not inlined, so every active vertex pays a call
+//! that reloads the RNG state and the next frontier's fields. Inline, a
+//! 2-cobra draw on a random 4-regular graph with n = 65,536 costs about
+//! 4 ns where the closure's cost 5–7 ns (see the README's frontier-engine
+//! section).
 
 use cobra_graph::Vertex;
 
@@ -41,6 +53,39 @@ const DENSE_DIVISOR: usize = 64;
 
 /// Minimum threshold so tiny graphs keep a useful sparse phase.
 const MIN_THRESHOLD: usize = 8;
+
+/// Run a body once per member of a [`Frontier`], with the member bound
+/// to a `Vertex`: `for_each_member!(v in frontier => { ... })`. Members
+/// come in [`Frontier::for_each`] order, insertion order while sparse
+/// and ascending once dense. The body is pasted into both loops, so it
+/// runs inline in the caller with no closure call per member (see the
+/// module docs). `continue` in the body skips to the next member; the
+/// body must not `break`, which would leave only the current bitset
+/// word.
+macro_rules! for_each_member {
+    ($v:ident in $frontier:expr => $body:block) => {{
+        let frontier: &$crate::frontier::Frontier = $frontier;
+        match frontier.as_sparse() {
+            Some(members) => {
+                for &$v in members {
+                    $body
+                }
+            }
+            None => {
+                for (w, &word) in frontier.as_words().iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let $v =
+                            ((w << 6) + bits.trailing_zeros() as usize) as ::cobra_graph::Vertex;
+                        bits &= bits - 1;
+                        $body
+                    }
+                }
+            }
+        }
+    }};
+}
+pub(crate) use for_each_member;
 
 /// A set over dense vertex ids `0..n` that adapts its representation to
 /// its load factor: insertion-order vector + membership bits while small,
@@ -216,23 +261,11 @@ impl Frontier {
     }
 
     /// Visit every member: insertion order while sparse, ascending vertex
-    /// order once dense. Deterministic in both modes.
+    /// order once dense. Deterministic in both modes. The walk kernels
+    /// use `for_each_member!`, this traversal with the body pasted in.
     #[inline]
     pub fn for_each(&self, mut f: impl FnMut(Vertex)) {
-        if self.dense {
-            for (w, &bits) in self.words.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    f(((w << 6) + b as usize) as Vertex);
-                    bits &= bits - 1;
-                }
-            }
-        } else {
-            for &v in &self.buf {
-                f(v);
-            }
-        }
+        for_each_member!(v in self => { f(v) });
     }
 
     /// Materialize the members as a sorted vector (tests and table code;
@@ -366,6 +399,19 @@ mod tests {
         assert_eq!(got, expect, "dense iteration must be ascending");
     }
 
+    /// The members in `for_each_member!` order, skipping through
+    /// `continue` those `skip` picks.
+    fn visit_skipping(f: &Frontier, skip: impl Fn(Vertex) -> bool) -> Vec<Vertex> {
+        let mut seen = Vec::new();
+        for_each_member!(v in f => {
+            if skip(v) {
+                continue;
+            }
+            seen.push(v);
+        });
+        seen
+    }
+
     // The coverage tests below feed the bitmap from frontiers: its
     // union reads `as_sparse` while sparse and `as_words` once dense.
 
@@ -496,6 +542,55 @@ mod tests {
             prop_assert_eq!(f.to_sorted_vec(), expect);
             for v in 0..n as u32 {
                 prop_assert_eq!(f.contains(v), oracle.contains(&v));
+            }
+        }
+
+        /// `for_each_member!` and [`Frontier::for_each`] visit the
+        /// members in insertion order while sparse and ascending once
+        /// dense, after every op. With threshold 9 at `n = 600`, quiet
+        /// bursts of up to 39 draws routinely cross the dense switch
+        /// mid-burst; the closing burst, 12 new members after a clear,
+        /// always does. A body that `continue`s past the multiples of
+        /// `modulus` still visits every other member, in order.
+        #[test]
+        fn traversal_is_insertion_order_then_ascending(
+            ops in arb_ops(600, 120),
+            modulus in 2u32..7,
+        ) {
+            let mut f = Frontier::new(600);
+            let mut order: Vec<u32> = Vec::new();
+            let crossing = Op::QuietBurst((0..12u32).map(|i| 590 - 37 * i).collect());
+            for op in ops.into_iter().chain([Op::Clear, crossing]) {
+                match op {
+                    Op::Insert(v) => {
+                        if f.insert(v) {
+                            order.push(v);
+                        }
+                    }
+                    Op::QuietBurst(vs) => {
+                        for v in vs {
+                            if !f.contains(v) {
+                                order.push(v);
+                            }
+                            f.insert_quiet(v);
+                        }
+                        f.finalize_len();
+                    }
+                    Op::Clear => {
+                        f.clear();
+                        order.clear();
+                    }
+                }
+                let mut expect = order.clone();
+                if f.is_dense() {
+                    expect.sort_unstable();
+                }
+                let mut via_for_each = Vec::new();
+                f.for_each(|v| via_for_each.push(v));
+                prop_assert_eq!(&via_for_each, &expect);
+                prop_assert_eq!(&visit_skipping(&f, |_| false), &expect);
+                expect.retain(|v| v % modulus != 0);
+                prop_assert_eq!(visit_skipping(&f, |v| v % modulus == 0), expect);
             }
         }
 

@@ -228,23 +228,6 @@ pub trait NeighborDraw<G: ?Sized = Graph> {
     fn draw_one<R: Rng + ?Sized>(&self, g: &G, v: Vertex, rng: &mut R) -> Vertex {
         self.bind(g, v).draw(rng)
     }
-
-    /// Draw `k` uniformly random neighbors of `v`, passing each to `sink`
-    /// in draw order; per-vertex setup is done once for the burst.
-    #[inline]
-    fn draw_many<R: Rng + ?Sized>(
-        &self,
-        g: &G,
-        v: Vertex,
-        k: u32,
-        rng: &mut R,
-        mut sink: impl FnMut(Vertex),
-    ) {
-        let bound = self.bind(g, v);
-        for _ in 0..k {
-            sink(bound.draw(rng));
-        }
-    }
 }
 
 /// A [`NeighborDraw`] resolved to one vertex: repeated draws with no

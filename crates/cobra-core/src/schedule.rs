@@ -9,8 +9,10 @@
 //! Experiment E14 compares schedules with equal *mean* branching to ask
 //! whether E\[k\] is the quantity that matters.
 
-use crate::frontier::Frontier;
-use crate::process::{bernoulli, Active, NeighborDraw, StateView, TypedProcess, TypedState};
+use crate::frontier::{for_each_member, Frontier};
+use crate::process::{
+    bernoulli, Active, BoundDraw, NeighborDraw, StateView, TypedProcess, TypedState,
+};
 use cobra_graph::{Graph, Vertex};
 use rand::Rng;
 
@@ -168,9 +170,12 @@ pub struct ScheduledState {
 
 impl TypedState for ScheduledState {
     /// One round: each active vertex draws its scheduled number of
-    /// uniform neighbors into the next frontier. Reports the round's
-    /// draws (the sum of the senders' branching factors) and merges
-    /// (draws that opened no new slot in the next frontier).
+    /// uniform neighbors into the next frontier, its schedule's coin (if
+    /// any) first. The body runs inside `for_each_member!`, as the cobra
+    /// round's does, so no closure call sits between the traversal and
+    /// the draws. Reports the round's draws (the sum of the senders'
+    /// branching factors) and merges (draws that opened no new slot in
+    /// the next frontier).
     fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
         g: &Graph,
@@ -186,11 +191,14 @@ impl TypedState for ScheduledState {
         } = self;
         let mut draws = 0u64;
         next.clear();
-        cur.for_each(|v| {
+        for_each_member!(v in cur => {
             debug_assert!(g.degree(v) > 0, "cobra walk requires min degree >= 1");
             let k = schedule.branches(*round, g, v, rng);
             draws += u64::from(k);
-            draw.draw_many(g, v, k, rng, |u| next.insert_quiet(u));
+            let bound = draw.bind(g, v);
+            for _ in 0..k {
+                next.insert_quiet(bound.draw(rng));
+            }
         });
         next.finalize_len();
         *round += 1;

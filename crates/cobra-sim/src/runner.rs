@@ -127,6 +127,10 @@ pub const LANE_MAX_N: usize = 1024;
 /// depend on how many trials end up consumed, or the engine choice
 /// (and with it the RNG stream) would depend on the data.
 ///
+/// The gate does not look at the step budget. The lane kernel counts
+/// rounds in `u32`, so the auto-routers keep a cell whose budget is 2³²
+/// rounds or more on the scratch engine even when this gate admits it.
+///
 /// The lane engine is **CSR-only by construction**: this gate takes
 /// `&Graph` (not a generic [`ImplicitGraph`]) because the lane kernel
 /// ([`cobra_core::run_lane_cover`]) takes a [`Graph`]: it pays only below
@@ -383,10 +387,11 @@ impl<'a, P: TypedProcess> TrialStream<'a, Graph, P> {
 }
 
 /// The engine for a CSR cover cell planned for `trials` trials (an
-/// adaptive rule's `max_trials`): lanes when [`lane_cover_applies`],
-/// else scratch. This is the one engine choice; it depends only on the
-/// cell shape and plan, never on outcomes, so a cell always uses the
-/// same engine and stays reproducible.
+/// adaptive rule's `max_trials`): lanes when [`lane_cover_applies`] and
+/// the step budget fits the lane kernel's `u32` round counters, else
+/// scratch. This is the one engine choice; it depends only on the cell
+/// shape and plan, never on outcomes, so a cell always uses the same
+/// engine and stays reproducible.
 fn cover_stream<'a, P: TypedProcess>(
     g: &'a Graph,
     process: &'a P,
@@ -395,7 +400,7 @@ fn cover_stream<'a, P: TypedProcess>(
     seed: u64,
     trials: usize,
 ) -> TrialStream<'a, Graph, P> {
-    if lane_cover_applies(g, process, trials) {
+    if u32::try_from(max_steps).is_ok() && lane_cover_applies(g, process, trials) {
         TrialStream::lanes(g, process, start, max_steps, seed)
     } else {
         TrialStream::scratch(g, process, start, None, max_steps, seed)
@@ -653,11 +658,11 @@ pub fn replay_outcomes(rule: &StopRule, times: &[Option<usize>]) -> AdaptiveOutc
 
 /// Adaptive cover trials, resumable at batch boundaries: runs until
 /// `plan.rule` is satisfied (or its trial cap is hit) on the 64-lane
-/// engine when [`lane_cover_applies`] at the rule's `max_trials`, else
-/// on the scratch engine. Eligibility uses the cap — not the consumed
-/// count — so the engine choice (and the RNG stream) never depends on
-/// the data, and a resumed cell re-routes to the engine its checkpoint
-/// came from.
+/// engine when [`lane_cover_applies`] at the rule's `max_trials` and
+/// `plan.max_steps` fits in `u32`, else on the scratch engine.
+/// Eligibility uses the cap — not the consumed count — so the engine
+/// choice (and the RNG stream) never depends on the data, and a resumed
+/// cell re-routes to the engine its checkpoint came from.
 ///
 /// Seed with a checkpointed `prior` prefix and observe batch boundaries
 /// via `on_batch` (the checkpoint/watchdog seam). Trial `i` draws the
@@ -1167,6 +1172,30 @@ mod tests {
             per_trial.summary.count()
         );
         assert_eq!(auto_small.outcome.summary.mean(), per_trial.summary.mean());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_budget_past_u32_keeps_an_eligible_cell_on_scratch() {
+        // Lane-shaped cell, but 2³³ rounds overflow the lane kernel's u32
+        // round counters: the router must pick the scratch engine rather
+        // than hand the kernel a budget it rejects.
+        let g = classic::cycle(16).unwrap();
+        let cobra = CobraWalk::new(2);
+        let max_steps = 1usize << 33;
+        assert!(lane_cover_applies(&g, &cobra, 128));
+        let plan = AdaptivePlan::new(StopRule::new(64, 128, 0.03), 16, max_steps, 21);
+        let auto =
+            run_cover_trials_adaptive_auto_resumable(&g, &cobra, 0, &plan, Vec::new(), go_on)
+                .outcome;
+        let prefix = TrialPlan::new(auto.trials_run(), max_steps, 21);
+        let typed = run_cover_trials_typed(&g, &cobra, 0, &prefix);
+        assert_eq!(auto.censored, typed.censored);
+        assert_eq!(auto.summary.count(), typed.summary.count());
+        assert_eq!(auto.summary.mean(), typed.summary.mean());
+        assert_eq!(auto.summary.median(), typed.summary.median());
+        assert_eq!(auto.summary.min(), typed.summary.min());
+        assert_eq!(auto.summary.max(), typed.summary.max());
     }
 
     #[test]

@@ -484,3 +484,44 @@ fn fixed_schedule_counts_like_the_cobra_walk() {
         }
     }
 }
+
+#[test]
+fn bernoulli_schedule_stream_is_pinned() {
+    // A `Bernoulli { base: 1, extra_prob: 0.5 }` schedule takes one
+    // main-stream coin per sender between its draws, so no fixed-k walk
+    // shares its stream. Recorded per graph: the outcome digest and the
+    // run's total draws and merges under `CountingProbe`.
+    let process = ScheduledCobraWalk::new(BranchingSchedule::Bernoulli {
+        base: 1,
+        extra_prob: 0.5,
+    });
+    let graphs: Vec<(&str, Graph, (u64, u64, u64))> = vec![
+        (
+            "grid 8x8",
+            grid::grid(&[7, 7]),
+            (0x818e4b0b5d6b5568, 30746, 9325),
+        ),
+        (
+            "cycle 33",
+            classic::cycle(33).unwrap(),
+            (0xc3c012cb97d0673c, 24723, 7792),
+        ),
+    ];
+    let plan = TrialPlan::new(48, MAX_STEPS, 0xBE5C);
+    for (name, g, (pin, draws_pin, merged_pin)) in &graphs {
+        for workers in WORKER_COUNTS {
+            let label = format!("bernoulli schedule, {name}, {workers}w");
+            in_pool(workers, || {
+                let out = run_cover_trials_typed_probed(g, &process, 0, &plan, noop).0;
+                let (counted, probes) =
+                    run_cover_trials_typed_probed(g, &process, 0, &plan, counting);
+                assert_outcomes_identical(&out, &counted, &label);
+                let total = |f: fn(&CountingProbe) -> u64| probes.iter().map(f).sum::<u64>();
+                let draws = total(|p| p.totals().draws);
+                let merged = total(|p| p.totals().merged);
+                assert_eq!(outcome_digest(&out), *pin, "{label}");
+                assert_eq!((draws, merged), (*draws_pin, *merged_pin), "{label}");
+            });
+        }
+    }
+}
