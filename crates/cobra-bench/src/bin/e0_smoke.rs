@@ -9,7 +9,7 @@ use cobra_core::{CobraWalk, SimpleWalk};
 use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E0",
         "harness smoke: generate, walk, aggregate (loose sanity bounds only)",

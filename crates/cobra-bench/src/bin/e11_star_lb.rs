@@ -21,7 +21,7 @@ use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 use cobra_sim::sweep::{SweepRow, SweepTable};
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E11",
         "§6: star graph gives Ω(n log n) for cobra walks; push gossip comparison",

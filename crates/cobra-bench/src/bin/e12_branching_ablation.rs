@@ -18,7 +18,7 @@ use cobra_core::CobraWalk;
 use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner("E12", "ablation: branching factor k ∈ {1,2,3,4,8}", &cfg);
 
     let ks = [1u32, 2, 3, 4, 8];

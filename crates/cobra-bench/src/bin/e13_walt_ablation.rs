@@ -16,7 +16,7 @@ use cobra_core::WaltProcess;
 use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E13",
         "ablation: Walt laziness, coalescence threshold, and pebble fraction δ",

@@ -16,7 +16,7 @@ use cobra_core::{BranchingSchedule, ScheduledCobraWalk};
 use cobra_sim::runner::{run_cover_trials_typed, TrialPlan};
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E14",
         "extension: time-varying / random / vertex-dependent branching at equal mean E[k]=2",

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E15",
         "§4 growth phase: exponential active-set growth on expanders, polynomial on the cycle",

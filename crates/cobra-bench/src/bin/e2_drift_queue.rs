@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E2",
         "drift/queueing chain of §3: Lemma 4 drift, Lemma 5 O(d²n) emptying, Lemma 6 excursions",

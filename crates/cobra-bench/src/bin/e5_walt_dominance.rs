@@ -27,7 +27,7 @@ fn ecdf(sorted: &[f64], t: f64) -> f64 {
 }
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E5",
         "Lemma 10: Walt cover time stochastically dominates cobra cover time",

@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E6",
         "Lemma 11: D(G×G) stationarity, mixing, and the pair-collision bound",

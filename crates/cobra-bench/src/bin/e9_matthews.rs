@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let cfg = ExpConfig::from_env();
+    let cfg = ExpConfig::from_env_without_cells();
     banner(
         "E9",
         "Theorem 1: cover time ≤ O(h_max · log n) for cobra walks",

@@ -125,13 +125,42 @@ impl ExpConfig {
     /// Parse from the process environment, exiting with a message on
     /// error (for use at the top of each binary's `main`).
     pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(cfg) => cfg,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        Self::or_exit(Self::parse(std::env::args().skip(1)))
+    }
+
+    /// [`ExpConfig::from_env`] for a binary that runs no orchestrated
+    /// cell, and so writes no manifest, checkpoint or trace: it exits 2
+    /// on the flags that ask for them, naming the flag.
+    pub fn from_env_without_cells() -> Self {
+        Self::or_exit(Self::parse(std::env::args().skip(1)).and_then(Self::without_cells))
+    }
+
+    /// Refuse the orchestration flags: `--resume` (checked first, since
+    /// it implies a manifest destination), `--manifest`,
+    /// `--halt-after-checkpoints` and `--trace`.
+    fn without_cells(self) -> Result<Self, String> {
+        let flag = if self.resume.is_some() {
+            "--resume"
+        } else if self.manifest.is_some() {
+            "--manifest"
+        } else if self.halt_after_checkpoints.is_some() {
+            "--halt-after-checkpoints"
+        } else if self.trace.is_some() {
+            "--trace"
+        } else {
+            return Ok(self);
+        };
+        Err(format!(
+            "{flag}: this experiment runs no orchestrated cells, so it writes \
+             no manifest, checkpoint or trace"
+        ))
+    }
+
+    fn or_exit(parsed: Result<Self, String>) -> Self {
+        parsed.unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
     }
 
     /// Pick between a CI-scale and a full-scale value (`--quick` shares
@@ -240,6 +269,35 @@ mod tests {
         assert!(parse(&["--halt-after-checkpoints"]).is_err());
         assert!(parse(&["--halt-after-checkpoints", "0"]).is_err());
         assert!(parse(&["--halt-after-checkpoints", "x"]).is_err());
+    }
+
+    #[test]
+    fn binaries_without_cells_refuse_orchestration_flags() {
+        let refuse = |args: &[&str]| parse(args).and_then(ExpConfig::without_cells);
+        for (args, flag) in [
+            (&["--manifest", "m.json"][..], "--manifest"),
+            (&["--resume", "nothere.json"], "--resume"),
+            (&["--resume", "m.ckpt.json"], "--resume"),
+            (
+                &["--halt-after-checkpoints", "1"],
+                "--halt-after-checkpoints",
+            ),
+            (&["--trace", "t.jsonl"], "--trace"),
+            (&["--quick", "--trace", "t.jsonl", "--seed", "3"], "--trace"),
+        ] {
+            let err = refuse(args).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+        let cfg = refuse(&["--quick", "--seed", "3", "--csv", "out"]).unwrap();
+        assert_eq!(
+            cfg,
+            parse(&["--quick", "--seed", "3", "--csv", "out"]).unwrap()
+        );
+        // A bad argument still fails as a bad argument.
+        assert_eq!(
+            refuse(&["--bogus"]).unwrap_err(),
+            "unknown argument: --bogus"
+        );
     }
 
     #[test]

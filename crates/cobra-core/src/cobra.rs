@@ -101,7 +101,9 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
     /// traversal, `for_each_member!`, which pastes this body into its
     /// sparse and dense loops; behind a closure the body would not be
     /// inlined, and every active vertex would pay a call (see the
-    /// [`crate::frontier`] docs). Accounting costs two frontier-length
+    /// [`crate::frontier`] docs). Each member binds through the round's
+    /// one graph cursor, so consecutive members share their decode work
+    /// (a hypercube's block order). Accounting costs two frontier-length
     /// reads (O(1) field loads), never a kernel change: every active
     /// vertex makes exactly `k` draws, and a draw "merged" iff it failed
     /// to open a new slot in the next frontier. Under `NoopProbe` both
@@ -118,8 +120,9 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for CobraState {
         let k = *k;
         let draws = cur.len() as u64 * u64::from(k);
         next.clear();
+        let mut cursor = G::Cursor::default();
         for_each_member!(v in cur => {
-            let bound = draw.bind(g, v);
+            let bound = draw.bind_at(g, v, &mut cursor);
             for _ in 0..k {
                 next.insert_quiet(bound.draw(rng));
             }

@@ -305,7 +305,9 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
     /// The senders' draws and fault coins run inside the frontier
     /// traversal, `for_each_member!`, as the cobra round's draws do;
     /// behind a closure the body would not be inlined, and every active
-    /// vertex would pay a call (see the [`crate::frontier`] docs).
+    /// vertex would pay a call (see the [`crate::frontier`] docs). The
+    /// senders bind through the round's one graph cursor, as the cobra
+    /// round's do.
     fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: Probe>(
         &mut self,
         g: &G,
@@ -372,6 +374,7 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
 
         // Surviving senders make their k draws from the main stream, and
         // each draw meets loss → crash → delay from the fault stream.
+        let mut cursor = G::Cursor::default();
         for_each_member!(v in cur => {
             if down(v) {
                 outage_hits += 1;
@@ -382,7 +385,7 @@ impl<G: ImplicitGraph + ?Sized> TypedState<G> for FaultyCobraState {
                 continue;
             }
             draws_made += u64::from(*k);
-            let bound = draw.bind(g, v);
+            let bound = draw.bind_at(g, v, &mut cursor);
             for _ in 0..*k {
                 let u = bound.draw(rng);
                 if plan.pebble_loss > 0.0 && bernoulli(plan.pebble_loss, frng) {

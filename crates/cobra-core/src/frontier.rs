@@ -43,7 +43,10 @@
 //! that reloads the RNG state and the next frontier's fields. Inline, a
 //! 2-cobra draw on a random 4-regular graph with n = 65,536 costs about
 //! 4 ns where the closure's cost 5–7 ns (see the README's frontier-engine
-//! section).
+//! section). Each of these rounds also holds one graph cursor
+//! (`ImplicitGraph::Cursor`) across the traversal and binds every member
+//! through it, so a hypercube builds its block order once per dense
+//! word instead of once per member.
 
 use cobra_graph::Vertex;
 

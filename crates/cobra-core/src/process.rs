@@ -206,21 +206,32 @@ pub trait TypedState<G: ImplicitGraph + ?Sized = Graph>: StateView {
 /// the same draws and consume the same `u64`s as [`ImplicitDraw`] on the
 /// same RNG state.
 ///
-/// Kernels call [`NeighborDraw::bind`] once per active vertex and draw
-/// repeatedly through the returned [`BoundDraw`], so the per-vertex
-/// decode is hoisted out of the draw loop — including loops whose draws
-/// interleave with other randomness (the faulty cobra walk's per-pebble
-/// loss and delay coins, see [`crate::fault`]).
-pub trait NeighborDraw<G: ?Sized = Graph> {
+/// Kernels bind once per active vertex and draw repeatedly through the
+/// returned [`BoundDraw`], so the per-vertex decode is hoisted out of the
+/// draw loop — including loops whose draws interleave with other
+/// randomness (the faulty cobra walk's per-pebble loss and delay coins,
+/// see [`crate::fault`]). The cobra, faulty-cobra and scheduled rounds
+/// hold one graph cursor ([`ImplicitGraph::Cursor`]) per round and bind
+/// each frontier member through it with [`NeighborDraw::bind_at`], so a
+/// hypercube builds one block order per dense frontier word; the other
+/// kernels bind each vertex on a fresh cursor with [`NeighborDraw::bind`].
+pub trait NeighborDraw<G: ImplicitGraph + ?Sized = Graph> {
     /// The per-vertex resolved drawer.
     type Bound<'a>: BoundDraw
     where
         Self: 'a,
         G: 'a;
 
-    /// Resolve the per-vertex draw state for `v` once. Panics if `v` is
-    /// isolated.
-    fn bind<'a>(&'a self, g: &'a G, v: Vertex) -> Self::Bound<'a>;
+    /// Resolve the per-vertex draw state for `v` once, through `cursor`,
+    /// which the caller keeps from one vertex to the next. Panics if `v`
+    /// is isolated.
+    fn bind_at<'a>(&'a self, g: &'a G, v: Vertex, cursor: &mut G::Cursor) -> Self::Bound<'a>;
+
+    /// [`NeighborDraw::bind_at`] on a fresh cursor.
+    #[inline]
+    fn bind<'a>(&'a self, g: &'a G, v: Vertex) -> Self::Bound<'a> {
+        self.bind_at(g, v, &mut G::Cursor::default())
+    }
 
     /// Draw one uniformly random neighbor of `v`. Panics if `v` is
     /// isolated.
@@ -238,7 +249,7 @@ pub trait BoundDraw {
 }
 
 /// The neighbor draw: decode each vertex once through
-/// [`ImplicitGraph::adjacency`], then index each draw into that adjacency
+/// [`ImplicitGraph::adjacency_at`], then index each draw into that adjacency
 /// with [`sample_index`]. On a CSR [`Graph`] the adjacency is the
 /// neighbor slice, so a draw is `ns[sample_index(ns.len(), rng)]`, which
 /// consumes the same `u64`s as `ns[random_range(0..ns.len())]`. The
@@ -261,8 +272,8 @@ impl<G: ImplicitGraph + ?Sized> NeighborDraw<G> for ImplicitDraw {
         G: 'a;
 
     #[inline]
-    fn bind<'a>(&'a self, g: &'a G, v: Vertex) -> ImplicitBound<'a, G> {
-        let adj = g.adjacency(v);
+    fn bind_at<'a>(&'a self, g: &'a G, v: Vertex, cursor: &mut G::Cursor) -> ImplicitBound<'a, G> {
+        let adj = g.adjacency_at(v, cursor);
         let degree = adj.degree();
         assert!(degree > 0, "vertex {v} has no neighbors");
         ImplicitBound { adj, degree }
@@ -282,8 +293,8 @@ impl NeighborDraw for cobra_graph::NeighborSampler {
     type Bound<'a> = ImplicitBound<'a, Graph>;
 
     #[inline]
-    fn bind<'a>(&'a self, g: &'a Graph, v: Vertex) -> Self::Bound<'a> {
-        ImplicitDraw.bind(g, v)
+    fn bind_at<'a>(&'a self, g: &'a Graph, v: Vertex, cursor: &mut ()) -> Self::Bound<'a> {
+        ImplicitDraw.bind_at(g, v, cursor)
     }
 }
 

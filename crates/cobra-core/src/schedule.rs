@@ -13,7 +13,7 @@ use crate::frontier::{for_each_member, Frontier};
 use crate::process::{
     bernoulli, Active, BoundDraw, NeighborDraw, StateView, TypedProcess, TypedState,
 };
-use cobra_graph::{Graph, Vertex};
+use cobra_graph::{ImplicitGraph, Vertex};
 use rand::Rng;
 
 /// How many pebbles each active vertex emits in a given round.
@@ -49,7 +49,13 @@ pub enum BranchingSchedule {
 
 impl BranchingSchedule {
     /// Branching factor for an active vertex `v` in round `t`.
-    pub fn branches<R: Rng + ?Sized>(&self, t: usize, g: &Graph, v: Vertex, rng: &mut R) -> u32 {
+    pub fn branches<G: ImplicitGraph + ?Sized, R: Rng + ?Sized>(
+        &self,
+        t: usize,
+        g: &G,
+        v: Vertex,
+        rng: &mut R,
+    ) -> u32 {
         match *self {
             BranchingSchedule::Fixed(k) => k,
             BranchingSchedule::Alternating { even, odd } => {
@@ -129,10 +135,10 @@ impl ScheduledCobraWalk {
     }
 }
 
-impl TypedProcess for ScheduledCobraWalk {
+impl<G: ImplicitGraph + ?Sized> TypedProcess<G> for ScheduledCobraWalk {
     type State = ScheduledState;
 
-    fn spawn_typed(&self, g: &Graph, start: Vertex) -> ScheduledState {
+    fn spawn_typed(&self, g: &G, start: Vertex) -> ScheduledState {
         assert!((start as usize) < g.num_vertices(), "start vertex in range");
         let mut cur = Frontier::new(g.num_vertices());
         cur.insert(start);
@@ -144,10 +150,10 @@ impl TypedProcess for ScheduledCobraWalk {
         }
     }
 
-    fn respawn_typed(&self, g: &Graph, start: Vertex, state: &mut ScheduledState) {
+    fn respawn_typed(&self, g: &G, start: Vertex, state: &mut ScheduledState) {
         let n = g.num_vertices();
         if state.cur.capacity() != n {
-            *state = self.spawn_typed(g, start);
+            *state = TypedProcess::<G>::spawn_typed(self, g, start);
             return;
         }
         assert!((start as usize) < n, "start vertex in range");
@@ -168,17 +174,18 @@ pub struct ScheduledState {
     next: Frontier,
 }
 
-impl TypedState for ScheduledState {
+impl<G: ImplicitGraph + ?Sized> TypedState<G> for ScheduledState {
     /// One round: each active vertex draws its scheduled number of
     /// uniform neighbors into the next frontier, its schedule's coin (if
     /// any) first. The body runs inside `for_each_member!`, as the cobra
     /// round's does, so no closure call sits between the traversal and
-    /// the draws. Reports the round's draws (the sum of the senders'
+    /// the draws, and each member binds through the round's one graph
+    /// cursor. Reports the round's draws (the sum of the senders'
     /// branching factors) and merges (draws that opened no new slot in
     /// the next frontier).
-    fn step_probed<D: NeighborDraw, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
+    fn step_probed<D: NeighborDraw<G>, R: Rng + ?Sized, Pb: cobra_obs::Probe>(
         &mut self,
-        g: &Graph,
+        g: &G,
         draw: &D,
         rng: &mut R,
         probe: &mut Pb,
@@ -191,11 +198,11 @@ impl TypedState for ScheduledState {
         } = self;
         let mut draws = 0u64;
         next.clear();
+        let mut cursor = G::Cursor::default();
         for_each_member!(v in cur => {
-            debug_assert!(g.degree(v) > 0, "cobra walk requires min degree >= 1");
             let k = schedule.branches(*round, g, v, rng);
             draws += u64::from(k);
-            let bound = draw.bind(g, v);
+            let bound = draw.bind_at(g, v, &mut cursor);
             for _ in 0..k {
                 next.insert_quiet(bound.draw(rng));
             }

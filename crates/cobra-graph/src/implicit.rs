@@ -14,9 +14,19 @@
 //! A decode carries only what the draws read. A grid vertex keeps its
 //! move mask and the move count its decode loop counted; an interior
 //! vertex has every move, so its `i`-th neighbor is move `i`, and only a
-//! boundary vertex selects the `i`-th set bit of its mask. A hypercube
-//! vertex ranks its set bits once and takes its unset bits' ranks from
-//! them: they are the graph's all-ones ranks less the set ones.
+//! boundary vertex selects the `i`-th set bit of its mask.
+//!
+//! **Cursors.** A decode may reuse work from the one before it through
+//! a cursor ([`ImplicitGraph::Cursor`]), which the caller keeps across
+//! vertices; [`ImplicitGraph::adjacency_at`] is each family's one
+//! decode, and [`ImplicitGraph::adjacency`] is that decode on a fresh
+//! cursor. CSR graphs, grids and complete graphs share nothing, so their
+//! cursor is `()`. A hypercube vertex's neighbor order splits at bit 6:
+//! its bits above the low six are those of its 64-vertex block `v >> 6`,
+//! whose order the cursor keeps and rebuilds only when the block
+//! changes, and a 64-row table orders the low six. A dense frontier
+//! visits a block's members in one bitset word, so a frontier round
+//! builds one block order per word and each draw is two loads.
 //!
 //! **Order contract.** Every implementation enumerates neighbors in
 //! *strictly ascending vertex order*, matching the sorted-CSR invariant of
@@ -45,11 +55,18 @@ pub trait Neighborhood {
 /// strictly ascending order (the CSR order), so that index-addressed
 /// neighbor draws agree bit-for-bit with the materialized representation.
 /// A family implements [`ImplicitGraph::num_vertices`] and
-/// [`ImplicitGraph::adjacency`]; `degree` and `neighbor` are derived.
+/// [`ImplicitGraph::adjacency_at`]; `adjacency`, `degree` and `neighbor`
+/// are derived.
 ///
 /// `Sync` is required so the Monte-Carlo engine can share one instance
 /// across rayon workers, exactly as it shares a [`Graph`].
 pub trait ImplicitGraph: Sync {
+    /// Decode state carried from one vertex to the next (see the module
+    /// docs). A default cursor holds nothing, and a cursor last used at
+    /// any vertex, of this graph or another, decodes every vertex
+    /// correctly; it only saves work when consecutive vertices share it.
+    type Cursor: Default;
+
     /// The decoded neighborhood of one vertex.
     type Adjacency<'a>: Neighborhood
     where
@@ -59,8 +76,16 @@ pub trait ImplicitGraph: Sync {
     fn num_vertices(&self) -> usize;
 
     /// Decode vertex `v` once, so that its degree and each of its
-    /// neighbors is a lookup.
-    fn adjacency(&self, v: Vertex) -> Self::Adjacency<'_>;
+    /// neighbors is a lookup, reusing what `cursor` holds from the
+    /// previous decode and leaving there what the next one may reuse.
+    fn adjacency_at(&self, v: Vertex, cursor: &mut Self::Cursor) -> Self::Adjacency<'_>;
+
+    /// [`ImplicitGraph::adjacency_at`] on a fresh cursor: the decode of a
+    /// lone vertex.
+    #[inline]
+    fn adjacency(&self, v: Vertex) -> Self::Adjacency<'_> {
+        self.adjacency_at(v, &mut Self::Cursor::default())
+    }
 
     /// Degree of vertex `v`.
     #[inline]
@@ -92,6 +117,7 @@ impl Neighborhood for &[Vertex] {
 /// A materialized CSR graph is trivially an implicit graph: a vertex's
 /// adjacency is its sorted neighbor slice.
 impl ImplicitGraph for Graph {
+    type Cursor = ();
     type Adjacency<'a> = &'a [Vertex];
 
     #[inline]
@@ -100,13 +126,14 @@ impl ImplicitGraph for Graph {
     }
 
     #[inline]
-    fn adjacency(&self, v: Vertex) -> &[Vertex] {
+    fn adjacency_at(&self, v: Vertex, _: &mut ()) -> &[Vertex] {
         self.neighbors(v)
     }
 }
 
 /// References delegate, so drivers can hold `&G` without re-wrapping.
 impl<T: ImplicitGraph + ?Sized> ImplicitGraph for &T {
+    type Cursor = T::Cursor;
     type Adjacency<'a>
         = T::Adjacency<'a>
     where
@@ -118,8 +145,8 @@ impl<T: ImplicitGraph + ?Sized> ImplicitGraph for &T {
     }
 
     #[inline]
-    fn adjacency(&self, v: Vertex) -> T::Adjacency<'_> {
-        (**self).adjacency(v)
+    fn adjacency_at(&self, v: Vertex, cursor: &mut T::Cursor) -> T::Adjacency<'_> {
+        (**self).adjacency_at(v, cursor)
     }
 }
 
@@ -294,6 +321,7 @@ impl Neighborhood for GridAdjacency<'_> {
 }
 
 impl ImplicitGraph for ImplicitGrid {
+    type Cursor = ();
     type Adjacency<'a> = GridAdjacency<'a>;
 
     #[inline]
@@ -306,7 +334,7 @@ impl ImplicitGraph for ImplicitGrid {
     /// above 0 enables the axis's minus move, one below its last point the
     /// plus move, and the loop counts the moves it enables.
     #[inline]
-    fn adjacency(&self, v: Vertex) -> GridAdjacency<'_> {
+    fn adjacency_at(&self, v: Vertex, _: &mut ()) -> GridAdjacency<'_> {
         let (mut moves, mut degree) = (0u64, 0usize);
         let mut enable = |axis: &Axis, c: u64| {
             let (minus, plus) = (c > 0, c + 1 < axis.points);
@@ -343,15 +371,15 @@ impl ImplicitGraph for ImplicitGrid {
 ///
 /// Neighbor order: flipping a *set* bit decreases the id, flipping an
 /// *unset* bit increases it, so ascending order is "set bits from highest
-/// to lowest, then unset bits from lowest to highest".
+/// to lowest, then unset bits from lowest to highest". Split at bit 6,
+/// that is the `s` set bits above the low six (the vertex's block,
+/// `v >> 6`), then the six low bits in [`LOW_ORDER`]'s order for
+/// `v & 63`, then the unset bits above the low six. The block part is the
+/// same for all 64 vertices of a block, so a [`HypercubeCursor`] keeps it
+/// and rebuilds it only when the block changes.
 #[derive(Clone, Copy, Debug)]
 pub struct ImplicitHypercube {
     dim: u32,
-    mask: u64,
-    /// The byte prefix sums of `mask`: the unset bits of a vertex `v` are
-    /// `mask` less the set ones, and so are their prefix sums, byte by
-    /// byte with no borrow.
-    mask_sums: u64,
 }
 
 impl ImplicitHypercube {
@@ -362,12 +390,7 @@ impl ImplicitHypercube {
                 reason: format!("implicit hypercube dimension {dim} must be in 1..=32"),
             });
         }
-        let mask = (1u64 << dim) - 1;
-        Ok(ImplicitHypercube {
-            dim,
-            mask,
-            mask_sums: RankedWord::new(mask).sums,
-        })
+        Ok(ImplicitHypercube { dim })
     }
 
     /// The dimension `dim` (`= log₂ n =` the regular degree).
@@ -376,14 +399,94 @@ impl ImplicitHypercube {
     }
 }
 
-/// An [`ImplicitHypercube`] vertex's neighborhood: its set bits (the
-/// vertex itself) and its unset bits below `dim`, whose byte prefix sums
-/// are the graph's mask sums less the set bits' sums. Every vertex has
-/// degree `dim`.
+/// `LOW_ORDER[r]` lists the low six bits of a vertex `v` with
+/// `v & 63 == r` in neighbor order: its set bits from highest to lowest,
+/// then its unset bits from lowest to highest. Columns 6 and 7 pad the
+/// rows to eight bytes and are never read. Below `dim = 6` the bits at
+/// and above `dim` are unset, so they come last and a vertex's `dim`
+/// neighbors are the row's first `dim` entries.
+static LOW_ORDER: [[u8; 8]; 64] = low_order_table();
+
+const fn low_order_table() -> [[u8; 8]; 64] {
+    let mut table = [[0u8; 8]; 64];
+    let mut r = 0;
+    while r < 64 {
+        let mut slot = 0;
+        let mut bit = 6;
+        while bit > 0 {
+            bit -= 1;
+            if r >> bit & 1 == 1 {
+                table[r][slot] = bit as u8;
+                slot += 1;
+            }
+        }
+        while bit < 6 {
+            if r >> bit & 1 == 0 {
+                table[r][slot] = bit as u8;
+                slot += 1;
+            }
+            bit += 1;
+        }
+        r += 1;
+    }
+    table
+}
+
+/// An [`ImplicitHypercube`] decode cursor: the neighbor order of the
+/// bits above the low six for one 64-vertex block.
+///
+/// `order[..set]` are the block's set bits from highest to lowest and
+/// `order[set + 6..dim]` its unset bits from lowest to highest, so the
+/// six slots from `set` are where the low six bits go. Draw slot `i` of
+/// a vertex reads `order[i]` outside that gap and the vertex's
+/// [`LOW_ORDER`] row at `i − set` inside it.
+#[derive(Clone, Copy, Debug)]
+pub struct HypercubeCursor {
+    /// `dim << 32 | block` for the block `order` describes; `u64::MAX`,
+    /// which no block of any hypercube has, until the first decode.
+    key: u64,
+    set: usize,
+    order: [u8; 32],
+}
+
+impl Default for HypercubeCursor {
+    fn default() -> Self {
+        HypercubeCursor {
+            key: u64::MAX,
+            set: 0,
+            order: [0; 32],
+        }
+    }
+}
+
+impl HypercubeCursor {
+    /// Order the bits `6..dim` of `v` in one pass with no branch on the
+    /// bits: a set bit fills the set part from its end (so the highest
+    /// comes first), an unset bit the unset part from its start.
+    #[inline]
+    fn rebuild(&mut self, v: Vertex, dim: u32) {
+        let set = (v >> 6).count_ones() as usize;
+        let (mut below, mut above) = (set, set + 6);
+        for bit in 6..dim {
+            let one = (v >> bit & 1) as usize;
+            below -= one;
+            let slot = std::hint::select_unpredictable(one == 1, below, above);
+            self.order[slot & 31] = bit as u8;
+            above += 1 - one;
+        }
+        self.set = set;
+    }
+}
+
+/// An [`ImplicitHypercube`] vertex's neighborhood: the vertex, its
+/// [`LOW_ORDER`] row and its block's order, copied from the cursor.
+/// Every vertex has degree `dim`.
 #[derive(Clone, Copy, Debug)]
 pub struct HypercubeAdjacency {
-    set: RankedWord,
-    unset: RankedWord,
+    v: Vertex,
+    set: usize,
+    low: &'static [u8; 8],
+    order: [u8; 32],
     degree: usize,
 }
 
@@ -393,21 +496,18 @@ impl Neighborhood for HypercubeAdjacency {
         self.degree
     }
 
-    /// The first `set` neighbors clear a set bit, highest first; the rest
-    /// set an unset bit, lowest first.
+    /// Flip the bit at draw slot `i`: the block's order outside the six
+    /// slots from `set`, the low six bits' row inside them.
     #[inline]
     fn neighbor(&self, i: usize) -> Vertex {
-        let set = self.set.count();
-        let (word, rank) = std::hint::select_unpredictable(
-            i < set,
-            (self.set, set.wrapping_sub(i + 1)),
-            (self.unset, i.wrapping_sub(set)),
-        );
-        (self.set.bits ^ 1 << word.select(rank)) as Vertex
+        let j = i.wrapping_sub(self.set);
+        let bit = std::hint::select_unpredictable(j < 6, self.low[j & 7], self.order[i & 31]);
+        self.v ^ 1 << bit
     }
 }
 
 impl ImplicitGraph for ImplicitHypercube {
+    type Cursor = HypercubeCursor;
     type Adjacency<'a> = HypercubeAdjacency;
 
     #[inline]
@@ -415,15 +515,20 @@ impl ImplicitGraph for ImplicitHypercube {
         1usize << self.dim
     }
 
+    /// Rebuilds the cursor's block order when `v` lies in another block
+    /// (or another hypercube) than the last decode.
     #[inline]
-    fn adjacency(&self, v: Vertex) -> HypercubeAdjacency {
-        let set = RankedWord::new(v as u64);
+    fn adjacency_at(&self, v: Vertex, cursor: &mut HypercubeCursor) -> HypercubeAdjacency {
+        let key = u64::from(self.dim) << 32 | u64::from(v >> 6);
+        if cursor.key != key {
+            cursor.rebuild(v, self.dim);
+            cursor.key = key;
+        }
         HypercubeAdjacency {
-            set,
-            unset: RankedWord {
-                bits: !set.bits & self.mask,
-                sums: self.mask_sums - set.sums,
-            },
+            v,
+            set: cursor.set,
+            low: &LOW_ORDER[(v & 63) as usize],
+            order: cursor.order,
             degree: self.dim as usize,
         }
     }
@@ -472,6 +577,7 @@ impl Neighborhood for CompleteAdjacency {
 }
 
 impl ImplicitGraph for ImplicitComplete {
+    type Cursor = ();
     type Adjacency<'a> = CompleteAdjacency;
 
     #[inline]
@@ -480,7 +586,7 @@ impl ImplicitGraph for ImplicitComplete {
     }
 
     #[inline]
-    fn adjacency(&self, v: Vertex) -> CompleteAdjacency {
+    fn adjacency_at(&self, v: Vertex, _: &mut ()) -> CompleteAdjacency {
         CompleteAdjacency {
             v: v as usize,
             degree: self.n - 1,
@@ -646,6 +752,102 @@ mod tests {
         }
     }
 
+    /// Decode each vertex of `visits` through one cursor and compare the
+    /// decode with the vertex's CSR row.
+    fn assert_cursor_matches_csr(
+        q: &ImplicitHypercube,
+        csr: &Graph,
+        visits: impl IntoIterator<Item = Vertex>,
+        label: &str,
+    ) {
+        let mut cursor = HypercubeCursor::default();
+        for v in visits {
+            let adj = q.adjacency_at(v, &mut cursor);
+            let row: Vec<Vertex> = (0..adj.degree()).map(|i| adj.neighbor(i)).collect();
+            assert_eq!(row, csr.neighbors(v), "{label}: vertex {v}");
+        }
+    }
+
+    #[test]
+    fn hypercube_cursor_matches_csr_in_any_visiting_order() {
+        for dim in 1..=12u32 {
+            let q = ImplicitHypercube::new(dim).unwrap();
+            let csr = hypercube::hypercube(dim);
+            let n = q.num_vertices() as Vertex;
+            assert_cursor_matches_csr(&q, &csr, 0..n, &format!("Q{dim} ascending"));
+            // An odd multiplier permutes the ids mod 2^dim.
+            let shuffled =
+                (0..n).map(|v| v.wrapping_mul(0x9E37_79B9).wrapping_add(12_345) & (n - 1));
+            assert_cursor_matches_csr(&q, &csr, shuffled, &format!("Q{dim} shuffled"));
+            // Every vertex, then the same slot of the next block, then
+            // the vertex again: each decode finds the other block cached.
+            let other_block = |v: Vertex| (v + 64) & (n - 1);
+            let a_b_a = (0..n).flat_map(|v| [v, other_block(v), v]);
+            assert_cursor_matches_csr(&q, &csr, a_b_a, &format!("Q{dim} a-b-a"));
+        }
+    }
+
+    #[test]
+    fn hypercube_cursor_moves_between_hypercubes() {
+        // A cursor keyed to one dimension rebuilds for another, even in
+        // the block it holds.
+        let (small, large) = (
+            ImplicitHypercube::new(8).unwrap(),
+            ImplicitHypercube::new(10).unwrap(),
+        );
+        let (small_csr, large_csr) = (hypercube::hypercube(8), hypercube::hypercube(10));
+        let mut cursor = HypercubeCursor::default();
+        for v in [0, 200, 255, 65, 130] {
+            for (q, csr) in [(&small, &small_csr), (&large, &large_csr)] {
+                let adj = q.adjacency_at(v, &mut cursor);
+                let row: Vec<Vertex> = (0..adj.degree()).map(|i| adj.neighbor(i)).collect();
+                assert_eq!(row, csr.neighbors(v), "Q{} vertex {v}", q.dim());
+            }
+        }
+    }
+
+    #[test]
+    fn low_order_matches_a_bit_loop_on_every_row() {
+        for (r, row) in LOW_ORDER.iter().enumerate() {
+            let set = (0..6).rev().filter(|b| r >> b & 1 == 1);
+            let unset = (0..6).filter(|b| r >> b & 1 == 0);
+            let want: Vec<u8> = set.chain(unset).map(|b| b as u8).collect();
+            assert_eq!(row[..6], want[..], "row {r:#08b}");
+        }
+    }
+
+    /// A `()` cursor carries nothing: decoding through one, reused from
+    /// vertex to vertex, is `adjacency(v)`.
+    fn assert_unit_cursor_is_fresh<G: ImplicitGraph<Cursor = ()>>(g: &G, label: &str) {
+        let mut cursor = ();
+        for v in (0..g.num_vertices() as Vertex).rev() {
+            let (at, fresh) = (g.adjacency_at(v, &mut cursor), g.adjacency(v));
+            assert_eq!(at.degree(), fresh.degree(), "{label}: degree({v})");
+            for i in 0..at.degree() {
+                assert_eq!(
+                    at.neighbor(i),
+                    fresh.neighbor(i),
+                    "{label}: neighbor({v}, {i})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unit_cursors_decode_as_a_fresh_adjacency() {
+        assert_unit_cursor_is_fresh(&ImplicitGrid::new(&[3, 4, 5]).unwrap(), "grid");
+        assert_unit_cursor_is_fresh(&ImplicitComplete::new(9).unwrap(), "complete");
+        let csr = grid::grid(&[4, 4]);
+        let mut cursor = ();
+        for v in csr.vertices() {
+            assert_eq!(
+                csr.adjacency_at(v, &mut cursor),
+                csr.adjacency(v),
+                "CSR {v}"
+            );
+        }
+    }
+
     #[test]
     fn hypercube_accepts_the_id_space_boundary() {
         // dim = 32 is the n = 2³² graph: max id exactly u32::MAX. The CSR
@@ -725,27 +927,35 @@ mod tests {
 
         /// At random vertices of Q7–Q32, most of them past the
         /// CSR-checked Q1–Q12, the neighbors ascend strictly, each differs
-        /// from `v` in one bit, and together they flip all `dim` bits.
+        /// from `v` in one bit, and together they flip all `dim` bits. The
+        /// decode goes through a cursor last used at another random
+        /// vertex, and agrees with the fresh decode.
         #[test]
         fn hypercube_neighbors_flip_every_bit_once_in_order(
             dim in 7u32..33,
             (a, b) in (0u64..u64::MAX, 0u64..u64::MAX),
             density in 0u32..3,
+            before in 0u64..u64::MAX,
         ) {
             let q = ImplicitHypercube::new(dim).unwrap();
-            let v = (mix(a, b, density) & q.mask) as Vertex;
-            prop_assert_eq!(q.degree(v), dim as usize);
+            let mask = (1u64 << dim) - 1;
+            let v = (mix(a, b, density) & mask) as Vertex;
+            let mut cursor = HypercubeCursor::default();
+            q.adjacency_at((before & mask) as Vertex, &mut cursor);
+            let adj = q.adjacency_at(v, &mut cursor);
+            prop_assert_eq!(adj.degree(), dim as usize);
             let mut flipped = 0u64;
             for i in 0..dim as usize {
-                let u = q.neighbor(v, i);
+                let u = adj.neighbor(i);
+                prop_assert_eq!(u, q.neighbor(v, i), "Q{}: stale cursor at {:#x}", dim, v);
                 let bit = (u ^ v) as u64;
                 prop_assert!(bit.is_power_of_two(), "Q{dim}: {u:#x} is not one flip from {v:#x}");
                 if i > 0 {
-                    prop_assert!(q.neighbor(v, i - 1) < u, "Q{dim}: {v:#x} not ascending at {i}");
+                    prop_assert!(adj.neighbor(i - 1) < u, "Q{dim}: {v:#x} not ascending at {i}");
                 }
                 flipped |= bit;
             }
-            prop_assert_eq!(flipped, q.mask);
+            prop_assert_eq!(flipped, mask);
         }
     }
 }

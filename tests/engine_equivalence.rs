@@ -25,8 +25,9 @@ use cobra_repro::graph::{
 };
 use cobra_repro::sim::SeedSequence;
 use cobra_repro::walks::{
-    CobraWalk, CoverDriver, CoverResult, HittingResult, ImplicitDraw, NeighborDraw, PushGossip,
-    SimpleWalk, Trajectory, TrialScratch, TypedProcess, WaltProcess,
+    BranchingSchedule, CobraWalk, CoverDriver, CoverResult, FaultPlan, FaultyCobraWalk,
+    HittingResult, ImplicitDraw, NeighborDraw, PushGossip, ScheduledCobraWalk, SimpleWalk,
+    Trajectory, TrialScratch, TypedProcess, WaltProcess,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -350,12 +351,23 @@ fn assert_csr_implicit_equivalence<G, P>(
     }
 }
 
-/// Every process the implicit seam carries, on one graph pair.
+/// Every process the implicit seam carries, on one graph pair: the
+/// three rounds that bind through a graph cursor (cobra, faulty cobra
+/// with loss and delay, a Bernoulli schedule) and the simple walk, which
+/// binds each pebble on a fresh one.
 fn assert_family_pins<G: ImplicitGraph>(gname: &str, csr: &Graph, implicit: &G) {
     for (i, k) in [1u32, 2, 3].into_iter().enumerate() {
         assert_csr_implicit_equivalence(gname, csr, implicit, &CobraWalk::new(k), i as u64);
     }
     assert_csr_implicit_equivalence(gname, csr, implicit, &SimpleWalk::new(), 10);
+    let lossy = FaultPlan::none().with_pebble_loss(0.1).with_delay(0.25, 8);
+    let faulty = FaultyCobraWalk::new(2, lossy);
+    assert_csr_implicit_equivalence(gname, csr, implicit, &faulty, 11);
+    let bernoulli = ScheduledCobraWalk::new(BranchingSchedule::Bernoulli {
+        base: 1,
+        extra_prob: 0.5,
+    });
+    assert_csr_implicit_equivalence(gname, csr, implicit, &bernoulli, 12);
 }
 
 #[test]
@@ -374,11 +386,15 @@ fn implicit_grid_matches_csr() {
 
 #[test]
 fn implicit_hypercube_matches_csr() {
-    assert_family_pins(
-        "hypercube-6",
-        &hypercube::hypercube(6),
-        &ImplicitHypercube::new(6).unwrap(),
-    );
+    // Q6 is one 64-vertex block with no bits above the low six; Q10's
+    // rounds read the cursor's block order and rebuild it between blocks.
+    for dim in [6, 10] {
+        assert_family_pins(
+            &format!("hypercube-{dim}"),
+            &hypercube::hypercube(dim),
+            &ImplicitHypercube::new(dim).unwrap(),
+        );
+    }
 }
 
 #[test]

@@ -71,8 +71,14 @@ fn giant_implicit_cover_run_stays_under_the_memory_budget() {
     // Q27 has n = 2^27 ≈ 1.34·10^8 vertices — past the 10^8 bar — and
     // O(1) bit-trick neighbor arithmetic. Debug builds (CI's ignored
     // tier) drop to Q22 (~4.2M vertices): same code path, same budget,
-    // two orders of magnitude fewer draws.
-    let dim: u32 = if cfg!(debug_assertions) { 22 } else { 27 };
+    // two orders of magnitude fewer draws. Each size's cover takes the
+    // rounds recorded before the hypercube's block-order decode, which
+    // draws the same neighbors from the same stream.
+    let (dim, rounds): (u32, usize) = if cfg!(debug_assertions) {
+        (22, 45)
+    } else {
+        (27, 54)
+    };
     let before = BYTES_ALLOCATED.load(Ordering::Relaxed);
 
     let g = ImplicitHypercube::new(dim).expect("dimension in range");
@@ -102,6 +108,7 @@ fn giant_implicit_cover_run_stays_under_the_memory_budget() {
         res.steps
     );
     assert_eq!(covered.count(), n, "coverage structure must agree");
+    assert_eq!(res.steps, rounds, "Q{dim} cover rounds moved");
 
     // The hard bar: everything the run touched — coverage (~16 MB at
     // Q27), two frontiers (~50 MB), RNG — in under

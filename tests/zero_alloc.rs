@@ -281,7 +281,8 @@ fn steady_state_trials_do_not_allocate() {
 
     // The implicit route: each vertex's adjacency is decoded on the
     // stack, on a grid with boundary and interior vertices and on a
-    // hypercube.
+    // hypercube, whose rounds keep their block order in a cursor on the
+    // stack too.
     let implicit_grid = ImplicitGrid::new(&[11, 11]).expect("valid grid");
     audit(
         &implicit_grid,
@@ -295,6 +296,24 @@ fn steady_state_trials_do_not_allocate() {
         "implicit Q7",
         "cobra(k=2)",
         CobraWalk::standard(),
+    );
+    audit(
+        &implicit_cube,
+        "implicit Q7",
+        "cobra[bern(1+0.5)]",
+        ScheduledCobraWalk::new(BranchingSchedule::Bernoulli {
+            base: 1,
+            extra_prob: 0.5,
+        }),
+    );
+    audit(
+        &implicit_cube,
+        "implicit Q7",
+        "faulty(loss, delay)",
+        FaultyCobraWalk::new(
+            2,
+            FaultPlan::none().with_pebble_loss(0.1).with_delay(0.25, 8),
+        ),
     );
 
     // The lane kernel: the star keeps its rounds sparse, the complete
