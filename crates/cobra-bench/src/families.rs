@@ -128,7 +128,7 @@ impl Family {
     /// Closed-form conductance when known exactly: hypercube `1/dim`.
     pub fn exact_conductance(&self, scale: usize) -> Option<f64> {
         match self {
-            Family::Hypercube => Some(1.0 / scale as f64),
+            Family::Hypercube => Some(hypercube::hypercube_conductance(scale as u32)),
             _ => None,
         }
     }

@@ -135,23 +135,8 @@ impl Json {
 }
 
 /// Escape a string for embedding in a JSON document (quotes,
-/// backslashes, and control characters — the full set a reader of our
-/// own output could trip on, superset of the manifest writer's needs).
-pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// backslashes, and control characters).
+pub use cobra_obs::escape_json as escape_str;
 
 /// Nesting cap for the recursive-descent parser: our own writers emit a
 /// handful of levels, so anything near this bound is hostile or corrupt

@@ -13,8 +13,9 @@
 //!
 //! A decode carries only what the draws read. A grid vertex keeps its
 //! move mask and the move count its decode loop counted; an interior
-//! vertex has every move, so its `i`-th neighbor is move `i`, and only a
-//! boundary vertex selects the `i`-th set bit of its mask.
+//! vertex has every move, so its `i`-th neighbor is move `i`, and a
+//! boundary vertex finds move `i` by clearing the `i` lowest set bits of
+//! its mask.
 //!
 //! **Cursors.** A decode may reuse work from the one before it through
 //! a cursor ([`ImplicitGraph::Cursor`]), which the caller keeps across
@@ -131,97 +132,6 @@ impl ImplicitGraph for Graph {
     }
 }
 
-/// References delegate, so drivers can hold `&G` without re-wrapping.
-impl<T: ImplicitGraph + ?Sized> ImplicitGraph for &T {
-    type Cursor = T::Cursor;
-    type Adjacency<'a>
-        = T::Adjacency<'a>
-    where
-        Self: 'a;
-
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        (**self).num_vertices()
-    }
-
-    #[inline]
-    fn adjacency_at(&self, v: Vertex, cursor: &mut T::Cursor) -> T::Adjacency<'_> {
-        (**self).adjacency_at(v, cursor)
-    }
-}
-
-/// `0x01` in every byte.
-const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
-/// `0x80` in every byte.
-const BYTE_HIGHS: u64 = 0x8080_8080_8080_8080;
-
-/// `SELECT_IN_BYTE[b | r << 8]` is the position of the `r`-th lowest set
-/// bit of the byte `b` (8 where `b` has no such bit).
-static SELECT_IN_BYTE: [u8; 2048] = select_in_byte_table();
-
-const fn select_in_byte_table() -> [u8; 2048] {
-    let mut table = [8u8; 2048];
-    let mut b = 0;
-    while b < 256 {
-        let (mut bit, mut rank) = (0, 0);
-        while bit < 8 {
-            if b >> bit & 1 == 1 {
-                table[b | rank << 8] = bit as u8;
-                rank += 1;
-            }
-            bit += 1;
-        }
-        b += 1;
-    }
-    table
-}
-
-/// A word with the running popcounts of its bytes precomputed, so each
-/// `select` on it is branch-free broadword arithmetic plus one table load
-/// (Vigna, *Broadword implementation of rank/select queries*, 2008). Byte
-/// `j` of `sums` counts the set bits in bytes `0..=j` of `bits`, so the
-/// top byte is the popcount.
-#[derive(Clone, Copy, Debug)]
-struct RankedWord {
-    bits: u64,
-    sums: u64,
-}
-
-impl RankedWord {
-    #[inline]
-    fn new(bits: u64) -> Self {
-        let mut s = bits - ((bits >> 1) & 0x5555_5555_5555_5555);
-        s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
-        s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-        RankedWord {
-            bits,
-            sums: s.wrapping_mul(BYTE_ONES),
-        }
-    }
-
-    /// Number of set bits.
-    #[inline]
-    fn count(self) -> usize {
-        (self.sums >> 56) as usize
-    }
-
-    /// Position of the `k`-th lowest set bit (`k` counts from 0), for
-    /// `k < count()`.
-    #[inline]
-    fn select(self, k: usize) -> u32 {
-        debug_assert!(k < self.count());
-        let k = k as u64;
-        // Flag (bit 7) each byte whose running count is at most k: those
-        // bytes lie wholly below the bit. Counting the flags with one
-        // multiply gives the byte that holds it.
-        let below = (((k * BYTE_ONES) | BYTE_HIGHS) - self.sums) & BYTE_HIGHS;
-        let shift = ((below >> 7).wrapping_mul(BYTE_ONES) >> 56) * 8;
-        let rank = (k - ((self.sums << 8) >> shift & 0xFF)) & 7;
-        let byte = self.bits >> shift & 0xFF;
-        shift as u32 + SELECT_IN_BYTE[(byte | rank << 8) as usize] as u32
-    }
-}
-
 /// The paper's `[0, extents[0]] × … × [0, extents[d-1]]` grid (§3), with
 /// adjacency computed from the mixed-radix coordinates.
 ///
@@ -294,7 +204,9 @@ impl ImplicitGrid {
 /// valid moves in CSR order, and their count.
 ///
 /// An interior vertex has every move, so its `i`-th neighbor is move `i`.
-/// Only a boundary vertex ranks its mask and selects the `i`-th set bit.
+/// A boundary vertex clears the `i` lowest set bits of its mask and takes
+/// the move at the lowest bit left. Its degree is below `2d`, so `i` is
+/// too: at most four clears on a grid of up to three dimensions.
 #[derive(Clone, Copy, Debug)]
 pub struct GridAdjacency<'a> {
     v: Vertex,
@@ -314,7 +226,11 @@ impl Neighborhood for GridAdjacency<'_> {
         let slot = if self.degree == self.steps.len() {
             i
         } else {
-            RankedWord::new(self.moves).select(i) as usize
+            let mut moves = self.moves;
+            for _ in 0..i {
+                moves &= moves - 1;
+            }
+            moves.trailing_zeros() as usize
         };
         self.v.wrapping_add(self.steps[slot])
     }
@@ -373,7 +289,7 @@ impl ImplicitGraph for ImplicitGrid {
 /// *unset* bit increases it, so ascending order is "set bits from highest
 /// to lowest, then unset bits from lowest to highest". Split at bit 6,
 /// that is the `s` set bits above the low six (the vertex's block,
-/// `v >> 6`), then the six low bits in [`LOW_ORDER`]'s order for
+/// `v >> 6`), then the six low bits in `LOW_ORDER`'s order for
 /// `v & 63`, then the unset bits above the low six. The block part is the
 /// same for all 64 vertices of a block, so a [`HypercubeCursor`] keeps it
 /// and rebuilds it only when the block changes.
@@ -439,7 +355,7 @@ const fn low_order_table() -> [[u8; 8]; 64] {
 /// `order[set + 6..dim]` its unset bits from lowest to highest, so the
 /// six slots from `set` are where the low six bits go. Draw slot `i` of
 /// a vertex reads `order[i]` outside that gap and the vertex's
-/// [`LOW_ORDER`] row at `i − set` inside it.
+/// `LOW_ORDER` row at `i − set` inside it.
 #[derive(Clone, Copy, Debug)]
 pub struct HypercubeCursor {
     /// `dim << 32 | block` for the block `order` describes; `u64::MAX`,
@@ -479,7 +395,7 @@ impl HypercubeCursor {
 }
 
 /// An [`ImplicitHypercube`] vertex's neighborhood: the vertex, its
-/// [`LOW_ORDER`] row and its block's order, copied from the cursor.
+/// `LOW_ORDER` row and its block's order, copied from the cursor.
 /// Every vertex has degree `dim`.
 #[derive(Clone, Copy, Debug)]
 pub struct HypercubeAdjacency {
@@ -630,51 +546,12 @@ mod tests {
         }
     }
 
-    /// The `k`-th lowest set bit of `x`, by clearing the `k` below it.
-    fn select_by_loop(mut x: u64, k: usize) -> u32 {
-        for _ in 0..k {
-            x &= x - 1;
-        }
-        x.trailing_zeros()
-    }
-
     /// A word of roughly one quarter, one half or three quarters density.
     fn mix(a: u64, b: u64, density: u32) -> u64 {
         match density {
             0 => a & b,
             1 => a,
             _ => a | b,
-        }
-    }
-
-    #[test]
-    fn select_matches_a_bit_loop_on_every_table_entry() {
-        for b in 0..256usize {
-            for r in 0..8 {
-                let ones = b.count_ones() as usize;
-                let want = if r < ones {
-                    select_by_loop(b as u64, r)
-                } else {
-                    8
-                };
-                assert_eq!(
-                    SELECT_IN_BYTE[b | r << 8] as u32,
-                    want,
-                    "byte {b:#x} rank {r}"
-                );
-                if r >= ones {
-                    continue;
-                }
-                // The same entry reached from every byte of a word, alone
-                // and with every bit below it set.
-                for shift in (0..64u32).step_by(8) {
-                    let alone = (b as u64) << shift;
-                    assert_eq!(RankedWord::new(alone).select(r), shift + want);
-                    let below = alone | ((1u64 << shift) - 1);
-                    let w = RankedWord::new(below);
-                    assert_eq!(w.select(shift as usize + r), shift + want);
-                }
-            }
         }
     }
 
@@ -894,36 +771,11 @@ mod tests {
     #[test]
     fn csr_graph_is_its_own_implicit_form() {
         let g = grid::grid(&[3, 3]);
-        assert_matches_csr(&&g, &g, "CSR-as-implicit");
-    }
-
-    #[test]
-    fn reference_delegation() {
-        let q = ImplicitHypercube::new(3).unwrap();
-        let by_ref: &ImplicitHypercube = &q;
-        assert_eq!(ImplicitGraph::num_vertices(&by_ref), 8);
-        assert_eq!(ImplicitGraph::degree(&by_ref, 5), 3);
-        assert_eq!(ImplicitGraph::neighbor(&by_ref, 0, 2), 4);
+        assert_matches_csr(&g, &g, "CSR-as-implicit");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// `select` agrees with a bit loop at every valid rank of sparse,
-        /// half-full and dense words.
-        #[test]
-        fn select_matches_a_bit_loop(
-            a in 0u64..u64::MAX,
-            b in 0u64..u64::MAX,
-            density in 0u32..3,
-        ) {
-            let x = mix(a, b, density);
-            let w = RankedWord::new(x);
-            prop_assert_eq!(w.count(), x.count_ones() as usize);
-            for k in 0..w.count() {
-                prop_assert_eq!(w.select(k), select_by_loop(x, k));
-            }
-        }
 
         /// At random vertices of Q7–Q32, most of them past the
         /// CSR-checked Q1–Q12, the neighbors ascend strictly, each differs

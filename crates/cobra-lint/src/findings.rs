@@ -104,7 +104,7 @@ fn render_json_finding(f: &Finding, reason: Option<&str>) -> String {
 }
 
 /// Minimal JSON string escaping (the linter is dependency-free, so this
-/// mirrors cobra-bench's `escape_str` rather than importing it).
+/// mirrors cobra-obs's `escape_json` rather than importing it).
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

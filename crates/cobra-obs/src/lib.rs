@@ -419,9 +419,10 @@ impl Probe for TraceProbe {
 /// The trace document schema identifier, written into every header.
 pub const TRACE_SCHEMA: &str = "cobra-obs/trace-v1";
 
-/// Minimal JSON string escaping for trace fields (quotes, backslashes,
-/// and control characters).
-fn escape_json(s: &str) -> String {
+/// Escape a string for embedding in a JSON document: quotes, backslashes
+/// and control characters. Trace fields here, and cobra-bench's
+/// manifests and checkpoints, are escaped with it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

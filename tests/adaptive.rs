@@ -7,12 +7,14 @@
 //! (a trial cap below the 64-lane width, or a process without a lane
 //! form); `tests/lanes.rs` pins the lane route.
 
+mod support;
+
 use cobra_bench::{ExpConfig, ExperimentSpec, Json, Orchestrator};
 use cobra_repro::graph::{Graph, Vertex};
 use cobra_repro::sim::convergence::{run_until_precise, AdaptivePlan, StopRule};
 use cobra_repro::sim::runner::{
-    run_cover_trials_adaptive_auto_resumable, run_cover_trials_typed,
-    run_hitting_trials_adaptive_resumable, AdaptiveOutcome, BatchControl, TrialPlan,
+    run_cover_trials_typed, run_hitting_trials_adaptive_resumable, AdaptiveOutcome, BatchControl,
+    TrialPlan,
 };
 use cobra_repro::sim::seeds::SeedSequence;
 use cobra_repro::sim::sweep::{SweepCell, SweepTable};
@@ -22,14 +24,7 @@ use cobra_repro::walks::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// An uninterrupted adaptive cover run from vertex 0.
-fn cover<P: TypedProcess>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
-    run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
-        BatchControl::Continue
-    })
-    .outcome
-}
+use support::{adaptive_auto, assert_adaptive_identical, in_pool};
 
 /// An uninterrupted adaptive hitting run `0 → target`.
 fn hitting<P: TypedProcess>(
@@ -42,21 +37,6 @@ fn hitting<P: TypedProcess>(
         BatchControl::Continue
     })
     .outcome
-}
-
-/// Full-moment equality for two adaptive outcomes (same per-trial value
-/// multiset in the same order, same stopping decision).
-fn assert_adaptive_identical(a: &AdaptiveOutcome, b: &AdaptiveOutcome, label: &str) {
-    assert_eq!(a.precision_met, b.precision_met, "{label}: met flag");
-    assert_eq!(a.censored, b.censored, "{label}: censoring");
-    assert_eq!(a.summary.count(), b.summary.count(), "{label}: counts");
-    assert_eq!(a.trials_run(), b.trials_run(), "{label}: trials consumed");
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means");
-        assert_eq!(a.summary.median(), b.summary.median(), "{label}: medians");
-        assert_eq!(a.summary.min(), b.summary.min(), "{label}: mins");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes");
-    }
 }
 
 #[test]
@@ -81,18 +61,14 @@ fn adaptive_engine_is_worker_and_batch_independent() {
     let cover_rule = StopRule::new(12, 63, 0.05);
 
     let run = |workers: usize, batch: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .unwrap();
-        pool.install(|| {
+        in_pool(workers, || {
             (
-                cover(
+                adaptive_auto(
                     &g,
                     &cobra,
                     &AdaptivePlan::new(cover_rule, batch, 1_000_000, 0xC0B7A),
                 ),
-                cover(
+                adaptive_auto(
                     &g,
                     &lossy,
                     &AdaptivePlan::new(rule, batch, 1_000_000, 0x5E5),
@@ -129,7 +105,7 @@ fn adaptive_stops_at_min_trials_on_constant_data() {
     for batch in [1usize, 16, 64] {
         let rule = StopRule::new(7, 500, 0.01);
         let plan = AdaptivePlan::new(rule, batch, 100, 9);
-        let out = cover(&g, &SimpleWalk::new(), &plan);
+        let out = adaptive_auto(&g, &SimpleWalk::new(), &plan);
         assert!(out.precision_met, "batch {batch}");
         assert_eq!(out.trials_run(), 7, "batch {batch}: must stop at min");
         assert_eq!(out.summary.mean(), 1.0);
@@ -147,7 +123,7 @@ fn adaptive_fully_censored_cell_fails_soft() {
     for batch in [1usize, 16, 64] {
         let rule = StopRule::new(4, 37, 0.05);
         let plan = AdaptivePlan::new(rule, batch, 4, 13);
-        let out = cover(&g, &SimpleWalk::new(), &plan);
+        let out = adaptive_auto(&g, &SimpleWalk::new(), &plan);
         assert!(!out.precision_met, "batch {batch}");
         assert_eq!(out.censored, 37, "batch {batch}");
         assert_eq!(out.summary.count(), 0);
@@ -234,7 +210,7 @@ proptest! {
         let cobra = CobraWalk::standard();
         let rule = StopRule::new(min, max, precision);
         let plan = AdaptivePlan::new(rule, batch, 10_000, seed);
-        let out = cover(&g, &cobra, &plan);
+        let out = adaptive_auto(&g, &cobra, &plan);
 
         // Serial oracle over the identical per-trial values.
         let seq = SeedSequence::new(seed);

@@ -1,13 +1,15 @@
 //! Reproducibility: every random artifact in the workspace must be a pure
 //! function of its seed, regardless of thread scheduling.
 
+mod support;
+
 use cobra_repro::graph::generators::{classic, gnp, random_regular};
 use cobra_repro::sim::runner::{run_cover_trials_typed, run_hitting_trials_typed, TrialPlan};
 use cobra_repro::sim::seeds::SeedSequence;
-use cobra_repro::sim::TrialOutcome;
 use cobra_repro::walks::{CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, WaltProcess};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::{assert_outcomes_identical, in_pool};
 
 #[test]
 fn generators_are_seed_deterministic() {
@@ -28,18 +30,9 @@ fn parallel_runner_is_schedule_independent() {
     let plan = TrialPlan::new(64, 1_000_000, 99);
     let cobra = CobraWalk::standard();
 
-    let single = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap()
-        .install(|| run_cover_trials_typed(&g, &cobra, 0, &plan));
+    let single = in_pool(1, || run_cover_trials_typed(&g, &cobra, 0, &plan));
     let multi = run_cover_trials_typed(&g, &cobra, 0, &plan);
-
-    assert_eq!(single.summary.count(), multi.summary.count());
-    assert!((single.summary.mean() - multi.summary.mean()).abs() < 1e-12);
-    assert_eq!(single.summary.median(), multi.summary.median());
-    assert_eq!(single.summary.min(), multi.summary.min());
-    assert_eq!(single.summary.max(), multi.summary.max());
+    assert_outcomes_identical(&single, &multi, "1 worker vs the default pool");
 }
 
 #[test]
@@ -52,27 +45,6 @@ fn seed_sequences_are_stable_across_calls() {
     // caught (these act as a format version for recorded experiments).
     assert_eq!(s.seed_at(0), SeedSequence::new(0xABCD).seed_at(0));
     assert_ne!(s.seed_at(0), s.seed_at(1));
-}
-
-/// Full-moment equality for two trial outcomes (the summaries must be
-/// built from the exact same per-trial values, not just agree on means).
-fn assert_outcomes_identical(a: &TrialOutcome, b: &TrialOutcome, label: &str) {
-    assert_eq!(a.censored, b.censored, "{label}: censoring differs");
-    assert_eq!(
-        a.summary.count(),
-        b.summary.count(),
-        "{label}: counts differ"
-    );
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means differ");
-        assert_eq!(
-            a.summary.median(),
-            b.summary.median(),
-            "{label}: medians differ"
-        );
-        assert_eq!(a.summary.min(), b.summary.min(), "{label}: mins differ");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes differ");
-    }
 }
 
 #[test]
@@ -89,11 +61,7 @@ fn scratch_engine_is_worker_count_independent() {
     let hit_plan = TrialPlan::new(96, 1_000_000, 43);
 
     let at_workers = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
+        in_pool(threads, || {
             (
                 run_cover_trials_typed(&g, &cobra, 0, &cover_plan),
                 run_cover_trials_typed(&g, &lossy, 0, &cover_plan),

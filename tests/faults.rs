@@ -23,100 +23,21 @@
 //! branching factors, seeds, and loss rates to guard the seam against
 //! regressions that only bite off the hand-picked constants.
 
+mod support;
+
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, ImplicitGrid};
-use cobra_repro::obs::NoopProbe;
 use cobra_repro::sim::convergence::{AdaptivePlan, StopRule};
-use cobra_repro::sim::runner::{
-    run_cover_trials_adaptive_auto_resumable, run_cover_trials_implicit,
-    run_cover_trials_lanes_probed, run_cover_trials_typed, TrialPlan,
-};
-use cobra_repro::sim::{AdaptiveOutcome, BatchControl, TrialOutcome};
-use cobra_repro::walks::{CobraWalk, FaultPlan, FaultyCobraWalk, TypedProcess};
+use cobra_repro::sim::runner::{run_cover_trials_implicit, run_cover_trials_typed, TrialPlan};
+use cobra_repro::walks::{CobraWalk, FaultPlan, FaultyCobraWalk};
 use proptest::prelude::*;
+use support::{
+    adaptive_auto, assert_adaptive_identical, assert_outcomes_identical, in_pool, lanes_fixed,
+    outcome_digest,
+};
 
 const MAX_STEPS: usize = 60_000;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Run `f` inside a dedicated rayon pool with `workers` threads, so the
-/// runners' internal `par_iter` uses exactly that worker count.
-fn in_pool<T: Send>(workers: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .expect("build rayon pool")
-        .install(f)
-}
-
-fn lanes_fixed<P: TypedProcess>(g: &Graph, process: &P, plan: &TrialPlan) -> TrialOutcome {
-    run_cover_trials_lanes_probed(g, process, 0, plan, |_| NoopProbe).0
-}
-
-fn adaptive_auto<P: TypedProcess>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
-    run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
-        BatchControl::Continue
-    })
-    .outcome
-}
-
-/// FNV-1a digest of an outcome's censoring, count, and moments — the form
-/// the pinned dyn-route values below were recorded in.
-fn outcome_digest(out: &TrialOutcome) -> u64 {
-    let s = &out.summary;
-    let mut words = vec![out.censored as u64, s.count() as u64];
-    if s.count() > 0 {
-        words.extend([s.mean(), s.variance(), s.min(), s.max(), s.median()].map(f64::to_bits));
-    }
-    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        w.to_le_bytes().iter().fold(h, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    })
-}
-
-/// Full-moment equality: same censoring and the same multiset summary
-/// (count, mean, median, min, max), not just agreeing means.
-fn assert_outcomes_identical(a: &TrialOutcome, b: &TrialOutcome, label: &str) {
-    assert_eq!(a.censored, b.censored, "{label}: censoring differs");
-    assert_eq!(
-        a.summary.count(),
-        b.summary.count(),
-        "{label}: counts differ"
-    );
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means differ");
-        assert_eq!(
-            a.summary.median(),
-            b.summary.median(),
-            "{label}: medians differ"
-        );
-        assert_eq!(a.summary.min(), b.summary.min(), "{label}: mins differ");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes differ");
-    }
-}
-
-/// Same, for adaptive outcomes — plus the stopping decision itself.
-fn assert_adaptive_identical(a: &AdaptiveOutcome, b: &AdaptiveOutcome, label: &str) {
-    assert_eq!(
-        a.trials_run(),
-        b.trials_run(),
-        "{label}: consumed trial counts differ"
-    );
-    assert_eq!(
-        a.precision_met, b.precision_met,
-        "{label}: stopping decisions differ"
-    );
-    assert_eq!(a.censored, b.censored, "{label}: censoring differs");
-    assert_eq!(
-        a.summary.count(),
-        b.summary.count(),
-        "{label}: counts differ"
-    );
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means differ");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes differ");
-    }
-}
 
 /// A non-trivial plan exercising every fault dimension at once.
 fn lossy_plan() -> FaultPlan {

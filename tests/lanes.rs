@@ -22,38 +22,22 @@
 //! * the adaptive auto router runs the engine [`lane_cover_applies`]
 //!   selects, and that is the scratch engine for the simple walk.
 
+mod support;
+
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::Graph;
-use cobra_repro::obs::NoopProbe;
-use cobra_repro::sim::runner::{
-    lane_cover_applies, run_cover_trials_adaptive_auto_resumable, run_cover_trials_lanes_probed,
-    run_cover_trials_typed, TrialPlan,
-};
-use cobra_repro::sim::{
-    ks_distance, AdaptiveOutcome, AdaptivePlan, BatchControl, SeedSequence, StopRule, Summary,
-    TrialOutcome,
-};
+use cobra_repro::sim::runner::{lane_cover_applies, run_cover_trials_typed, TrialPlan};
+use cobra_repro::sim::{ks_distance, AdaptivePlan, SeedSequence, StopRule, Summary};
 use cobra_repro::walks::{
-    run_lane_cover, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch, SimpleWalk, TypedProcess,
-    LANE_WIDTH,
+    run_lane_cover, CobraWalk, CoverDriver, ImplicitDraw, LaneScratch, SimpleWalk, LANE_WIDTH,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::{
+    adaptive_auto, assert_adaptive_identical, assert_outcomes_identical, in_pool, lanes_fixed,
+};
 
 const MAX_STEPS: usize = 200_000;
-
-/// A fixed-plan lane run from vertex 0.
-fn lanes_fixed(g: &Graph, cobra: &CobraWalk, plan: &TrialPlan) -> TrialOutcome {
-    run_cover_trials_lanes_probed(g, cobra, 0, plan, |_| NoopProbe).0
-}
-
-/// An uninterrupted adaptive run from vertex 0 through the auto router.
-fn adaptive_auto<P: TypedProcess>(g: &Graph, process: &P, plan: &AdaptivePlan) -> AdaptiveOutcome {
-    run_cover_trials_adaptive_auto_resumable(g, process, 0, plan, Vec::new(), |_| {
-        BatchControl::Continue
-    })
-    .outcome
-}
 
 /// One independent lane-engine cover time per batch: lane 0 of `batches`
 /// full-width batch runs. Harvesting a single lane per batch sidesteps
@@ -225,56 +209,6 @@ fn censoring_is_per_lane_and_budget_monotone() {
     }
 }
 
-/// Full-moment equality (same multiset of per-trial values, not just
-/// agreeing means).
-fn assert_outcomes_identical(a: &TrialOutcome, b: &TrialOutcome, label: &str) {
-    assert_eq!(a.censored, b.censored, "{label}: censoring differs");
-    assert_eq!(
-        a.summary.count(),
-        b.summary.count(),
-        "{label}: counts differ"
-    );
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means differ");
-        assert_eq!(
-            a.summary.median(),
-            b.summary.median(),
-            "{label}: medians differ"
-        );
-        assert_eq!(a.summary.min(), b.summary.min(), "{label}: mins differ");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes differ");
-    }
-}
-
-/// Same, for adaptive outcomes — plus the stopping decision itself.
-fn assert_adaptive_identical(a: &AdaptiveOutcome, b: &AdaptiveOutcome, label: &str) {
-    assert_eq!(
-        a.trials_run(),
-        b.trials_run(),
-        "{label}: consumed trial counts differ"
-    );
-    assert_eq!(
-        a.precision_met, b.precision_met,
-        "{label}: stopping decisions differ"
-    );
-    assert_eq!(a.censored, b.censored, "{label}: censoring differs");
-    assert_eq!(
-        a.summary.count(),
-        b.summary.count(),
-        "{label}: counts differ"
-    );
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means differ");
-        assert_eq!(
-            a.summary.median(),
-            b.summary.median(),
-            "{label}: medians differ"
-        );
-        assert_eq!(a.summary.min(), b.summary.min(), "{label}: mins differ");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes differ");
-    }
-}
-
 #[test]
 fn lane_runners_are_worker_count_independent() {
     // Batch seeds are positional (`rng_at(batch_index)`) and the par_iter
@@ -288,11 +222,7 @@ fn lane_runners_are_worker_count_independent() {
     assert!(lane_cover_applies(&g, &cobra, rule.max_trials));
 
     let at_workers = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
+        in_pool(threads, || {
             (
                 lanes_fixed(&g, &cobra, &plan),
                 adaptive_auto(&g, &cobra, &adaptive),

@@ -20,6 +20,8 @@
 //!   draws equal `k·|frontier|` and split into lost draws, the next
 //!   frontier and merges, for the faulty walk too.
 
+mod support;
+
 use cobra_repro::graph::generators::{classic, grid};
 use cobra_repro::graph::{Graph, ImplicitGrid};
 use cobra_repro::obs::{CountingProbe, FaultKind, NoopProbe, Probe, TraceEvent, TraceProbe};
@@ -27,41 +29,16 @@ use cobra_repro::sim::runner::{
     run_cover_trials_implicit_probed, run_cover_trials_lanes_probed, run_cover_trials_typed_probed,
     TrialPlan,
 };
-use cobra_repro::sim::TrialOutcome;
 use cobra_repro::walks::{
     BranchingSchedule, CobraWalk, CoverDriver, FaultPlan, FaultyCobraWalk, ImplicitDraw,
     ScheduledCobraWalk, TrialScratch, TypedProcess,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::{assert_outcomes_identical, in_pool, outcome_digest};
 
 const MAX_STEPS: usize = 60_000;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Run `f` inside a dedicated rayon pool with `workers` threads, so the
-/// runners' internal `par_iter` uses exactly that worker count.
-fn in_pool<T: Send>(workers: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .expect("build rayon pool")
-        .install(f)
-}
-
-/// FNV-1a digest of an outcome's censoring, count, and moments — the form
-/// the pinned values below were recorded in.
-fn outcome_digest(out: &TrialOutcome) -> u64 {
-    let s = &out.summary;
-    let mut words = vec![out.censored as u64, s.count() as u64];
-    if s.count() > 0 {
-        words.extend([s.mean(), s.variance(), s.min(), s.max(), s.median()].map(f64::to_bits));
-    }
-    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        w.to_le_bytes().iter().fold(h, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    })
-}
 
 fn noop(_trial: u64) -> NoopProbe {
     NoopProbe
@@ -69,27 +46,6 @@ fn noop(_trial: u64) -> NoopProbe {
 
 fn counting(_trial: u64) -> CountingProbe {
     CountingProbe::new()
-}
-
-/// Full-moment equality: same censoring and the same multiset summary,
-/// not just agreeing means.
-fn assert_outcomes_identical(a: &TrialOutcome, b: &TrialOutcome, label: &str) {
-    assert_eq!(a.censored, b.censored, "{label}: censoring differs");
-    assert_eq!(
-        a.summary.count(),
-        b.summary.count(),
-        "{label}: counts differ"
-    );
-    if a.summary.count() > 0 {
-        assert_eq!(a.summary.mean(), b.summary.mean(), "{label}: means differ");
-        assert_eq!(
-            a.summary.median(),
-            b.summary.median(),
-            "{label}: medians differ"
-        );
-        assert_eq!(a.summary.min(), b.summary.min(), "{label}: mins differ");
-        assert_eq!(a.summary.max(), b.summary.max(), "{label}: maxes differ");
-    }
 }
 
 #[test]
